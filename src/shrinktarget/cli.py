@@ -76,6 +76,22 @@ def _parse_number(text: str, what: str) -> float:
         raise ConfigError(f"{what}: expected a number, got {text!r}") from exc
 
 
+def _required(section: configparser.SectionProxy, key: str, kind: type):
+    """A required key of the section converted by ``kind`` (int or float);
+    floats must be finite."""
+    text = section.get(key)
+    if text is None:
+        raise ConfigError(f"[{section.name}] needs {key!r}")
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key}: expected {kind.__name__}, "
+                          f"got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key}: expected a finite number, got {text!r}")
+    return value
+
+
 def parse_subset(text: str) -> frozenset[int]:
     """Subset grammar: comma-separated items, each 'a' or 'a..b'."""
     out: set[int] = set()
@@ -401,9 +417,9 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
         run_sec = cfg["run"]
         subset = _run_subset(run_sec, loaded)
         report = cover_sum(loaded.system, target,
-                           s=run_sec.getfloat("s"),
-                           m=run_sec.getint("m"),
-                           n_max=run_sec.getint("n_max"),
+                           s=_required(run_sec, "s", float),
+                           m=_required(run_sec, "m", int),
+                           n_max=_required(run_sec, "n_max", int),
                            subset=subset, budget=budget)
         manifest = _manifest_lines(command, cfg, {
             "total": repr(report.total),
@@ -418,8 +434,8 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
         target = _load_target(cfg["target"])
         run_sec = cfg["run"]
         subset = _run_subset(run_sec, loaded)
-        n = run_sec.getint("n")
-        r = run_sec.getfloat("r")
+        n = _required(run_sec, "n", int)
+        r = _required(run_sec, "r", float)
         value = cylinder_density(loaded.system, target.y, n, r, subset, budget=budget)
         manifest = _manifest_lines(command, cfg, {"budget": budget})
         _emit(out_path, manifest, ["n", "r", "density"], [[n, r, value]])

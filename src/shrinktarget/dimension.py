@@ -157,8 +157,8 @@ class _Solver:
         return d
 
     def run(self, tol: float) -> DimensionResult:
-        if tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         lo = _S_FLOOR
         if self.decide(lo) == -1:
             raise RuntimeError(
@@ -196,8 +196,8 @@ def moran_solve(ratios: Sequence[float], tol: float = 1e-10,
     for r in rs:
         if not (0.0 < r < 1.0):
             raise ValueError("ratios must lie in (0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
 
     def low_end(s: float) -> float:
         return sum(r ** s for r in rs) - 1.0

@@ -8,13 +8,28 @@ exp(-end) with `end` an endpoint of the Birkhoff bracket of S_n(u).  The
 "sup" mode uses the lower endpoint (a dominating sum, giving upper pressure
 bounds); the "inf" mode uses the upper endpoint (a dominated sum, giving
 Fekete lower bounds for a pressure of the form P(-u)).
+
+Affine systems factor symbolwise and never enumerate words.  For the other
+families ``BirkhoffTable`` builds level n+1 from level n: a word of length
+n+1 is a word w of length n with one more outer branch s prepended, whose
+cylinder is phi_s(phi_w([0,1])).  One array step per symbol maps the
+intervals of every word at once to their children, adds -log of the bracket
+of |phi_s'| over each interval to the psi sums and adds the symbol's constant
+and table part to the additive sums; children are laid out parent-major, so
+the words come out in one fixed order.  Only the frontier one level behind
+the deepest cached level is kept (intervals and running sums); going one
+level deeper re-advances it once, at most 1/K of that level's work, and
+writes the new level's endpoints straight from the per-symbol sums, so no
+interval array of the deepest level is ever held.  Each log is padded one
+ulp outward with np.nextafter, because np.log may sit an ulp away from the
+correctly rounded value; the running sums are rounded to nearest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -211,11 +226,62 @@ def _logsumexp(arr: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
+class _Frontier(NamedTuple):
+    """Every word w of one level, in enumeration order: the cylinder
+    phi_w([0,1]) as [lo, hi] and the running sums behind the bracket of
+    S_n(u), psi sums apart from the additive (constant and table) sums."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    psi_lo: np.ndarray
+    psi_hi: np.ndarray
+    add_lo: np.ndarray
+    add_hi: np.ndarray
+
+
+def _table_ends(flat: _Flat, i: int) -> tuple[float, float]:
+    lo = hi = flat.const
+    for sc, table in flat.tables:
+        tlo, thi = table(i)
+        lo += sc * tlo
+        hi += sc * thi
+    return (lo, hi)
+
+
+def _log_up(x: np.ndarray) -> np.ndarray:
+    # np.log may differ from the correctly rounded log by an ulp
+    return np.nextafter(np.log(x), np.inf)
+
+
+def _log_down(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.log(x), -np.inf)
+
+
+def _deriv_brackets(fam, s: int, f: _Frontier) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket of |phi_s'| over each frontier interval: one call with the
+    frontier's arrays as the interval when the family is array-safe, one
+    call per interval otherwise."""
+    if fam.array_safe:
+        return fam.deriv_bracket(s, f)
+    ends = [fam.deriv_bracket(s, Interval(lo, hi))
+            for lo, hi in zip(f.lo.tolist(), f.hi.tolist())]
+    blo, bhi = np.array(ends, dtype=float).reshape(-1, 2).T
+    return blo, bhi
+
+
+def _images(fam, s: int, x: np.ndarray) -> np.ndarray:
+    """phi_s at each point of x, elementwise unless the family is array-safe."""
+    if fam.array_safe:
+        return fam.apply(s, x)
+    return np.array([fam.apply(s, v) for v in x.tolist()], dtype=float)
+
+
 class BirkhoffTable:
     """Cached per-word Birkhoff bracket endpoints over F^n for one potential.
 
     The table stores, for each level n, arrays (c_lo, c_hi) of bracket
-    endpoints of S_n(u) over every word.  Partition sums for the scaled
+    endpoints of S_n(u) over every word; levels are built incrementally
+    (see the module docstring) and cached.  Partition sums for the scaled
     potential s*u are then single vectorized log-sum-exp passes, which is
     what dimension bisections iterate.
     """
@@ -232,6 +298,12 @@ class BirkhoffTable:
         self.budget = budget
         self.flat = _flatten(pot)
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # interval frontier one level behind the deepest cached level
+        self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)))
+        # per-symbol additive part (constant plus tables) of the level sums
+        base = [_table_ends(self.flat, i) for i in self.symbols]
+        self._base_lo = [lo for lo, _ in base]
+        self._base_hi = [hi for _, hi in base]
         ends = [_per_symbol_ends(sys, self.flat, i) for i in self.symbols]
         if all(e is not None for e in ends):
             self.additive: tuple[np.ndarray, np.ndarray] | None = (
@@ -252,64 +324,56 @@ class BirkhoffTable:
         is deterministic)."""
         if n in self._levels:
             return self._levels[n]
+        if n < 1:
+            raise ValueError("level must be at least 1")
         count = len(self.symbols) ** n
         if count > self.budget:
             raise BudgetExceededError("partition", count, self.budget)
-        if self.additive is not None:
-            lo1, hi1 = self.additive
-            c_lo = lo1
-            c_hi = hi1
-            for _ in range(n - 1):
-                c_lo = (c_lo[:, None] + lo1[None, :]).ravel()
-                c_hi = (c_hi[:, None] + hi1[None, :]).ravel()
-            out = (np.asarray(c_lo, dtype=float), np.asarray(c_hi, dtype=float))
-        else:
-            out = self._enumerate_level(n)
-        self._levels[n] = out
-        return out
+        while len(self._levels) < n:
+            depth = len(self._levels)
+            if depth:
+                self._frontier = self._advance(self._frontier)
+            self._levels[depth + 1] = self._enumerate_level(self._frontier)
+        return self._levels[n]
 
-    def _enumerate_level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        sys = self.sys
-        fam = sys.branches
-        flat = self.flat
-        syms = self.symbols
-        pc = flat.psi_coef
-        # per-symbol additive part (constants + tables); psi handled on the fly
-        base = []
-        for i in syms:
-            v_lo = v_hi = flat.const
-            for sc, table in flat.tables:
-                tlo, thi = table(i)
-                v_lo += sc * tlo
-                v_hi += sc * thi
-            base.append((v_lo, v_hi))
-        c_lo = np.empty(len(syms) ** n)
-        c_hi = np.empty(len(syms) ** n)
-        pos = 0
-        # DFS over reversed words: prepending a symbol composes one more
-        # outer branch, so nested-interval derivative brackets accumulate in
-        # log space without underflow.
-        stack = [(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
-        while stack:
-            depth, lo, hi, psi_lo, psi_hi, add_lo, add_hi = stack.pop()
-            if depth == n:
-                c_lo[pos] = pc * psi_lo + add_lo
-                c_hi[pos] = pc * psi_hi + add_hi
-                pos += 1
-                continue
-            j = Interval(lo, hi)
-            for k in range(len(syms) - 1, -1, -1):
-                s = syms[k]
-                blo, bhi = fam.deriv_bracket(s, j)
-                a = fam.apply(s, lo)
-                b = fam.apply(s, hi)
-                nlo, nhi = (a, b) if a <= b else (b, a)
-                stack.append((depth + 1, nlo, nhi,
-                              psi_lo - math.log(bhi),
-                              psi_hi - math.log(blo),
-                              add_lo + base[k][0],
-                              add_hi + base[k][1]))
-        return (c_lo[:pos], c_hi[:pos])
+    def _child_sums(self, f: _Frontier):
+        """Per symbol s_k, the running sums of the words s_k w for every
+        frontier word w, as (k, psi_lo, psi_hi, add_lo, add_hi) with arrays
+        over the frontier.  Prepending s_k composes one more outer branch,
+        so the psi sums gain -log of the bracket of |phi_s'| over phi_w([0,1])."""
+        fam = self.sys.branches
+        for k, s in enumerate(self.symbols):
+            blo, bhi = _deriv_brackets(fam, s, f)
+            yield (k, f.psi_lo - _log_up(bhi), f.psi_hi - _log_down(blo),
+                   f.add_lo + self._base_lo[k], f.add_hi + self._base_hi[k])
+
+    def _advance(self, f: _Frontier) -> _Frontier:
+        """The frontier one level deeper: child k of parent p sits at p*K + k."""
+        fam = self.sys.branches
+        shape = (len(f.lo), len(self.symbols))
+        out = _Frontier(*(np.empty(shape) for _ in _Frontier._fields))
+        for k, psi_lo, psi_hi, add_lo, add_hi in self._child_sums(f):
+            a = _images(fam, self.symbols[k], f.lo)
+            b = _images(fam, self.symbols[k], f.hi)
+            out.lo[:, k] = np.minimum(a, b)
+            out.hi[:, k] = np.maximum(a, b)
+            out.psi_lo[:, k] = psi_lo
+            out.psi_hi[:, k] = psi_hi
+            out.add_lo[:, k] = add_lo
+            out.add_hi[:, k] = add_hi
+        return _Frontier(*(a.ravel() for a in out))
+
+    def _enumerate_level(self, f: _Frontier) -> tuple[np.ndarray, np.ndarray]:
+        """(c_lo, c_hi) over the children of every frontier word, in the
+        order of _advance; no child interval is kept."""
+        shape = (len(f.lo), len(self.symbols))
+        c_lo = np.empty(shape)
+        c_hi = np.empty(shape)
+        pc = self.flat.psi_coef
+        for k, psi_lo, psi_hi, add_lo, add_hi in self._child_sums(f):
+            c_lo[:, k] = pc * psi_lo + add_lo
+            c_hi[:, k] = pc * psi_hi + add_hi
+        return (c_lo.ravel(), c_hi.ravel())
 
     def partition(self, scale: float, n: int, mode: str) -> float:
         """log sum over F^n of exp(-scale * end) with end the bracket

@@ -133,6 +133,10 @@ class BranchFamily:
     """
 
     finite: bool = True
+    # True when apply and deriv_bracket work elementwise on numpy arrays
+    # (x, and the .lo/.hi of the interval argument); level builds then take
+    # one call per symbol instead of one per word.
+    array_safe: bool = False
 
     @property
     def is_affine(self) -> bool:
@@ -320,6 +324,7 @@ class GaussFamily(BranchFamily):
     """Inverse branches of the Gauss map: phi_i(x) = 1/(i + x), i >= 1."""
 
     finite = False
+    array_safe = True
 
     def contains_symbol(self, i: int) -> bool:
         return i >= 1
@@ -332,7 +337,8 @@ class GaussFamily(BranchFamily):
         return Interval(1.0 / (i + 1.0), 1.0 / i)
 
     def apply(self, i: int, x: float) -> float:
-        return _clamp01(1.0 / (i + x))
+        # i >= 1 and x in [0,1] keep 1/(i+x) in [0,1] in IEEE arithmetic
+        return 1.0 / (i + x)
 
     def deriv_bracket(self, i: int, j: Interval) -> tuple[float, float]:
         # |phi_i'(x)| = 1/(i+x)^2, decreasing in x

@@ -273,3 +273,60 @@ n_max = 12
 """)
     assert main(["dimension", "--config", cfg, "--budget", "100"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_rejected(tmp_path, capsys, tol):
+    cfg = write(tmp_path, "t.ini", f"""
+[system]
+kind = doubling
+
+[run]
+tol = {tol}
+""")
+    out = tmp_path / "t.csv"
+    assert main(["dimension", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tolerance" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+_TARGET = """
+[system]
+kind = doubling
+
+[target]
+y = 0.0
+rate = const:1.0
+
+[run]
+"""
+
+
+@pytest.mark.parametrize("command, keys, missing", [
+    ("cover", {"s": "1.0", "m": "3", "n_max": "6"}, "s"),
+    ("cover", {"s": "1.0", "m": "3", "n_max": "6"}, "m"),
+    ("cover", {"s": "1.0", "m": "3", "n_max": "6"}, "n_max"),
+    ("density", {"n": "3", "r": "0.25"}, "n"),
+    ("density", {"n": "3", "r": "0.25"}, "r"),
+])
+def test_missing_required_run_key(tmp_path, capsys, command, keys, missing):
+    run = "".join(f"{k} = {v}\n" for k, v in keys.items() if k != missing)
+    cfg = write(tmp_path, "k.ini", _TARGET + run)
+    out = tmp_path / "k.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: [run] needs {missing!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run, message", [
+    ("n = three\nr = 0.25\n", "[run] n: expected int"),
+    ("n = 3\nr = nan\n", "[run] r: expected a finite number"),
+])
+def test_malformed_required_run_key(tmp_path, capsys, run, message):
+    cfg = write(tmp_path, "k.ini", _TARGET + run)
+    assert main(["density", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1

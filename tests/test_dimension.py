@@ -54,6 +54,14 @@ def test_moran_rejects_bad_input():
         moran_solve([0.5, 1.2])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_solvers_reject_non_positive_or_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        moran_solve([0.5, 0.5], tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=tol)
+
+
 def test_moran_with_tail_bound():
     # ratios 2^{-k}, k >= 2 listed to depth 40; geometric tail bound beyond
     rs = [2.0 ** -k for k in range(2, 41)]

@@ -1,11 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyst
 
 from shrinktarget import (
+    BirkhoffTable,
+    BudgetExceededError,
     Constant,
+    CustomMonotoneFamily,
+    GaussFamily,
+    Interval,
     LogDerivative,
+    MarkovSystem,
     PerSymbolBracket,
     Scale,
     Sum,
@@ -16,6 +23,7 @@ from shrinktarget import (
     partition_sum,
     pressure_bracket,
 )
+from shrinktarget.pressure import _flatten
 
 PSI = LogDerivative()
 
@@ -198,3 +206,116 @@ def test_upper_monotone_in_scale(s, ds):
     a = pressure_bracket(sys, pot_small, {1, 2, 3}, n_max=3)
     b = pressure_bracket(sys, pot_large, {1, 2, 3}, n_max=3)
     assert b.upper <= a.upper + 1e-12
+
+
+# ---------------------------------------------------------------- level kernel
+
+def reference_level(sys, pot, subset, n):
+    """Scalar oracle for BirkhoffTable.level: a depth-first walk over
+    reversed words, one branch and one math.log per node.  Prepending a
+    symbol composes one more outer branch, so leaves come out in the
+    table's order (innermost symbol most significant)."""
+    fam = sys.branches
+    flat = _flatten(pot)
+    syms = sorted(set(subset))
+    base = []
+    for i in syms:
+        v_lo = v_hi = flat.const
+        for sc, table in flat.tables:
+            tlo, thi = table(i)
+            v_lo += sc * tlo
+            v_hi += sc * thi
+        base.append((v_lo, v_hi))
+    c_lo, c_hi = [], []
+    stack = [(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
+    while stack:
+        depth, lo, hi, psi_lo, psi_hi, add_lo, add_hi = stack.pop()
+        if depth == n:
+            c_lo.append(flat.psi_coef * psi_lo + add_lo)
+            c_hi.append(flat.psi_coef * psi_hi + add_hi)
+            continue
+        j = Interval(lo, hi)
+        for k in range(len(syms) - 1, -1, -1):
+            blo, bhi = fam.deriv_bracket(syms[k], j)
+            a = fam.apply(syms[k], lo)
+            b = fam.apply(syms[k], hi)
+            stack.append((depth + 1, min(a, b), max(a, b),
+                          psi_lo - math.log(bhi), psi_hi - math.log(blo),
+                          add_lo + base[k][0], add_hi + base[k][1]))
+    return np.array(c_lo), np.array(c_hi)
+
+
+def custom_system():
+    # branch 1: x -> x^2/4 + x/4 on [0, 1/2]; branch 2: decreasing affine onto [0.6, 0.9]
+    return MarkovSystem(CustomMonotoneFamily([
+        (lambda x: 0.25 * x * x + 0.25 * x,
+         lambda lo, hi: (0.5 * lo + 0.25, 0.5 * hi + 0.25), Interval(0.0, 0.5)),
+        (lambda x: 0.9 - 0.3 * x, lambda lo, hi: (0.3, 0.3), Interval(0.6, 0.9)),
+    ]), xi=2.0)
+
+
+MIXED = Sum(Scale(0.7, PSI), Sum(Constant(0.3), PerSymbolBracket.from_mapping(
+    {1: (0.0, 0.1), 2: (0.2, 0.25), 3: (0.05, 0.4)})))
+
+
+@pytest.mark.parametrize("make_sys, pot, subset, n_max", [
+    (gauss_system, PSI, {1, 2}, 10),
+    (gauss_system, PSI, range(1, 7), 4),
+    (custom_system, PSI, {1, 2}, 6),
+    (gauss_system, MIXED, {1, 2, 3}, 5),
+], ids=["gauss-2", "gauss-6", "custom", "mixed-potential"])
+def test_level_matches_scalar_oracle(make_sys, pot, subset, n_max):
+    sys = make_sys()
+    table = BirkhoffTable(sys, pot, subset)
+    for n in range(1, n_max + 1):
+        got_lo, got_hi = table.level(n)
+        want_lo, want_hi = reference_level(sys, pot, subset, n)
+        assert got_lo.shape == want_lo.shape == (len(set(subset)) ** n,)
+        np.testing.assert_allclose(got_lo, want_lo, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got_hi, want_hi, rtol=0.0, atol=1e-12)
+        assert np.all(got_lo <= got_hi)
+
+
+def test_level_request_order_does_not_matter():
+    sys = gauss_system()
+    jumped = BirkhoffTable(sys, MIXED, {1, 2, 3})
+    stepped = BirkhoffTable(sys, MIXED, {1, 2, 3})
+    out = {n: jumped.level(n) for n in (5, 3, 7)}
+    for n in range(1, 8):
+        stepped.level(n)
+    for n, (lo, hi) in out.items():
+        assert np.array_equal(lo, stepped.level(n)[0])
+        assert np.array_equal(hi, stepped.level(n)[1])
+
+
+class _PerElementGauss(GaussFamily):
+    """Gauss branches without the array fast path, counting calls."""
+
+    array_safe = False
+
+    def __init__(self):
+        self.calls = 0
+
+    def deriv_bracket(self, i, j):
+        self.calls += 1
+        return super().deriv_bracket(i, j)
+
+
+def test_array_and_per_element_paths_agree():
+    fast = BirkhoffTable(gauss_system(), PSI, {1, 2, 3})
+    slow = BirkhoffTable(MarkovSystem(_PerElementGauss(), xi=math.sqrt(2.0),
+                                      expansion_depth=2), PSI, {1, 2, 3})
+    for n in range(1, 6):
+        for a, b in zip(fast.level(n), slow.level(n)):
+            assert np.array_equal(a, b)
+
+
+def test_over_budget_level_raises_before_any_work():
+    fam = _PerElementGauss()
+    table = BirkhoffTable(MarkovSystem(fam, xi=math.sqrt(2.0), expansion_depth=2),
+                          PSI, {1, 2}, budget=100)
+    with pytest.raises(BudgetExceededError) as info:
+        table.level(7)
+    assert info.value.requested == 128 and info.value.budget == 100
+    assert fam.calls == 0
+    assert len(table.level(6)[0]) == 64
