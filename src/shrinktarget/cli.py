@@ -71,9 +71,12 @@ class ConfigError(Exception):
 
 def _parse_number(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{what}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{what}: expected a finite number, got {text!r}")
+    return value
 
 
 def _required(section: configparser.SectionProxy, key: str, kind: type):
@@ -343,7 +346,7 @@ def _run_ladder(run: configparser.SectionProxy, loaded: _LoadedSystem) -> tuple[
 
 
 def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
-        budget: int, sequential: bool) -> int:
+        budget: int) -> int:
     """Dispatch a parsed config document.  Returns the process exit status."""
     if command not in _SECTIONS:
         raise ConfigError(f"unknown command {command!r}")
@@ -395,7 +398,8 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
                   ["value", "lower", "upper", "certified"],
                   [[res.value, res.bracket[0], res.bracket[1], res.certified]])
             return 0
-        alphas = [float(v) for v in run_sec.get("alphas", "").split(",") if v.strip()]
+        alphas = [_parse_number(v.strip(), "[run] alphas")
+                  for v in run_sec.get("alphas", "").split(",") if v.strip()]
         if not alphas:
             raise ConfigError("spectrum: [run] needs 'alphas'")
         rows = []
@@ -527,9 +531,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="INI config document")
     parser.add_argument("--out", default=None, help="CSV output path (stdout if absent)")
-    parser.add_argument("--seq", action="store_true",
-                        help="force the sequential reduction mode (bit-exact reruns); "
-                             "reductions are sequential and deterministic either way")
     parser.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                         help="enumeration budget in words")
     args = parser.parse_args(argv)
@@ -545,7 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     try:
-        return run(args.command, cfg, args.out, args.budget, args.seq)
+        return run(args.command, cfg, args.out, args.budget)
     except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

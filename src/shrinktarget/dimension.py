@@ -235,8 +235,8 @@ def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> 
 def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
                           tol: float = 1e-9) -> DimensionResult:
     """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     solver = _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc)
     result = solver.run(tol)
     assert result.bracket[0] > 0.0

@@ -138,16 +138,12 @@ def _flatten(pot: Potential, scale: float = 1.0) -> _Flat:
     raise TypeError(f"unknown potential node {pot!r}")
 
 
-def _per_symbol_ends(sys: MarkovSystem, flat: _Flat, i: int) -> tuple[float, float] | None:
-    """Exact additive per-symbol bracket contribution, or None when the
-    psi part does not decompose symbolwise (non-affine families)."""
-    lo = hi = flat.const
-    if flat.psi_coef != 0.0:
-        lr = sys.branches.log_deriv_point(i)
-        if lr is None:
-            return None
-        lo += flat.psi_coef * (-lr)
-        hi += flat.psi_coef * (-lr)
+def _symbol_ends(flat: _Flat, i: int, psi: float = 0.0) -> tuple[float, float]:
+    """Bracket ends of the flattened potential on symbol i: the constant,
+    then psi_coef * psi, then the tables.  psi = 0.0 leaves the additive
+    (constant and table) part alone, since const + psi_coef * 0.0 == const."""
+    lo = flat.const + flat.psi_coef * psi
+    hi = lo
     for sc, table in flat.tables:
         tlo, thi = table(i)
         lo += sc * tlo
@@ -161,7 +157,7 @@ def _per_symbol_psi_lo(sys: MarkovSystem, i: int) -> float:
     if lr is not None:
         return -lr
     dlo, dhi = sys.branches.deriv_bracket(i, Interval(0.0, 1.0))
-    return -math.log(dhi)
+    return -math.nextafter(math.log(dhi), math.inf)
 
 
 def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
@@ -182,8 +178,9 @@ def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[flo
             plo, phi_ = add
         else:
             dlo, dhi = cylinder(sys, word).deriv_bracket
-            plo = -math.log(dhi) if dhi > 0.0 else math.inf
-            phi_ = -math.log(dlo) if dlo > 0.0 else math.inf
+            # math.log may sit an ulp off the true value; pad it outward
+            plo = -math.nextafter(math.log(dhi), math.inf) if dhi > 0.0 else math.inf
+            phi_ = -math.nextafter(math.log(dlo), -math.inf) if dlo > 0.0 else math.inf
         lo += flat.psi_coef * plo
         hi += flat.psi_coef * phi_
     for sc, table in flat.tables:
@@ -239,15 +236,6 @@ class _Frontier(NamedTuple):
     add_hi: np.ndarray
 
 
-def _table_ends(flat: _Flat, i: int) -> tuple[float, float]:
-    lo = hi = flat.const
-    for sc, table in flat.tables:
-        tlo, thi = table(i)
-        lo += sc * tlo
-        hi += sc * thi
-    return (lo, hi)
-
-
 def _log_up(x: np.ndarray) -> np.ndarray:
     # np.log may differ from the correctly rounded log by an ulp
     return np.nextafter(np.log(x), np.inf)
@@ -301,17 +289,18 @@ class BirkhoffTable:
         # interval frontier one level behind the deepest cached level
         self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)))
         # per-symbol additive part (constant plus tables) of the level sums
-        base = [_table_ends(self.flat, i) for i in self.symbols]
+        base = [_symbol_ends(self.flat, i) for i in self.symbols]
         self._base_lo = [lo for lo, _ in base]
         self._base_hi = [hi for _, hi in base]
-        ends = [_per_symbol_ends(sys, self.flat, i) for i in self.symbols]
-        if all(e is not None for e in ends):
-            self.additive: tuple[np.ndarray, np.ndarray] | None = (
-                np.array([e[0] for e in ends]),
-                np.array([e[1] for e in ends]),
-            )
-        else:
-            self.additive = None
+        # the whole bracket is additive when psi is absent or exact per symbol
+        self.additive: tuple[np.ndarray, np.ndarray] | None = None
+        log_ds = [sys.branches.log_deriv_point(i) for i in self.symbols]
+        if self.flat.psi_coef == 0.0:
+            self.additive = (np.array(self._base_lo), np.array(self._base_hi))
+        elif None not in log_ds:
+            ends = [_symbol_ends(self.flat, i, -lr) for i, lr in zip(self.symbols, log_ds)]
+            self.additive = (np.array([lo for lo, _ in ends]),
+                             np.array([hi for _, hi in ends]))
 
     def max_level(self) -> int:
         n = 1
@@ -395,29 +384,23 @@ class BirkhoffTable:
         chosen = set(self.symbols)
         if fam.finite:
             skipped = [i for i in fam.symbols() if i not in chosen]
-            if not skipped:
-                return lambda scale: 0.0
-            ends = [self._depth1_lo_end(i) for i in skipped]
-            return lambda scale: sum(math.exp(-scale * e) for e in ends)
-        if self.flat.tables:
+        elif self.flat.tables:
             return None  # no closed form joins a raw table with the family tail
+        else:
+            kmax = max(self.symbols)
+            skipped = [i for i in _family_symbols_upto(fam, kmax) if i not in chosen]
+        ends = [_symbol_ends(self.flat, i, _per_symbol_psi_lo(self.sys, i))[0]
+                for i in skipped]
+        if fam.finite:
+            return lambda scale: sum((math.exp(-scale * e) for e in ends), 0.0)
         a = self.flat.psi_coef
         b = self.flat.const
-        kmax = max(self.symbols)
-        skipped = [i for i in _family_symbols_upto(fam, kmax) if i not in chosen]
-        ends = [self._depth1_lo_end(i) for i in skipped]
 
         def rule(scale: float) -> float:
             tail = fam.tail_weight_sum(scale * a, kmax) * math.exp(-scale * b)
             return tail + sum(math.exp(-scale * e) for e in ends)
 
         return rule
-
-    def _depth1_lo_end(self, i: int) -> float:
-        v = self.flat.const + self.flat.psi_coef * _per_symbol_psi_lo(self.sys, i)
-        for sc, table in self.flat.tables:
-            v += sc * table(i)[0]
-        return v
 
     def bracket(self, scale: float, n_max: int | None = None,
                 tail: float | None = None) -> PressureEstimate:

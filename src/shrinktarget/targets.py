@@ -9,12 +9,21 @@ closed cylinder inside the open ball, and floating-point ties resolve to
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .pressure import Constant, LogDerivative, Potential, Sum, _flatten, birkhoff_bracket
+import numpy as np
+
+from .pressure import (
+    BirkhoffTable,
+    Constant,
+    LogDerivative,
+    Potential,
+    Sum,
+    _symbol_ends,
+    birkhoff_bracket,
+)
 from .systems import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
@@ -43,8 +52,8 @@ class ConstantRate:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("rate alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("rate alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,10 @@ class TargetSpec:
 
     y: float
     rate: ConstantRate | PotentialRate
+
+    def __post_init__(self):
+        if not 0.0 <= self.y <= 1.0:
+            raise ValueError(f"target point y must be a number in [0, 1], got {self.y!r}")
 
     def rate_potential(self) -> Potential:
         if isinstance(self.rate, ConstantRate):
@@ -100,10 +113,6 @@ class HitReport:
     undecided: tuple[int, ...]
 
 
-def _branch_intervals(sys: MarkovSystem, subset) -> list[Interval]:
-    return [sys.branches.branch_interval(i) for i in sorted(set(subset))]
-
-
 def _min_distance(y: float, intervals: Sequence[Interval]) -> float:
     best = math.inf
     for iv in intervals:
@@ -117,105 +126,50 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
               subset, budget: int = DEFAULT_WORD_BUDGET) -> CoverReport:
     """Per-level sums of diam^s over the shrinking-target cover sets.
 
-    The diameter of a level-n cover set is bounded by
-    exp(-(inf S_n(psi) + inf S_n(phi))) through Birkhoff brackets; a word
-    contributes only when the ball of radius exp(-inf S_n(phi)) around y
-    meets some branch image of the subset (otherwise the orbit segment
-    cannot both return to the subsystem and hit the target).
+    The diameter of a level-n cover set is bounded by exp(-c_w), with c_w
+    the lower end of the Birkhoff bracket of S_n(psi + phi) over the
+    cylinder of the word w, so a level sum is a dominating partition sum
+    of -s(psi + phi) read from one ``BirkhoffTable`` (levels built
+    incrementally, every log padded one ulp outward; affine systems factor
+    symbolwise and enumerate nothing).  A word contributes only when the
+    ball of radius exp(-r_w) around y meets some branch image of the
+    subset (otherwise the orbit segment cannot both return to the
+    subsystem and hit the target), with r_w the sum over the word of the
+    lower ends of the constant and table parts of phi; any psi part of
+    phi is left out of this prune test.  When r_w is the same n*r for
+    every word, the level is either empty or the whole partition sum.
     """
     if s <= 0.0:
         raise ValueError("exponent s must be positive")
     if m < 1 or n_max < m:
         raise ValueError("levels must satisfy 1 <= m <= n_max")
-    symbols = sorted(set(subset))
-    fam = sys.branches
-    for i in symbols:
-        fam._check_symbol(i)
-    flat_phi = _flatten(target.rate_potential())
-    flat_total = _flatten(Sum(LogDerivative(), target.rate_potential()))
-    branch_ivs = _branch_intervals(sys, symbols)
-    y = target.y
-
-    # per-symbol additive pieces of both exponents (psi handled per family)
-    phi_syms = []
-    psi_exact = []
-    for i in symbols:
-        p_lo = flat_phi.const
-        for sc, table in flat_phi.tables:
-            p_lo += sc * table(i)[0]
-        phi_syms.append(p_lo)
-        lr = fam.log_deriv_point(i)
-        psi_exact.append(None if lr is None else -lr)
+    rate = target.rate_potential()
+    table = BirkhoffTable(sys, Sum(LogDerivative(), rate), subset, budget=budget)
+    symbols = table.symbols
+    dist = _min_distance(target.y, [sys.branches.branch_interval(i) for i in symbols])
+    reach = np.array([_symbol_ends(table.flat, i)[0] for i in symbols])
+    uniform = bool(np.all(reach == reach[0]))
+    reach_n = np.zeros(1)  # r_w per word, in the table's word order
 
     per_level: list[tuple[int, float]] = []
     total = 0.0
-    completed = m - 1
     for n in range(m, n_max + 1):
         count = len(symbols) ** n
         if count > budget:
-            raise BudgetExceededError("cover", count, budget,
-                                      completed_level=completed)
-        if all(v is not None for v in psi_exact):
-            level = _cover_level_affine(symbols, psi_exact, phi_syms, s, n,
-                                        y, branch_ivs)
+            raise BudgetExceededError("cover", count, budget, completed_level=n - 1)
+        if uniform:
+            level = 0.0 if dist >= math.exp(-n * reach[0]) \
+                else math.exp(table.partition(s, n, "sup"))
         else:
-            level = _cover_level_enumerate(sys, symbols, phi_syms, flat_total,
-                                           s, n, y, branch_ivs)
+            while len(reach_n) < count:
+                # child k of word p sits at p*K + k, as in the table's levels
+                reach_n = np.add.outer(reach_n, reach).ravel()
+            c_lo = table.level(n)[0]
+            level = float(np.sum(np.exp(-s * c_lo[dist < np.exp(-reach_n)])))
         per_level.append((n, level))
         total += level
-        completed = n
     return CoverReport(s=s, m=m, n_max=n_max, per_level=tuple(per_level),
                        total=total)
-
-
-def _cover_level_affine(symbols, psi_exact, phi_syms, s, n, y, branch_ivs) -> float:
-    """Factorized level sum for affine systems with per-symbol rates."""
-    # distinct per-word thresholds only arise from per-symbol phi values;
-    # enumerate phi-level classes cheaply when phi is constant per symbol
-    if len(set(phi_syms)) == 1:
-        phi_level = n * phi_syms[0]
-        if _min_distance(y, branch_ivs) >= math.exp(-phi_level):
-            return 0.0
-        weights = [math.exp(-s * (p + q)) for p, q in zip(psi_exact, phi_syms)]
-        return math.fsum(weights) ** n if weights else 0.0
-    # mixed per-symbol rates: fall back to an exact recursion over the
-    # multiset of phi totals (still no geometry needed for affine branches)
-    total = 0.0
-    for word in itertools.product(range(len(symbols)), repeat=n):
-        phi_lo = sum(phi_syms[k] for k in word)
-        if _min_distance(y, branch_ivs) >= math.exp(-phi_lo):
-            continue
-        c = phi_lo + sum(psi_exact[k] for k in word)
-        total += math.exp(-s * c)
-    return total
-
-
-def _cover_level_enumerate(sys, symbols, phi_syms, flat_total, s, n, y,
-                           branch_ivs) -> float:
-    """DFS level sum with subtree pruning: once the partial rate already
-    shrinks the target ball away from every branch image, no extension of
-    the word can contribute."""
-    fam = sys.branches
-    pc = flat_total.psi_coef
-    total = 0.0
-    stack = [(0, 0.0, 1.0, 0.0, 0.0)]  # depth, lo, hi, psi_lo_sum, phi_lo_sum
-    while stack:
-        depth, lo, hi, psi_lo, phi_lo = stack.pop()
-        if depth > 0 and _min_distance(y, branch_ivs) >= math.exp(-phi_lo):
-            continue
-        if depth == n:
-            total += math.exp(-s * (pc * psi_lo + phi_lo))
-            continue
-        j = Interval(lo, hi)
-        for k, sym in enumerate(symbols):
-            blo, bhi = fam.deriv_bracket(sym, j)
-            a = fam.apply(sym, lo)
-            b = fam.apply(sym, hi)
-            nlo, nhi = (a, b) if a <= b else (b, a)
-            stack.append((depth + 1, nlo, nhi,
-                          psi_lo - math.log(bhi),
-                          phi_lo + phi_syms[k]))
-    return total
 
 
 def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,

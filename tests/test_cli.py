@@ -197,8 +197,8 @@ n_max = 2
 """)
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    assert main(["spectrum", "--config", cfg, "--out", str(a), "--seq"]) == 0
-    assert main(["spectrum", "--config", cfg, "--out", str(b), "--seq"]) == 0
+    assert main(["spectrum", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["spectrum", "--config", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -330,3 +330,39 @@ def test_malformed_required_run_key(tmp_path, capsys, run, message):
     assert main(["density", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, target, run, message", [
+    ("density", "y = nan\nrate = const:1.0\n", "n = 3\nr = 0.25\n", "[target] y"),
+    ("hits", "y = nan\nrate = const:1.0\n", "code = const:1\nhorizon = 5\n", "[target] y"),
+    ("hits", "y = 1.5\nrate = const:1.0\n", "code = const:1\nhorizon = 5\n", "in [0, 1]"),
+    ("hits", "y = 0.0\nrate = const:nan\n", "code = const:1\nhorizon = 5\n", "[target] rate"),
+    ("cover", "y = 0.0\nrate = const:inf\n", "s = 1.0\nm = 1\nn_max = 3\n", "[target] rate"),
+])
+def test_non_finite_target_rejected(tmp_path, capsys, command, target, run, message):
+    cfg = write(tmp_path, "t.ini", "[system]\nkind = doubling\n\n[target]\n" + target
+                + "\n[run]\n" + run)
+    out = tmp_path / "t.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas", ["nan, 1", "1, inf"])
+def test_non_finite_alphas_rejected(tmp_path, capsys, alphas):
+    cfg = write(tmp_path, "a.ini", f"[system]\nkind = doubling\n\n[run]\nalphas = {alphas}\n")
+    out = tmp_path / "a.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [run] alphas: expected a finite number")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_seq_flag_removed(tmp_path, capsys):
+    cfg = write(tmp_path, "s.ini", "[system]\nkind = doubling\n\n[run]\nalphas = 1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--config", cfg, "--seq"])
+    assert info.value.code == 2

@@ -156,6 +156,12 @@ def test_shrink_alpha_rejects_nonpositive():
         shrink_exponent_alpha(doubling_map(), 0.0, DOUBLING_TRUNC)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_shrink_alpha_rejects_non_finite(alpha):
+    with pytest.raises(ValueError):
+        shrink_exponent_alpha(doubling_map(), alpha, DOUBLING_TRUNC)
+
+
 def test_shrink_potential_constant_matches_alpha():
     c = math.log(2)
     a = shrink_exponent_potential(doubling_map(), Constant(c), DOUBLING_TRUNC, tol=1e-10)

@@ -23,7 +23,7 @@ from shrinktarget import (
     partition_sum,
     pressure_bracket,
 )
-from shrinktarget.pressure import _flatten
+from shrinktarget.pressure import _flatten, _per_symbol_psi_lo
 
 PSI = LogDerivative()
 
@@ -44,6 +44,28 @@ def test_birkhoff_gauss_psi_branch_one():
     assert hi >= math.log(4.0) - 1e-12
     assert lo == pytest.approx(0.0, abs=1e-12)
     assert hi == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+def test_birkhoff_gauss_psi_bracket_contains_mpmath_values():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(7)
+    words = [(1,), (9,), (1,) * 12, (2, 1, 5, 3)]
+    words += [tuple(int(v) for v in rng.integers(1, 31, size=rng.integers(1, 11)))
+              for _ in range(40)]
+    sys = gauss_system()
+    for word in words:
+        lo, hi = birkhoff_bracket(sys, PSI, word)
+        for x in (0, 0.5, 1):
+            # chain rule for phi_w = phi_{w_1} o ... o phi_{w_n}, innermost first
+            point, log_deriv = mp.mpf(x), mp.mpf(0)
+            for s in reversed(word):
+                log_deriv -= 2 * mp.log(s + point)
+                point = 1 / (s + point)
+            assert lo <= -log_deriv <= hi
+    for i in range(1, 40):
+        # depth-1 tail ends: -log sup|phi_i'| = 2 log i
+        assert _per_symbol_psi_lo(sys, i) <= 2 * mp.log(i)
 
 
 def test_birkhoff_constant_adds():
@@ -273,6 +295,9 @@ def test_level_matches_scalar_oracle(make_sys, pot, subset, n_max):
         assert got_lo.shape == want_lo.shape == (len(set(subset)) ** n,)
         np.testing.assert_allclose(got_lo, want_lo, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got_hi, want_hi, rtol=0.0, atol=1e-12)
+        # each log is padded outward, so no word's bracket is narrower than
+        # the oracle's unpadded one
+        assert np.all(got_lo <= want_lo) and np.all(got_hi >= want_hi)
         assert np.all(got_lo <= got_hi)
 
 

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as hyst
 from shrinktarget import (
     Constant,
     ConstantRate,
+    Interval,
+    LogDerivative,
+    PerSymbolBracket,
     PotentialRate,
+    Scale,
+    Sum,
     TargetSpec,
     affine_system,
     cover_sum,
@@ -19,9 +24,24 @@ from shrinktarget import (
     project_word,
     upper_dimension_certificate,
 )
+from shrinktarget.pressure import _flatten
 
 LOG2 = math.log(2.0)
 ORIGIN_TARGET = TargetSpec(y=0.0, rate=ConstantRate(LOG2))
+
+
+# ---------------------------------------------------------------- inputs
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_constant_rate_needs_positive_finite_alpha(alpha):
+    with pytest.raises(ValueError):
+        ConstantRate(alpha)
+
+
+@pytest.mark.parametrize("y", [math.nan, -0.1, 1.5, math.inf])
+def test_target_point_must_lie_in_unit_interval(y):
+    with pytest.raises(ValueError):
+        TargetSpec(y, ConstantRate(1.0))
 
 
 # ---------------------------------------------------------------- cover sums
@@ -79,6 +99,81 @@ def test_cover_potential_rate_matches_constant():
     a = cover_sum(sys, TargetSpec(0.0, ConstantRate(0.4)), 0.9, 2, 7, {1, 2})
     b = cover_sum(sys, TargetSpec(0.0, PotentialRate(Constant(0.4))), 0.9, 2, 7, {1, 2})
     assert a.per_level == b.per_level
+
+
+def _cover_level_oracle(sys, target, s, n, subset):
+    """Scalar DFS level sum with subtree pruning and unpadded math.log: once
+    the partial rate shrinks the target ball away from every branch image,
+    no extension of the word can contribute."""
+    fam = sys.branches
+    symbols = sorted(set(subset))
+    phi = target.rate_potential()
+    flat_phi = _flatten(phi)
+    pc = _flatten(Sum(LogDerivative(), phi)).psi_coef
+    phi_syms = []
+    for i in symbols:
+        p_lo = flat_phi.const
+        for sc, table in flat_phi.tables:
+            p_lo += sc * table(i)[0]
+        phi_syms.append(p_lo)
+    dist = math.inf
+    for i in symbols:
+        iv = fam.branch_interval(i)
+        if iv.lo <= target.y <= iv.hi:
+            dist = 0.0
+            break
+        dist = min(dist, abs(iv.lo - target.y), abs(iv.hi - target.y))
+    total = 0.0
+    stack = [(0, 0.0, 1.0, 0.0, 0.0)]  # depth, lo, hi, psi_lo_sum, phi_lo_sum
+    while stack:
+        depth, lo, hi, psi_lo, phi_lo = stack.pop()
+        if depth > 0 and dist >= math.exp(-phi_lo):
+            continue
+        if depth == n:
+            total += math.exp(-s * (pc * psi_lo + phi_lo))
+            continue
+        for k, sym in enumerate(symbols):
+            blo, bhi = fam.deriv_bracket(sym, Interval(lo, hi))
+            a = fam.apply(sym, lo)
+            b = fam.apply(sym, hi)
+            stack.append((depth + 1, min(a, b), max(a, b),
+                          psi_lo - math.log(bhi), phi_lo + phi_syms[k]))
+    return total
+
+
+_STEP_RATE = PerSymbolBracket.from_mapping({i: (0.5 * i, 0.5 * i + 0.1) for i in range(1, 5)})
+
+
+@pytest.mark.parametrize("sys, target, s, subset, n_max", [
+    (gauss_system(), TargetSpec(0.3, ConstantRate(1.0)), 0.7, range(1, 17), 4),
+    # branch images of {1,2,3} cover [1/4, 1]: the ball around 0.05 of radius
+    # e^{-0.8 n} reaches them only while n <= 2, so levels 3..6 are 0
+    (gauss_system(), TargetSpec(0.05, ConstantRate(0.8)), 0.9, {1, 2, 3}, 6),
+    (gauss_system(), TargetSpec(0.4, PotentialRate(Sum(Scale(0.5, LogDerivative()),
+                                                       Constant(0.3)))), 0.6, range(1, 7), 4),
+    (gauss_system(), TargetSpec(0.05, PotentialRate(_STEP_RATE)), 0.8, range(1, 5), 6),
+    (affine_system([0.3] * 3), TargetSpec(0.95, PotentialRate(_STEP_RATE)), 0.8, {1, 2, 3}, 6),
+], ids=["gauss-16", "gauss-pruned", "scaled-psi-rate", "gauss-per-symbol", "affine-per-symbol"])
+def test_cover_levels_match_scalar_oracle(sys, target, s, subset, n_max):
+    rep = cover_sum(sys, target, s, 1, n_max, subset)
+    for n, value in rep.per_level:
+        oracle = _cover_level_oracle(sys, target, s, n, subset)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_cover_rate_keeps_its_psi_part_on_affine_systems():
+    # on the doubling map psi is log 2 everywhere, so the potential rate psi
+    # and the constant rate log 2 bound the same cover sets
+    sys = doubling_map()
+    a = cover_sum(sys, TargetSpec(0.0, PotentialRate(LogDerivative())), 0.9, 2, 6, {1, 2})
+    b = cover_sum(sys, TargetSpec(0.0, ConstantRate(LOG2)), 0.9, 2, 6, {1, 2})
+    for (_, va), (_, vb) in zip(a.per_level, b.per_level):
+        assert va == pytest.approx(vb, rel=1e-12)
+
+
+def test_cover_empty_subset_rejected():
+    with pytest.raises(ValueError):
+        cover_sum(doubling_map(), ORIGIN_TARGET, 1.0, 1, 3, set())
 
 
 def test_cover_budget_error_reports_completed_level():
