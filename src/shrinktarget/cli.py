@@ -103,8 +103,10 @@ def parse_subset(text: str) -> frozenset[int]:
         if not item:
             continue
         if ".." in item:
-            a, b = item.split("..", 1)
-            out.update(range(int(a), int(b) + 1))
+            a, b = (int(end) for end in item.split("..", 1))
+            if b < a:
+                raise ConfigError(f"subset range {item!r} is reversed (use a..b with a <= b)")
+            out.update(range(a, b + 1))
         else:
             out.add(int(item))
     if not out:

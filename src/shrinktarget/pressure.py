@@ -9,7 +9,9 @@ exp(-end) with `end` an endpoint of the Birkhoff bracket of S_n(u).  The
 bounds); the "inf" mode uses the upper endpoint (a dominated sum, giving
 Fekete lower bounds for a pressure of the form P(-u)).
 
-Affine systems factor symbolwise and never enumerate words.  For the other
+Affine systems factor symbolwise and never enumerate words: the level-n
+partition sum of such an additive table is n times level 1, so a pressure
+bracket takes one log-sum-exp per mode, whatever its depth.  For the other
 families ``BirkhoffTable`` builds level n+1 from level n: a word of length
 n+1 is a word w of length n with one more outer branch s prepended, whose
 cylinder is phi_s(phi_w([0,1])).  One array step per symbol maps the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -303,8 +306,17 @@ class BirkhoffTable:
                              np.array([hi for _, hi in ends]))
 
     def max_level(self) -> int:
+        """Deepest level whose word count fits the budget (at least 1)."""
+        return self._max_level
+
+    @cached_property
+    def _max_level(self) -> int:
+        k = len(self.symbols)
+        if k == 1:
+            raise ValueError("a one-symbol subset has one word at every level, "
+                             "so no budget bounds the depth; set n_max")
         n = 1
-        while len(self.symbols) ** (n + 1) <= self.budget:
+        while k ** (n + 1) <= self.budget:
             n += 1
         return n
 
@@ -380,6 +392,10 @@ class BirkhoffTable:
     def tail_rule(self) -> Callable[[float], float] | None:
         """Bound for the depth-1 dominating weight sum beyond F, as a
         function of the overall scale; None when no closed form applies."""
+        return self._tail_rule
+
+    @cached_property
+    def _tail_rule(self) -> Callable[[float], float] | None:
         fam = self.sys.branches
         chosen = set(self.symbols)
         if fam.finite:
@@ -402,6 +418,17 @@ class BirkhoffTable:
 
         return rule
 
+    def _level_sums(self, scale: float, n_max: int, mode: str) -> Iterator[float]:
+        """partition(scale, n, mode) for n = 1..n_max.  An additive table
+        takes level 1 once: partition returns n times it at level n."""
+        if self.additive is None:
+            for n in range(1, n_max + 1):
+                yield self.partition(scale, n, mode)
+            return
+        z1 = self.partition(scale, 1, mode)
+        for n in range(1, n_max + 1):
+            yield n * z1
+
     def bracket(self, scale: float, n_max: int | None = None,
                 tail: float | None = None) -> PressureEstimate:
         """Two-sided estimate of P(-scale*u) over the truncation.
@@ -409,7 +436,9 @@ class BirkhoffTable:
         ``tail``: certified bound for the depth-1 dominating weight sum of
         the alphabet beyond F (None for subsystem semantics).  With a tail
         the upper bound is the depth-1 dominated sum; without it, deeper
-        levels sharpen the upper bound by submultiplicativity.
+        levels sharpen the upper bound by submultiplicativity.  An additive
+        table takes one log-sum-exp per mode, whatever n_max is: its level n
+        is n times level 1, the value partition gives level by level.
         """
         if n_max is None:
             n_max = self.max_level()
@@ -417,11 +446,11 @@ class BirkhoffTable:
             raise ValueError("n_max must be at least 1")
         lower = -math.inf
         upper = math.inf
-        for n in range(1, n_max + 1):
-            lower = max(lower, self.partition(scale, n, "inf") / n)
+        for n, z in enumerate(self._level_sums(scale, n_max, "inf"), 1):
+            lower = max(lower, z / n)
         if tail is None:
-            for n in range(1, n_max + 1):
-                upper = min(upper, self.partition(scale, n, "sup") / n)
+            for n, z in enumerate(self._level_sums(scale, n_max, "sup"), 1):
+                upper = min(upper, z / n)
             diverged = False
         else:
             diverged = not math.isfinite(tail)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shrinktarget.cli import main, parse_potential, parse_subset
+import shrinktarget
+from shrinktarget.cli import ConfigError, main, parse_potential, parse_subset
 from shrinktarget import Constant, LogDerivative, Scale, Sum
 
 
@@ -23,6 +28,14 @@ def read_rows(path):
 def test_parse_subset_grammar():
     assert parse_subset("1..4") == frozenset({1, 2, 3, 4})
     assert parse_subset("1,2,5..7") == frozenset({1, 2, 5, 6, 7})
+
+
+def test_parse_subset_rejects_reversed_range():
+    with pytest.raises(ConfigError, match="5..3"):
+        parse_subset("1, 5..3")
+    with pytest.raises(ConfigError, match="2..1"):
+        parse_subset("2..1")
+    assert parse_subset("3..3") == frozenset({3})
 
 
 def test_parse_potential_tree():
@@ -366,3 +379,47 @@ def test_seq_flag_removed(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "--config", cfg, "--seq"])
     assert info.value.code == 2
+
+
+def run_cli(args, timeout=60):
+    """The CLI in a child process, so that a hang fails the test instead of
+    stalling the suite."""
+    env = dict(os.environ)
+    src = str(Path(shrinktarget.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "shrinktarget.cli", *args],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def test_reversed_subset_range_exits_2(tmp_path):
+    # read as {1} this subset would need an n_max; it must be refused instead
+    cfg = write(tmp_path, "r.ini", "[system]\nkind = doubling\n\n[potential]\nexpr = psi\n\n"
+                "[run]\nsubset = 1, 5..3\n")
+    proc = run_cli(["pressure", "--config", cfg])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "5..3" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("dimension", "[run]\nsubset = 1\ntol = 1e-3\n"),
+    ("pressure", "[potential]\nexpr = psi\n\n[run]\nsubset = 1\n"),
+])
+def test_one_symbol_subset_without_n_max_exits_2(tmp_path, command, sections):
+    cfg = write(tmp_path, "one.ini", f"[system]\nkind = doubling\n\n{sections}")
+    out = tmp_path / "one.csv"
+    proc = run_cli([command, "--config", cfg, "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "set n_max" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_one_symbol_subset_with_n_max(tmp_path):
+    cfg = write(tmp_path, "one.ini", "[system]\nkind = doubling\n\n[potential]\nexpr = psi\n\n"
+                "[run]\nsubset = 1\nn_max = 3\n")
+    out = tmp_path / "one.csv"
+    assert main(["pressure", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert header == ["lower", "upper", "diverged"]
+    assert float(rows[0][0]) == float(rows[0][1]) == pytest.approx(-math.log(2.0))

@@ -23,6 +23,8 @@ from shrinktarget import (
     partition_sum,
     pressure_bracket,
 )
+from shrinktarget import pressure
+from shrinktarget.cli import _geometric_countable
 from shrinktarget.pressure import _flatten, _per_symbol_psi_lo
 
 PSI = LogDerivative()
@@ -164,6 +166,76 @@ def test_pressure_no_tail_leaves_upper_infinite_for_table_potentials():
     est = pressure_bracket(sys, pot, {1, 2}, n_max=2, tail="family")
     assert est.upper == math.inf
     assert math.isfinite(est.lower)
+
+
+# ---------------------------------------------------------------- additive tables
+
+
+def per_level_bracket(table, scale, n_max, tail=None):
+    """The bracket summed level by level: max/min over n of partition / n."""
+    lower = -math.inf
+    for n in range(1, n_max + 1):
+        lower = max(lower, table.partition(scale, n, "inf") / n)
+    if tail is None:
+        upper = math.inf
+        for n in range(1, n_max + 1):
+            upper = min(upper, table.partition(scale, n, "sup") / n)
+    else:
+        upper = float(np.logaddexp(table.partition(scale, 1, "sup"), math.log(tail)))
+    return lower, upper
+
+
+ADDITIVE_TABLES = {
+    "doubling": (doubling_map, PSI, {1, 2}, False),
+    "affine-4": (lambda: affine_system([0.3, 0.25, 0.2, 0.15]), PSI, {1, 2, 3, 4}, False),
+    "geometric-tail": (lambda: _geometric_countable(0.5, 0.5), Sum(PSI, Constant(0.1)),
+                       range(1, 9), True),
+    "per-symbol": (gauss_system, PerSymbolBracket.from_mapping(
+        {1: (0.1, 0.3), 2: (0.7, 0.9), 3: (1.2, 1.6)}), {1, 2, 3}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADDITIVE_TABLES))
+@pytest.mark.parametrize("n_max", [1, 5, None])
+@pytest.mark.parametrize("scale", [1e-6, 0.37, 1.0, 2.5])
+def test_additive_bracket_matches_per_level_sums(name, n_max, scale):
+    make_sys, pot, subset, use_tail = ADDITIVE_TABLES[name]
+    table = BirkhoffTable(make_sys(), pot, subset)
+    assert table.additive is not None
+    tail = table.tail_rule()(scale) if use_tail else None
+    est = table.bracket(scale, n_max=n_max, tail=tail)
+    depth = table.max_level() if n_max is None else n_max
+    assert est.truncation[1] == depth
+    # bit for bit, not approximately
+    assert (est.lower, est.upper) == per_level_bracket(table, scale, depth, tail)
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 40, None])
+@pytest.mark.parametrize("use_tail", [False, True])
+def test_additive_bracket_takes_one_logsumexp_per_mode(monkeypatch, n_max, use_tail):
+    calls = []
+    real = pressure._logsumexp
+    monkeypatch.setattr(pressure, "_logsumexp", lambda arr: calls.append(1) or real(arr))
+    table = BirkhoffTable(_geometric_countable(0.5, 0.5), PSI, range(1, 9))
+    tail = table.tail_rule()(1.0) if use_tail else None
+    table.bracket(1.0, n_max=n_max, tail=tail)
+    assert len(calls) <= 2
+
+
+def test_table_rules_are_built_once():
+    table = BirkhoffTable(_geometric_countable(0.5, 0.5), PSI, range(1, 9))
+    assert table.tail_rule() is table.tail_rule()
+    assert table.max_level() == 7  # 8**7 <= 10**7 < 8**8
+
+
+def test_one_symbol_subset_needs_n_max():
+    with pytest.raises(ValueError, match="set n_max"):
+        pressure_bracket(doubling_map(), PSI, {1})
+    with pytest.raises(ValueError, match="set n_max"):
+        BirkhoffTable(gauss_system(), PSI, {2}).max_level()
+    est = pressure_bracket(doubling_map(), PSI, {1}, n_max=3)
+    assert est.lower == est.upper == -math.log(2.0)
+    assert est.truncation == (frozenset({1}), 3)
 
 
 # ---------------------------------------------------------------- invariants
