@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .counterexample import CounterexampleSystem, ShrinkFn, build as build_counterexample
 from .counterexample import verify_moran
-from .dimension import Truncation, bowen_dimension, full_subset, spectrum
+from .dimension import Truncation, bowen_dimension, spectrum
 from .pressure import Constant, LogDerivative, Potential, Scale, Sum, pressure_bracket
 from .systems import (
     BudgetExceededError,
@@ -42,56 +42,53 @@ from .targets import (
 
 __all__ = ["main", "run"]
 
-_COMMANDS = (
-    "pressure",
-    "dimension",
-    "spectrum",
-    "cover",
-    "density",
-    "hits",
-    "counterexample-build",
-    "counterexample-verify",
-)
 
-_SECTIONS = {
-    "pressure": ({"system", "potential", "run"}, set()),
-    "dimension": ({"system", "run"}, set()),
-    "spectrum": ({"system", "run"}, set()),
-    "cover": ({"system", "target", "run"}, set()),
-    "density": ({"system", "target", "run"}, set()),
-    "hits": ({"system", "target", "run"}, set()),
-    "counterexample-build": ({"system", "run"}, set()),
-    "counterexample-verify": ({"system"}, {"run"}),
-}
-
-
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration document rejected, with a precise reason."""
 
 
-def _parse_number(text: str, what: str) -> float:
+def _parse_number(text: str, what: str, kind: type = float):
+    """One number of a config value: an int, or a finite float."""
+    text = text.strip()
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError as exc:
-        raise ConfigError(f"{what}: expected a number, got {text!r}") from exc
-    if not math.isfinite(value):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {text!r}") from exc
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{what}: expected a finite number, got {text!r}")
     return value
 
 
-def _required(section: configparser.SectionProxy, key: str, kind: type):
-    """A required key of the section converted by ``kind`` (int or float);
-    floats must be finite."""
-    text = section.get(key)
-    if text is None:
-        raise ConfigError(f"[{section.name}] needs {key!r}")
-    try:
-        value = kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key}: expected {kind.__name__}, "
-                          f"got {text!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section.name}] {key}: expected a finite number, got {text!r}")
+def _numbers(text: str, what: str, kind: type = float) -> list:
+    """A comma-separated list of numbers; empty items are skipped."""
+    return [_parse_number(item, what, kind) for item in text.split(",") if item.strip()]
+
+
+_NEEDED = object()
+
+
+def _key(section: configparser.SectionProxy, key: str, kind: type, default=_NEEDED,
+         what: str | None = None):
+    """The value of ``key`` read as ``kind``: str, bool, int (a count, at
+    least 1) or float (finite).  An absent or empty key gives ``default``,
+    and is an error when there is none.  Messages name the key as
+    ``what``, by default '[section] key'."""
+    text = section.get(key, "")
+    if not text:
+        if default is _NEEDED:
+            raise ConfigError(f"[{section.name}] needs {key!r}")
+        return default
+    what = what or f"[{section.name}] {key}"
+    if kind is str:
+        return text
+    if kind is bool:
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+        if value is None:
+            raise ConfigError(f"{what}: expected bool, got {text!r}")
+        return value
+    value = _parse_number(text, what, kind)
+    if kind is int and value < 1:
+        raise ConfigError(f"{what}: expected an int >= 1, got {text!r}")
     return value
 
 
@@ -102,13 +99,10 @@ def parse_subset(text: str) -> frozenset[int]:
         item = item.strip()
         if not item:
             continue
-        if ".." in item:
-            a, b = (int(end) for end in item.split("..", 1))
-            if b < a:
-                raise ConfigError(f"subset range {item!r} is reversed (use a..b with a <= b)")
-            out.update(range(a, b + 1))
-        else:
-            out.add(int(item))
+        ends = [_parse_number(end, f"subset {text!r}", int) for end in item.split("..", 1)]
+        if ends[-1] < ends[0]:
+            raise ConfigError(f"subset range {item!r} is reversed (use a..b with a <= b)")
+        out.update(range(ends[0], ends[-1] + 1))
     if not out:
         raise ConfigError(f"empty subset spec {text!r}")
     return frozenset(out)
@@ -191,7 +185,7 @@ def parse_shrink_fn(text: str) -> ShrinkFn:
 
 def _parse_code(text: str):
     kind, _, arg = text.partition(":")
-    symbols = [int(v) for v in arg.split(",") if v.strip()]
+    symbols = _numbers(arg, "[run] code", int)
     if kind.strip() == "const":
         if len(symbols) != 1:
             raise ConfigError("const code takes exactly one symbol")
@@ -203,64 +197,66 @@ def _parse_code(text: str):
     raise ConfigError(f"unknown code spec {text!r} (use const:i or cycle:a,b,...)")
 
 
+def _read_config(path: str) -> configparser.ConfigParser:
+    cfg = configparser.ConfigParser()
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        # configparser spreads its messages over several lines
+        raise ConfigError(f"config parse failure: {' '.join(str(exc).split())}") from exc
+    if not read:
+        raise ConfigError(f"config file {path!r} not found")
+    return cfg
+
+
 @dataclass
 class _LoadedSystem:
     system: MarkovSystem
-    kind: str
+    default_subset: frozenset[int]
     counterexample: CounterexampleSystem | None = None
-    default_subset: frozenset[int] | None = None
+
+
+def _load_counterexample(section: configparser.SectionProxy) -> CounterexampleSystem:
+    return build_counterexample(_key(section, "beta", float),
+                                parse_shrink_fn(_key(section, "phi", str)))
 
 
 def _load_system(section: configparser.SectionProxy) -> _LoadedSystem:
-    kind = section.get("kind")
-    if kind is None:
-        raise ConfigError("[system] section needs a 'kind' key")
-    if kind == "doubling":
-        sysm = doubling_map()
-        return _LoadedSystem(sysm, kind, default_subset=frozenset({1, 2}))
-    if kind == "affine":
-        ratios = [float(v) for v in section.get("ratios", "").split(",") if v.strip()]
-        if not ratios:
-            raise ConfigError("[system] affine kind needs 'ratios'")
-        placements = None
-        if section.get("placements"):
-            placements = [float(v) for v in section["placements"].split(",")]
-        sysm = affine_system(ratios, placements)
-        return _LoadedSystem(sysm, kind,
-                             default_subset=frozenset(range(1, len(ratios) + 1)))
-    if kind == "gauss":
-        k = section.getint("truncation", fallback=32)
-        return _LoadedSystem(gauss_system(), kind,
-                             default_subset=frozenset(range(1, k + 1)))
-    if kind == "counterexample":
-        beta = _parse_number(section.get("beta", ""), "[system] beta")
-        phi = parse_shrink_fn(section.get("phi", ""))
-        ce = build_counterexample(beta, phi)
-        k = section.getint("truncation", fallback=ce.n0 + 40)
-        subset = frozenset({1, 2}) | frozenset(range(ce.n0, k + 1))
-        return _LoadedSystem(ce.as_system(), kind, counterexample=ce,
-                             default_subset=subset)
+    kind = _key(section, "kind", str)
     if kind == "counterexample_file":
-        path = section.get("path")
-        if not path:
-            raise ConfigError("[system] counterexample_file kind needs 'path'")
-        inner = configparser.ConfigParser()
-        read = inner.read(path)
-        if not read:
-            raise ConfigError(f"[system] serialized system file {path!r} not found")
-        if "system" not in inner:
-            raise ConfigError(f"serialized system file {path!r} lacks a [system] section")
-        return _load_system(inner["system"])
+        path = _key(section, "path", str)
+        inner = _read_config(path)
+        if inner.get("system", "kind", fallback=None) != "counterexample":
+            raise ConfigError(f"serialized system file {path!r} needs a [system] section "
+                              "with kind = counterexample")
+        section, kind = inner["system"], "counterexample"
+    if kind == "doubling":
+        return _LoadedSystem(doubling_map(), frozenset({1, 2}))
+    if kind == "affine":
+        ratios = _numbers(_key(section, "ratios", str), "[system] ratios")
+        if not ratios:
+            raise ConfigError("[system] needs 'ratios'")
+        placements = _key(section, "placements", str, None)
+        if placements is not None:
+            placements = _numbers(placements, "[system] placements")
+        return _LoadedSystem(affine_system(ratios, placements),
+                             frozenset(range(1, len(ratios) + 1)))
+    if kind == "gauss":
+        k = _key(section, "truncation", int, 32)
+        return _LoadedSystem(gauss_system(), frozenset(range(1, k + 1)))
+    if kind == "counterexample":
+        ce = _load_counterexample(section)
+        k = _key(section, "truncation", int, ce.n0 + 40)
+        subset = frozenset({1, 2}) | frozenset(range(ce.n0, k + 1))
+        return _LoadedSystem(ce.as_system(), subset, ce)
     if kind == "affine_countable":
-        spec = section.get("widths", "")
-        law, _, args = spec.partition(":")
+        law, _, args = _key(section, "widths", str).partition(":")
         if law.strip() != "geometric":
             raise ConfigError("affine_countable currently supports widths=geometric:a,q")
         a_str, _, q_str = args.partition(",")
         a = _parse_number(a_str, "geometric width scale")
         q = _parse_number(q_str, "geometric width ratio")
-        sysm = _geometric_countable(a, q)
-        return _LoadedSystem(sysm, kind, default_subset=frozenset(range(1, 33)))
+        return _LoadedSystem(_geometric_countable(a, q), frozenset(range(1, 33)))
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -286,8 +282,8 @@ def _geometric_countable(a: float, q: float) -> MarkovSystem:
 
 
 def _load_target(section: configparser.SectionProxy) -> TargetSpec:
-    y = _parse_number(section.get("y", ""), "[target] y")
-    rate_text = section.get("rate", "")
+    y = _key(section, "y", float)
+    rate_text = _key(section, "rate", str)
     kind, _, arg = rate_text.partition(":")
     if kind.strip() == "const":
         return TargetSpec(y=y, rate=ConstantRate(_parse_number(arg, "[target] rate")))
@@ -328,31 +324,146 @@ def _emit(out_path: str | None, manifest: list[str], header: Sequence[str],
         Path(out_path).write_text(text)
 
 
-def _subset_text(subset: frozenset[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(subset)) + "}"
+def _truncation_text(truncation: tuple[frozenset[int], int]) -> str:
+    subset, n = truncation
+    return "F={" + ",".join(str(i) for i in sorted(subset)) + f"}} n={n}"
 
 
-def _run_subset(run: configparser.SectionProxy, loaded: _LoadedSystem,
-                key: str = "subset") -> frozenset[int]:
-    if run.get(key):
-        return parse_subset(run[key])
-    if loaded.default_subset is not None:
-        return loaded.default_subset
-    return full_subset(loaded.system)
+def _run_subset(run_sec: configparser.SectionProxy, loaded: _LoadedSystem) -> frozenset[int]:
+    text = _key(run_sec, "subset", str, None)
+    return loaded.default_subset if text is None else parse_subset(text)
 
 
-def _run_ladder(run: configparser.SectionProxy, loaded: _LoadedSystem) -> tuple[frozenset[int], ...]:
-    if run.get("ladder"):
-        return parse_ladder(run["ladder"])
-    return (_run_subset(run, loaded),)
+def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
+                budget: int) -> tuple[Truncation, float]:
+    """The solver ladder of ``dimension`` and ``spectrum``, and their tolerance."""
+    ladder = _key(run_sec, "ladder", str, None)
+    trunc = Truncation(
+        subsets=(_run_subset(run_sec, loaded),) if ladder is None else parse_ladder(ladder),
+        n_max=_key(run_sec, "n_max", int, None),
+        budget=budget,
+        use_tail=_key(run_sec, "use_tail", bool, False),
+    )
+    return trunc, _key(run_sec, "tol", float, 1e-9, what="[run] tol (bisection tolerance)")
+
+
+# A handler reads its sections and returns (manifest extras, header, rows).
+
+def _pressure(cfg: configparser.ConfigParser, budget: int):
+    loaded = _load_system(cfg["system"])
+    pot = parse_potential(_key(cfg["potential"], "expr", str, "psi"))
+    run_sec = cfg["run"]
+    subset = _run_subset(run_sec, loaded)
+    n_max = _key(run_sec, "n_max", int, None)
+    tail = "family" if _key(run_sec, "use_tail", bool, False) else None
+    est = pressure_bracket(loaded.system, pot, subset, n_max=n_max, tail=tail, budget=budget)
+    return ({"truncation": _truncation_text(est.truncation), "budget": budget},
+            ["lower", "upper", "diverged"], [[est.lower, est.upper, est.diverged]])
+
+
+def _dimension(cfg: configparser.ConfigParser, budget: int):
+    loaded = _load_system(cfg["system"])
+    trunc, tol = _truncation(cfg["run"], loaded, budget)
+    res = bowen_dimension(loaded.system, trunc, tol=tol)
+    return ({"truncation": _truncation_text(res.truncation), "certified": res.certified,
+             "budget": budget},
+            ["value", "lower", "upper", "certified"],
+            [[res.value, res.bracket[0], res.bracket[1], res.certified]])
+
+
+def _spectrum(cfg: configparser.ConfigParser, budget: int):
+    loaded = _load_system(cfg["system"])
+    run_sec = cfg["run"]
+    trunc, tol = _truncation(run_sec, loaded, budget)
+    alphas = _numbers(_key(run_sec, "alphas", str), "[run] alphas")
+    rows = [[alpha, res.value, res.bracket[0], res.bracket[1], res.certified]
+            for alpha, res in spectrum(loaded.system, alphas, trunc, tol=tol)]
+    return ({"certified": all(row[-1] for row in rows), "budget": budget},
+            ["alpha", "value", "lower", "upper", "certified"], rows)
+
+
+def _cover(cfg: configparser.ConfigParser, budget: int):
+    loaded = _load_system(cfg["system"])
+    target = _load_target(cfg["target"])
+    run_sec = cfg["run"]
+    subset = _run_subset(run_sec, loaded)
+    report = cover_sum(loaded.system, target, s=_key(run_sec, "s", float),
+                       m=_key(run_sec, "m", int), n_max=_key(run_sec, "n_max", int),
+                       subset=subset, budget=budget)
+    return ({"total": repr(report.total), "budget": budget},
+            ["level", "sum"], [[n, v] for n, v in report.per_level])
+
+
+def _density(cfg: configparser.ConfigParser, budget: int):
+    loaded = _load_system(cfg["system"])
+    target = _load_target(cfg["target"])
+    run_sec = cfg["run"]
+    subset = _run_subset(run_sec, loaded)
+    n = _key(run_sec, "n", int)
+    r = _key(run_sec, "r", float)
+    value = cylinder_density(loaded.system, target.y, n, r, subset, budget=budget)
+    return {"budget": budget}, ["n", "r", "density"], [[n, r, value]]
+
+
+def _hits(cfg: configparser.ConfigParser, budget: int):
+    loaded = _load_system(cfg["system"])
+    target = _load_target(cfg["target"])
+    run_sec = cfg["run"]
+    code = _parse_code(_key(run_sec, "code", str))
+    horizon = _key(run_sec, "horizon", int, 50)
+    report = hit_times(loaded.system, code, target, horizon)
+    status = ({n: "hit" for n in report.hits} | {n: "miss" for n in report.misses}
+              | {n: "undecided" for n in report.undecided})
+    return ({"hits": len(report.hits), "misses": len(report.misses),
+             "undecided": len(report.undecided), "budget": budget},
+            ["epoch", "status"], [[n, status[n]] for n in range(1, horizon + 1)])
+
+
+def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
+    section = cfg["system"]
+    if section.get("kind") != "counterexample":
+        raise ConfigError("counterexample-build needs [system] kind = counterexample")
+    ce = _load_counterexample(section)
+    run_sec = cfg["run"]
+    system_out = _key(run_sec, "system_out", str)
+    _write_counterexample(ce, system_out, section)
+    residual = verify_moran(ce)
+    rows = [["summary", ce.beta, ce.n0, ce.log_r12, residual]]
+    depth = _key(run_sec, "table_depth", int, ce.n0 + 8)
+    for n in sorted({1, 2} | set(range(ce.n0, depth + 1))):
+        iv = ce.interval(n)
+        rows.append([f"branch_{n}", ce.log_width(n), iv.lo, iv.hi, ""])
+    return ({"system_out": system_out, "moran_residual": repr(residual)},
+            ["row", "a", "b", "c", "d"], rows)
+
+
+def _counterexample_verify(cfg: configparser.ConfigParser, budget: int):
+    ce = _load_system(cfg["system"]).counterexample
+    if ce is None:
+        raise ConfigError("counterexample-verify needs a counterexample system")
+    residual = verify_moran(ce)
+    return {}, ["beta", "n0", "residual"], [[ce.beta, ce.n0, residual]]
+
+
+# command -> (handler, required sections, optional sections)
+_COMMANDS = {
+    "pressure": (_pressure, {"system", "potential", "run"}, set()),
+    "dimension": (_dimension, {"system", "run"}, set()),
+    "spectrum": (_spectrum, {"system", "run"}, set()),
+    "cover": (_cover, {"system", "target", "run"}, set()),
+    "density": (_density, {"system", "target", "run"}, set()),
+    "hits": (_hits, {"system", "target", "run"}, set()),
+    "counterexample-build": (_counterexample_build, {"system", "run"}, set()),
+    "counterexample-verify": (_counterexample_verify, {"system"}, {"run"}),
+}
 
 
 def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
         budget: int) -> int:
     """Dispatch a parsed config document.  Returns the process exit status."""
-    if command not in _SECTIONS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    needed, optional = _SECTIONS[command]
+    handler, needed, optional = _COMMANDS[command]
     present = set(cfg.sections())
     missing = needed - present
     if missing:
@@ -361,153 +472,9 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
     if extras:
         raise ConfigError(f"{command}: unexpected config section(s) {sorted(extras)}; "
                           f"this command reads {sorted(needed)}")
-
-    if command == "pressure":
-        loaded = _load_system(cfg["system"])
-        pot = parse_potential(cfg["potential"].get("expr", "psi"))
-        run_sec = cfg["run"]
-        subset = _run_subset(run_sec, loaded)
-        n_max = run_sec.getint("n_max", fallback=None)
-        tail = "family" if run_sec.getboolean("use_tail", fallback=False) else None
-        est = pressure_bracket(loaded.system, pot, subset, n_max=n_max,
-                               tail=tail, budget=budget)
-        manifest = _manifest_lines(command, cfg, {
-            "truncation": f"F={_subset_text(est.truncation[0])} n={est.truncation[1]}",
-            "budget": budget,
-        })
-        _emit(out_path, manifest, ["lower", "upper", "diverged"],
-              [[est.lower, est.upper, est.diverged]])
-        return 0
-
-    if command in ("dimension", "spectrum"):
-        loaded = _load_system(cfg["system"])
-        run_sec = cfg["run"]
-        trunc = Truncation(
-            subsets=_run_ladder(run_sec, loaded),
-            n_max=run_sec.getint("n_max", fallback=None),
-            budget=budget,
-            use_tail=run_sec.getboolean("use_tail", fallback=False),
-        )
-        tol = run_sec.getfloat("tol", fallback=1e-9)
-        if command == "dimension":
-            res = bowen_dimension(loaded.system, trunc, tol=tol)
-            manifest = _manifest_lines(command, cfg, {
-                "truncation": f"F={_subset_text(res.truncation[0])} n={res.truncation[1]}",
-                "certified": res.certified,
-                "budget": budget,
-            })
-            _emit(out_path, manifest,
-                  ["value", "lower", "upper", "certified"],
-                  [[res.value, res.bracket[0], res.bracket[1], res.certified]])
-            return 0
-        alphas = [_parse_number(v.strip(), "[run] alphas")
-                  for v in run_sec.get("alphas", "").split(",") if v.strip()]
-        if not alphas:
-            raise ConfigError("spectrum: [run] needs 'alphas'")
-        rows = []
-        all_certified = True
-        for alpha, res in spectrum(loaded.system, alphas, trunc, tol=tol):
-            rows.append([alpha, res.value, res.bracket[0], res.bracket[1], res.certified])
-            all_certified = all_certified and res.certified
-        manifest = _manifest_lines(command, cfg, {
-            "certified": all_certified,
-            "budget": budget,
-        })
-        _emit(out_path, manifest,
-              ["alpha", "value", "lower", "upper", "certified"], rows)
-        return 0
-
-    if command == "cover":
-        loaded = _load_system(cfg["system"])
-        target = _load_target(cfg["target"])
-        run_sec = cfg["run"]
-        subset = _run_subset(run_sec, loaded)
-        report = cover_sum(loaded.system, target,
-                           s=_required(run_sec, "s", float),
-                           m=_required(run_sec, "m", int),
-                           n_max=_required(run_sec, "n_max", int),
-                           subset=subset, budget=budget)
-        manifest = _manifest_lines(command, cfg, {
-            "total": repr(report.total),
-            "budget": budget,
-        })
-        _emit(out_path, manifest, ["level", "sum"],
-              [[n, v] for n, v in report.per_level])
-        return 0
-
-    if command == "density":
-        loaded = _load_system(cfg["system"])
-        target = _load_target(cfg["target"])
-        run_sec = cfg["run"]
-        subset = _run_subset(run_sec, loaded)
-        n = _required(run_sec, "n", int)
-        r = _required(run_sec, "r", float)
-        value = cylinder_density(loaded.system, target.y, n, r, subset, budget=budget)
-        manifest = _manifest_lines(command, cfg, {"budget": budget})
-        _emit(out_path, manifest, ["n", "r", "density"], [[n, r, value]])
-        return 0
-
-    if command == "hits":
-        loaded = _load_system(cfg["system"])
-        target = _load_target(cfg["target"])
-        run_sec = cfg["run"]
-        code = _parse_code(run_sec.get("code", ""))
-        horizon = run_sec.getint("horizon", fallback=50)
-        report = hit_times(loaded.system, code, target, horizon)
-        manifest = _manifest_lines(command, cfg, {
-            "hits": len(report.hits),
-            "misses": len(report.misses),
-            "undecided": len(report.undecided),
-            "budget": budget,
-        })
-        status = {}
-        for n in report.hits:
-            status[n] = "hit"
-        for n in report.misses:
-            status[n] = "miss"
-        for n in report.undecided:
-            status[n] = "undecided"
-        _emit(out_path, manifest, ["epoch", "status"],
-              [[n, status[n]] for n in range(1, horizon + 1)])
-        return 0
-
-    if command == "counterexample-build":
-        section = cfg["system"]
-        if section.get("kind") != "counterexample":
-            raise ConfigError("counterexample-build needs [system] kind = counterexample")
-        beta = _parse_number(section.get("beta", ""), "[system] beta")
-        phi = parse_shrink_fn(section.get("phi", ""))
-        ce = build_counterexample(beta, phi)
-        run_sec = cfg["run"]
-        system_out = run_sec.get("system_out")
-        if not system_out:
-            raise ConfigError("counterexample-build: [run] needs 'system_out'")
-        _write_counterexample(ce, system_out, section)
-        residual = verify_moran(ce)
-        rows = [["summary", ce.beta, ce.n0, ce.log_r12, residual]]
-        depth = run_sec.getint("table_depth", fallback=ce.n0 + 8)
-        for n in sorted({1, 2} | set(range(ce.n0, depth + 1))):
-            iv = ce.interval(n)
-            rows.append([f"branch_{n}", ce.log_width(n), iv.lo, iv.hi, ""])
-        manifest = _manifest_lines(command, cfg, {
-            "system_out": system_out,
-            "moran_residual": repr(residual),
-        })
-        _emit(out_path, manifest, ["row", "a", "b", "c", "d"], rows)
-        return 0
-
-    if command == "counterexample-verify":
-        loaded = _load_system(cfg["system"])
-        if loaded.counterexample is None:
-            raise ConfigError("counterexample-verify needs a counterexample system")
-        ce = loaded.counterexample
-        residual = verify_moran(ce)
-        manifest = _manifest_lines(command, cfg, {})
-        _emit(out_path, manifest, ["beta", "n0", "residual"],
-              [[ce.beta, ce.n0, residual]])
-        return 0
-
-    raise ConfigError(f"unhandled command {command!r}")
+    extra, header, rows = handler(cfg, budget)
+    _emit(out_path, _manifest_lines(command, cfg, extra), header, rows)
+    return 0
 
 
 def _write_counterexample(ce: CounterexampleSystem, path: str,
@@ -536,26 +503,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                         help="enumeration budget in words")
     args = parser.parse_args(argv)
-
-    cfg = configparser.ConfigParser()
     try:
-        read = cfg.read(args.config)
-        if not read:
-            print(f"error: config file {args.config!r} not found", file=_sys.stderr)
-            return 2
-    except configparser.Error as exc:
-        print(f"error: config parse failure: {exc}", file=_sys.stderr)
-        return 2
-
-    try:
-        return run(args.command, cfg, args.out, args.budget)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        return run(args.command, _read_config(args.config), args.out, args.budget)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, configparser.Error) as exc:
+        # ConfigError is a ValueError; configparser.Error covers bad
+        # '%' interpolation in a value
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

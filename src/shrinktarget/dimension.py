@@ -93,6 +93,17 @@ def full_subset(sys: MarkovSystem, cap: int = 1024) -> frozenset[int]:
     return frozenset(out)
 
 
+def _midpoint(lo: float, hi: float, tol: float) -> float:
+    """The bisection midpoint of [lo, hi]; raises ValueError once the
+    bracket cannot be split, which a tolerance below the float spacing
+    there would otherwise turn into an endless loop."""
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        raise ValueError(f"tolerance {tol!r} is below float resolution: bisection "
+                         f"stopped at [{lo!r}, {hi!r}], width {hi - lo!r}")
+    return mid
+
+
 class _Solver:
     def __init__(self, sys: MarkovSystem, inner: Potential, shift: Callable[[float], float],
                  trunc: Truncation):
@@ -162,8 +173,9 @@ class _Solver:
         lo = _S_FLOOR
         if self.decide(lo) == -1:
             raise RuntimeError(
-                "pressure already nonpositive at the bisection floor; "
-                "shrink exponents of two-branch systems are strictly positive")
+                f"pressure already nonpositive at the bisection floor s = {_S_FLOOR:g}: "
+                f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
+                "example, has a one-point limit set)")
         hi = 1.0
         while self.decide(hi) == 1:
             lo = hi
@@ -171,7 +183,7 @@ class _Solver:
             if hi > _S_CAP:
                 raise RuntimeError("no upper bisection endpoint found below the cap")
         while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
+            mid = _midpoint(lo, hi, tol)
             if self.decide(mid) == 1:
                 lo = mid
             else:
@@ -213,7 +225,7 @@ def moran_solve(ratios: Sequence[float], tol: float = 1e-10,
         if hi > _S_CAP:
             raise RuntimeError("Moran sum does not drop below 1; ratios invalid")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi, tol)
         if low_end(mid) > 0.0:
             lo = mid
         elif high_end(mid) <= 0.0:

@@ -168,11 +168,15 @@ def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[flo
 
     For the log-derivative the bracket is [-log dhi, -log dlo] of the
     cylinder derivative bracket; sums and scalings combine by interval
-    arithmetic.
+    arithmetic.  A symbol outside the alphabet raises ValueError wherever
+    the potential reads the symbols (a constant potential reads none).
     """
     if not word:
         raise ValueError("word must be nonempty")
     flat = _flatten(pot)
+    if flat.psi_coef != 0.0 or flat.tables:
+        for s in word:
+            sys.branches._check_symbol(s)
     n = len(word)
     lo = hi = n * flat.const
     if flat.psi_coef != 0.0:

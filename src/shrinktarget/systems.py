@@ -630,9 +630,9 @@ def affine_system(ratios: Sequence[float],
     else:
         lefts = list(placements)
     images = [(l, l + r) for l, r in zip(lefts, ratios)]
-    if xi is None:
-        xi = 1.0 / max(ratios)
-    return MarkovSystem(AffineFamily(images, ratios=ratios), xi=xi)
+    # the family checks the ratios before xi divides by one
+    family = AffineFamily(images, ratios=ratios)
+    return MarkovSystem(family, xi=1.0 / max(ratios) if xi is None else xi)
 
 
 def gauss_system() -> MarkovSystem:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as hyst
 
 import shrinktarget
 from shrinktarget.cli import ConfigError, main, parse_potential, parse_subset
@@ -423,3 +428,180 @@ def test_one_symbol_subset_with_n_max(tmp_path):
     header, rows = read_rows(out)
     assert header == ["lower", "upper", "diverged"]
     assert float(rows[0][0]) == float(rows[0][1]) == pytest.approx(-math.log(2.0))
+
+
+def test_tolerance_below_float_resolution_exits_2(tmp_path):
+    cfg = write(tmp_path, "t.ini", "[system]\nkind = doubling\n\n[run]\ntol = 1e-20\n")
+    out = tmp_path / "t.csv"
+    proc = run_cli(["dimension", "--config", cfg, "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: tolerance 1e-20 is below float resolution")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_exponent_at_the_bisection_floor_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "one.ini", "[system]\nkind = doubling\n\n[run]\nsubset = 1\nn_max = 3\n")
+    assert main(["dimension", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "the exponent is at most 1e-06" in err and "one-symbol subset" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_hit_code_outside_the_alphabet_exits_2(tmp_path):
+    cfg = write(tmp_path, "h.ini", "[system]\nkind = doubling\n\n[target]\ny = 0.3\n"
+                "rate = potential:psi\n\n[run]\ncode = const:3\nhorizon = 5\n")
+    proc = run_cli(["hits", "--config", cfg])
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == "error: symbol 3 not in the system alphabet"
+
+
+@pytest.mark.parametrize("command, system, run, message", [
+    ("dimension", "kind = doubling\n", "subset = 1, x\n", "error: subset '1, x': expected int, got 'x'"),
+    ("dimension", "kind = doubling\n", "n_max = 0\n", "error: [run] n_max: expected an int >= 1, got '0'"),
+    ("dimension", "kind = gauss\ntruncation = -1\n", "n_max = 2\n",
+     "error: [system] truncation: expected an int >= 1, got '-1'"),
+    ("dimension", "kind = doubling\n", "use_tail = maybe\n",
+     "error: [run] use_tail: expected bool, got 'maybe'"),
+    ("dimension", "kind = affine\nratios = 0.5, x\n", "",
+     "error: [system] ratios: expected float, got 'x'"),
+    ("spectrum", "kind = doubling\n", "alphas =\n", "error: [run] needs 'alphas'"),
+    ("counterexample-verify", "kind = counterexample\nphi = power:1\n", "",
+     "error: [system] needs 'beta'"),
+])
+def test_keys_are_read_by_one_typed_reader(tmp_path, capsys, command, system, run, message):
+    cfg = write(tmp_path, "k.ini", f"[system]\n{system}\n[run]\n{run}")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_counterexample_file_must_hold_a_counterexample(tmp_path, capsys):
+    # a file that names itself used to recurse until Python's stack limit
+    cfg = tmp_path / "self.ini"
+    cfg.write_text(f"[system]\nkind = counterexample_file\npath = {cfg}\n")
+    assert main(["counterexample-verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: serialized system file") and "kind = counterexample" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# ---------------------------------------------------------------- fuzz
+
+# A fuzz document starts from valid sections, then has up to two of its keys
+# replaced by hostile values or removed.  In values, "{ce}" names a valid
+# counterexample file and "{self}" the document itself.
+_SYSTEMS = [
+    {"kind": "doubling"},
+    {"kind": "affine", "ratios": "0.5, 0.3"},
+    {"kind": "affine", "ratios": "0.3, 0.25, 0.2", "placements": "0, 0.4, 0.7"},
+    {"kind": "gauss", "truncation": "4"},
+    {"kind": "affine_countable", "widths": "geometric:0.5,0.5"},
+    {"kind": "counterexample", "beta": "0.5", "phi": "power:1"},
+    {"kind": "counterexample_file", "path": "{ce}"},
+]
+# hits on the counterexample family can take seconds per document
+_COMMAND_SYSTEMS = {"counterexample-build": _SYSTEMS[5:6], "counterexample-verify": _SYSTEMS[5:],
+                    "hits": _SYSTEMS[:5]}
+_EXTRA_SECTION = {"pressure": "potential", "cover": "target", "density": "target",
+                  "hits": "target"}
+# valid values per key; None leaves the key out
+_SECTION_VALUES = {
+    "potential": {"expr": ["psi", "const(0)", "scale(0.5, psi)", "sum(psi, const(0.3))"]},
+    "target": {"y": ["0.3", "0", "1"],
+               "rate": ["const:1", "const:0.5", "potential:psi", "potential:scale(0.5, psi)"]},
+}
+_DIMENSION_RUN = {"subset": [None, "1,2"], "ladder": [None, "1; 1..2"], "n_max": [None, "2"],
+                  "tol": [None, "1e-3", "1e-6"], "use_tail": [None, "true"]}
+_RUN_VALUES = {
+    "pressure": {"subset": [None, "1,2"], "n_max": ["2", "3"], "use_tail": [None, "false"]},
+    "dimension": _DIMENSION_RUN,
+    "spectrum": {**_DIMENSION_RUN, "alphas": ["0.5, 1", "2"]},
+    "cover": {"subset": [None, "1,2"], "s": ["0.5", "1"], "m": ["1", "2"], "n_max": ["2", "3"]},
+    "density": {"subset": [None, "1,2"], "n": ["2", "3"], "r": ["0.1", "0.25"]},
+    # symbol 3 is outside the doubling and two-ratio alphabets
+    "hits": {"code": ["const:1", "cycle:1,2", "const:3"], "horizon": ["5", "10"]},
+    "counterexample-build": {"system_out": ["{built}"], "table_depth": [None, "5"]},
+    "counterexample-verify": {},
+}
+# hostile values: these per key, and _BAD for every key (None removes it)
+_BAD = [None, "nan", "inf", "0", "-1", "1e-20", "x", "50%"]
+_HOSTILE = {
+    "kind": ["tent"], "ratios": ["0.5", "1.5, 0.2"], "widths": ["geometric:2,0.5"],
+    "path": ["{self}", "{missing}"], "phi": ["power:x"], "expr": ["psi)"],
+    "y": ["1.5"], "rate": ["const:nan", "potential:sum(psi, const(nan))"],
+    "subset": ["3..1", "1, 7", "1, x"], "ladder": ["1..2; 3..1"], "alphas": ["1, inf", ","],
+    "code": ["cycle:2,0", "cycle:"],
+}
+
+
+def _values(command, section):
+    return _RUN_VALUES[command] if section == "run" else _SECTION_VALUES[section]
+
+
+@hyst.composite
+def _ini_documents(draw):
+    command = draw(hyst.sampled_from(sorted(_RUN_VALUES)))
+    doc = {"system": dict(draw(hyst.sampled_from(_COMMAND_SYSTEMS.get(command, _SYSTEMS))))}
+    for section in filter(None, [_EXTRA_SECTION.get(command), "run"]):
+        drawn = {key: draw(hyst.sampled_from(values))
+                 for key, values in _values(command, section).items()}
+        doc[section] = {key: value for key, value in drawn.items() if value is not None}
+    keys = sorted({("system", key) for key in doc["system"]}
+                  | {(section, key) for section in doc if section != "system"
+                     for key in _values(command, section)})
+    for section, key in draw(hyst.lists(hyst.sampled_from(keys), max_size=2)):
+        value = draw(hyst.sampled_from(_HOSTILE.get(key, []) + _BAD))
+        if value is None and key == "horizon":
+            continue  # the default horizon of 50 can take seconds per document
+        doc[section].pop(key, None)
+        if value is not None:
+            doc[section][key] = value
+    return command, doc
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the main thread if the body runs too long, so a
+    hang fails the example instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(_ini_documents())
+def test_fuzz_every_exit_is_0_2_or_3_with_one_error_line(document):
+    command, sections = document
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg, out = tmp / "fuzz.ini", tmp / "out.csv"
+        ce = tmp / "ce.ini"
+        ce.write_text("[system]\nkind = counterexample\nbeta = 0.5\nphi = power:1\n")
+        paths = {"ce": ce, "self": cfg, "missing": tmp / "absent.ini", "built": tmp / "built.ini"}
+        text = "".join(f"[{name}]\n" + "".join(f"{key} = {value.format(**paths)}\n"
+                                               for key, value in values.items())
+                       for name, values in sections.items())
+        cfg.write_text(text)
+        err = io.StringIO()
+        cwd = os.getcwd()
+        # a hostile system_out such as 'x' is a path relative to the working directory
+        os.chdir(tmp)
+        try:
+            with _time_limit(20), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                status = main([command, "--config", str(cfg), "--out", str(out),
+                               "--budget", "5000"])
+        finally:
+            os.chdir(cwd)
+        err = err.getvalue()
+        assert status in (0, 2, 3), (text, err)
+        if status:
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1, (text, err)
+            assert not out.exists()

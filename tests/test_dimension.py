@@ -62,6 +62,21 @@ def test_solvers_reject_non_positive_or_non_finite_tolerance(tol):
         bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=tol)
 
 
+def test_solvers_reject_tolerance_below_float_resolution():
+    # the bracket around 1 cannot shrink below its float spacing, 2.2e-16
+    with pytest.raises(ValueError, match="tolerance 1e-20 is below float resolution"):
+        moran_solve([0.5, 0.5], tol=1e-20)
+    with pytest.raises(ValueError, match="tolerance 1e-20 is below float resolution"):
+        bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-20)
+    assert bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-15).certified
+
+
+def test_exponent_at_the_bisection_floor_names_the_floor():
+    # a one-symbol subset has a one-point limit set, of dimension 0
+    with pytest.raises(RuntimeError, match="at most 1e-06"):
+        bowen_dimension(doubling_map(), Truncation.single({1}, n_max=3))
+
+
 def test_moran_with_tail_bound():
     # ratios 2^{-k}, k >= 2 listed to depth 40; geometric tail bound beyond
     rs = [2.0 ** -k for k in range(2, 41)]

@@ -88,6 +88,20 @@ def test_per_symbol_bracket_table():
     assert birkhoff_bracket(sys, pot, (1, 2)) == pytest.approx((0.4, 0.7))
 
 
+@pytest.mark.parametrize("make_sys, word", [
+    (doubling_map, (0, 1)),
+    (doubling_map, (5,)),
+    (lambda: affine_system([0.3, 0.25, 0.2]), (1, 4)),
+    (lambda: _geometric_countable(0.5, 0.5), (1, 0)),
+    (gauss_system, (2, -1)),
+])
+@pytest.mark.parametrize("pot", [PSI, Sum(PSI, Constant(1.0)),
+                                 PerSymbolBracket(table=lambda i: (0.0, 1.0))])
+def test_birkhoff_rejects_symbols_outside_the_alphabet(make_sys, word, pot):
+    with pytest.raises(ValueError, match="not in the system alphabet"):
+        birkhoff_bracket(make_sys(), pot, word)
+
+
 def test_nonnegativity_validation():
     with pytest.raises(ValueError):
         Constant(-1.0)

@@ -135,6 +135,12 @@ def test_project_cycles_whole_prefix():
     assert iv.contains(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("ratios", [[0.0], [0.0, 0.0]])
+def test_affine_system_rejects_bad_ratios_before_dividing(ratios):
+    with pytest.raises(ValueError):
+        affine_system(ratios)
+
+
 def test_project_rejects_nonpositive_precision():
     with pytest.raises(ValueError):
         project_word(doubling_map(), (1,), 0.0)
