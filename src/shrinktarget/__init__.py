@@ -17,7 +17,6 @@ from .systems import (
     cylinder,
     doubling_map,
     encode_point,
-    enumerate_words,
     gauss_system,
     project_word,
 )
@@ -38,7 +37,6 @@ from .dimension import (
     DimensionResult,
     Truncation,
     bowen_dimension,
-    full_subset,
     moran_solve,
     shrink_exponent_alpha,
     shrink_exponent_potential,

@@ -83,16 +83,6 @@ class Truncation:
                           n_max=n_max, budget=budget, use_tail=use_tail)
 
 
-def full_subset(sys: MarkovSystem, cap: int = 1024) -> frozenset[int]:
-    """The whole alphabet of a finite system (capped enumeration guard)."""
-    out = []
-    for i in sys.branches.symbols():
-        out.append(i)
-        if len(out) > cap:
-            raise ValueError("alphabet too large; supply an explicit subset")
-    return frozenset(out)
-
-
 def _midpoint(lo: float, hi: float, tol: float) -> float:
     """The bisection midpoint of [lo, hi]; raises ValueError once the
     bracket cannot be split, which a tolerance below the float spacing

@@ -99,21 +99,18 @@ class PerSymbolBracket(Potential):
     """Potential known only through per-branch [inf, sup] brackets.
 
     ``table`` maps a symbol to the bracket of the potential over that branch
-    domain; ``variation`` optionally bounds var_n(S_n phi)/n (nonincreasing
-    to zero, tempered distortion).
+    domain.
     """
 
     table: Callable[[int], tuple[float, float]]
-    variation: Callable[[int], float] | None = None
 
     @staticmethod
-    def from_mapping(entries: Mapping[int, tuple[float, float]],
-                     variation: Callable[[int], float] | None = None) -> "PerSymbolBracket":
+    def from_mapping(entries: Mapping[int, tuple[float, float]]) -> "PerSymbolBracket":
         data = dict(entries)
         for i, (lo, hi) in data.items():
             if not (0.0 <= lo <= hi):
                 raise ValueError(f"bracket for symbol {i} must satisfy 0 <= lo <= hi")
-        return PerSymbolBracket(table=lambda i: data[i], variation=variation)
+        return PerSymbolBracket(table=lambda i: data[i])
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,9 @@ def _per_symbol_psi_lo(sys: MarkovSystem, i: int) -> float:
 def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
     """Interval containing the range of S_n(pot) over the cylinder of the word.
 
-    For the log-derivative the bracket is [-log dhi, -log dlo] of the
-    cylinder derivative bracket; sums and scalings combine by interval
+    For the log-derivative the bracket is the cylinder's psi bracket, which
+    the family's composer computes (exact per-symbol logs for affine
+    families, continuants for Gauss); sums and scalings combine by interval
     arithmetic.  A symbol outside the alphabet raises ValueError wherever
     the potential reads the symbols (a constant potential reads none).
     """
@@ -180,14 +178,7 @@ def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[flo
     n = len(word)
     lo = hi = n * flat.const
     if flat.psi_coef != 0.0:
-        add = _all_per_symbol_psi(sys, word)
-        if add is not None:
-            plo, phi_ = add
-        else:
-            dlo, dhi = cylinder(sys, word).deriv_bracket
-            # math.log may sit an ulp off the true value; pad it outward
-            plo = -math.nextafter(math.log(dhi), math.inf) if dhi > 0.0 else math.inf
-            phi_ = -math.nextafter(math.log(dlo), -math.inf) if dlo > 0.0 else math.inf
+        plo, phi_ = cylinder(sys, word).psi_bracket
         lo += flat.psi_coef * plo
         hi += flat.psi_coef * phi_
     for sc, table in flat.tables:
@@ -196,16 +187,6 @@ def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[flo
             lo += sc * tlo
             hi += sc * thi
     return (lo, hi)
-
-
-def _all_per_symbol_psi(sys: MarkovSystem, word: Word) -> tuple[float, float] | None:
-    total = 0.0
-    for s in word:
-        lr = sys.branches.log_deriv_point(s)
-        if lr is None:
-            return None
-        total += -lr
-    return (total, total)
 
 
 @dataclass(frozen=True)
@@ -422,17 +403,6 @@ class BirkhoffTable:
 
         return rule
 
-    def _level_sums(self, scale: float, n_max: int, mode: str) -> Iterator[float]:
-        """partition(scale, n, mode) for n = 1..n_max.  An additive table
-        takes level 1 once: partition returns n times it at level n."""
-        if self.additive is None:
-            for n in range(1, n_max + 1):
-                yield self.partition(scale, n, mode)
-            return
-        z1 = self.partition(scale, 1, mode)
-        for n in range(1, n_max + 1):
-            yield n * z1
-
     def bracket(self, scale: float, n_max: int | None = None,
                 tail: float | None = None) -> PressureEstimate:
         """Two-sided estimate of P(-scale*u) over the truncation.
@@ -441,20 +411,17 @@ class BirkhoffTable:
         the alphabet beyond F (None for subsystem semantics).  With a tail
         the upper bound is the depth-1 dominated sum; without it, deeper
         levels sharpen the upper bound by submultiplicativity.  An additive
-        table takes one log-sum-exp per mode, whatever n_max is: its level n
-        is n times level 1, the value partition gives level by level.
+        table reads level 1 alone, whatever n_max is: its level n is exactly
+        n times level 1, so level 1 is already the pressure bracket.
         """
         if n_max is None:
             n_max = self.max_level()
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        lower = -math.inf
-        upper = math.inf
-        for n, z in enumerate(self._level_sums(scale, n_max, "inf"), 1):
-            lower = max(lower, z / n)
+        levels = range(1, 2 if self.additive is not None else n_max + 1)
+        lower = max(self.partition(scale, n, "inf") / n for n in levels)
         if tail is None:
-            for n, z in enumerate(self._level_sums(scale, n_max, "sup"), 1):
-                upper = min(upper, z / n)
+            upper = min(self.partition(scale, n, "sup") / n for n in levels)
             diverged = False
         else:
             diverged = not math.isfinite(tail)

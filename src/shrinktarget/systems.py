@@ -3,14 +3,19 @@
 A system is a family of contracting inverse branches indexed by a finite or
 countable alphabet of positive integers (1-based).  Compositions of branches
 over finite symbol words give nested cylinder intervals.  This module
-provides cylinder geometry (interval, diameter, derivative bracket),
-symbolic coding of points, projection of symbol words back to the line, and
-word enumeration.
+provides cylinder geometry, symbolic coding of points and projection of
+symbol words back to the line.
 
-Derivative brackets for non-affine families are computed by outward-rounded
-interval evaluation of each branch derivative on the current nested
-interval; they are guaranteed to contain the true range of |phi_w'|.  For
-affine families the bracket is an exact point (the product of the ratios).
+All cylinder geometry (interval, diameter, derivative bracket and the
+bracket of S_n psi = -log|phi_w'|) comes from the family's forward composer,
+extended one symbol at a time in word order.  Affine families keep the
+running interval, the ratio product and the sum of -log ratios, so their
+brackets are exact points.  The Gauss family keeps the exact integer
+continuants of phi_w(t) = (p_n + t p_{n-1}) / (q_n + t q_{n-1}): correctly
+rounded endpoints and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2].  Other
+families evaluate the stored word inside-out, bracketing each branch
+derivative by outward-rounded interval evaluation on the current nested
+interval.  Derivative and psi brackets contain the true ranges over [0,1].
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "cylinder",
     "encode_point",
     "project_word",
-    "enumerate_words",
     "forward_composer",
     "doubling_map",
     "affine_system",
@@ -117,12 +121,14 @@ class Interval:
 
 @dataclass(frozen=True)
 class CylinderGeometry:
-    """Geometry of phi_w([0,1]) for a finite word w."""
+    """Geometry of phi_w([0,1]) for a finite word w; psi_bracket contains
+    the range of S_n psi = -log|phi_w'| over [0,1]."""
 
     word: Word
     interval: Interval
     diam: float
     deriv_bracket: tuple[float, float]
+    psi_bracket: tuple[float, float]
 
 
 class BranchFamily:
@@ -133,14 +139,11 @@ class BranchFamily:
     """
 
     finite: bool = True
+    is_affine: bool = False
     # True when apply and deriv_bracket work elementwise on numpy arrays
     # (x, and the .lo/.hi of the interval argument); level builds then take
     # one call per symbol instead of one per word.
     array_safe: bool = False
-
-    @property
-    def is_affine(self) -> bool:
-        return False
 
     def contains_symbol(self, i: int) -> bool:
         raise NotImplementedError
@@ -179,6 +182,11 @@ class BranchFamily:
         """
         return 0.0 if self.finite else math.inf
 
+    def composer(self):
+        """Forward composer of the empty word (see the module docstring);
+        its ``child(s)`` takes a symbol already checked against the alphabet."""
+        return _WordComposer(self)
+
     def _check_symbol(self, i: int) -> None:
         if not self.contains_symbol(i):
             raise ValueError(f"symbol {i} not in the system alphabet")
@@ -188,7 +196,17 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-class AffineFamily(BranchFamily):
+class _AffineBranches(BranchFamily):
+    """Affine branches, composed from affine_terms(i) = (image lo, image hi,
+    ratio, -log ratio), read for symbols already checked."""
+
+    is_affine = True
+
+    def composer(self):
+        return _AffineComposer(self)
+
+
+class AffineFamily(_AffineBranches):
     """Finitely many affine branches phi_i(x) = left_i + ratio_i * x."""
 
     finite = True
@@ -216,10 +234,11 @@ class AffineFamily(BranchFamily):
                 if abs(r - iv.width) > 1e-12 * max(r, iv.width):
                     raise ValueError("ratio inconsistent with branch image width")
             self.ratios = tuple(float(r) for r in ratios)
+        self._terms = tuple((iv.lo, iv.hi, r, -math.log(r))
+                            for iv, r in zip(self.images, self.ratios))
 
-    @property
-    def is_affine(self) -> bool:
-        return True
+    def affine_terms(self, i: int) -> tuple[float, float, float, float]:
+        return self._terms[i - 1]
 
     def contains_symbol(self, i: int) -> bool:
         return 1 <= i <= len(self.images)
@@ -253,7 +272,7 @@ class AffineFamily(BranchFamily):
         return math.log(self.ratios[i - 1])
 
 
-class AffineCountableFamily(BranchFamily):
+class AffineCountableFamily(_AffineBranches):
     """Countable affine branch family defined lazily.
 
     Widths are supplied in log space so that subexponentially small branches
@@ -277,9 +296,10 @@ class AffineCountableFamily(BranchFamily):
         self._locate_fn = locate_fn
         self.scan_limit = scan_limit
 
-    @property
-    def is_affine(self) -> bool:
-        return True
+    def affine_terms(self, i: int) -> tuple[float, float, float, float]:
+        iv = self.branch_interval(i)
+        log_w = self.log_width(i)
+        return (iv.lo, iv.hi, math.exp(log_w), -log_w)
 
     def contains_symbol(self, i: int) -> bool:
         return i >= 1 and self.member(i)
@@ -357,6 +377,9 @@ class GaussFamily(BranchFamily):
 
     def inverse(self, i: int, x: float) -> float:
         return _clamp01(1.0 / x - i)
+
+    def composer(self):
+        return _MoebiusComposer()
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         # sup|phi_i'| = i^{-2}; integral comparison for the p-series tail
@@ -446,41 +469,22 @@ class MarkovSystem:
 
 
 def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
-    """Geometry of the cylinder phi_w([0,1]).
+    """Geometry of the cylinder phi_w([0,1]), read from the family's forward
+    composer after one child step per symbol.
 
-    The returned derivative bracket contains the true range of |phi_w'| over
-    [0,1]; for affine families it is exact (lo == hi) and equals the
-    diameter.
+    The derivative bracket contains the true range of |phi_w'| over [0,1];
+    for affine families it is exact (lo == hi) and equals the diameter.
     """
     if not word:
         raise ValueError("word must be nonempty")
     fam = sys.branches
+    comp = fam.composer()
     for s in word:
         fam._check_symbol(s)
-    lo, hi = 0.0, 1.0
-    dlo = dhi = 1.0
-    affine = fam.is_affine
-    if affine:
-        # constant branch derivatives: exact product in word order
-        for s in word:
-            dlo *= fam.deriv_bracket(s, Interval(0.0, 1.0))[0]
-        dhi = dlo
-        for s in reversed(word):
-            a = fam.apply(s, lo)
-            b = fam.apply(s, hi)
-            lo, hi = (a, b) if a <= b else (b, a)
-    else:
-        for s in reversed(word):
-            blo, bhi = fam.deriv_bracket(s, Interval(lo, hi))
-            dlo = _down(dlo * blo)
-            dhi = _up(dhi * bhi)
-            a = fam.apply(s, lo)
-            b = fam.apply(s, hi)
-            lo, hi = (a, b) if a <= b else (b, a)
-    iv = Interval(lo, hi)
-    diam = dlo if affine else iv.width
-    return CylinderGeometry(word=tuple(word), interval=iv, diam=diam,
-                            deriv_bracket=(dlo, dhi))
+        comp = comp.child(s)
+    (lo, hi), diam, deriv, psi = comp.geometry()
+    return CylinderGeometry(word=tuple(word), interval=Interval(lo, hi), diam=diam,
+                            deriv_bracket=deriv, psi_bracket=psi)
 
 
 def encode_point(sys: MarkovSystem, x: float, depth: int) -> Word:
@@ -508,64 +512,66 @@ def project_word(sys: MarkovSystem, prefix: Word, precision: float) -> Interval:
     extended periodically (the whole prefix repeated).
 
     The result is the deepest cylinder used, so it contains pi(w) for the
-    periodic extension w and is nested in every prefix cylinder.
+    periodic extension w and is nested in every prefix cylinder; one composer
+    is extended a symbol at a time until it is narrow enough.
     """
     if precision <= 0.0:
         raise ValueError("precision must be positive")
     if not prefix:
         raise ValueError("prefix must be nonempty")
-    word = list(prefix)
+    fam = sys.branches
+    for s in prefix:
+        fam._check_symbol(s)
     # depth at which xi-contraction certainly reaches the precision
     cap = (len(prefix) + sys.expansion_depth + 8
            + int(math.ceil(max(0.0, -math.log(precision)) / math.log(sys.xi))))
-    k = 0
-    geo = cylinder(sys, tuple(word))
-    while geo.interval.width > precision:
-        if len(word) >= cap:
+    comp = fam.composer()
+    for depth, s in enumerate(itertools.cycle(prefix), 1):
+        comp = comp.child(s)
+        if depth < len(prefix):
+            continue
+        lo, hi = comp.interval()
+        if hi - lo <= precision:
+            return Interval(lo, hi)
+        if depth >= cap:
             raise RuntimeError("projection failed to contract to the requested precision")
-        word.append(prefix[k % len(prefix)])
-        k += 1
-        geo = cylinder(sys, tuple(word))
-    return geo.interval
-
-
-def enumerate_words(alphabet_subset: Sequence[int] | frozenset[int], n: int,
-                    budget: int = DEFAULT_WORD_BUDGET) -> Iterator[Word]:
-    """All words of length n over the subset, in lexicographic order."""
-    symbols = sorted(set(alphabet_subset))
-    if not symbols:
-        raise ValueError("alphabet subset must be nonempty")
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    count = len(symbols) ** n
-    if count > budget:
-        raise BudgetExceededError("enumeration", count, budget)
-    return itertools.product(symbols, repeat=n)
 
 
 class _AffineComposer:
-    """Forward composition phi_w for affine families: x -> lo + w*x."""
+    """Affine branches composed in word order: the running interval, the
+    product of the branch ratios and the sum of their -log.  A child maps the
+    branch image ends through its parent's interval, clamped into it, so the
+    intervals nest exactly."""
 
-    __slots__ = ("fam", "lo", "w")
+    __slots__ = ("fam", "lo", "hi", "ratio", "psi")
 
-    def __init__(self, fam, lo: float = 0.0, w: float = 1.0):
+    def __init__(self, fam, lo: float = 0.0, hi: float = 1.0,
+                 ratio: float = 1.0, psi: float = 0.0):
         self.fam = fam
         self.lo = lo
-        self.w = w
+        self.hi = hi
+        self.ratio = ratio
+        self.psi = psi
 
     def child(self, s: int) -> "_AffineComposer":
-        iv = self.fam.branch_interval(s)
-        return _AffineComposer(self.fam, self.lo + self.w * iv.lo, self.w * iv.width)
+        a, b, r, neg_log_r = self.fam.affine_terms(s)
+        w = self.hi - self.lo
+        hi = min(self.hi, self.lo + w * b)
+        return _AffineComposer(self.fam, min(self.lo + w * a, hi), hi,
+                               self.ratio * r, self.psi + neg_log_r)
 
     def interval(self) -> tuple[float, float]:
-        return (self.lo, self.lo + self.w)
+        return (self.lo, self.hi)
+
+    def geometry(self):
+        """(interval, diam, derivative bracket, psi bracket)."""
+        r = self.ratio
+        return (self.lo, self.hi), r, (r, r), (self.psi, self.psi)
 
 
 class _MoebiusComposer:
-    """Forward composition for Gauss branches via integer continuants.
-
-    phi_w(t) = (p1 + t*p0) / (q1 + t*q0); exact in Python integers.
-    """
+    """Gauss branches via exact integer continuants:
+    phi_w(t) = (p1 + t*p0) / (q1 + t*q0), with p1 q0 - p0 q1 = +-1."""
 
     __slots__ = ("p0", "p1", "q0", "q1")
 
@@ -580,13 +586,24 @@ class _MoebiusComposer:
                                 self.q1, self.q1 * s + self.q0)
 
     def interval(self) -> tuple[float, float]:
+        # int / int is correctly rounded
         a = self.p1 / self.q1
         b = (self.p1 + self.p0) / (self.q1 + self.q0)
         return (a, b) if a <= b else (b, a)
 
+    def geometry(self):
+        # |phi_w'(t)| = (q1 + t*q0)^-2 and the diameter is 1/(q1 (q1+q0));
+        # math.log of a large int may sit a few ulps off, inside _down/_up
+        q, q_sum = self.q1, self.q1 + self.q0
+        deriv = (math.nextafter(1 / (q_sum * q_sum), 0.0),
+                 math.nextafter(1 / (q * q), math.inf))
+        psi = (2.0 * _down(math.log(q)), 2.0 * _up(math.log(q_sum)))
+        return self.interval(), 1 / (q * q_sum), deriv, psi
+
 
 class _WordComposer:
-    """Fallback forward composition by re-evaluating the stored word."""
+    """Any family: the stored word evaluated inside-out, each branch
+    derivative bracketed over the current nested interval."""
 
     __slots__ = ("fam", "word")
 
@@ -598,22 +615,30 @@ class _WordComposer:
         return _WordComposer(self.fam, self.word + (s,))
 
     def interval(self) -> tuple[float, float]:
+        return self.geometry()[0]
+
+    def geometry(self):
+        """(interval, diam, derivative bracket, psi bracket)."""
+        fam = self.fam
         lo, hi = 0.0, 1.0
+        dlo = dhi = 1.0
         for s in reversed(self.word):
-            a = self.fam.apply(s, lo)
-            b = self.fam.apply(s, hi)
+            blo, bhi = fam.deriv_bracket(s, Interval(lo, hi))
+            dlo = _down(dlo * blo)
+            dhi = _up(dhi * bhi)
+            a = fam.apply(s, lo)
+            b = fam.apply(s, hi)
             lo, hi = (a, b) if a <= b else (b, a)
-        return (lo, hi)
+        # math.log may sit an ulp off the true value; pad it outward
+        psi_lo = -math.nextafter(math.log(dhi), math.inf) if dhi > 0.0 else math.inf
+        psi_hi = -math.nextafter(math.log(dlo), -math.inf) if dlo > 0.0 else math.inf
+        return (lo, hi), hi - lo, (dlo, dhi), (psi_lo, psi_hi)
 
 
 def forward_composer(sys: MarkovSystem):
-    """Root composer for depth-first cylinder walks with true nesting."""
-    fam = sys.branches
-    if isinstance(fam, GaussFamily):
-        return _MoebiusComposer()
-    if fam.is_affine:
-        return _AffineComposer(fam)
-    return _WordComposer(fam)
+    """Root composer of the system's family, for walks that extend cylinders
+    one symbol at a time."""
+    return sys.branches.composer()
 
 
 def doubling_map() -> MarkovSystem:

@@ -270,9 +270,13 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
     For each epoch n the iterate T^n(pi(w)) is the projection of the shifted
     code, evaluated as a cylinder interval tighter than the current
     threshold, and the threshold exp(-S_n(phi)) is a Birkhoff bracket over
-    the prefix cylinder.  An epoch is a hit when the distance interval lies
-    entirely below the threshold interval, a miss when entirely above, and
-    undecided otherwise (ties included).
+    the prefix cylinder.  The window is padded outward by 4 (depth + 1) ulps
+    of its larger end, a bound on the composers' rounding (at most three
+    roundings per affine symbol, half an ulp per continuant quotient), so it
+    contains the true cylinder however narrow the composed one is.  An epoch
+    is a hit when the distance interval lies entirely below the threshold
+    interval, a miss when entirely above, and undecided otherwise (ties
+    included).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -312,15 +316,18 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
                 depth = len(buffer) - n
                 if depth < 1:
                     break
-            geo = cylinder(sys, tuple(buffer[n:n + depth]))
-            interval = geo.interval
-            if interval.width <= precision or exhausted or depth > 100_000:
+            last_width = math.inf if interval is None else interval.width
+            interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+            # nested windows stop narrowing once rounding is all that is left
+            if (interval.width <= precision or interval.width >= last_width
+                    or exhausted or depth > 100_000):
                 break
             depth *= 2
         if interval is None:
             undecided.append(n)
             continue
-        d_lo, d_hi = _distance_bracket(y, interval.lo, interval.hi)
+        pad = 4 * (depth + 1) * math.ulp(interval.hi)
+        d_lo, d_hi = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
         if d_hi < thr_lo:
             hits.append(n)
         elif d_lo > thr_hi:

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,37 @@ def test_reversed_subset_range_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "5..3" in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _counterexample_fixed_point():
+    # the fixed point of branch 1, the affine map onto its image [l, h]
+    v1 = shrinktarget.build_counterexample(
+        0.5, shrinktarget.ShrinkFn.power(1.0)).as_system().branches.branch_interval(1)
+    lo, hi = Fraction(v1.lo), Fraction(v1.hi)
+    return lo / (1 - (hi - lo))
+
+
+@pytest.mark.parametrize("system, code, orbit", [
+    ("kind = doubling", "cycle:1,2", lambda n: Fraction(1 + n % 2, 3)),
+    ("kind = counterexample\nbeta = 0.5\nphi = power:1", "const:1",
+     lambda n: _counterexample_fixed_point()),
+], ids=["doubling", "counterexample"])
+def test_hits_below_float_spacing_run_in_seconds(tmp_path, system, code, orbit):
+    # the thresholds e^-n fall below the float spacing at the orbit points,
+    # where hit windows used to double their depth up to 100,000 symbols
+    # (8 to 15 s); a run now takes well under a second
+    mp = pytest.importorskip("mpmath")
+    cfg = write(tmp_path, "h.ini", f"[system]\n{system}\n\n[target]\ny = 0.3\n"
+                f"rate = const:1\n\n[run]\ncode = {code}\nhorizon = 50\n")
+    out = tmp_path / "h.csv"
+    proc = run_cli(["hits", "--config", cfg, "--out", str(out)], timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = read_rows(out)
+    with mp.workdps(60):
+        def status(n):
+            d = abs(orbit(n) - Fraction(0.3))
+            return "hit" if mp.mpf(d.numerator) / d.denominator < mp.exp(-n) else "miss"
+        assert rows == [[str(n), status(n)] for n in range(1, 51)]
 
 
 @pytest.mark.parametrize("command, sections", [

@@ -70,6 +70,23 @@ def test_birkhoff_gauss_psi_bracket_contains_mpmath_values():
         assert _per_symbol_psi_lo(sys, i) <= 2 * mp.log(i)
 
 
+@pytest.mark.parametrize("word", [(1,) * 800, (1,) * 3000, (2, 1, 5, 3) * 750],
+                         ids=["ones-800", "ones-3000", "mixed-3000"])
+def test_birkhoff_gauss_psi_deep_words_stay_finite(word):
+    # the float product of branch derivatives underflows long before depth
+    # 800; the continuants behind the psi bracket do not
+    mp = pytest.importorskip("mpmath")
+    lo, hi = birkhoff_bracket(gauss_system(), PSI, word)
+    assert math.isfinite(lo) and math.isfinite(hi)
+    q_prev, q = 0, 1
+    for s in word:
+        q_prev, q = q, s * q + q_prev
+    with mp.workdps(60):
+        # |phi_w'(x)| = (q_n + x q_{n-1})^-2 over x in [0, 1]
+        for x in (0, mp.mpf(1) / 2, 1):
+            assert lo <= 2 * mp.log(q + x * q_prev) <= hi
+
+
 def test_birkhoff_constant_adds():
     sys = doubling_map()
     assert birkhoff_bracket(sys, Constant(0.3), (1, 1, 2, 2)) == (1.2, 1.2)
@@ -220,8 +237,20 @@ def test_additive_bracket_matches_per_level_sums(name, n_max, scale):
     est = table.bracket(scale, n_max=n_max, tail=tail)
     depth = table.max_level() if n_max is None else n_max
     assert est.truncation[1] == depth
-    # bit for bit, not approximately
-    assert (est.lower, est.upper) == per_level_bracket(table, scale, depth, tail)
+    # level n is exactly n times level 1: the bracket is level 1, bit for bit
+    assert (est.lower, est.upper) == per_level_bracket(table, scale, 1, tail)
+    # and it contains the bracket summed level by level, whose rounded
+    # n * z1 / n may sit an ulp inside level 1
+    lower, upper = per_level_bracket(table, scale, depth, tail)
+    assert est.lower <= lower and upper <= est.upper
+
+
+def test_additive_bracket_ignores_depth():
+    table = BirkhoffTable(affine_system([0.3, 0.25, 0.2, 0.15]), PSI, {1, 2, 3, 4})
+    est = table.bracket(0.7, n_max=10**9)
+    assert est.truncation[1] == 10**9
+    assert (est.lower, est.upper) == (table.bracket(0.7, n_max=1).lower,
+                                      table.bracket(0.7, n_max=1).upper)
 
 
 @pytest.mark.parametrize("n_max", [1, 5, 40, None])

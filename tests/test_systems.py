@@ -1,10 +1,12 @@
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hyst
 
 from shrinktarget import (
-    BudgetExceededError,
     EscapesRepellerError,
     Interval,
     MarkovSystem,
@@ -12,7 +14,6 @@ from shrinktarget import (
     cylinder,
     doubling_map,
     encode_point,
-    enumerate_words,
     gauss_system,
     project_word,
 )
@@ -84,6 +85,28 @@ def test_cylinder_rejects_bad_symbols():
         cylinder(sys, ())
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_gauss_cylinder_is_correctly_rounded_continuant_geometry(seed):
+    rng = random.Random(seed)
+    word = tuple(rng.randint(1, 50) for _ in range(rng.randint(1, 60)))
+    g = cylinder(gauss_system(), word)
+    ends, derivs = [], []
+    for t in (Fraction(0), Fraction(1)):
+        # exact chain rule: phi_s'(u) = -phi_s(u)^2, innermost branch first
+        x, d = t, Fraction(1)
+        for s in reversed(word):
+            x = 1 / (s + x)
+            d *= x * x
+        ends.append(x)
+        derivs.append(d)
+    # float(Fraction) is correctly rounded
+    assert (g.interval.lo, g.interval.hi) == tuple(sorted(float(e) for e in ends))
+    assert g.diam == float(abs(ends[0] - ends[1]))
+    # |phi_w'| is monotone in t: the exact range is [1/(q_n+q_{n-1})^2, 1/q_n^2]
+    dlo, dhi = g.deriv_bracket
+    assert Fraction(dlo) <= min(derivs) and max(derivs) <= Fraction(dhi)
+
+
 # ---------------------------------------------------------------- encode
 
 def test_encode_doubling_binary_expansion():
@@ -135,6 +158,24 @@ def test_project_cycles_whole_prefix():
     assert iv.contains(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("make_sys, prefix", [(doubling_map, (2, 1)), (gauss_system, (2,)),
+                                              (gauss_system, (1, 3, 2))])
+def test_project_extends_one_composer(monkeypatch, make_sys, prefix):
+    sys = make_sys()
+    cls = type(sys.branches.composer())
+    real = cls.child
+    calls = []
+    monkeypatch.setattr(cls, "child", lambda self, s: calls.append(s) or real(self, s))
+    iv = project_word(sys, prefix, 1e-12)
+    monkeypatch.undo()
+    # one child per symbol of the returned cylinder, the first narrow enough
+    assert len(calls) >= len(prefix)
+    word = tuple(itertools.islice(itertools.cycle(prefix), len(calls)))
+    assert tuple(calls) == word
+    assert cylinder(sys, word).interval == iv
+    assert cylinder(sys, word[:-1]).interval.width > 1e-12
+
+
 @pytest.mark.parametrize("ratios", [[0.0], [0.0, 0.0]])
 def test_affine_system_rejects_bad_ratios_before_dividing(ratios):
     with pytest.raises(ValueError):
@@ -144,31 +185,6 @@ def test_affine_system_rejects_bad_ratios_before_dividing(ratios):
 def test_project_rejects_nonpositive_precision():
     with pytest.raises(ValueError):
         project_word(doubling_map(), (1,), 0.0)
-
-
-# ---------------------------------------------------------------- enumerate
-
-def test_enumerate_full_product():
-    words = list(enumerate_words({1, 2}, 2))
-    assert words == [(1, 1), (1, 2), (2, 1), (2, 2)]
-
-
-def test_enumerate_single_symbol():
-    assert list(enumerate_words({1}, 5)) == [(1, 1, 1, 1, 1)]
-
-
-def test_enumerate_lexicographic_count():
-    words = list(enumerate_words({1, 2, 3}, 3))
-    assert len(words) == 27
-    assert words[0] == (1, 1, 1)
-    assert words[-1] == (3, 3, 3)
-    assert words == sorted(words)
-
-
-def test_enumerate_budget_error():
-    with pytest.raises(BudgetExceededError) as err:
-        enumerate_words({1, 2}, 40, budget=1000)
-    assert err.value.budget == 1000
 
 
 # ---------------------------------------------------------------- invariants
@@ -221,7 +237,7 @@ def test_nesting_and_bracket_gauss(data):
 @given(hyst.integers(min_value=2, max_value=5))
 def test_depth_disjointness_doubling(n):
     sys = doubling_map()
-    intervals = [cylinder(sys, w).interval for w in enumerate_words({1, 2}, n)]
+    intervals = [cylinder(sys, w).interval for w in itertools.product((1, 2), repeat=n)]
     intervals.sort(key=lambda iv: iv.lo)
     for a, b in zip(intervals, intervals[1:]):
         assert a.hi <= b.lo + 1e-15
@@ -240,7 +256,7 @@ def test_coding_round_trip(data):
 
 def test_gauss_contraction_depth_two():
     sys = gauss_system()
-    for word in enumerate_words({1, 2, 3, 4}, 3):
+    for word in itertools.product((1, 2, 3, 4), repeat=3):
         g = cylinder(sys, word)
         assert g.diam <= sys.xi ** -3
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hyst
@@ -343,6 +344,46 @@ def test_hits_exhausted_code_yields_undecided():
     rep = hit_times(sys, iter([1, 1, 1]), TargetSpec(0.0, ConstantRate(1.0)), 6)
     assert rep.undecided != ()
     assert set(rep.undecided) >= {4, 5, 6}
+
+
+def exact_schedule(points, y, alpha, horizon):
+    """Status of each epoch n when the orbit point points(n) and y are
+    rationals: a hit when |x_n - y| < exp(-alpha n), else a miss."""
+    mp = pytest.importorskip("mpmath")
+    out = {}
+    with mp.workdps(60):
+        for n in range(1, horizon + 1):
+            d = abs(points(n) - Fraction(y))
+            near = mp.mpf(d.numerator) / d.denominator < mp.exp(-mp.mpf(alpha) * n)
+            out[n] = "hit" if near else "miss"
+    return out
+
+
+def test_hits_below_float_spacing_agree_with_exact_orbit():
+    # y = float(1/3) lies 1.85e-17 from the orbit point 1/3 of the even
+    # epochs, which is above e^-n from epoch 40 on: the composed windows
+    # collapse onto y there, and only the outward pad keeps them undecided
+    y = 1.0 / 3.0
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, ConstantRate(1.0)), 50)
+    oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), y, 1.0, 50)
+    assert all(oracle[n] == "hit" for n in rep.hits)
+    assert all(oracle[n] == "miss" for n in rep.misses)
+    assert set(rep.hits) >= {1} | set(range(2, 31, 2))
+    assert set(rep.misses) == set(range(3, 51, 2))
+
+
+def test_hits_window_stuck_one_ulp_wide_is_undecided():
+    # the fixed point of branch 2 lies 7.4e-18 below y = 0.4, and its composed
+    # windows stay one ulp wide at every depth: refining stops when the width
+    # stops shrinking, and the padded window leaves e^-n < 7.4e-18 undecided
+    sys = affine_system([0.3, 0.25, 0.2, 0.15])
+    image = sys.branches.branch_interval(2)
+    lo, hi = Fraction(image.lo), Fraction(image.hi)
+    rep = hit_times(sys, itertools.repeat(2), TargetSpec(0.4, ConstantRate(1.0)), 50)
+    oracle = exact_schedule(lambda n: lo / (1 - (hi - lo)), 0.4, 1.0, 50)
+    assert all(oracle[n] == "hit" for n in rep.hits)
+    assert all(oracle[n] == "miss" for n in rep.misses)
+    assert set(rep.hits) >= set(range(1, 31))
 
 
 @settings(max_examples=20, deadline=None)
