@@ -92,9 +92,21 @@ def _key(section: configparser.SectionProxy, key: str, kind: type, default=_NEED
     return value
 
 
-def parse_subset(text: str) -> frozenset[int]:
+def _symbols(ranges: Sequence[range], budget: int, key: str) -> frozenset[int]:
+    """The union of the ranges.  A union of more than ``budget`` symbols
+    raises BudgetExceededError (charged to ``key``) before any set is built."""
+    count, end = 0, -math.inf
+    for r in sorted((r for r in ranges if r), key=lambda r: r.start):
+        count += max(0, r.stop - max(r.start, end))
+        end = max(end, r.stop)
+    if count > budget:
+        raise BudgetExceededError(key, count, budget)
+    return frozenset(itertools.chain(*ranges))
+
+
+def parse_subset(text: str, budget: int = DEFAULT_WORD_BUDGET) -> frozenset[int]:
     """Subset grammar: comma-separated items, each 'a' or 'a..b'."""
-    out: set[int] = set()
+    ranges = []
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -102,14 +114,14 @@ def parse_subset(text: str) -> frozenset[int]:
         ends = [_parse_number(end, f"subset {text!r}", int) for end in item.split("..", 1)]
         if ends[-1] < ends[0]:
             raise ConfigError(f"subset range {item!r} is reversed (use a..b with a <= b)")
-        out.update(range(ends[0], ends[-1] + 1))
-    if not out:
+        ranges.append(range(ends[0], ends[-1] + 1))
+    if not ranges:
         raise ConfigError(f"empty subset spec {text!r}")
-    return frozenset(out)
+    return _symbols(ranges, budget, "subset")
 
 
-def parse_ladder(text: str) -> tuple[frozenset[int], ...]:
-    return tuple(parse_subset(part) for part in text.split(";") if part.strip())
+def parse_ladder(text: str, budget: int = DEFAULT_WORD_BUDGET) -> tuple[frozenset[int], ...]:
+    return tuple(parse_subset(part, budget) for part in text.split(";") if part.strip())
 
 
 class _Tokens:
@@ -221,7 +233,7 @@ def _load_counterexample(section: configparser.SectionProxy) -> CounterexampleSy
                                 parse_shrink_fn(_key(section, "phi", str)))
 
 
-def _load_system(section: configparser.SectionProxy) -> _LoadedSystem:
+def _load_system(section: configparser.SectionProxy, budget: int) -> _LoadedSystem:
     kind = _key(section, "kind", str)
     if kind == "counterexample_file":
         path = _key(section, "path", str)
@@ -243,11 +255,11 @@ def _load_system(section: configparser.SectionProxy) -> _LoadedSystem:
                              frozenset(range(1, len(ratios) + 1)))
     if kind == "gauss":
         k = _key(section, "truncation", int, 32)
-        return _LoadedSystem(gauss_system(), frozenset(range(1, k + 1)))
+        return _LoadedSystem(gauss_system(), _symbols([range(1, k + 1)], budget, "truncation"))
     if kind == "counterexample":
         ce = _load_counterexample(section)
         k = _key(section, "truncation", int, ce.n0 + 40)
-        subset = frozenset({1, 2}) | frozenset(range(ce.n0, k + 1))
+        subset = _symbols([range(1, 3), range(ce.n0, k + 1)], budget, "truncation")
         return _LoadedSystem(ce.as_system(), subset, ce)
     if kind == "affine_countable":
         law, _, args = _key(section, "widths", str).partition(":")
@@ -329,9 +341,10 @@ def _truncation_text(truncation: tuple[frozenset[int], int]) -> str:
     return "F={" + ",".join(str(i) for i in sorted(subset)) + f"}} n={n}"
 
 
-def _run_subset(run_sec: configparser.SectionProxy, loaded: _LoadedSystem) -> frozenset[int]:
+def _run_subset(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
+                budget: int) -> frozenset[int]:
     text = _key(run_sec, "subset", str, None)
-    return loaded.default_subset if text is None else parse_subset(text)
+    return loaded.default_subset if text is None else parse_subset(text, budget)
 
 
 def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
@@ -339,7 +352,8 @@ def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
     """The solver ladder of ``dimension`` and ``spectrum``, and their tolerance."""
     ladder = _key(run_sec, "ladder", str, None)
     trunc = Truncation(
-        subsets=(_run_subset(run_sec, loaded),) if ladder is None else parse_ladder(ladder),
+        subsets=((_run_subset(run_sec, loaded, budget),) if ladder is None
+                 else parse_ladder(ladder, budget)),
         n_max=_key(run_sec, "n_max", int, None),
         budget=budget,
         use_tail=_key(run_sec, "use_tail", bool, False),
@@ -350,19 +364,18 @@ def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
 # A handler reads its sections and returns (manifest extras, header, rows).
 
 def _pressure(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"])
+    loaded = _load_system(cfg["system"], budget)
     pot = parse_potential(_key(cfg["potential"], "expr", str, "psi"))
     run_sec = cfg["run"]
-    subset = _run_subset(run_sec, loaded)
-    n_max = _key(run_sec, "n_max", int, None)
-    tail = "family" if _key(run_sec, "use_tail", bool, False) else None
-    est = pressure_bracket(loaded.system, pot, subset, n_max=n_max, tail=tail, budget=budget)
+    subset = _run_subset(run_sec, loaded, budget)
+    est = pressure_bracket(loaded.system, pot, subset, n_max=_key(run_sec, "n_max", int, None),
+                           use_tail=_key(run_sec, "use_tail", bool, False), budget=budget)
     return ({"truncation": _truncation_text(est.truncation), "budget": budget},
             ["lower", "upper", "diverged"], [[est.lower, est.upper, est.diverged]])
 
 
 def _dimension(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"])
+    loaded = _load_system(cfg["system"], budget)
     trunc, tol = _truncation(cfg["run"], loaded, budget)
     res = bowen_dimension(loaded.system, trunc, tol=tol)
     return ({"truncation": _truncation_text(res.truncation), "certified": res.certified,
@@ -372,7 +385,7 @@ def _dimension(cfg: configparser.ConfigParser, budget: int):
 
 
 def _spectrum(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"])
+    loaded = _load_system(cfg["system"], budget)
     run_sec = cfg["run"]
     trunc, tol = _truncation(run_sec, loaded, budget)
     alphas = _numbers(_key(run_sec, "alphas", str), "[run] alphas")
@@ -383,10 +396,10 @@ def _spectrum(cfg: configparser.ConfigParser, budget: int):
 
 
 def _cover(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"])
+    loaded = _load_system(cfg["system"], budget)
     target = _load_target(cfg["target"])
     run_sec = cfg["run"]
-    subset = _run_subset(run_sec, loaded)
+    subset = _run_subset(run_sec, loaded, budget)
     report = cover_sum(loaded.system, target, s=_key(run_sec, "s", float),
                        m=_key(run_sec, "m", int), n_max=_key(run_sec, "n_max", int),
                        subset=subset, budget=budget)
@@ -395,10 +408,10 @@ def _cover(cfg: configparser.ConfigParser, budget: int):
 
 
 def _density(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"])
+    loaded = _load_system(cfg["system"], budget)
     target = _load_target(cfg["target"])
     run_sec = cfg["run"]
-    subset = _run_subset(run_sec, loaded)
+    subset = _run_subset(run_sec, loaded, budget)
     n = _key(run_sec, "n", int)
     r = _key(run_sec, "r", float)
     value = cylinder_density(loaded.system, target.y, n, r, subset, budget=budget)
@@ -406,7 +419,7 @@ def _density(cfg: configparser.ConfigParser, budget: int):
 
 
 def _hits(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"])
+    loaded = _load_system(cfg["system"], budget)
     target = _load_target(cfg["target"])
     run_sec = cfg["run"]
     code = _parse_code(_key(run_sec, "code", str))
@@ -426,11 +439,12 @@ def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
     ce = _load_counterexample(section)
     run_sec = cfg["run"]
     system_out = _key(run_sec, "system_out", str)
+    depth = _key(run_sec, "table_depth", int, ce.n0 + 8)
+    branches = _symbols([range(1, 3), range(ce.n0, depth + 1)], budget, "table_depth")
     _write_counterexample(ce, system_out, section)
     residual = verify_moran(ce)
     rows = [["summary", ce.beta, ce.n0, ce.log_r12, residual]]
-    depth = _key(run_sec, "table_depth", int, ce.n0 + 8)
-    for n in sorted({1, 2} | set(range(ce.n0, depth + 1))):
+    for n in sorted(branches):
         iv = ce.interval(n)
         rows.append([f"branch_{n}", ce.log_width(n), iv.lo, iv.hi, ""])
     return ({"system_out": system_out, "moran_residual": repr(residual)},
@@ -438,7 +452,7 @@ def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
 
 
 def _counterexample_verify(cfg: configparser.ConfigParser, budget: int):
-    ce = _load_system(cfg["system"]).counterexample
+    ce = _load_system(cfg["system"], budget).counterexample
     if ce is None:
         raise ConfigError("counterexample-verify needs a counterexample system")
     residual = verify_moran(ce)

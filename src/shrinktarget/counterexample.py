@@ -99,6 +99,19 @@ def _quad_tail(beta_like: float, m: int) -> float:
     return first / (1.0 - ratio)
 
 
+def _width_power_series(log_width: Callable[[int], float], exponent: float, start: int,
+                        slack: float, total: float = 0.0) -> tuple[float, float]:
+    """(total + sum_{n=start}^{m} width_n^exponent, _quad_tail(exponent, m))
+    for the first m >= start whose quadratic-domination tail is at most the
+    slack (m stops at start + 400); terms are added one at a time in order."""
+    m = start
+    while _quad_tail(exponent, m) > slack and m < start + 400:
+        m += 1
+    for n in range(start, m + 1):
+        total += math.exp(exponent * log_width(n))
+    return total, _quad_tail(exponent, m)
+
+
 @dataclass(frozen=True)
 class CounterexampleSystem:
     """The built system: two wide branches near 1 and one branch per gap
@@ -157,13 +170,8 @@ class CounterexampleSystem:
         The explicit range is extended until the quadratic-domination tail
         drops below the slack target.
         """
-        m = self.n0
-        while _quad_tail(exponent, m) > target_slack and m < self.n0 + 400:
-            m += 1
-        total = 0.0
-        for n in range(self.n0, m + 1):
-            total += math.exp(exponent * self.log_width(n))
-        return total, _quad_tail(exponent, m) + 1e-290
+        total, tail = _width_power_series(self.log_width, exponent, self.n0, target_slack)
+        return total, tail + 1e-290
 
     def as_system(self) -> MarkovSystem:
         if "system" not in self._cache:
@@ -213,9 +221,7 @@ def build(beta: float, phi: ShrinkFn, search_cap: int = 100_000) -> Counterexamp
     if n0 is None:
         raise RuntimeError(f"no threshold index below the search cap {search_cap}; "
                            "the shrink function appears not to vanish")
-    probe = CounterexampleSystem(beta=beta, phi=phi, n0=n0, log_r12=0.0,
-                                 v1=Interval(0.0, 0.0), v2=Interval(0.0, 0.0))
-    small_sum, small_tail = probe.power_sum_tail_certified(beta)
+    small_sum, _ = _width_power_series(lambda n: _log_raw_width(phi, n), beta, n0, 1e-14)
     remaining = 1.0 - small_sum
     if not (remaining > 0.0):
         raise RuntimeError("width-power series consumed the Moran budget")
@@ -246,14 +252,9 @@ def verify_moran(ce: CounterexampleSystem,
     """
     logw = width_override if width_override is not None else ce.log_width
     beta = ce.beta
-    m = ce.n0
-    while _quad_tail(beta, m) > 1e-14 and m < ce.n0 + 400:
-        m += 1
-    total = math.exp(beta * logw(1)) + math.exp(beta * logw(2))
-    for n in range(ce.n0, m + 1):
-        total += math.exp(beta * logw(n))
-    tail = _quad_tail(beta, m) + 1e-290
-    return abs(total - 1.0) + tail
+    total, tail = _width_power_series(logw, beta, ce.n0, 1e-14,
+                                      math.exp(beta * logw(1)) + math.exp(beta * logw(2)))
+    return abs(total - 1.0) + (tail + 1e-290)
 
 
 @dataclass(frozen=True)
@@ -286,14 +287,9 @@ def zero_dim_cover_report(ce: CounterexampleSystem, eps: float, m: int,
     base_upper = 2.0 * math.exp(eps * ce.log_r12) + explicit + tail
 
     def last_factor(n: int) -> float:
-        k0 = max(n, ce.n0)
-        mm = k0
-        while _quad_tail(eps, mm) > 1e-16 * math.exp(-float(n)) and mm < k0 + 400:
-            mm += 1
-        total = 0.0
-        for k in range(k0, mm + 1):
-            total += math.exp(eps * ce.log_width(k))
-        return total + _quad_tail(eps, mm) + 1e-290
+        total, tail = _width_power_series(ce.log_width, eps, max(n, ce.n0),
+                                          1e-16 * math.exp(-float(n)))
+        return total + tail + 1e-290
 
     per_level = []
     envelope = []

@@ -116,16 +116,8 @@ class _Solver:
     def _decide_once(self, s: float) -> tuple[int, tuple[float, float]]:
         """+1 when s is certified below the exponent, -1 when at/above,
         0 when the bracket straddles the shift; the bracket rides along."""
-        table = self._table()
-        tail = None
-        if self.trunc.use_tail:
-            rule = table.tail_rule()
-            tail = math.inf if rule is None else rule(s)
-        n_max = self.trunc.n_max
-        if n_max is None:
-            n_max = table.max_level()
-        self.n_used = max(self.n_used, n_max)
-        est = table.bracket(s, n_max=n_max, tail=tail)
+        est = self._table().bracket(s, n_max=self.trunc.n_max, use_tail=self.trunc.use_tail)
+        self.n_used = max(self.n_used, est.truncation[1])
         target = self.shift(s)
         if est.lower > target:
             return 1, (est.lower, est.upper)

@@ -9,37 +9,42 @@ exp(-end) with `end` an endpoint of the Birkhoff bracket of S_n(u).  The
 bounds); the "inf" mode uses the upper endpoint (a dominated sum, giving
 Fekete lower bounds for a pressure of the form P(-u)).
 
-Affine systems factor symbolwise and never enumerate words: the level-n
-partition sum of such an additive table is n times level 1, so a pressure
+``BirkhoffTable.bracket`` is the one entry point for pressure brackets: it
+picks the default depth and computes the branch family's tail itself, and
+the family supplies all per-symbol geometry.  A table is additive when its
+potential has no psi part or the family is affine (exact per-symbol psi,
+read from ``affine_terms``): its level n is the n-fold outer sum of its
+level-1 ends, so its level-n partition sum is n times level 1 and a pressure
 bracket takes one log-sum-exp per mode, whatever its depth.  For the other
-families ``BirkhoffTable`` builds level n+1 from level n: a word of length
+tables ``BirkhoffTable`` builds level n+1 from level n: a word of length
 n+1 is a word w of length n with one more outer branch s prepended, whose
-cylinder is phi_s(phi_w([0,1])).  One array step per symbol maps the
-intervals of every word at once to their children, adds -log of the bracket
-of |phi_s'| over each interval to the psi sums and adds the symbol's constant
-and table part to the additive sums; children are laid out parent-major, so
-the words come out in one fixed order.  Only the frontier one level behind
-the deepest cached level is kept (intervals and running sums); going one
-level deeper re-advances it once, at most 1/K of that level's work, and
-writes the new level's endpoints straight from the per-symbol sums, so no
-interval array of the deepest level is ever held.  Each log is padded one
-ulp outward with np.nextafter, because np.log may sit an ulp away from the
-correctly rounded value; the running sums are rounded to nearest.
+cylinder is phi_s(phi_w([0,1])).  One array step per symbol (the family's
+``map_intervals`` and ``deriv_brackets``) maps the intervals of every word
+at once to their children, adds -log of the bracket of |phi_s'| over each
+interval to the psi sums and adds the symbol's constant and table part to
+the additive sums; children are laid out parent-major, so the words come
+out in one fixed order, the order of ``word_sums``.  Only the frontier one
+level behind the deepest cached level is kept (intervals and running sums);
+going one level deeper re-advances it once, at most 1/K of that level's
+work, and writes the new level's endpoints straight from the per-symbol
+sums, so no interval array of the deepest level is ever held.  Each log is
+padded one ulp outward with np.nextafter, because np.log may sit an ulp away
+from the correctly rounded value; the running sums are rounded to nearest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .systems import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
-    Interval,
     MarkovSystem,
     Word,
     cylinder,
@@ -151,13 +156,12 @@ def _symbol_ends(flat: _Flat, i: int, psi: float = 0.0) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _per_symbol_psi_lo(sys: MarkovSystem, i: int) -> float:
-    """Lower endpoint of the psi bracket over branch i (depth 1)."""
-    lr = sys.branches.log_deriv_point(i)
-    if lr is not None:
-        return -lr
-    dlo, dhi = sys.branches.deriv_bracket(i, Interval(0.0, 1.0))
-    return -math.nextafter(math.log(dhi), math.inf)
+def _ends_array(flat: _Flat, symbols, psi=None) -> tuple[np.ndarray, np.ndarray]:
+    """_symbol_ends over the symbols as (lower ends, upper ends) arrays,
+    with psi[k] the psi value of symbols[k] (0.0 throughout when None)."""
+    ends = [_symbol_ends(flat, i, 0.0 if psi is None else psi[k])
+            for k, i in enumerate(symbols)]
+    return (np.array([lo for lo, _ in ends]), np.array([hi for _, hi in ends]))
 
 
 def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
@@ -205,10 +209,14 @@ class PressureEstimate:
 
 
 def _logsumexp(arr: np.ndarray) -> float:
+    """log sum exp(arr), overwriting arr: the caller's one temporary is
+    shifted and exponentiated in place."""
     m = float(np.max(arr))
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    np.subtract(arr, m, out=arr)
+    np.exp(arr, out=arr)
+    return m + math.log(float(np.sum(arr)))
 
 
 class _Frontier(NamedTuple):
@@ -233,33 +241,18 @@ def _log_down(x: np.ndarray) -> np.ndarray:
     return np.nextafter(np.log(x), -np.inf)
 
 
-def _deriv_brackets(fam, s: int, f: _Frontier) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket of |phi_s'| over each frontier interval: one call with the
-    frontier's arrays as the interval when the family is array-safe, one
-    call per interval otherwise."""
-    if fam.array_safe:
-        return fam.deriv_bracket(s, f)
-    ends = [fam.deriv_bracket(s, Interval(lo, hi))
-            for lo, hi in zip(f.lo.tolist(), f.hi.tolist())]
-    blo, bhi = np.array(ends, dtype=float).reshape(-1, 2).T
-    return blo, bhi
-
-
-def _images(fam, s: int, x: np.ndarray) -> np.ndarray:
-    """phi_s at each point of x, elementwise unless the family is array-safe."""
-    if fam.array_safe:
-        return fam.apply(s, x)
-    return np.array([fam.apply(s, v) for v in x.tolist()], dtype=float)
-
-
 class BirkhoffTable:
-    """Cached per-word Birkhoff bracket endpoints over F^n for one potential.
+    """Cached per-word Birkhoff bracket endpoints over F^n for one potential,
+    and the one entry point for pressure brackets (``bracket``).
 
     The table stores, for each level n, arrays (c_lo, c_hi) of bracket
     endpoints of S_n(u) over every word; levels are built incrementally
     (see the module docstring) and cached.  Partition sums for the scaled
     potential s*u are then single vectorized log-sum-exp passes, which is
-    what dimension bisections iterate.
+    what dimension bisections iterate.  ``base`` holds the per-symbol ends
+    of the constant and table parts of u; ``additive`` the level-1 ends
+    when the whole bracket is additive (no psi part, or an affine family),
+    else None.
     """
 
     def __init__(self, sys: MarkovSystem, pot: Potential, subset,
@@ -269,33 +262,25 @@ class BirkhoffTable:
         self.symbols = tuple(sorted(set(subset)))
         if not self.symbols:
             raise ValueError("alphabet subset must be nonempty")
+        fam = sys.branches
         for s in self.symbols:
-            sys.branches._check_symbol(s)
+            fam._check_symbol(s)
         self.budget = budget
-        self.flat = _flatten(pot)
+        self._flat = _flatten(pot)
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # interval frontier one level behind the deepest cached level
         self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)))
-        # per-symbol additive part (constant plus tables) of the level sums
-        base = [_symbol_ends(self.flat, i) for i in self.symbols]
-        self._base_lo = [lo for lo, _ in base]
-        self._base_hi = [hi for _, hi in base]
-        # the whole bracket is additive when psi is absent or exact per symbol
+        self.base = _ends_array(self._flat, self.symbols)
         self.additive: tuple[np.ndarray, np.ndarray] | None = None
-        log_ds = [sys.branches.log_deriv_point(i) for i in self.symbols]
-        if self.flat.psi_coef == 0.0:
-            self.additive = (np.array(self._base_lo), np.array(self._base_hi))
-        elif None not in log_ds:
-            ends = [_symbol_ends(self.flat, i, -lr) for i, lr in zip(self.symbols, log_ds)]
-            self.additive = (np.array([lo for lo, _ in ends]),
-                             np.array([hi for _, hi in ends]))
-
-    def max_level(self) -> int:
-        """Deepest level whose word count fits the budget (at least 1)."""
-        return self._max_level
+        if self._flat.psi_coef == 0.0:
+            self.additive = self.base
+        elif fam.is_affine:
+            self.additive = _ends_array(self._flat, self.symbols,
+                                        [fam.psi_bracket(i)[0] for i in self.symbols])
 
     @cached_property
     def _max_level(self) -> int:
+        """Deepest level whose word count fits the budget (at least 1)."""
         k = len(self.symbols)
         if k == 1:
             raise ValueError("a one-symbol subset has one word at every level, "
@@ -305,9 +290,18 @@ class BirkhoffTable:
             n += 1
         return n
 
+    def word_sums(self, values: np.ndarray, n: int) -> np.ndarray:
+        """Sum over each word of F^n of per-symbol values (values[k] for the
+        k-th symbol of F), in level order: child k of word p sits at p*K + k,
+        and each sum adds the symbols in the order they were appended."""
+        sums = values
+        for _ in range(n - 1):
+            sums = np.add.outer(sums, values).ravel()
+        return sums
+
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(c_lo, c_hi) arrays over all words of length n (enumeration order
-        is deterministic)."""
+        is deterministic).  An additive table sums its level-1 ends."""
         if n in self._levels:
             return self._levels[n]
         if n < 1:
@@ -315,6 +309,9 @@ class BirkhoffTable:
         count = len(self.symbols) ** n
         if count > self.budget:
             raise BudgetExceededError("partition", count, self.budget)
+        if self.additive is not None:
+            self._levels[n] = tuple(self.word_sums(ends, n) for ends in self.additive)
+            return self._levels[n]
         while len(self._levels) < n:
             depth = len(self._levels)
             if depth:
@@ -328,10 +325,11 @@ class BirkhoffTable:
         over the frontier.  Prepending s_k composes one more outer branch,
         so the psi sums gain -log of the bracket of |phi_s'| over phi_w([0,1])."""
         fam = self.sys.branches
+        base_lo, base_hi = self.base
         for k, s in enumerate(self.symbols):
-            blo, bhi = _deriv_brackets(fam, s, f)
+            blo, bhi = fam.deriv_brackets(s, f)
             yield (k, f.psi_lo - _log_up(bhi), f.psi_hi - _log_down(blo),
-                   f.add_lo + self._base_lo[k], f.add_hi + self._base_hi[k])
+                   f.add_lo + base_lo[k], f.add_hi + base_hi[k])
 
     def _advance(self, f: _Frontier) -> _Frontier:
         """The frontier one level deeper: child k of parent p sits at p*K + k."""
@@ -339,10 +337,7 @@ class BirkhoffTable:
         shape = (len(f.lo), len(self.symbols))
         out = _Frontier(*(np.empty(shape) for _ in _Frontier._fields))
         for k, psi_lo, psi_hi, add_lo, add_hi in self._child_sums(f):
-            a = _images(fam, self.symbols[k], f.lo)
-            b = _images(fam, self.symbols[k], f.hi)
-            out.lo[:, k] = np.minimum(a, b)
-            out.hi[:, k] = np.maximum(a, b)
+            out.lo[:, k], out.hi[:, k] = fam.map_intervals(self.symbols[k], f)
             out.psi_lo[:, k] = psi_lo
             out.psi_hi[:, k] = psi_hi
             out.add_lo[:, k] = add_lo
@@ -355,7 +350,7 @@ class BirkhoffTable:
         shape = (len(f.lo), len(self.symbols))
         c_lo = np.empty(shape)
         c_hi = np.empty(shape)
-        pc = self.flat.psi_coef
+        pc = self._flat.psi_coef
         for k, psi_lo, psi_hi, add_lo, add_hi in self._child_sums(f):
             c_lo[:, k] = pc * psi_lo + add_lo
             c_hi[:, k] = pc * psi_hi + add_hi
@@ -369,78 +364,72 @@ class BirkhoffTable:
         if self.additive is not None:
             lo1, hi1 = self.additive
             c = lo1 if mode == "sup" else hi1
-            return n * _logsumexp(-scale * c)
+            return n * _logsumexp(np.multiply(c, -scale))
         c_lo, c_hi = self.level(n)
         c = c_lo if mode == "sup" else c_hi
-        return _logsumexp(-scale * c)
-
-    def tail_rule(self) -> Callable[[float], float] | None:
-        """Bound for the depth-1 dominating weight sum beyond F, as a
-        function of the overall scale; None when no closed form applies."""
-        return self._tail_rule
+        return _logsumexp(np.multiply(c, -scale))
 
     @cached_property
-    def _tail_rule(self) -> Callable[[float], float] | None:
+    def _skipped_ends(self) -> list[float] | None:
+        """Lower bracket ends of the potential on the family's symbols
+        outside F (for a countable family, those below max F), each with
+        the family's depth-1 psi bracket; None when no closed form joins a
+        raw table with a countable family's tail."""
         fam = self.sys.branches
+        if not fam.finite and self._flat.tables:
+            return None
         chosen = set(self.symbols)
-        if fam.finite:
-            skipped = [i for i in fam.symbols() if i not in chosen]
-        elif self.flat.tables:
-            return None  # no closed form joins a raw table with the family tail
-        else:
-            kmax = max(self.symbols)
-            skipped = [i for i in _family_symbols_upto(fam, kmax) if i not in chosen]
-        ends = [_symbol_ends(self.flat, i, _per_symbol_psi_lo(self.sys, i))[0]
-                for i in skipped]
-        if fam.finite:
-            return lambda scale: sum((math.exp(-scale * e) for e in ends), 0.0)
-        a = self.flat.psi_coef
-        b = self.flat.const
+        kmax = self.symbols[-1]
+        symbols = fam.symbols() if fam.finite else itertools.takewhile(
+            lambda i: i <= kmax, fam.symbols())
+        return [_symbol_ends(self._flat, i, fam.psi_bracket(i)[0])[0]
+                for i in symbols if i not in chosen]
 
-        def rule(scale: float) -> float:
-            tail = fam.tail_weight_sum(scale * a, kmax) * math.exp(-scale * b)
-            return tail + sum(math.exp(-scale * e) for e in ends)
-
-        return rule
+    def _tail(self, scale: float) -> float:
+        """Bound for the depth-1 dominating weight sum beyond F (+inf when
+        no closed form applies): the skipped symbols, plus the family's
+        closed form beyond max F (0 for a finite family)."""
+        ends = self._skipped_ends
+        if ends is None:
+            return math.inf
+        beyond = self.sys.branches.tail_weight_sum(scale * self._flat.psi_coef,
+                                                   self.symbols[-1])
+        return (beyond * math.exp(-scale * self._flat.const)
+                + sum(math.exp(-scale * e) for e in ends))
 
     def bracket(self, scale: float, n_max: int | None = None,
-                tail: float | None = None) -> PressureEstimate:
+                use_tail: bool = False) -> PressureEstimate:
         """Two-sided estimate of P(-scale*u) over the truncation.
 
-        ``tail``: certified bound for the depth-1 dominating weight sum of
-        the alphabet beyond F (None for subsystem semantics).  With a tail
-        the upper bound is the depth-1 dominated sum; without it, deeper
-        levels sharpen the upper bound by submultiplicativity.  An additive
-        table reads level 1 alone, whatever n_max is: its level n is exactly
-        n times level 1, so level 1 is already the pressure bracket.
+        ``n_max`` defaults to the deepest level within the budget.  Without
+        ``use_tail`` the upper bound certifies the F-subsystem, and deeper
+        levels sharpen it by submultiplicativity.  With it the upper bound
+        is the depth-1 dominated sum plus the family's closed-form tail
+        beyond F, dominating the full alphabet; an infinite tail (none
+        known, or a divergent series) sets ``diverged`` and upper = +inf.
+        An additive table reads level 1 alone, whatever n_max is: its level
+        n is exactly n times level 1, so level 1 is already the bracket.
         """
         if n_max is None:
-            n_max = self.max_level()
+            n_max = self._max_level
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         levels = range(1, 2 if self.additive is not None else n_max + 1)
         lower = max(self.partition(scale, n, "inf") / n for n in levels)
-        if tail is None:
+        diverged = False
+        if not use_tail:
             upper = min(self.partition(scale, n, "sup") / n for n in levels)
-            diverged = False
         else:
+            tail = self._tail(scale)
             diverged = not math.isfinite(tail)
             if diverged:
                 upper = math.inf
             else:
                 z1 = self.partition(scale, 1, "sup")
-                upper = np.logaddexp(z1, math.log(tail)) if tail > 0.0 else z1
-                upper = float(upper)
+                upper = float(np.logaddexp(z1, math.log(tail))) if tail > 0.0 else z1
         return PressureEstimate(lower=lower, upper=upper,
                                 truncation=(frozenset(self.symbols), n_max),
                                 diverged=diverged)
-
-
-def _family_symbols_upto(fam, kmax: int) -> Iterator[int]:
-    for i in fam.symbols():
-        if i > kmax:
-            return
-        yield i
 
 
 def partition_sum(sys: MarkovSystem, pot: Potential, subset, n: int, mode: str,
@@ -456,27 +445,16 @@ def partition_sum(sys: MarkovSystem, pot: Potential, subset, n: int, mode: str,
 
 
 def pressure_bracket(sys: MarkovSystem, pot: Potential, subset,
-                     n_max: int | None = None,
-                     tail: float | str | None = None,
+                     n_max: int | None = None, use_tail: bool = False,
                      budget: int = DEFAULT_WORD_BUDGET) -> PressureEstimate:
     """Two-sided truncated estimate of P(-pot) over the finite subset.
 
     The lower bound is the best Fekete (supermultiplicative) level value of
     the dominated sums, valid for the full system.  Without a tail the upper
     bound is the best submultiplicative level value of the dominating sums
-    and certifies the F-subsystem; pass ``tail="family"`` (closed form from
-    the branch family) or an explicit beyond-F bound to dominate the full
-    countable alphabet, at the price of a depth-1 upper bound.  An infinite
-    tail sets ``diverged`` and upper = +inf; finite-F lower bounds remain
-    valid.
+    and certifies the F-subsystem; ``use_tail`` adds the branch family's
+    closed-form tail to dominate the full countable alphabet, at the price
+    of a depth-1 upper bound (see ``BirkhoffTable.bracket``).
     """
     table = BirkhoffTable(sys, pot, subset, budget=budget)
-    tail_value: float | None
-    if tail == "family":
-        rule = table.tail_rule()
-        tail_value = math.inf if rule is None else rule(1.0)
-    elif tail is None:
-        tail_value = None
-    else:
-        tail_value = float(tail)
-    return table.bracket(1.0, n_max=n_max, tail=tail_value)
+    return table.bracket(1.0, n_max=n_max, use_tail=use_tail)

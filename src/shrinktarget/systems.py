@@ -6,16 +6,24 @@ over finite symbol words give nested cylinder intervals.  This module
 provides cylinder geometry, symbolic coding of points and projection of
 symbol words back to the line.
 
-All cylinder geometry (interval, diameter, derivative bracket and the
-bracket of S_n psi = -log|phi_w'|) comes from the family's forward composer,
-extended one symbol at a time in word order.  Affine families keep the
-running interval, the ratio product and the sum of -log ratios, so their
-brackets are exact points.  The Gauss family keeps the exact integer
-continuants of phi_w(t) = (p_n + t p_{n-1}) / (q_n + t q_{n-1}): correctly
-rounded endpoints and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2].  Other
-families evaluate the stored word inside-out, bracketing each branch
-derivative by outward-rounded interval evaluation on the current nested
-interval.  Derivative and psi brackets contain the true ranges over [0,1].
+Each family owns its geometry.  All cylinder geometry (interval, diameter,
+derivative bracket and the bracket of S_n psi = -log|phi_w'|) comes from the
+family's forward composer, extended one symbol at a time in word order.
+Affine families keep the running interval, the ratio product and the sum of
+-log ratios, all read from ``affine_terms``, so their brackets are exact
+points.  The Gauss family keeps the exact integer continuants of
+phi_w(t) = (p_n + t p_{n-1}) / (q_n + t q_{n-1}): correctly rounded
+endpoints and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2].  Other families
+evaluate the stored word inside-out, bracketing each branch derivative by
+outward-rounded interval evaluation on the current nested interval.
+Derivative and psi brackets contain the true ranges over [0,1];
+``psi_bracket(i)`` is the depth-1 psi bracket of a symbol.
+
+Non-affine families also give ``apply`` and ``deriv_bracket`` point by
+point, and their array forms ``map_intervals`` and ``deriv_brackets``, which
+the pressure level kernel calls on every interval of a level at once: the
+base class calls the scalar methods once per interval, the Gauss family
+calls its own once on whole numpy arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "Word",
@@ -140,10 +150,6 @@ class BranchFamily:
 
     finite: bool = True
     is_affine: bool = False
-    # True when apply and deriv_bracket work elementwise on numpy arrays
-    # (x, and the .lo/.hi of the interval argument); level builds then take
-    # one call per symbol instead of one per word.
-    array_safe: bool = False
 
     def contains_symbol(self, i: int) -> bool:
         raise NotImplementedError
@@ -163,6 +169,25 @@ class BranchFamily:
         """Outward bracket of |phi_i'| over the subinterval j."""
         raise NotImplementedError
 
+    def deriv_brackets(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
+        """deriv_bracket over every interval [span.lo[k], span.hi[k]] of the
+        numpy arrays span.lo and span.hi, as arrays of lower and upper ends."""
+        ends = [self.deriv_bracket(i, Interval(lo, hi))
+                for lo, hi in zip(span.lo.tolist(), span.hi.tolist())]
+        dlo, dhi = np.array(ends, dtype=float).reshape(-1, 2).T
+        return dlo, dhi
+
+    def map_intervals(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
+        """phi_i of every interval [span.lo[k], span.hi[k]], as arrays of
+        lower and upper ends."""
+        a = np.array([self.apply(i, x) for x in span.lo.tolist()], dtype=float)
+        b = np.array([self.apply(i, x) for x in span.hi.tolist()], dtype=float)
+        return np.minimum(a, b), np.maximum(a, b)
+
+    def psi_bracket(self, i: int) -> tuple[float, float]:
+        """Bracket of -log|phi_i'| over [0,1], read from the composer."""
+        return self.composer().child(i).geometry()[3]
+
     def locate(self, x: float) -> int | None:
         """Lowest-indexed branch whose closed image contains x, if any."""
         raise NotImplementedError
@@ -170,10 +195,6 @@ class BranchFamily:
     def inverse(self, i: int, x: float) -> float:
         """The forward map T restricted to branch i (inverse of phi_i)."""
         raise NotImplementedError
-
-    def log_deriv_point(self, i: int) -> float | None:
-        """Exact log|phi_i'| when the branch derivative is constant, else None."""
-        return None
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         """Upper bound for sum_{i > beyond} sup|phi_i'|^exponent.
@@ -204,6 +225,10 @@ class _AffineBranches(BranchFamily):
 
     def composer(self):
         return _AffineComposer(self)
+
+    def psi_bracket(self, i: int) -> tuple[float, float]:
+        psi = self.affine_terms(i)[3]
+        return (psi, psi)
 
 
 class AffineFamily(_AffineBranches):
@@ -250,14 +275,6 @@ class AffineFamily(_AffineBranches):
         self._check_symbol(i)
         return self.images[i - 1]
 
-    def apply(self, i: int, x: float) -> float:
-        iv = self.images[i - 1]
-        return _clamp01(iv.lo + iv.width * x)
-
-    def deriv_bracket(self, i: int, j: Interval) -> tuple[float, float]:
-        r = self.ratios[i - 1]
-        return (r, r)
-
     def locate(self, x: float) -> int | None:
         for i, iv in enumerate(self.images, start=1):
             if iv.contains(x):
@@ -267,9 +284,6 @@ class AffineFamily(_AffineBranches):
     def inverse(self, i: int, x: float) -> float:
         iv = self.images[i - 1]
         return _clamp01((x - iv.lo) / iv.width)
-
-    def log_deriv_point(self, i: int) -> float | None:
-        return math.log(self.ratios[i - 1])
 
 
 class AffineCountableFamily(_AffineBranches):
@@ -312,13 +326,6 @@ class AffineCountableFamily(_AffineBranches):
         lo = self.left(i)
         return Interval(lo, min(1.0, lo + math.exp(self.log_width(i))))
 
-    def apply(self, i: int, x: float) -> float:
-        return _clamp01(self.left(i) + math.exp(self.log_width(i)) * x)
-
-    def deriv_bracket(self, i: int, j: Interval) -> tuple[float, float]:
-        w = math.exp(self.log_width(i))
-        return (w, w)
-
     def locate(self, x: float) -> int | None:
         if self._locate_fn is not None:
             return self._locate_fn(x)
@@ -333,9 +340,6 @@ class AffineCountableFamily(_AffineBranches):
             raise ValueError(f"branch {i} width underflows; cannot invert")
         return _clamp01((x - self.left(i)) / w)
 
-    def log_deriv_point(self, i: int) -> float | None:
-        return self.log_width(i)
-
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         return self.tail_sum(exponent, beyond)
 
@@ -344,7 +348,6 @@ class GaussFamily(BranchFamily):
     """Inverse branches of the Gauss map: phi_i(x) = 1/(i + x), i >= 1."""
 
     finite = False
-    array_safe = True
 
     def contains_symbol(self, i: int) -> bool:
         return i >= 1
@@ -365,6 +368,15 @@ class GaussFamily(BranchFamily):
         a = i + j.hi
         b = i + j.lo
         return (_down(1.0 / (a * a)), _up(1.0 / (b * b)))
+
+    # apply and deriv_bracket work elementwise on numpy arrays as they stand
+
+    def deriv_brackets(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
+        return self.deriv_bracket(i, span)
+
+    def map_intervals(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
+        # phi_i is decreasing
+        return self.apply(i, span.hi), self.apply(i, span.lo)
 
     def locate(self, x: float) -> int | None:
         if x <= 0.0 or x > 1.0:

@@ -21,7 +21,6 @@ from .pressure import (
     LogDerivative,
     Potential,
     Sum,
-    _symbol_ends,
     birkhoff_bracket,
 )
 from .systems import (
@@ -130,14 +129,15 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     the lower end of the Birkhoff bracket of S_n(psi + phi) over the
     cylinder of the word w, so a level sum is a dominating partition sum
     of -s(psi + phi) read from one ``BirkhoffTable`` (levels built
-    incrementally, every log padded one ulp outward; affine systems factor
-    symbolwise and enumerate nothing).  A word contributes only when the
+    incrementally with every log padded one ulp outward; on affine systems,
+    sums of exact per-symbol ends).  A word contributes only when the
     ball of radius exp(-r_w) around y meets some branch image of the
     subset (otherwise the orbit segment cannot both return to the
     subsystem and hit the target), with r_w the sum over the word of the
-    lower ends of the constant and table parts of phi; any psi part of
-    phi is left out of this prune test.  When r_w is the same n*r for
-    every word, the level is either empty or the whole partition sum.
+    lower ends of the constant and table parts of phi (the table's
+    ``base``, summed by its ``word_sums``); any psi part of phi is left out
+    of this prune test.  When r_w is the same n*r for every word, the level
+    is either empty or the whole partition sum.
     """
     if s <= 0.0:
         raise ValueError("exponent s must be positive")
@@ -147,10 +147,8 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     table = BirkhoffTable(sys, Sum(LogDerivative(), rate), subset, budget=budget)
     symbols = table.symbols
     dist = _min_distance(target.y, [sys.branches.branch_interval(i) for i in symbols])
-    reach = np.array([_symbol_ends(table.flat, i)[0] for i in symbols])
+    reach = table.base[0]
     uniform = bool(np.all(reach == reach[0]))
-    reach_n = np.zeros(1)  # r_w per word, in the table's word order
-
     per_level: list[tuple[int, float]] = []
     total = 0.0
     for n in range(m, n_max + 1):
@@ -161,9 +159,7 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
             level = 0.0 if dist >= math.exp(-n * reach[0]) \
                 else math.exp(table.partition(s, n, "sup"))
         else:
-            while len(reach_n) < count:
-                # child k of word p sits at p*K + k, as in the table's levels
-                reach_n = np.add.outer(reach_n, reach).ravel()
+            reach_n = table.word_sums(reach, n)
             c_lo = table.level(n)[0]
             level = float(np.sum(np.exp(-s * c_lo[dist < np.exp(-reach_n)])))
         per_level.append((n, level))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -387,14 +388,47 @@ def test_seq_flag_removed(tmp_path, capsys):
     assert info.value.code == 2
 
 
-def run_cli(args, timeout=60):
+def run_cli(args, timeout=60, address_space=None):
     """The CLI in a child process, so that a hang fails the test instead of
-    stalling the suite."""
+    stalling the suite; ``address_space`` caps the child's memory in bytes,
+    so that a runaway allocation fails instead of exhausting the machine."""
     env = dict(os.environ)
     src = str(Path(shrinktarget.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cap = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run([sys.executable, "-m", "shrinktarget.cli", *args],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=env,
+                          preexec_fn=cap)
+
+
+_OVERSIZE = {
+    "gauss-truncation": ("dimension", "[system]\nkind = gauss\ntruncation = 1000000000\n"
+                         "[run]\nn_max = 2\n"),
+    "counterexample-truncation": ("dimension", "[system]\nkind = counterexample\nbeta = 0.5\n"
+                                  "phi = power:1\ntruncation = 1000000000\n[run]\nn_max = 1\n"),
+    "subset": ("pressure", "[system]\nkind = gauss\n[potential]\nexpr = psi\n"
+               "[run]\nsubset = 1..1000000000\n"),
+    "ladder": ("dimension", "[system]\nkind = gauss\n[run]\nladder = 1..4; 1..1000000000\n"
+               "n_max = 2\n"),
+    "table-depth": ("counterexample-build", "[system]\nkind = counterexample\nbeta = 0.5\n"
+                    "phi = power:1\n[run]\nsystem_out = {out}\ntable_depth = 1000000000\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZE))
+def test_oversize_keys_exit_3_before_allocating(tmp_path, name):
+    # each key asks for 10^9 symbols or table rows, tens of GB as Python
+    # sets; under a 1.5 GB cap an allocation would die with MemoryError
+    command, text = _OVERSIZE[name]
+    system_out = tmp_path / "ce.ini"
+    cfg = write(tmp_path, "big.ini", text.format(out=system_out))
+    proc = run_cli([command, "--config", cfg, "--budget", "5000"], timeout=30,
+                   address_space=1536 << 20)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: budget '") and "1e+09" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert not system_out.exists()
 
 
 def test_reversed_subset_range_exits_2(tmp_path):

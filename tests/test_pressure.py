@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,8 +25,10 @@ from shrinktarget import (
     pressure_bracket,
 )
 from shrinktarget import pressure
-from shrinktarget.cli import _geometric_countable
-from shrinktarget.pressure import _flatten, _per_symbol_psi_lo
+from shrinktarget.cli import _geometric_countable, main
+from shrinktarget.dimension import Truncation, _Solver
+from shrinktarget.pressure import _flatten
+from shrinktarget.systems import BranchFamily
 
 PSI = LogDerivative()
 
@@ -65,9 +68,12 @@ def test_birkhoff_gauss_psi_bracket_contains_mpmath_values():
                 log_deriv -= 2 * mp.log(s + point)
                 point = 1 / (s + point)
             assert lo <= -log_deriv <= hi
-    for i in range(1, 40):
-        # depth-1 tail ends: -log sup|phi_i'| = 2 log i
-        assert _per_symbol_psi_lo(sys, i) <= 2 * mp.log(i)
+    # depth-1 psi ends, in the table and in the family (tail ends):
+    # -log sup|phi_i'| = 2 log i
+    level_one = BirkhoffTable(sys, PSI, range(1, 40)).level(1)[0]
+    for i, lo in zip(range(1, 40), level_one):
+        assert lo <= 2 * mp.log(i)
+        assert sys.branches.psi_bracket(i)[0] <= 2 * mp.log(i)
 
 
 @pytest.mark.parametrize("word", [(1,) * 800, (1,) * 3000, (2, 1, 5, 3) * 750],
@@ -175,7 +181,7 @@ def test_pressure_thirds_moran_zero():
 
 def test_pressure_gauss_diverges_below_half():
     sys = gauss_system()
-    est = pressure_bracket(sys, Scale(0.4, PSI), {1, 2, 3}, n_max=2, tail="family")
+    est = pressure_bracket(sys, Scale(0.4, PSI), {1, 2, 3}, n_max=2, use_tail=True)
     assert est.diverged
     assert est.upper == math.inf
     assert math.isfinite(est.lower)
@@ -183,7 +189,7 @@ def test_pressure_gauss_diverges_below_half():
 
 def test_pressure_gauss_tail_converges_above_half():
     sys = gauss_system()
-    est = pressure_bracket(sys, Scale(1.0, PSI), range(1, 9), n_max=2, tail="family")
+    est = pressure_bracket(sys, Scale(1.0, PSI), range(1, 9), n_max=2, use_tail=True)
     assert not est.diverged
     assert math.isfinite(est.upper)
     assert est.lower <= est.upper
@@ -194,7 +200,7 @@ def test_pressure_gauss_tail_converges_above_half():
 def test_pressure_no_tail_leaves_upper_infinite_for_table_potentials():
     sys = gauss_system()
     pot = Sum(PSI, PerSymbolBracket(table=lambda i: (0.0, 1.0 / i)))
-    est = pressure_bracket(sys, pot, {1, 2}, n_max=2, tail="family")
+    est = pressure_bracket(sys, pot, {1, 2}, n_max=2, use_tail=True)
     assert est.upper == math.inf
     assert math.isfinite(est.lower)
 
@@ -203,7 +209,8 @@ def test_pressure_no_tail_leaves_upper_infinite_for_table_potentials():
 
 
 def per_level_bracket(table, scale, n_max, tail=None):
-    """The bracket summed level by level: max/min over n of partition / n."""
+    """The bracket summed level by level: max/min over n of partition / n,
+    or with a tail value the depth-1 sup sum joined with the tail."""
     lower = -math.inf
     for n in range(1, n_max + 1):
         lower = max(lower, table.partition(scale, n, "inf") / n)
@@ -216,26 +223,39 @@ def per_level_bracket(table, scale, n_max, tail=None):
     return lower, upper
 
 
+def _geometric_tail(sys, scale):
+    # the family's closed form beyond symbol 8 for psi + 0.1; F = 1..8 skips
+    # no symbol below it
+    return sys.branches.tail_weight_sum(scale, 8) * math.exp(-scale * 0.1)
+
+
 ADDITIVE_TABLES = {
-    "doubling": (doubling_map, PSI, {1, 2}, False),
-    "affine-4": (lambda: affine_system([0.3, 0.25, 0.2, 0.15]), PSI, {1, 2, 3, 4}, False),
+    "doubling": (doubling_map, PSI, {1, 2}, None),
+    "affine-4": (lambda: affine_system([0.3, 0.25, 0.2, 0.15]), PSI, {1, 2, 3, 4}, None),
     "geometric-tail": (lambda: _geometric_countable(0.5, 0.5), Sum(PSI, Constant(0.1)),
-                       range(1, 9), True),
+                       range(1, 9), _geometric_tail),
     "per-symbol": (gauss_system, PerSymbolBracket.from_mapping(
-        {1: (0.1, 0.3), 2: (0.7, 0.9), 3: (1.2, 1.6)}), {1, 2, 3}, False),
+        {1: (0.1, 0.3), 2: (0.7, 0.9), 3: (1.2, 1.6)}), {1, 2, 3}, None),
 }
+
+
+def default_depth(table):
+    """Deepest level whose word count fits the table's budget."""
+    k = len(table.symbols)
+    return max(n for n in range(1, 64) if k ** n <= table.budget)
 
 
 @pytest.mark.parametrize("name", sorted(ADDITIVE_TABLES))
 @pytest.mark.parametrize("n_max", [1, 5, None])
 @pytest.mark.parametrize("scale", [1e-6, 0.37, 1.0, 2.5])
 def test_additive_bracket_matches_per_level_sums(name, n_max, scale):
-    make_sys, pot, subset, use_tail = ADDITIVE_TABLES[name]
-    table = BirkhoffTable(make_sys(), pot, subset)
+    make_sys, pot, subset, tail_of = ADDITIVE_TABLES[name]
+    sys = make_sys()
+    table = BirkhoffTable(sys, pot, subset)
     assert table.additive is not None
-    tail = table.tail_rule()(scale) if use_tail else None
-    est = table.bracket(scale, n_max=n_max, tail=tail)
-    depth = table.max_level() if n_max is None else n_max
+    tail = tail_of(sys, scale) if tail_of else None
+    est = table.bracket(scale, n_max=n_max, use_tail=tail_of is not None)
+    depth = default_depth(table) if n_max is None else n_max
     assert est.truncation[1] == depth
     # level n is exactly n times level 1: the bracket is level 1, bit for bit
     assert (est.lower, est.upper) == per_level_bracket(table, scale, 1, tail)
@@ -243,6 +263,57 @@ def test_additive_bracket_matches_per_level_sums(name, n_max, scale):
     # n * z1 / n may sit an ulp inside level 1
     lower, upper = per_level_bracket(table, scale, depth, tail)
     assert est.lower <= lower and upper <= est.upper
+
+
+@pytest.mark.parametrize("name", sorted(ADDITIVE_TABLES))
+def test_additive_level_is_the_outer_sum_of_level_one(name):
+    make_sys, pot, subset, _ = ADDITIVE_TABLES[name]
+    table = BirkhoffTable(make_sys(), pot, subset)
+    ones = table.level(1)
+    for n in (2, 3, 4):
+        level = table.level(n)
+        for got, one in zip(level, ones):
+            # the last symbol of a word varies fastest; its sum adds the
+            # symbols left to right
+            want = [sum(one[k] for k in word)
+                    for word in itertools.product(range(len(one)), repeat=n)]
+            assert np.array_equal(got, np.array(want))
+        for scale in (0.37, 1.0, 2.5):
+            for mode, c in zip(("sup", "inf"), level):
+                lse = math.log(math.fsum(math.exp(-scale * v) for v in c))
+                assert lse == pytest.approx(n * table.partition(scale, 1, mode),
+                                            rel=0.0, abs=1e-12)
+
+
+# P(-s psi) with the family tail over F = 1..8: (system, s, n_max, [system]
+# keys, repr of the lower and upper ends); the API, one solver step and the
+# CLI all give these brackets
+TAIL_BRACKETS = {
+    "gauss": (gauss_system, 0.8, 3, "kind = gauss",
+              ("0.05614776515131936", "0.8342635277850832")),
+    "geometric": (lambda: _geometric_countable(0.3, 0.6), 0.7, None,
+                  "kind = affine_countable\nwidths = geometric:0.3,0.6",
+                  ("0.3001518446211101", "0.35908802392240263")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_BRACKETS))
+def test_tail_brackets_agree_across_api_solver_and_cli(tmp_path, name):
+    make_sys, s, n_max, system_keys, want = TAIL_BRACKETS[name]
+    sys = make_sys()
+    est = pressure_bracket(sys, Scale(s, PSI), range(1, 9), n_max=n_max, use_tail=True)
+    assert (repr(est.lower), repr(est.upper)) == want
+    solver = _Solver(sys, PSI, lambda s: 0.0,
+                     Truncation.single(range(1, 9), n_max=n_max, use_tail=True))
+    sign, (lower, upper) = solver._decide_once(s)
+    assert (sign, repr(lower), repr(upper)) == (1, *want)
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(f"[system]\n{system_keys}\n[potential]\nexpr = scale({s}, psi)\n"
+                   f"[run]\nsubset = 1..8\n{f'n_max = {n_max}' if n_max else ''}\n"
+                   "use_tail = true\n")
+    out = tmp_path / "p.csv"
+    assert main(["pressure", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == f"{want[0]},{want[1]},False"
 
 
 def test_additive_bracket_ignores_depth():
@@ -260,22 +331,29 @@ def test_additive_bracket_takes_one_logsumexp_per_mode(monkeypatch, n_max, use_t
     real = pressure._logsumexp
     monkeypatch.setattr(pressure, "_logsumexp", lambda arr: calls.append(1) or real(arr))
     table = BirkhoffTable(_geometric_countable(0.5, 0.5), PSI, range(1, 9))
-    tail = table.tail_rule()(1.0) if use_tail else None
-    table.bracket(1.0, n_max=n_max, tail=tail)
+    table.bracket(1.0, n_max=n_max, use_tail=use_tail)
     assert len(calls) <= 2
 
 
-def test_table_rules_are_built_once():
-    table = BirkhoffTable(_geometric_countable(0.5, 0.5), PSI, range(1, 9))
-    assert table.tail_rule() is table.tail_rule()
-    assert table.max_level() == 7  # 8**7 <= 10**7 < 8**8
+def test_table_rules_are_built_once(monkeypatch):
+    sys = _geometric_countable(0.5, 0.5)
+    calls = []
+    real = sys.branches.psi_bracket
+    monkeypatch.setattr(sys.branches, "psi_bracket", lambda i: calls.append(i) or real(i))
+    # symbol 4 is skipped below max F, so the tail reads its psi bracket
+    table = BirkhoffTable(sys, PSI, {1, 2, 3, 5, 6, 7, 8, 9})
+    calls.clear()
+    first = table.bracket(1.0, use_tail=True)
+    assert table.bracket(1.0, use_tail=True) == first
+    assert calls == [4]
+    assert first.truncation[1] == 7  # 8**7 <= 10**7 < 8**8
 
 
 def test_one_symbol_subset_needs_n_max():
     with pytest.raises(ValueError, match="set n_max"):
         pressure_bracket(doubling_map(), PSI, {1})
     with pytest.raises(ValueError, match="set n_max"):
-        BirkhoffTable(gauss_system(), PSI, {2}).max_level()
+        BirkhoffTable(gauss_system(), PSI, {2}).bracket(1.0)
     est = pressure_bracket(doubling_map(), PSI, {1}, n_max=3)
     assert est.lower == est.upper == -math.log(2.0)
     assert est.truncation == (frozenset({1}), 3)
@@ -429,9 +507,11 @@ def test_level_request_order_does_not_matter():
 
 
 class _PerElementGauss(GaussFamily):
-    """Gauss branches without the array fast path, counting calls."""
+    """Gauss branches through the base class's per-element array step,
+    counting calls."""
 
-    array_safe = False
+    deriv_brackets = BranchFamily.deriv_brackets
+    map_intervals = BranchFamily.map_intervals
 
     def __init__(self):
         self.calls = 0

@@ -134,11 +134,14 @@ def _cover_level_oracle(sys, target, s, n, subset):
             total += math.exp(-s * (pc * psi_lo + phi_lo))
             continue
         for k, sym in enumerate(symbols):
-            blo, bhi = fam.deriv_bracket(sym, Interval(lo, hi))
-            a = fam.apply(sym, lo)
-            b = fam.apply(sym, hi)
+            if fam.is_affine:
+                # |phi_sym'| is the ratio r everywhere: psi gains exactly -log r
+                step, a, b = -math.log(fam.ratios[sym - 1]), 0.0, 1.0
+            else:
+                blo, bhi = fam.deriv_bracket(sym, Interval(lo, hi))
+                step, a, b = -math.log(bhi), fam.apply(sym, lo), fam.apply(sym, hi)
             stack.append((depth + 1, min(a, b), max(a, b),
-                          psi_lo - math.log(bhi), phi_lo + phi_syms[k]))
+                          psi_lo + step, phi_lo + phi_syms[k]))
     return total
 
 
