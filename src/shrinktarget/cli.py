@@ -424,6 +424,9 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
     run_sec = cfg["run"]
     code = _parse_code(_key(run_sec, "code", str))
     horizon = _key(run_sec, "horizon", int, 50)
+    if horizon > budget:
+        # every epoch composes a window and writes a row
+        raise BudgetExceededError("horizon", horizon, budget)
     report = hit_times(loaded.system, code, target, horizon)
     status = ({n: "hit" for n in report.hits} | {n: "miss" for n in report.misses}
               | {n: "undecided" for n in report.undecided})

@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 _EULER_TAIL = 1.0 / (math.e - 1.0)  # sum_{k>=1} e^{-k}
+# remainder bound at which width-power series stop adding explicit terms
+_SERIES_SLACK = 1e-14
+# largest symbol index build() tries as n0 and _locate scans
+_INDEX_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,14 +167,13 @@ class CounterexampleSystem:
         total += math.exp(-exponent * k0) / -math.expm1(-exponent)
         return total
 
-    def power_sum_tail_certified(self, exponent: float,
-                                 target_slack: float = 1e-14) -> tuple[float, float]:
+    def power_sum_tail_certified(self, exponent: float) -> tuple[float, float]:
         """(explicit sum over n >= n0 of width_n^exponent, remainder bound).
 
         The explicit range is extended until the quadratic-domination tail
-        drops below the slack target.
+        drops below _SERIES_SLACK.
         """
-        total, tail = _width_power_series(self.log_width, exponent, self.n0, target_slack)
+        total, tail = _width_power_series(self.log_width, exponent, self.n0, _SERIES_SLACK)
         return total, tail + 1e-290
 
     def as_system(self) -> MarkovSystem:
@@ -186,7 +189,7 @@ class CounterexampleSystem:
             self._cache["system"] = MarkovSystem(family, xi=xi)
         return self._cache["system"]
 
-    def _locate(self, x: float, scan_cap: int = 100_000) -> int | None:
+    def _locate(self, x: float) -> int | None:
         if self.v1.contains(x):
             return 1
         if self.v2.contains(x):
@@ -194,14 +197,14 @@ class CounterexampleSystem:
         if x <= 0.0 or x >= self.phi(self.n0):
             return None
         n = self.n0
-        while n < scan_cap:
+        while n < _INDEX_CAP:
             if self.phi(n + 1) <= x:
                 return n if self.interval(n).contains(x) else None
             n += 1
         return None
 
 
-def build(beta: float, phi: ShrinkFn, search_cap: int = 100_000) -> CounterexampleSystem:
+def build(beta: float, phi: ShrinkFn) -> CounterexampleSystem:
     """Construct the counterexample for the given dimension and shrink rate.
 
     Picks the smallest threshold index n0 > 2 with Phi(n0) < 1 - 2^(1-1/beta)
@@ -212,16 +215,17 @@ def build(beta: float, phi: ShrinkFn, search_cap: int = 100_000) -> Counterexamp
         raise ValueError("beta must lie in (0, 1)")
     threshold = 1.0 - 2.0 ** (1.0 - 1.0 / beta)
     n0 = None
-    for n in range(3, search_cap):
+    for n in range(3, _INDEX_CAP):
         cond1 = phi(n) < threshold
         cond2 = math.exp(-beta * n) / -math.expm1(-beta) < 1.0
         if cond1 and cond2:
             n0 = n
             break
     if n0 is None:
-        raise RuntimeError(f"no threshold index below the search cap {search_cap}; "
+        raise RuntimeError(f"no threshold index below the search cap {_INDEX_CAP}; "
                            "the shrink function appears not to vanish")
-    small_sum, _ = _width_power_series(lambda n: _log_raw_width(phi, n), beta, n0, 1e-14)
+    small_sum, _ = _width_power_series(lambda n: _log_raw_width(phi, n), beta, n0,
+                                       _SERIES_SLACK)
     remaining = 1.0 - small_sum
     if not (remaining > 0.0):
         raise RuntimeError("width-power series consumed the Moran budget")
@@ -252,7 +256,7 @@ def verify_moran(ce: CounterexampleSystem,
     """
     logw = width_override if width_override is not None else ce.log_width
     beta = ce.beta
-    total, tail = _width_power_series(logw, beta, ce.n0, 1e-14,
+    total, tail = _width_power_series(logw, beta, ce.n0, _SERIES_SLACK,
                                       math.exp(beta * logw(1)) + math.exp(beta * logw(2)))
     return abs(total - 1.0) + (tail + 1e-290)
 

@@ -20,16 +20,17 @@ tables ``BirkhoffTable`` builds level n+1 from level n: a word of length
 n+1 is a word w of length n with one more outer branch s prepended, whose
 cylinder is phi_s(phi_w([0,1])).  One array step per symbol (the family's
 ``map_intervals`` and ``deriv_brackets``) maps the intervals of every word
-at once to their children, adds -log of the bracket of |phi_s'| over each
-interval to the psi sums and adds the symbol's constant and table part to
-the additive sums; children are laid out parent-major, so the words come
-out in one fixed order, the order of ``word_sums``.  Only the frontier one
-level behind the deepest cached level is kept (intervals and running sums);
-going one level deeper re-advances it once, at most 1/K of that level's
-work, and writes the new level's endpoints straight from the per-symbol
-sums, so no interval array of the deepest level is ever held.  Each log is
-padded one ulp outward with np.nextafter, because np.log may sit an ulp away
-from the correctly rounded value; the running sums are rounded to nearest.
+at once to their children and adds -log of the bracket of |phi_s'| over each
+interval to the psi sums; children are laid out parent-major, so the words
+come out in one fixed order, the order of ``word_sums``.  The additive
+(constant and table) part of a level is ``word_sums`` of the per-symbol
+ends, and the psi part is added to it in place.  Only the frontier one level
+behind the deepest cached level is kept (intervals and psi sums); going one
+level deeper re-advances it once, at most 1/K of that level's work, and
+writes the new level's endpoints straight from the per-symbol psi sums, so
+no interval array of the deepest level is ever held.  Each log is padded one
+ulp outward with np.nextafter, because np.log may sit an ulp away from the
+correctly rounded value; the sums are rounded to nearest.
 """
 
 from __future__ import annotations
@@ -221,15 +222,12 @@ def _logsumexp(arr: np.ndarray) -> float:
 
 class _Frontier(NamedTuple):
     """Every word w of one level, in enumeration order: the cylinder
-    phi_w([0,1]) as [lo, hi] and the running sums behind the bracket of
-    S_n(u), psi sums apart from the additive (constant and table) sums."""
+    phi_w([0,1]) as [lo, hi] and the bracket of S_n psi over it."""
 
     lo: np.ndarray
     hi: np.ndarray
     psi_lo: np.ndarray
     psi_hi: np.ndarray
-    add_lo: np.ndarray
-    add_hi: np.ndarray
 
 
 def _log_up(x: np.ndarray) -> np.ndarray:
@@ -269,7 +267,7 @@ class BirkhoffTable:
         self._flat = _flatten(pot)
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # interval frontier one level behind the deepest cached level
-        self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)))
+        self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
         self.base = _ends_array(self._flat, self.symbols)
         self.additive: tuple[np.ndarray, np.ndarray] | None = None
         if self._flat.psi_coef == 0.0:
@@ -293,10 +291,20 @@ class BirkhoffTable:
     def word_sums(self, values: np.ndarray, n: int) -> np.ndarray:
         """Sum over each word of F^n of per-symbol values (values[k] for the
         k-th symbol of F), in level order: child k of word p sits at p*K + k,
-        and each sum adds the symbols in the order they were appended."""
-        sums = values
+        and each sum adds the symbols in the order they were appended.  The
+        result is a new array, which callers may write to."""
+        sums = values.copy()
         for _ in range(n - 1):
-            sums = np.add.outer(sums, values).ravel()
+            if len(values) > 8:
+                sums = np.add.outer(sums, values).ravel()
+                continue
+            # np.add.outer runs one inner loop per row, slow when a row fits
+            # in a cache line (8 doubles); one strided add per symbol over all
+            # rows gives the same sums
+            out = np.empty((len(sums), len(values)))
+            for k, v in enumerate(values.tolist()):
+                np.add(sums, v, out=out[:, k])
+            sums = out.ravel()
         return sums
 
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,44 +324,40 @@ class BirkhoffTable:
             depth = len(self._levels)
             if depth:
                 self._frontier = self._advance(self._frontier)
-            self._levels[depth + 1] = self._enumerate_level(self._frontier)
+            self._levels[depth + 1] = self._enumerate_level(self._frontier, depth + 1)
         return self._levels[n]
 
     def _child_sums(self, f: _Frontier):
-        """Per symbol s_k, the running sums of the words s_k w for every
-        frontier word w, as (k, psi_lo, psi_hi, add_lo, add_hi) with arrays
-        over the frontier.  Prepending s_k composes one more outer branch,
-        so the psi sums gain -log of the bracket of |phi_s'| over phi_w([0,1])."""
+        """Per symbol s_k, the psi sums of the words s_k w for every frontier
+        word w, as (k, psi_lo, psi_hi) with arrays over the frontier.
+        Prepending s_k composes one more outer branch, so the psi sums gain
+        -log of the bracket of |phi_s'| over phi_w([0,1])."""
         fam = self.sys.branches
-        base_lo, base_hi = self.base
         for k, s in enumerate(self.symbols):
             blo, bhi = fam.deriv_brackets(s, f)
-            yield (k, f.psi_lo - _log_up(bhi), f.psi_hi - _log_down(blo),
-                   f.add_lo + base_lo[k], f.add_hi + base_hi[k])
+            yield k, f.psi_lo - _log_up(bhi), f.psi_hi - _log_down(blo)
 
     def _advance(self, f: _Frontier) -> _Frontier:
         """The frontier one level deeper: child k of parent p sits at p*K + k."""
         fam = self.sys.branches
         shape = (len(f.lo), len(self.symbols))
         out = _Frontier(*(np.empty(shape) for _ in _Frontier._fields))
-        for k, psi_lo, psi_hi, add_lo, add_hi in self._child_sums(f):
+        for k, psi_lo, psi_hi in self._child_sums(f):
             out.lo[:, k], out.hi[:, k] = fam.map_intervals(self.symbols[k], f)
             out.psi_lo[:, k] = psi_lo
             out.psi_hi[:, k] = psi_hi
-            out.add_lo[:, k] = add_lo
-            out.add_hi[:, k] = add_hi
         return _Frontier(*(a.ravel() for a in out))
 
-    def _enumerate_level(self, f: _Frontier) -> tuple[np.ndarray, np.ndarray]:
-        """(c_lo, c_hi) over the children of every frontier word, in the
-        order of _advance; no child interval is kept."""
+    def _enumerate_level(self, f: _Frontier, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c_lo, c_hi) over the level-n children of every frontier word, in
+        the order of _advance: the additive sums from ``word_sums``, with
+        psi_coef times the psi sums added in place; no child interval is kept."""
         shape = (len(f.lo), len(self.symbols))
-        c_lo = np.empty(shape)
-        c_hi = np.empty(shape)
+        c_lo, c_hi = (self.word_sums(ends, n).reshape(shape) for ends in self.base)
         pc = self._flat.psi_coef
-        for k, psi_lo, psi_hi, add_lo, add_hi in self._child_sums(f):
-            c_lo[:, k] = pc * psi_lo + add_lo
-            c_hi[:, k] = pc * psi_hi + add_hi
+        for k, psi_lo, psi_hi in self._child_sums(f):
+            c_lo[:, k] += pc * psi_lo
+            c_hi[:, k] += pc * psi_hi
         return (c_lo.ravel(), c_hi.ravel())
 
     def partition(self, scale: float, n: int, mode: str) -> float:

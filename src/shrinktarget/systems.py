@@ -118,16 +118,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def inside_open_ball(self, center: float, radius: float) -> bool:
-        """Closed interval strictly inside (center - radius, center + radius).
-
-        Floating-point ties count as outside.
-        """
-        return center - radius < self.lo and self.hi < center + radius
-
 
 @dataclass(frozen=True)
 class CylinderGeometry:
@@ -232,33 +222,24 @@ class _AffineBranches(BranchFamily):
 
 
 class AffineFamily(_AffineBranches):
-    """Finitely many affine branches phi_i(x) = left_i + ratio_i * x."""
+    """Finitely many affine branches phi_i(x) = left_i + ratio_i * x, each
+    with the image [left_i, left_i + ratio_i]."""
 
     finite = True
 
-    def __init__(self, images: Sequence[tuple[float, float]],
-                 ratios: Sequence[float] | None = None):
-        if len(images) < 2:
+    def __init__(self, lefts: Sequence[float], ratios: Sequence[float]):
+        if len(lefts) != len(ratios):
+            raise ValueError("one ratio per branch required")
+        if len(ratios) < 2:
             raise ValueError("at least two branches required")
-        ivs = [Interval(lo, hi) for lo, hi in images]
-        for iv in ivs:
-            if not (0.0 < iv.width < 1.0):
-                raise ValueError(f"branch image {iv} must have width in (0, 1)")
-        for a, b in itertools.combinations(ivs, 2):
+        for r in ratios:
+            if not 0.0 < r < 1.0:
+                raise ValueError(f"branch ratio {r} must lie in (0, 1)")
+        self.ratios = tuple(float(r) for r in ratios)
+        self.images = tuple(Interval(l, l + r) for l, r in zip(lefts, self.ratios))
+        for a, b in itertools.combinations(self.images, 2):
             if min(a.hi, b.hi) > max(a.lo, b.lo):
                 raise ValueError(f"branch images {a} and {b} overlap")
-        self.images = tuple(ivs)
-        if ratios is None:
-            self.ratios = tuple(iv.width for iv in ivs)
-        else:
-            # contraction ratios kept exactly as given; the image widths may
-            # differ by an ulp through the placement arithmetic
-            if len(ratios) != len(ivs):
-                raise ValueError("one ratio per branch required")
-            for r, iv in zip(ratios, ivs):
-                if abs(r - iv.width) > 1e-12 * max(r, iv.width):
-                    raise ValueError("ratio inconsistent with branch image width")
-            self.ratios = tuple(float(r) for r in ratios)
         self._terms = tuple((iv.lo, iv.hi, r, -math.log(r))
                             for iv, r in zip(self.images, self.ratios))
 
@@ -282,8 +263,11 @@ class AffineFamily(_AffineBranches):
         return None
 
     def inverse(self, i: int, x: float) -> float:
-        iv = self.images[i - 1]
-        return _clamp01((x - iv.lo) / iv.width)
+        return _clamp01((x - self.images[i - 1].lo) / self.ratios[i - 1])
+
+
+# symbols an AffineCountableFamily without locate_fn scans to code a point
+_SCAN_LIMIT = 100_000
 
 
 class AffineCountableFamily(_AffineBranches):
@@ -301,14 +285,12 @@ class AffineCountableFamily(_AffineBranches):
                  log_width: Callable[[int], float],
                  left: Callable[[int], float],
                  tail_sum: Callable[[float, int], float],
-                 locate_fn: Callable[[float], int | None] | None = None,
-                 scan_limit: int = 100_000):
+                 locate_fn: Callable[[float], int | None] | None = None):
         self.member = member
         self.log_width = log_width
         self.left = left
         self.tail_sum = tail_sum
         self._locate_fn = locate_fn
-        self.scan_limit = scan_limit
 
     def affine_terms(self, i: int) -> tuple[float, float, float, float]:
         iv = self.branch_interval(i)
@@ -329,7 +311,7 @@ class AffineCountableFamily(_AffineBranches):
     def locate(self, x: float) -> int | None:
         if self._locate_fn is not None:
             return self._locate_fn(x)
-        for i in itertools.islice(self.symbols(), self.scan_limit):
+        for i in itertools.islice(self.symbols(), _SCAN_LIMIT):
             if self.branch_interval(i).contains(x):
                 return i
         return None
@@ -461,23 +443,18 @@ class MarkovSystem:
     """Expanding Markov map seen through its inverse-branch family.
 
     ``xi`` is the uniform iterate-expansion constant (> 1) valid from depth
-    ``expansion_depth`` on; ``distortion`` bounds rho_n (None means affine,
-    rho identically zero).
+    ``expansion_depth`` on: every depth-n cylinder with n >= expansion_depth
+    has |phi_w'| <= xi^-n, which bounds the depth a window of given width
+    needs.
     """
 
     branches: BranchFamily
     xi: float
     expansion_depth: int = 1
-    distortion: Callable[[int], float] | None = None
 
     def __post_init__(self):
         if not self.xi > 1.0:
             raise ValueError("expansion constant xi must exceed 1")
-        if self.branches.is_affine and self.distortion is not None:
-            raise ValueError("affine families have zero distortion; pass None")
-
-    def rho(self, n: int) -> float:
-        return 0.0 if self.distortion is None else self.distortion(n)
 
 
 def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
@@ -655,7 +632,7 @@ def forward_composer(sys: MarkovSystem):
 
 def doubling_map() -> MarkovSystem:
     """Two affine branches of ratio 1/2 on [0,1/2] and [1/2,1]."""
-    return MarkovSystem(AffineFamily([(0.0, 0.5), (0.5, 1.0)]), xi=2.0)
+    return MarkovSystem(AffineFamily([0.0, 0.5], [0.5, 0.5]), xi=2.0)
 
 
 def affine_system(ratios: Sequence[float],
@@ -666,17 +643,14 @@ def affine_system(ratios: Sequence[float],
         lefts = list(itertools.accumulate([0.0] + list(ratios[:-1])))
     else:
         lefts = list(placements)
-    images = [(l, l + r) for l, r in zip(lefts, ratios)]
     # the family checks the ratios before xi divides by one
-    family = AffineFamily(images, ratios=ratios)
+    family = AffineFamily(lefts, ratios)
     return MarkovSystem(family, xi=1.0 / max(ratios) if xi is None else xi)
 
 
 def gauss_system() -> MarkovSystem:
     """The Gauss map x -> 1/x mod 1 via its countable inverse branches.
 
-    Continuant estimates give |(T^n)'| > sqrt(2)^n from depth 2 and a
-    per-cylinder distortion ratio of at most 4, hence rho_n = log(4)/n.
+    Continuant estimates give |(T^n)'| > sqrt(2)^n from depth 2.
     """
-    return MarkovSystem(GaussFamily(), xi=math.sqrt(2.0), expansion_depth=2,
-                        distortion=lambda n: math.log(4.0) / n)
+    return MarkovSystem(GaussFamily(), xi=math.sqrt(2.0), expansion_depth=2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .pressure import (
 from .systems import (
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
-    Interval,
     MarkovSystem,
     cylinder,
     forward_composer,
@@ -112,13 +111,10 @@ class HitReport:
     undecided: tuple[int, ...]
 
 
-def _min_distance(y: float, intervals: Sequence[Interval]) -> float:
-    best = math.inf
-    for iv in intervals:
-        if iv.lo <= y <= iv.hi:
-            return 0.0
-        best = min(best, abs(iv.lo - y), abs(iv.hi - y))
-    return best
+def _distance_bracket(y: float, lo: float, hi: float) -> tuple[float, float]:
+    d_lo = max(0.0, lo - y, y - hi)
+    d_hi = max(abs(hi - y), abs(y - lo))
+    return d_lo, d_hi
 
 
 def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: int,
@@ -146,7 +142,8 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     rate = target.rate_potential()
     table = BirkhoffTable(sys, Sum(LogDerivative(), rate), subset, budget=budget)
     symbols = table.symbols
-    dist = _min_distance(target.y, [sys.branches.branch_interval(i) for i in symbols])
+    dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
+               for iv in map(sys.branches.branch_interval, symbols))
     reach = table.base[0]
     uniform = bool(np.all(reach == reach[0]))
     per_level: list[tuple[int, float]] = []
@@ -168,12 +165,15 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
                        total=total)
 
 
+# trailing cover levels whose decay the certificate checks
+_DECAY_WINDOW = 4
+
+
 def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
                                 m: int, n_max: int, subset,
-                                decay_window: int = 4,
                                 budget: int = DEFAULT_WORD_BUDGET) -> CertificateReport:
-    """Accepts when trailing per-level cover sums decay by a verified
-    constant factor < 1, yielding a finite geometric tail bound.
+    """Accepts when the last _DECAY_WINDOW per-level cover sums decay by a
+    verified constant factor < 1, yielding a finite geometric tail bound.
 
     The outcome is numerical evidence at the given truncation that the
     target set has dimension at most s; it is not a proof for the
@@ -181,7 +181,7 @@ def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
     """
     report = cover_sum(sys, target, s, m, n_max, subset, budget=budget)
     levels = [v for (_, v) in report.per_level]
-    window = levels[-decay_window:] if decay_window < len(levels) else levels
+    window = levels[-_DECAY_WINDOW:]
     message_tail = (f"evidence at truncation (m={m}, n_max={n_max}, "
                     f"|F|={len(set(subset))}); not a proof for the untruncated system")
     if all(v == 0.0 for v in window):
@@ -253,26 +253,21 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     return total / r
 
 
-def _distance_bracket(y: float, lo: float, hi: float) -> tuple[float, float]:
-    d_lo = max(0.0, lo - y, y - hi)
-    d_hi = max(abs(hi - y), abs(y - lo))
-    return d_lo, d_hi
-
-
 def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
               horizon: int, base_precision: float = 1e-9) -> HitReport:
     """Exact symbolic hit/miss/undecided schedule of the coded orbit.
 
-    For each epoch n the iterate T^n(pi(w)) is the projection of the shifted
-    code, evaluated as a cylinder interval tighter than the current
-    threshold, and the threshold exp(-S_n(phi)) is a Birkhoff bracket over
-    the prefix cylinder.  The window is padded outward by 4 (depth + 1) ulps
-    of its larger end, a bound on the composers' rounding (at most three
-    roundings per affine symbol, half an ulp per continuant quotient), so it
-    contains the true cylinder however narrow the composed one is.  An epoch
-    is a hit when the distance interval lies entirely below the threshold
-    interval, a miss when entirely above, and undecided otherwise (ties
-    included).
+    For each epoch n the iterate T^n(pi(w)) lies in one window: the cylinder
+    of the code symbols after position n, at the depth where xi-contraction
+    reaches 1% of the threshold (clamped to [1e-280, base_precision]), or of
+    whatever code is left.  The threshold exp(-S_n(phi)) is a Birkhoff
+    bracket over the prefix cylinder.  The window is padded outward by
+    4 (depth + 1) ulps of its larger end, a bound on the composers' rounding
+    (at most three roundings per affine symbol, half an ulp per continuant
+    quotient), so it contains the true cylinder however narrow the composed
+    one is.  An epoch is a hit when the distance interval lies entirely
+    below the threshold interval, a miss when entirely above, and undecided
+    otherwise (ties, and epochs with no code left after n, included).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -305,23 +300,12 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
         # xi-contraction bounds the depth needed for the target precision
         depth = (int(math.ceil(max(0.0, -math.log(precision)) / log_xi))
                  + sys.expansion_depth + 2)
-        interval = None
-        while True:
-            exhausted = not pull(n + depth)
-            if exhausted:
-                depth = len(buffer) - n
-                if depth < 1:
-                    break
-            last_width = math.inf if interval is None else interval.width
-            interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
-            # nested windows stop narrowing once rounding is all that is left
-            if (interval.width <= precision or interval.width >= last_width
-                    or exhausted or depth > 100_000):
-                break
-            depth *= 2
-        if interval is None:
-            undecided.append(n)
-            continue
+        if not pull(n + depth):
+            depth = len(buffer) - n
+            if depth < 1:
+                undecided.append(n)
+                continue
+        interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
         pad = 4 * (depth + 1) * math.ulp(interval.hi)
         d_lo, d_hi = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
         if d_hi < thr_lo:

@@ -413,6 +413,8 @@ _OVERSIZE = {
                "n_max = 2\n"),
     "table-depth": ("counterexample-build", "[system]\nkind = counterexample\nbeta = 0.5\n"
                     "phi = power:1\n[run]\nsystem_out = {out}\ntable_depth = 1000000000\n"),
+    "horizon": ("hits", "[system]\nkind = doubling\n[target]\ny = 0.3\nrate = const:1\n"
+                "[run]\ncode = cycle:1,2\nhorizon = 1000000000\n"),
 }
 
 

@@ -25,6 +25,7 @@ from shrinktarget import (
     project_word,
     upper_dimension_certificate,
 )
+from shrinktarget import targets
 from shrinktarget.pressure import _flatten
 
 LOG2 = math.log(2.0)
@@ -387,6 +388,28 @@ def test_hits_window_stuck_one_ulp_wide_is_undecided():
     assert all(oracle[n] == "hit" for n in rep.hits)
     assert all(oracle[n] == "miss" for n in rep.misses)
     assert set(rep.hits) >= set(range(1, 31))
+
+
+@pytest.mark.parametrize("code_len, windows, first_hits", [(None, 50, 30), (20, 19, 11)],
+                         ids=["endless-code", "code-ends-at-20"])
+def test_hits_compose_one_window_per_epoch(monkeypatch, code_len, windows, first_hits):
+    # the stuck-window orbit above: each epoch with code left after it makes
+    # one cylinder at the xi depth (or what is left), and none is refined
+    calls = []
+    monkeypatch.setattr(targets, "cylinder",
+                        lambda sys, word: calls.append(word) or cylinder(sys, word))
+    sys = affine_system([0.3, 0.25, 0.2, 0.15])
+    image = sys.branches.branch_interval(2)
+    lo, hi = Fraction(image.lo), Fraction(image.hi)
+    code = itertools.repeat(2) if code_len is None else [2] * code_len
+    rep = hit_times(sys, code, TargetSpec(0.4, ConstantRate(1.0)), 50)
+    assert len(calls) == windows
+    if code_len is not None:
+        assert set(rep.undecided) >= set(range(code_len, 51))
+    oracle = exact_schedule(lambda n: lo / (1 - (hi - lo)), 0.4, 1.0, 50)
+    assert all(oracle[n] == "hit" for n in rep.hits)
+    assert all(oracle[n] == "miss" for n in rep.misses)
+    assert set(rep.hits) >= set(range(1, first_hits + 1))
 
 
 @settings(max_examples=20, deadline=None)
