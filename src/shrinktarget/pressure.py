@@ -295,12 +295,8 @@ class BirkhoffTable:
         result is a new array, which callers may write to."""
         sums = values.copy()
         for _ in range(n - 1):
-            if len(values) > 8:
-                sums = np.add.outer(sums, values).ravel()
-                continue
-            # np.add.outer runs one inner loop per row, slow when a row fits
-            # in a cache line (8 doubles); one strided add per symbol over all
-            # rows gives the same sums
+            # one add per symbol over all rows: np.add.outer gives the same
+            # sums but runs one inner loop per row, slow for small alphabets
             out = np.empty((len(sums), len(values)))
             for k, v in enumerate(values.tolist()):
                 np.add(sums, v, out=out[:, k])

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 
@@ -531,46 +530,47 @@ def test_array_and_per_element_paths_agree():
             assert np.array_equal(a, b)
 
 
-# sha256 of c_lo.tobytes() + c_hi.tobytes() for levels 1..5 of two Gauss
-# {1,2,3} tables, taken from a kernel that summed the additive part in its
-# frontier: word_sums must reproduce those sums bit for bit
-_LEVEL_DIGESTS = {
-    "psi+const": (
-        "5a6d1684b04ea5960c4b3fc77783bc52db3bbd1193bb117fb44d0277528739e5",
-        "26570442d6c03fcd9d02f4d24aeb43cf60589cd2f532a7f0d1c8dd98f1120e3d",
-        "78a4f6de148667f3903731818af26bb430da283b5e3f512ced6eb6da3492600c",
-        "846a3fa4a8f642bfdc4fae944353b3fbe7faa6959913719af089c431701682c3",
-        "8e5e29c9be6f5522adc05885d18af3af4e5cf38d8ac3d01d71d718570e37df7a",
-    ),
-    "per-symbol": (
-        "712c971ca4654b0fac469036ef94da4a557b866f1fff3fd3db80b8bb8258ae37",
-        "7fad13c39acfdd606f29404670be64d9bb91f1b5e35b4f3d07ed1f782d9714fd",
-        "70097801772c42ce14c18d7afcc394448d8604945a30ba392bc29cf01aa4d9f9",
-        "a3ecae5016fad8a7c1d18ab38b8b96e992bc791d4ab0889f284d74d3cd7201b0",
-        "01a59ce85c9a1faa393bc38d389b3679acdb83f8b4df6715aa1f9ba3f7d3485f",
-    ),
-}
-_DIGEST_POTENTIALS = {
+# The additive part of each level must be summed as the frontier once
+# carried it, (0 + b1) + b2 + ..., bit for bit.  The psi part comes from a
+# psi-only table of the same subset, whose levels are psi exactly (pc = 1).
+_ADDITIVE_POTENTIALS = {
     "psi+const": Sum(PSI, Constant(0.3)),
     "per-symbol": Sum(Scale(0.7, PSI), PerSymbolBracket.from_mapping(
         {1: (0.1, 0.2), 2: (0.0, 0.3), 3: (0.35, 0.45)})),
 }
-# np.log is numpy's own SIMD code on some CPUs and libm's on others, and the
-# two differ in the last bit on a fraction of a percent of inputs; this is
-# the digest of np.log on a fixed grid where the level digests were taken
-_LOG_PROBE = "fdbde315b59c3d229624d0a734c2c676d50b6f9948688f33968afd1837a54aac"
 
 
-def _sha256(*arrays) -> str:
-    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+def _running_sums(flat, syms, n):
+    """(lo, hi) additive sums over the words of length n in level order
+    (child k of word p at p*K + k), added one symbol at a time from 0.0 in
+    the order of reference_level."""
+    base = []
+    for i in syms:
+        v_lo = v_hi = flat.const
+        for sc, table in flat.tables:
+            tlo, thi = table(i)
+            v_lo += sc * tlo
+            v_hi += sc * thi
+        base.append((v_lo, v_hi))
+    sums = [(0.0, 0.0)]
+    for _ in range(n):
+        sums = [(lo + b_lo, hi + b_hi) for lo, hi in sums for b_lo, b_hi in base]
+    return np.array([lo for lo, _ in sums]), np.array([hi for _, hi in sums])
 
 
-@pytest.mark.parametrize("name", sorted(_LEVEL_DIGESTS))
+@pytest.mark.parametrize("name", sorted(_ADDITIVE_POTENTIALS))
 def test_level_bits_frozen(name):
-    if _sha256(np.log(np.linspace(1 / 16, 1.0, 1 << 16))) != _LOG_PROBE:
-        pytest.skip("np.log rounds differently here than where the digests were taken")
-    table = BirkhoffTable(gauss_system(), _DIGEST_POTENTIALS[name], {1, 2, 3})
-    assert tuple(_sha256(*table.level(n)) for n in range(1, 6)) == _LEVEL_DIGESTS[name]
+    pot = _ADDITIVE_POTENTIALS[name]
+    flat = _flatten(pot)
+    syms = (1, 2, 3)
+    table = BirkhoffTable(gauss_system(), pot, set(syms))
+    psi_only = BirkhoffTable(gauss_system(), PSI, set(syms))
+    for n in range(1, 6):
+        add_lo, add_hi = _running_sums(flat, syms, n)
+        psi_lo, psi_hi = psi_only.level(n)
+        c_lo, c_hi = table.level(n)
+        assert np.array_equal(c_lo, flat.psi_coef * psi_lo + add_lo)
+        assert np.array_equal(c_hi, flat.psi_coef * psi_hi + add_hi)
 
 
 def test_over_budget_level_raises_before_any_work():
