@@ -30,7 +30,6 @@ from .pressure import (
     Scale,
     Sum,
     birkhoff_bracket,
-    partition_sum,
     pressure_bracket,
 )
 from .dimension import (

@@ -447,8 +447,9 @@ def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
     _write_counterexample(ce, system_out, section)
     residual = verify_moran(ce)
     rows = [["summary", ce.beta, ce.n0, ce.log_r12, residual]]
+    image = ce.as_system().branches.branch_interval
     for n in sorted(branches):
-        iv = ce.interval(n)
+        iv = image(n)
         rows.append([f"branch_{n}", ce.log_width(n), iv.lo, iv.hi, ""])
     return ({"system_out": system_out, "moran_residual": repr(residual)},
             ["row", "a", "b", "c", "d"], rows)

@@ -18,11 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .systems import (
-    AffineCountableFamily,
-    Interval,
-    MarkovSystem,
-)
+from .systems import AffineCountableFamily, MarkovSystem
 from .targets import CoverReport
 
 __all__ = [
@@ -119,14 +115,15 @@ def _width_power_series(log_width: Callable[[int], float], exponent: float, star
 @dataclass(frozen=True)
 class CounterexampleSystem:
     """The built system: two wide branches near 1 and one branch per gap
-    (Phi(n+1), Phi(n)) for n >= n0, all affine onto [0,1]."""
+    (Phi(n+1), Phi(n)) for n >= n0, all affine onto [0,1].  ``wide_lefts``
+    holds the left ends of the two wide branches; ``as_system()`` composes
+    every branch image from ``left`` and ``log_width``."""
 
     beta: float
     phi: ShrinkFn
     n0: int
     log_r12: float
-    v1: Interval
-    v2: Interval
+    wide_lefts: tuple[float, float]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def member(self, n: int) -> bool:
@@ -142,16 +139,13 @@ class CounterexampleSystem:
             self._cache[key] = _log_raw_width(self.phi, n)
         return self._cache[key]
 
-    def interval(self, n: int) -> Interval:
-        if n == 1:
-            return self.v1
-        if n == 2:
-            return self.v2
-        lo_gap = self.phi(n + 1)
-        hi_gap = self.phi(n)
-        c = 0.5 * (lo_gap + hi_gap)
-        half = 0.5 * math.exp(self.log_width(n))
-        return Interval(c - half, c + half)
+    def left(self, n: int) -> float:
+        """Left end of branch n's image: the centre of its gap less half
+        its width."""
+        if n in (1, 2):
+            return self.wide_lefts[n - 1]
+        c = 0.5 * (self.phi(n + 1) + self.phi(n))
+        return c - 0.5 * math.exp(self.log_width(n))
 
     def width_tail_sum(self, exponent: float, beyond: int) -> float:
         """Upper bound for sum over alphabet members i > beyond of width^e,
@@ -181,7 +175,7 @@ class CounterexampleSystem:
             family = AffineCountableFamily(
                 member=self.member,
                 log_width=self.log_width,
-                left=lambda n: self.interval(n).lo,
+                left=self.left,
                 tail_sum=self.width_tail_sum,
                 locate_fn=self._locate,
             )
@@ -190,16 +184,16 @@ class CounterexampleSystem:
         return self._cache["system"]
 
     def _locate(self, x: float) -> int | None:
-        if self.v1.contains(x):
-            return 1
-        if self.v2.contains(x):
-            return 2
+        image = self.as_system().branches.branch_interval
+        for n in (1, 2):
+            if image(n).contains(x):
+                return n
         if x <= 0.0 or x >= self.phi(self.n0):
             return None
         n = self.n0
         while n < _INDEX_CAP:
             if self.phi(n + 1) <= x:
-                return n if self.interval(n).contains(x) else None
+                return n if image(n).contains(x) else None
             n += 1
         return None
 
@@ -237,24 +231,18 @@ def build(beta: float, phi: ShrinkFn) -> CounterexampleSystem:
         raise RuntimeError("wide branches do not fit above the gap region")
     c1 = 0.5 * (gap_lo + mid)
     c2 = 0.5 * (mid + 1.0)
-    v1 = Interval(c1 - 0.5 * r12, c1 + 0.5 * r12)
-    v2 = Interval(c2 - 0.5 * r12, c2 + 0.5 * r12)
     ce = CounterexampleSystem(beta=beta, phi=phi, n0=n0, log_r12=log_r12,
-                              v1=v1, v2=v2)
+                              wide_lefts=(c1 - 0.5 * r12, c2 - 0.5 * r12))
     residual = verify_moran(ce)
     if residual > 1e-10:
         raise RuntimeError(f"Moran identity residual {residual:.3e} above 1e-10")
     return ce
 
 
-def verify_moran(ce: CounterexampleSystem,
-                 width_override: Callable[[int], float] | None = None) -> float:
-    """Certified upper bound for |sum of width^beta - 1|.
-
-    ``width_override`` is a diagnostic hook mapping a symbol to a log-width,
-    letting corruption tests recompute the residual for a perturbed table.
-    """
-    logw = width_override if width_override is not None else ce.log_width
+def verify_moran(ce: CounterexampleSystem) -> float:
+    """Certified upper bound for |sum of width^beta - 1|; reads only
+    ``beta``, ``n0`` and ``log_width``."""
+    logw = ce.log_width
     beta = ce.beta
     total, tail = _width_power_series(logw, beta, ce.n0, _SERIES_SLACK,
                                       math.exp(beta * logw(1)) + math.exp(beta * logw(2)))
@@ -307,9 +295,8 @@ def zero_dim_cover_report(ce: CounterexampleSystem, eps: float, m: int,
         total += value
         if value > bound:
             ok = False
-    remainder = _EULER_TAIL * math.exp(-(n_max + 1.0)) / -math.expm1(-1.0)
     cover = CoverReport(s=eps, m=m, n_max=n_max, per_level=tuple(per_level),
-                        total=total, geometric_tail_bound=remainder)
+                        total=total)
     return ZeroDimCoverReport(cover=cover, envelope=tuple(envelope),
                               envelope_ok=ok,
                               full_series_bound=_EULER_TAIL ** 2)

@@ -41,7 +41,6 @@ class DimensionResult:
 
     value: float
     bracket: tuple[float, float]
-    tolerance: float
     truncation: tuple[frozenset[int], int] | None
     certified: bool
 
@@ -172,7 +171,6 @@ class _Solver:
                 hi = mid
         subset = self.trunc.subsets[self.index]
         return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi),
-                               tolerance=tol,
                                truncation=(subset, self.n_used),
                                certified=self.certified)
 
@@ -215,15 +213,13 @@ def moran_solve(ratios: Sequence[float], tol: float = 1e-10,
         else:
             certified = False
             break
-    return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi), tolerance=tol,
-                           truncation=None, certified=certified and (hi - lo) <= tol)
+    return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi), truncation=None,
+                           certified=certified and (hi - lo) <= tol)
 
 
 def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:
     """dim of the limit set: inf{s : P(-s psi) <= 0} over the truncation."""
-    solver = _Solver(sys, LogDerivative(), lambda s: 0.0, trunc)
-    result = solver.run(tol)
-    return result
+    return _Solver(sys, LogDerivative(), lambda s: 0.0, trunc).run(tol)
 
 
 def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
@@ -231,19 +227,13 @@ def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
     """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}."""
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    solver = _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc)
-    result = solver.run(tol)
-    assert result.bracket[0] > 0.0
-    return result
+    return _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc).run(tol)
 
 
 def shrink_exponent_potential(sys: MarkovSystem, phi: Potential, trunc: Truncation,
                               tol: float = 1e-9) -> DimensionResult:
     """Potential-rate shrinking-target exponent: inf{s : P(-s(psi+phi)) <= 0}."""
-    solver = _Solver(sys, Sum(LogDerivative(), phi), lambda s: 0.0, trunc)
-    result = solver.run(tol)
-    assert result.bracket[0] > 0.0
-    return result
+    return _Solver(sys, Sum(LogDerivative(), phi), lambda s: 0.0, trunc).run(tol)
 
 
 def spectrum(sys: MarkovSystem, alphas: Sequence[float], trunc: Truncation,

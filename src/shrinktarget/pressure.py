@@ -61,7 +61,6 @@ __all__ = [
     "PressureEstimate",
     "BirkhoffTable",
     "birkhoff_bracket",
-    "partition_sum",
     "pressure_bracket",
 ]
 
@@ -256,7 +255,6 @@ class BirkhoffTable:
     def __init__(self, sys: MarkovSystem, pot: Potential, subset,
                  budget: int = DEFAULT_WORD_BUDGET):
         self.sys = sys
-        self.pot = pot
         self.symbols = tuple(sorted(set(subset)))
         if not self.symbols:
             raise ValueError("alphabet subset must be nonempty")
@@ -430,18 +428,6 @@ class BirkhoffTable:
         return PressureEstimate(lower=lower, upper=upper,
                                 truncation=(frozenset(self.symbols), n_max),
                                 diverged=diverged)
-
-
-def partition_sum(sys: MarkovSystem, pot: Potential, subset, n: int, mode: str,
-                  budget: int = DEFAULT_WORD_BUDGET) -> float:
-    """log sum_{w in F^n} exp(-end_w) with end_w the Birkhoff bracket
-    endpoint of S_n(pot) selected by mode; log-sum-exp stabilized.
-
-    'sup' selects the lower endpoint (dominating weights, the sum behind
-    upper pressure bounds); 'inf' the upper endpoint.
-    """
-    table = BirkhoffTable(sys, pot, subset, budget=budget)
-    return table.partition(1.0, n, mode)
 
 
 def pressure_bracket(sys: MarkovSystem, pot: Potential, subset,

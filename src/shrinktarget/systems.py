@@ -83,11 +83,11 @@ class EscapesRepellerError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """An enumeration would exceed the configured word budget."""
+    """A size (words, symbols, rows or epochs) would exceed the configured budget."""
 
     def __init__(self, key: str, requested: float, budget: int,
                  completed_level: int | None = None):
-        msg = f"budget '{key}' exceeded: {requested:.4g} words needed, budget {budget}"
+        msg = f"budget '{key}' exceeded: {requested:.4g} needed, budget {budget}"
         if completed_level is not None:
             msg += f" (deepest completed level: {completed_level})"
         super().__init__(msg)
@@ -115,20 +115,20 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 @dataclass(frozen=True)
 class CylinderGeometry:
     """Geometry of phi_w([0,1]) for a finite word w; psi_bracket contains
     the range of S_n psi = -log|phi_w'| over [0,1]."""
 
-    word: Word
     interval: Interval
     diam: float
     deriv_bracket: tuple[float, float]
     psi_bracket: tuple[float, float]
+
+
+# symbols BranchFamily.locate scans to code a point
+_SCAN_LIMIT = 100_000
 
 
 class BranchFamily:
@@ -179,8 +179,12 @@ class BranchFamily:
         return self.composer().child(i).geometry()[3]
 
     def locate(self, x: float) -> int | None:
-        """Lowest-indexed branch whose closed image contains x, if any."""
-        raise NotImplementedError
+        """Lowest-indexed branch whose closed image contains x, if any, among
+        the first _SCAN_LIMIT symbols."""
+        for i in itertools.islice(self.symbols(), _SCAN_LIMIT):
+            if self.branch_interval(i).contains(x):
+                return i
+        return None
 
     def inverse(self, i: int, x: float) -> float:
         """The forward map T restricted to branch i (inverse of phi_i)."""
@@ -216,9 +220,11 @@ class _AffineBranches(BranchFamily):
     def composer(self):
         return _AffineComposer(self)
 
-    def psi_bracket(self, i: int) -> tuple[float, float]:
-        psi = self.affine_terms(i)[3]
-        return (psi, psi)
+    def inverse(self, i: int, x: float) -> float:
+        lo, _, r, _ = self.affine_terms(i)
+        if r == 0.0:
+            raise ValueError(f"branch {i} width underflows; cannot invert")
+        return _clamp01((x - lo) / r)
 
 
 class AffineFamily(_AffineBranches):
@@ -255,19 +261,6 @@ class AffineFamily(_AffineBranches):
     def branch_interval(self, i: int) -> Interval:
         self._check_symbol(i)
         return self.images[i - 1]
-
-    def locate(self, x: float) -> int | None:
-        for i, iv in enumerate(self.images, start=1):
-            if iv.contains(x):
-                return i
-        return None
-
-    def inverse(self, i: int, x: float) -> float:
-        return _clamp01((x - self.images[i - 1].lo) / self.ratios[i - 1])
-
-
-# symbols an AffineCountableFamily without locate_fn scans to code a point
-_SCAN_LIMIT = 100_000
 
 
 class AffineCountableFamily(_AffineBranches):
@@ -311,16 +304,7 @@ class AffineCountableFamily(_AffineBranches):
     def locate(self, x: float) -> int | None:
         if self._locate_fn is not None:
             return self._locate_fn(x)
-        for i in itertools.islice(self.symbols(), _SCAN_LIMIT):
-            if self.branch_interval(i).contains(x):
-                return i
-        return None
-
-    def inverse(self, i: int, x: float) -> float:
-        w = math.exp(self.log_width(i))
-        if w == 0.0:
-            raise ValueError(f"branch {i} width underflows; cannot invert")
-        return _clamp01((x - self.left(i)) / w)
+        return super().locate(x)
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         return self.tail_sum(exponent, beyond)
@@ -417,12 +401,6 @@ class CustomMonotoneFamily(BranchFamily):
         lo, hi = self.branches[i - 1][1](j.lo, j.hi)
         return (_down(lo), _up(hi))
 
-    def locate(self, x: float) -> int | None:
-        for i in self.symbols():
-            if self.branch_interval(i).contains(x):
-                return i
-        return None
-
     def inverse(self, i: int, x: float) -> float:
         # monotone bisection of phi_i on [0,1]
         fn = self.branches[i - 1][0]
@@ -456,6 +434,12 @@ class MarkovSystem:
         if not self.xi > 1.0:
             raise ValueError("expansion constant xi must exceed 1")
 
+    def depth_for(self, width: float) -> int:
+        """A depth at which xi-contraction certainly brings every cylinder
+        below the width."""
+        return (int(math.ceil(max(0.0, -math.log(width)) / math.log(self.xi)))
+                + self.expansion_depth + 2)
+
 
 def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
     """Geometry of the cylinder phi_w([0,1]), read from the family's forward
@@ -472,7 +456,7 @@ def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
         fam._check_symbol(s)
         comp = comp.child(s)
     (lo, hi), diam, deriv, psi = comp.geometry()
-    return CylinderGeometry(word=tuple(word), interval=Interval(lo, hi), diam=diam,
+    return CylinderGeometry(interval=Interval(lo, hi), diam=diam,
                             deriv_bracket=deriv, psi_bracket=psi)
 
 
@@ -511,9 +495,7 @@ def project_word(sys: MarkovSystem, prefix: Word, precision: float) -> Interval:
     fam = sys.branches
     for s in prefix:
         fam._check_symbol(s)
-    # depth at which xi-contraction certainly reaches the precision
-    cap = (len(prefix) + sys.expansion_depth + 8
-           + int(math.ceil(max(0.0, -math.log(precision)) / math.log(sys.xi))))
+    cap = len(prefix) + sys.depth_for(precision) + 6
     comp = fam.composer()
     for depth, s in enumerate(itertools.cycle(prefix), 1):
         comp = comp.child(s)
@@ -636,8 +618,7 @@ def doubling_map() -> MarkovSystem:
 
 
 def affine_system(ratios: Sequence[float],
-                  placements: Sequence[float] | None = None,
-                  xi: float | None = None) -> MarkovSystem:
+                  placements: Sequence[float] | None = None) -> MarkovSystem:
     """Finite affine system; branches packed from 0 unless placements given."""
     if placements is None:
         lefts = list(itertools.accumulate([0.0] + list(ratios[:-1])))
@@ -645,7 +626,7 @@ def affine_system(ratios: Sequence[float],
         lefts = list(placements)
     # the family checks the ratios before xi divides by one
     family = AffineFamily(lefts, ratios)
-    return MarkovSystem(family, xi=1.0 / max(ratios) if xi is None else xi)
+    return MarkovSystem(family, xi=1.0 / max(ratios))
 
 
 def gauss_system() -> MarkovSystem:

@@ -10,7 +10,7 @@ closed cylinder inside the open ball, and floating-point ties resolve to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -85,7 +85,6 @@ class CoverReport:
     n_max: int
     per_level: tuple[tuple[int, float], ...]
     total: float
-    geometric_tail_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -206,8 +205,7 @@ def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
                                  tail_bound=None, total_with_tail=None,
                                  message="reject: no verified geometric decay; " + message_tail)
     tail = levels[-1] * ratio / (1.0 - ratio)
-    return CertificateReport(accepted=True, s=s,
-                             cover=replace(report, geometric_tail_bound=tail),
+    return CertificateReport(accepted=True, s=s, cover=report,
                              decay_ratio=ratio, tail_bound=tail,
                              total_with_tail=report.total + tail,
                              message="accept: verified decay ratio "
@@ -253,19 +251,24 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     return total / r
 
 
+# bounds of the window precision hit_times asks for
+_PRECISION_CAP = 1e-9
+_PRECISION_FLOOR = 1e-280
+
+
 def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
-              horizon: int, base_precision: float = 1e-9) -> HitReport:
+              horizon: int) -> HitReport:
     """Exact symbolic hit/miss/undecided schedule of the coded orbit.
 
     For each epoch n the iterate T^n(pi(w)) lies in one window: the cylinder
-    of the code symbols after position n, at the depth where xi-contraction
-    reaches 1% of the threshold (clamped to [1e-280, base_precision]), or of
-    whatever code is left.  The threshold exp(-S_n(phi)) is a Birkhoff
-    bracket over the prefix cylinder.  The window is padded outward by
-    4 (depth + 1) ulps of its larger end, a bound on the composers' rounding
-    (at most three roundings per affine symbol, half an ulp per continuant
-    quotient), so it contains the true cylinder however narrow the composed
-    one is.  An epoch is a hit when the distance interval lies entirely
+    of the code symbols after position n, at the depth ``sys.depth_for``
+    gives for 1% of the threshold (clamped to [_PRECISION_FLOOR,
+    _PRECISION_CAP]), or of whatever code is left.  The threshold
+    exp(-S_n(phi)) is a Birkhoff bracket over the prefix cylinder.  The
+    window is padded outward by 4 (depth + 1) ulps of its larger end, a
+    bound on the composers' rounding (at most three roundings per affine
+    symbol, half an ulp per continuant quotient), so it contains the true
+    cylinder however narrow the composed one is.  An epoch is a hit when the distance interval lies entirely
     below the threshold interval, a miss when entirely above, and undecided
     otherwise (ties, and epochs with no code left after n, included).
     """
@@ -287,7 +290,6 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
     hits: list[int] = []
     misses: list[int] = []
     undecided: list[int] = []
-    log_xi = math.log(sys.xi)
     for n in range(1, horizon + 1):
         if not pull(n):
             undecided.append(n)
@@ -296,10 +298,7 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
         b_lo, b_hi = birkhoff_bracket(sys, phi, prefix)
         thr_lo = math.exp(-b_hi)
         thr_hi = math.exp(-b_lo)
-        precision = max(min(base_precision, 0.01 * thr_lo), 1e-280)
-        # xi-contraction bounds the depth needed for the target precision
-        depth = (int(math.ceil(max(0.0, -math.log(precision)) / log_xi))
-                 + sys.expansion_depth + 2)
+        depth = sys.depth_for(max(min(_PRECISION_CAP, 0.01 * thr_lo), _PRECISION_FLOOR))
         if not pull(n + depth):
             depth = len(buffer) - n
             if depth < 1:

@@ -9,6 +9,7 @@ import random
 import time
 
 from shrinktarget import (
+    BirkhoffTable,
     Constant,
     ConstantRate,
     LogDerivative,
@@ -25,7 +26,6 @@ from shrinktarget import (
     doubling_map,
     gauss_system,
     hit_times,
-    partition_sum,
     pressure_bracket,
     project_word,
     shrink_exponent_alpha,
@@ -128,7 +128,7 @@ def test_criterion_5_pressure_bracket_properties():
         pot = Scale(s, PSI)
         est = pressure_bracket(sys, pot, full, n_max=3)
         ok = ok and est.lower <= est.upper + 1e-12                      # (a)
-        uppers = [partition_sum(sys, pot, full, n, "sup") / n for n in (1, 2, 3)]
+        uppers = [BirkhoffTable(sys, pot, full).partition(1.0, n, "sup") / n for n in (1, 2, 3)]
         ok = ok and all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))  # (b)
         if k >= 3:
             small = pressure_bracket(sys, pot, frozenset(range(1, k)), n_max=2)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as hyst
 
 import shrinktarget
 from shrinktarget.cli import ConfigError, main, parse_potential, parse_subset
-from shrinktarget import Constant, LogDerivative, Scale, Sum
+from shrinktarget import Constant, LogDerivative, Scale, ShrinkFn, Sum, build_counterexample
 
 
 def write(tmp_path, name, text):
@@ -142,6 +142,21 @@ system_out = {tmp_path / 'built2.ini'}
     _, rows2 = read_rows(out2)
     widths_second = {row[0]: row[1] for row in rows2[1:]}
     assert widths_first == widths_second
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.7, 0.8])
+def test_counterexample_build_rows_are_the_composed_images(tmp_path, beta):
+    cfg = write(tmp_path, "ce.ini", "[system]\nkind = counterexample\n"
+                f"beta = {beta}\nphi = power:1\n[run]\nsystem_out = {tmp_path / 'ce_out.ini'}\n")
+    out = tmp_path / "build.csv"
+    assert main(["counterexample-build", "--config", cfg, "--out", str(out)]) == 0
+    image = build_counterexample(beta, ShrinkFn.power(1)).as_system().branches.branch_interval
+    _, rows = read_rows(out)
+    branch_rows = [row for row in rows if row[0].startswith("branch_")]
+    assert branch_rows
+    for row in branch_rows:
+        iv = image(int(row[0].removeprefix("branch_")))
+        assert (float(row[2]), float(row[3])) == (iv.lo, iv.hi)
 
 
 def test_hits_csv_statuses(tmp_path):
@@ -429,6 +444,7 @@ def test_oversize_keys_exit_3_before_allocating(tmp_path, name):
                    address_space=1536 << 20)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: budget '") and "1e+09" in proc.stderr
+    assert "words" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert not system_out.exists()
 

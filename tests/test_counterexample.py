@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,13 +54,15 @@ def test_min_branch_comparison_at_three(ce_half):
 
 def test_placement_inside_gaps(ce_half):
     phi = ce_half.phi
+    image = ce_half.as_system().branches.branch_interval
     for n in range(ce_half.n0, ce_half.n0 + 12):
-        iv = ce_half.interval(n)
+        iv = image(n)
         assert phi(n + 1) < iv.lo <= iv.hi < phi(n)
     gap_lo = phi(ce_half.n0)
-    for iv in (ce_half.v1, ce_half.v2):
+    v1, v2 = image(1), image(2)
+    for iv in (v1, v2):
         assert gap_lo < iv.lo < iv.hi < 1.0
-    assert ce_half.v1.hi < ce_half.v2.lo
+    assert v1.hi < v2.lo
 
 
 def test_width_feasibility(ce_half):
@@ -77,7 +80,7 @@ def test_origin_outside_branches(ce_half):
     sys = ce_half.as_system()
     assert sys.branches.locate(0.0) is None
     # but branch intervals accumulate at 0
-    assert ce_half.interval(40).hi < ce_half.phi(40) < 1e-1
+    assert sys.branches.branch_interval(40).hi < ce_half.phi(40) < 1e-1
 
 
 def test_shrink_fn_validation():
@@ -106,8 +109,10 @@ def test_moran_residual_tiny(ce_half, ce_nine):
 
 def test_moran_detects_corruption(ce_half):
     # halving r2 changes the sum by r2^beta (1 - 2^{-beta})
-    corrupt = lambda i: ce_half.log_width(i) - (math.log(2.0) if i == 2 else 0.0)
-    residual = verify_moran(ce_half, width_override=corrupt)
+    corrupt = SimpleNamespace(
+        beta=ce_half.beta, n0=ce_half.n0,
+        log_width=lambda i: ce_half.log_width(i) - (math.log(2.0) if i == 2 else 0.0))
+    residual = verify_moran(corrupt)
     expect = math.exp(0.5 * ce_half.log_r12) * (1.0 - 2.0 ** -0.5)
     assert residual == pytest.approx(expect, rel=1e-9)
     assert residual > 1e-2

@@ -21,7 +21,6 @@ from shrinktarget import (
     birkhoff_bracket,
     doubling_map,
     gauss_system,
-    partition_sum,
     pressure_bracket,
 )
 from shrinktarget import pressure
@@ -139,13 +138,15 @@ def test_nonnegativity_validation():
 def test_partition_zero_potential():
     sys = doubling_map()
     for mode in ("sup", "inf"):
-        assert partition_sum(sys, Constant(0.0), {1, 2}, 3, mode) == pytest.approx(math.log(8))
+        got = BirkhoffTable(sys, Constant(0.0), {1, 2}).partition(1.0, 3, mode)
+        assert got == pytest.approx(math.log(8))
 
 
 def test_partition_doubling_unit_scale():
     sys = doubling_map()
     for mode in ("sup", "inf"):
-        assert partition_sum(sys, Scale(1.0, PSI), {1, 2}, 5, mode) == pytest.approx(0.0, abs=1e-12)
+        got = BirkhoffTable(sys, Scale(1.0, PSI), {1, 2}).partition(1.0, 5, mode)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partition_gauss_depth_one_endpoint_oracle():
@@ -154,11 +155,11 @@ def test_partition_gauss_depth_one_endpoint_oracle():
     w1 = 1.0 / (1.0 + 0.0) ** 2   # sup |phi_1'|
     w2 = 1.0 / (2.0 + 0.0) ** 2   # sup |phi_2'|
     expect = math.log(w1 + w2)
-    got = partition_sum(sys, Scale(1.0, PSI), {1, 2}, 1, "sup")
+    got = BirkhoffTable(sys, Scale(1.0, PSI), {1, 2}).partition(1.0, 1, "sup")
     assert got == pytest.approx(expect, abs=1e-12)
     i1 = 1.0 / (1.0 + 1.0) ** 2   # inf |phi_1'|
     i2 = 1.0 / (2.0 + 1.0) ** 2
-    got_inf = partition_sum(sys, Scale(1.0, PSI), {1, 2}, 1, "inf")
+    got_inf = BirkhoffTable(sys, Scale(1.0, PSI), {1, 2}).partition(1.0, 1, "inf")
     assert got_inf == pytest.approx(math.log(i1 + i2), abs=1e-12)
 
 
@@ -389,7 +390,7 @@ def test_lower_monotone_in_subset():
 def test_upper_nonincreasing_in_depth_gauss():
     sys = gauss_system()
     pot = Scale(1.0, PSI)
-    uppers = [partition_sum(sys, pot, {1, 2, 3}, n, "sup") / n for n in range(1, 6)]
+    uppers = [BirkhoffTable(sys, pot, {1, 2, 3}).partition(1.0, n, "sup") / n for n in range(1, 6)]
     for a, b in zip(uppers, uppers[1:]):
         assert b <= a + 1e-12
 
@@ -397,7 +398,7 @@ def test_upper_nonincreasing_in_depth_gauss():
 def test_submultiplicative_sup_sums():
     sys = gauss_system()
     pot = Scale(0.8, PSI)
-    logz = {n: partition_sum(sys, pot, {1, 2}, n, "sup") for n in range(1, 7)}
+    logz = {n: BirkhoffTable(sys, pot, {1, 2}).partition(1.0, n, "sup") for n in range(1, 7)}
     for m in range(1, 4):
         for n in range(1, 4):
             assert logz[m + n] <= logz[m] + logz[n] + 1e-12
@@ -406,7 +407,7 @@ def test_submultiplicative_sup_sums():
 def test_supermultiplicative_inf_sums():
     sys = gauss_system()
     pot = Scale(0.8, PSI)
-    logz = {n: partition_sum(sys, pot, {1, 2}, n, "inf") for n in range(1, 7)}
+    logz = {n: BirkhoffTable(sys, pot, {1, 2}).partition(1.0, n, "inf") for n in range(1, 7)}
     for m in range(1, 4):
         for n in range(1, 4):
             assert logz[m + n] >= logz[m] + logz[n] - 1e-12

@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hyst
 
+from shrinktarget.cli import _geometric_countable
 from shrinktarget import (
     EscapesRepellerError,
     Interval,
     MarkovSystem,
+    ShrinkFn,
     affine_system,
+    build_counterexample,
     cylinder,
     doubling_map,
     encode_point,
@@ -203,7 +206,7 @@ def test_nesting_and_chain_rule_affine(ratios, data):
     g = cylinder(sys, word)
     for cut in range(1, len(word)):
         prefix = cylinder(sys, word[:cut])
-        assert prefix.interval.contains_interval(g.interval)
+        assert prefix.interval.lo <= g.interval.lo and g.interval.hi <= prefix.interval.hi
     # exact product bracket, diam equals it, contraction at every depth
     expected = math.prod(ratios[s - 1] for s in word)
     assert g.deriv_bracket == (expected, expected)
@@ -220,7 +223,7 @@ def test_nesting_and_bracket_gauss(data):
     g = cylinder(sys, word)
     for cut in range(1, len(word)):
         prefix = cylinder(sys, word[:cut])
-        assert prefix.interval.contains_interval(g.interval)
+        assert prefix.interval.lo <= g.interval.lo and g.interval.hi <= prefix.interval.hi
     lo, hi = g.deriv_bracket
     assert lo <= g.diam <= hi  # mean value theorem
     # chain-rule bracket: nested evaluation at least as tight as plain products
@@ -252,6 +255,18 @@ def test_coding_round_trip(data):
     x = 0.5 * (iv.lo + iv.hi)
     n = data.draw(hyst.integers(min_value=1, max_value=6))
     assert encode_point(sys, x, n) == prefix[:n]
+
+
+@pytest.mark.parametrize("system, symbols", [
+    (lambda: _geometric_countable(0.3, 0.6), (1, 2, 3, 7, 20)),
+    # the narrow counterexample branches lie below the float spacing
+    (lambda: build_counterexample(0.5, ShrinkFn.power(1)).as_system(), (1, 2)),
+], ids=["geometric", "counterexample"])
+def test_coding_round_trip_countable(system, symbols):
+    sys = system()
+    for word in itertools.product(symbols, repeat=3):
+        iv = project_word(sys, word, 1e-12)
+        assert encode_point(sys, 0.5 * (iv.lo + iv.hi), 3) == word
 
 
 def test_gauss_contraction_depth_two():
