@@ -32,6 +32,7 @@ from .systems import (
     gauss_system,
 )
 from .targets import (
+    _PRECISION_FLOOR,
     ConstantRate,
     PotentialRate,
     TargetSpec,
@@ -425,8 +426,12 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
     code = _parse_code(_key(run_sec, "code", str))
     horizon = _key(run_sec, "horizon", int, 50)
     if horizon > budget:
-        # every epoch composes a window and writes a row
+        # every epoch writes a row
         raise BudgetExceededError("horizon", horizon, budget)
+    # and composes a window of at most depth_for(_PRECISION_FLOOR) symbols
+    symbols = horizon * loaded.system.depth_for(_PRECISION_FLOOR)
+    if symbols > budget:
+        raise BudgetExceededError("horizon", symbols, budget)
     report = hit_times(loaded.system, code, target, horizon)
     status = ({n: "hit" for n in report.hits} | {n: "miss" for n in report.misses}
               | {n: "undecided" for n in report.undecided})
@@ -502,7 +507,6 @@ def _write_counterexample(ce: CounterexampleSystem, path: str,
         "kind": "counterexample",
         "beta": repr(ce.beta),
         "phi": ce.phi.spec,
-        "n0": str(ce.n0),
     }
     if source.get("truncation"):
         out["system"]["truncation"] = source["truncation"]

@@ -101,15 +101,17 @@ def _quad_tail(beta_like: float, m: int) -> float:
 
 def _width_power_series(log_width: Callable[[int], float], exponent: float, start: int,
                         slack: float, total: float = 0.0) -> tuple[float, float]:
-    """(total + sum_{n=start}^{m} width_n^exponent, _quad_tail(exponent, m))
-    for the first m >= start whose quadratic-domination tail is at most the
-    slack (m stops at start + 400); terms are added one at a time in order."""
+    """(total + sum_{n=start}^{m} width_n^exponent, remainder bound) for the
+    first m >= start whose quadratic-domination tail is at most the slack (m
+    stops at start + 400); terms are added one at a time in order.  The
+    remainder bound is _quad_tail(exponent, m) padded by 1e-290, so it stays
+    positive where the tail underflows."""
     m = start
     while _quad_tail(exponent, m) > slack and m < start + 400:
         m += 1
     for n in range(start, m + 1):
         total += math.exp(exponent * log_width(n))
-    return total, _quad_tail(exponent, m)
+    return total, _quad_tail(exponent, m) + 1e-290
 
 
 @dataclass(frozen=True)
@@ -160,15 +162,6 @@ class CounterexampleSystem:
         k0 = max(beyond + 1, self.n0)
         total += math.exp(-exponent * k0) / -math.expm1(-exponent)
         return total
-
-    def power_sum_tail_certified(self, exponent: float) -> tuple[float, float]:
-        """(explicit sum over n >= n0 of width_n^exponent, remainder bound).
-
-        The explicit range is extended until the quadratic-domination tail
-        drops below _SERIES_SLACK.
-        """
-        total, tail = _width_power_series(self.log_width, exponent, self.n0, _SERIES_SLACK)
-        return total, tail + 1e-290
 
     def as_system(self) -> MarkovSystem:
         if "system" not in self._cache:
@@ -246,7 +239,7 @@ def verify_moran(ce: CounterexampleSystem) -> float:
     beta = ce.beta
     total, tail = _width_power_series(logw, beta, ce.n0, _SERIES_SLACK,
                                       math.exp(beta * logw(1)) + math.exp(beta * logw(2)))
-    return abs(total - 1.0) + (tail + 1e-290)
+    return abs(total - 1.0) + tail
 
 
 @dataclass(frozen=True)
@@ -275,13 +268,13 @@ def zero_dim_cover_report(ce: CounterexampleSystem, eps: float, m: int,
         raise ValueError(f"start level must exceed 1/eps = {1.0 / eps:g}")
     if n_max < m:
         raise ValueError("n_max must be at least the start level")
-    explicit, tail = ce.power_sum_tail_certified(eps)
+    explicit, tail = _width_power_series(ce.log_width, eps, ce.n0, _SERIES_SLACK)
     base_upper = 2.0 * math.exp(eps * ce.log_r12) + explicit + tail
 
     def last_factor(n: int) -> float:
         total, tail = _width_power_series(ce.log_width, eps, max(n, ce.n0),
                                           1e-16 * math.exp(-float(n)))
-        return total + tail + 1e-290
+        return total + tail
 
     per_level = []
     envelope = []
@@ -295,8 +288,7 @@ def zero_dim_cover_report(ce: CounterexampleSystem, eps: float, m: int,
         total += value
         if value > bound:
             ok = False
-    cover = CoverReport(s=eps, m=m, n_max=n_max, per_level=tuple(per_level),
-                        total=total)
-    return ZeroDimCoverReport(cover=cover, envelope=tuple(envelope),
+    return ZeroDimCoverReport(cover=CoverReport(per_level=tuple(per_level), total=total),
+                              envelope=tuple(envelope),
                               envelope_ok=ok,
                               full_series_bound=_EULER_TAIL ** 2)

@@ -82,15 +82,31 @@ class Truncation:
                           n_max=n_max, budget=budget, use_tail=use_tail)
 
 
-def _midpoint(lo: float, hi: float, tol: float) -> float:
-    """The bisection midpoint of [lo, hi]; raises ValueError once the
-    bracket cannot be split, which a tolerance below the float spacing
-    there would otherwise turn into an endless loop."""
-    mid = 0.5 * (lo + hi)
-    if not lo < mid < hi:
-        raise ValueError(f"tolerance {tol!r} is below float resolution: bisection "
-                         f"stopped at [{lo!r}, {hi!r}], width {hi - lo!r}")
-    return mid
+def _bisect(decide: Callable[[float], int], lo: float, tol: float) -> tuple[float, float]:
+    """Bisect a monotone sign down to a bracket [lo, hi] no wider than tol.
+
+    ``decide(s)`` is +1 while s lies below the root and -1 at or above it,
+    and ``decide(lo)`` is taken to be +1.  ``hi`` is found by doubling from 1
+    up to _S_CAP.  Raises ValueError once the bracket cannot be split, which
+    a tolerance below the float spacing there would otherwise turn into an
+    endless loop.
+    """
+    hi = 1.0
+    while decide(hi) == 1:
+        lo = hi
+        hi *= 2.0
+        if hi > _S_CAP:
+            raise RuntimeError("no upper bisection endpoint found below the cap")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise ValueError(f"tolerance {tol!r} is below float resolution: bisection "
+                             f"stopped at [{lo!r}, {hi!r}], width {hi - lo!r}")
+        if decide(mid) == 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 class _Solver:
@@ -151,37 +167,20 @@ class _Solver:
     def run(self, tol: float) -> DimensionResult:
         if not 0.0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-        lo = _S_FLOOR
-        if self.decide(lo) == -1:
+        if self.decide(_S_FLOOR) == -1:
             raise RuntimeError(
                 f"pressure already nonpositive at the bisection floor s = {_S_FLOOR:g}: "
                 f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
                 "example, has a one-point limit set)")
-        hi = 1.0
-        while self.decide(hi) == 1:
-            lo = hi
-            hi *= 2.0
-            if hi > _S_CAP:
-                raise RuntimeError("no upper bisection endpoint found below the cap")
-        while hi - lo > tol:
-            mid = _midpoint(lo, hi, tol)
-            if self.decide(mid) == 1:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(self.decide, _S_FLOOR, tol)
         subset = self.trunc.subsets[self.index]
         return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi),
                                truncation=(subset, self.n_used),
                                certified=self.certified)
 
 
-def moran_solve(ratios: Sequence[float], tol: float = 1e-10,
-                tail: Callable[[float], float] | None = None) -> DimensionResult:
-    """Solve sum r_i^s = 1 by monotone bisection.
-
-    ``tail(s)`` may supply a certified bound for the remainder of a countable
-    ratio family beyond the listed ones.
-    """
+def moran_solve(ratios: Sequence[float], tol: float = 1e-10) -> DimensionResult:
+    """Solve sum r_i^s = 1 by monotone bisection."""
     rs = [float(r) for r in ratios]
     if not rs:
         raise ValueError("at least one contraction ratio required")
@@ -190,31 +189,9 @@ def moran_solve(ratios: Sequence[float], tol: float = 1e-10,
             raise ValueError("ratios must lie in (0, 1)")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-
-    def low_end(s: float) -> float:
-        return sum(r ** s for r in rs) - 1.0
-
-    def high_end(s: float) -> float:
-        return low_end(s) + (tail(s) if tail is not None else 0.0)
-
-    lo, hi = 0.0, 1.0
-    certified = True
-    while high_end(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > _S_CAP:
-            raise RuntimeError("Moran sum does not drop below 1; ratios invalid")
-    while hi - lo > tol:
-        mid = _midpoint(lo, hi, tol)
-        if low_end(mid) > 0.0:
-            lo = mid
-        elif high_end(mid) <= 0.0:
-            hi = mid
-        else:
-            certified = False
-            break
+    lo, hi = _bisect(lambda s: 1 if sum(r ** s for r in rs) - 1.0 > 0.0 else -1, 0.0, tol)
     return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi), truncation=None,
-                           certified=certified and (hi - lo) <= tol)
+                           certified=True)
 
 
 def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:

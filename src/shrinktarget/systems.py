@@ -91,7 +91,6 @@ class BudgetExceededError(Exception):
         if completed_level is not None:
             msg += f" (deepest completed level: {completed_level})"
         super().__init__(msg)
-        self.key = key
         self.requested = requested
         self.budget = budget
         self.completed_level = completed_level

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -80,9 +81,6 @@ class TargetSpec:
 class CoverReport:
     """Level-by-level cover sums for the target preimage sets."""
 
-    s: float
-    m: int
-    n_max: int
     per_level: tuple[tuple[int, float], ...]
     total: float
 
@@ -92,7 +90,6 @@ class CertificateReport:
     """Accept/reject outcome of the geometric-decay cover certificate."""
 
     accepted: bool
-    s: float
     cover: CoverReport
     decay_ratio: float | None
     tail_bound: float | None
@@ -160,8 +157,7 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
             level = float(np.sum(np.exp(-s * c_lo[dist < np.exp(-reach_n)])))
         per_level.append((n, level))
         total += level
-    return CoverReport(s=s, m=m, n_max=n_max, per_level=tuple(per_level),
-                       total=total)
+    return CoverReport(per_level=tuple(per_level), total=total)
 
 
 # trailing cover levels whose decay the certificate checks
@@ -184,7 +180,7 @@ def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
     message_tail = (f"evidence at truncation (m={m}, n_max={n_max}, "
                     f"|F|={len(set(subset))}); not a proof for the untruncated system")
     if all(v == 0.0 for v in window):
-        return CertificateReport(accepted=True, s=s, cover=report,
+        return CertificateReport(accepted=True, cover=report,
                                  decay_ratio=0.0, tail_bound=0.0,
                                  total_with_tail=report.total,
                                  message="accept: trailing levels vanish; " + message_tail)
@@ -200,12 +196,12 @@ def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
             ratios.append(cur / prev)
     ratio = max(ratios) if ratios else math.inf
     if not ok or not ratios or not (ratio < 1.0):
-        return CertificateReport(accepted=False, s=s, cover=report,
+        return CertificateReport(accepted=False, cover=report,
                                  decay_ratio=(ratio if ratios else None),
                                  tail_bound=None, total_with_tail=None,
                                  message="reject: no verified geometric decay; " + message_tail)
     tail = levels[-1] * ratio / (1.0 - ratio)
-    return CertificateReport(accepted=True, s=s, cover=report,
+    return CertificateReport(accepted=True, cover=report,
                              decay_ratio=ratio, tail_bound=tail,
                              total_with_tail=report.total + tail,
                              message="accept: verified decay ratio "
@@ -268,42 +264,30 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
     window is padded outward by 4 (depth + 1) ulps of its larger end, a
     bound on the composers' rounding (at most three roundings per affine
     symbol, half an ulp per continuant quotient), so it contains the true
-    cylinder however narrow the composed one is.  An epoch is a hit when the distance interval lies entirely
-    below the threshold interval, a miss when entirely above, and undecided
-    otherwise (ties, and epochs with no code left after n, included).
+    cylinder however narrow the composed one is.  An epoch is a hit when the
+    distance interval lies entirely below the threshold interval, a miss when
+    entirely above, and undecided otherwise (ties, and epochs with no code
+    left after n, included).  The code is read once, up to horizon +
+    ``sys.depth_for(_PRECISION_FLOOR)`` symbols.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    it = iter(code)
-    buffer: list[int] = []
-
-    def pull(k: int) -> bool:
-        while len(buffer) < k:
-            try:
-                buffer.append(next(it))
-            except StopIteration:
-                return False
-        return True
-
+    # no window is deeper than the one at the precision floor
+    buffer = list(islice(code, horizon + sys.depth_for(_PRECISION_FLOOR)))
     phi = target.rate_potential()
     y = target.y
     hits: list[int] = []
     misses: list[int] = []
     undecided: list[int] = []
     for n in range(1, horizon + 1):
-        if not pull(n):
+        if len(buffer) <= n:
             undecided.append(n)
             continue
-        prefix = tuple(buffer[:n])
-        b_lo, b_hi = birkhoff_bracket(sys, phi, prefix)
+        b_lo, b_hi = birkhoff_bracket(sys, phi, tuple(buffer[:n]))
         thr_lo = math.exp(-b_hi)
         thr_hi = math.exp(-b_lo)
-        depth = sys.depth_for(max(min(_PRECISION_CAP, 0.01 * thr_lo), _PRECISION_FLOOR))
-        if not pull(n + depth):
-            depth = len(buffer) - n
-            if depth < 1:
-                undecided.append(n)
-                continue
+        depth = min(sys.depth_for(max(min(_PRECISION_CAP, 0.01 * thr_lo), _PRECISION_FLOOR)),
+                    len(buffer) - n)
         interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
         pad = 4 * (depth + 1) * math.ulp(interval.hi)
         d_lo, d_hi = _distance_bracket(y, interval.lo - pad, interval.hi + pad)

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import io
 import math
@@ -157,6 +158,24 @@ def test_counterexample_build_rows_are_the_composed_images(tmp_path, beta):
     for row in branch_rows:
         iv = image(int(row[0].removeprefix("branch_")))
         assert (float(row[2]), float(row[3])) == (iv.lo, iv.hi)
+
+
+@pytest.mark.parametrize("truncation", [None, "20"])
+def test_counterexample_build_system_file_keys(tmp_path, truncation):
+    # the loader rebuilds from beta and phi, so the file holds nothing else
+    built = tmp_path / "built.ini"
+    extra = "" if truncation is None else f"truncation = {truncation}\n"
+    cfg = write(tmp_path, "ce.ini", "[system]\nkind = counterexample\nbeta = 0.7\n"
+                f"phi = power:1\n{extra}[run]\nsystem_out = {built}\n")
+    assert main(["counterexample-build", "--config", cfg, "--out",
+                 str(tmp_path / "build.csv")]) == 0
+    written = configparser.ConfigParser()
+    written.read(built)
+    assert written.sections() == ["system"]
+    expected = {"kind": "counterexample", "beta": "0.7", "phi": "power:1"}
+    if truncation is not None:
+        expected["truncation"] = truncation
+    assert dict(written["system"]) == expected
 
 
 def test_hits_csv_statuses(tmp_path):
@@ -447,6 +466,18 @@ def test_oversize_keys_exit_3_before_allocating(tmp_path, name):
     assert "words" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert not system_out.exists()
+
+
+def test_hits_budget_bounds_the_window_symbols(tmp_path):
+    # 20000 epochs are within the default budget, but their windows at the
+    # precision floor (934 symbols each on doubling) are not; uncharged, the
+    # run takes about 30 s and exits 0
+    cfg = write(tmp_path, "h.ini", "[system]\nkind = doubling\n[target]\ny = 0.3\n"
+                "rate = const:1\n[run]\ncode = cycle:1,2\nhorizon = 20000\n")
+    proc = run_cli(["hits", "--config", cfg], timeout=5)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: budget 'horizon' exceeded")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_reversed_subset_range_exits_2(tmp_path):

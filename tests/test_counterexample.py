@@ -11,6 +11,7 @@ from shrinktarget import (
     verify_moran,
     zero_dim_cover_report,
 )
+from shrinktarget.counterexample import _SERIES_SLACK, _width_power_series
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def test_threshold_index_conditions(ce_half):
 
 def test_wide_branch_width(ce_half):
     # r1 = 2^{-1/beta} (1 - S)^{1/beta} with S the width-power series
-    s_series, s_tail = ce_half.power_sum_tail_certified(0.5)
+    s_series, s_tail = _width_power_series(ce_half.log_width, 0.5, ce_half.n0, _SERIES_SLACK)
     r1 = math.exp(ce_half.log_r12)
     assert r1 == pytest.approx(0.25 * (1 - s_series) ** 2, rel=1e-12)
     assert s_tail < 1e-12

@@ -77,14 +77,16 @@ def test_exponent_at_the_bisection_floor_names_the_floor():
         bowen_dimension(doubling_map(), Truncation.single({1}, n_max=3))
 
 
-def test_moran_with_tail_bound():
-    # ratios 2^{-k}, k >= 2 listed to depth 40; geometric tail bound beyond
-    rs = [2.0 ** -k for k in range(2, 41)]
-    tail = lambda s: (2.0 ** -41) ** s / (1 - 2.0 ** -s)
-    res = moran_solve(rs, tol=1e-9, tail=tail)
-    # oracle: sum_{k>=2} 2^{-ks} = 1 iff u^2/(1-u) = 1 (u = 2^{-s}), u = (sqrt5-1)/2
-    expect = -math.log((math.sqrt(5) - 1) / 2) / math.log(2)
-    assert res.value == pytest.approx(expect, abs=1e-7)
+def test_moran_upper_end_doubles_up_to_the_cap():
+    # oracle: equal ratios r, k of them, solve k r^s = 1 at s = log k / log(1/r)
+    res = moran_solve([0.9, 0.9], tol=1e-12)
+    assert res.value == pytest.approx(math.log(2) / math.log(10 / 9), abs=1e-11)
+    res = moran_solve([0.99] * 3, tol=1e-9)
+    assert res.value == pytest.approx(math.log(3) / -math.log(0.99), abs=1e-8)
+    assert res.value > 64.0
+    # the root log 1000 / log(1/0.99) = 687.3 lies beyond the cap
+    with pytest.raises(RuntimeError, match="below the cap"):
+        moran_solve([0.99] * 1000)
 
 
 # ---------------------------------------------------------------- bowen
