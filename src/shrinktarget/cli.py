@@ -359,7 +359,7 @@ def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
         budget=budget,
         use_tail=_key(run_sec, "use_tail", bool, False),
     )
-    return trunc, _key(run_sec, "tol", float, 1e-9, what="[run] tol (bisection tolerance)")
+    return trunc, _key(run_sec, "tol", float, 1e-9, what="[run] tol (search tolerance)")
 
 
 # A handler reads its sections and returns (manifest extras, header, rows).
@@ -380,7 +380,7 @@ def _dimension(cfg: configparser.ConfigParser, budget: int):
     trunc, tol = _truncation(cfg["run"], loaded, budget)
     res = bowen_dimension(loaded.system, trunc, tol=tol)
     return ({"truncation": _truncation_text(res.truncation), "certified": res.certified,
-             "budget": budget},
+             "pressure_brackets": res.steps, "budget": budget},
             ["value", "lower", "upper", "certified"],
             [[res.value, res.bracket[0], res.bracket[1], res.certified]])
 
@@ -390,9 +390,11 @@ def _spectrum(cfg: configparser.ConfigParser, budget: int):
     run_sec = cfg["run"]
     trunc, tol = _truncation(run_sec, loaded, budget)
     alphas = _numbers(_key(run_sec, "alphas", str), "[run] alphas")
+    results = spectrum(loaded.system, alphas, trunc, tol=tol)
     rows = [[alpha, res.value, res.bracket[0], res.bracket[1], res.certified]
-            for alpha, res in spectrum(loaded.system, alphas, trunc, tol=tol)]
-    return ({"certified": all(row[-1] for row in rows), "budget": budget},
+            for alpha, res in results]
+    return ({"certified": all(row[-1] for row in rows),
+             "pressure_brackets": sum(res.steps for _, res in results), "budget": budget},
             ["alpha", "value", "lower", "upper", "certified"], rows)
 
 

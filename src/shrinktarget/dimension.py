@@ -1,11 +1,16 @@
-"""Bowen-type equation solvers by monotone bisection over pressure brackets.
+"""Bowen-type equation solvers: a secant-guided search over pressure brackets.
 
 All exponents here are infima of nonpositivity sets, not roots: the solved
 quantity is inf{s : P(-s*u) <= shift(s)} for a nonnegative potential u and a
-linear shift.  A bisection step is certified when the pressure bracket
-decides the sign; when the bracket straddles the shift the truncation is
-refined along the ladder, and if the ladder is exhausted the widest
-certified bracket is returned with ``certified=False``.
+linear shift.  A pressure bracket at s decides that s lies below the
+exponent (lower end above the shift) or at or above it (upper end at or
+below the shift); otherwise it straddles the shift, and the truncation is
+refined along the ladder.  The search places each probe by interpolation
+on the bracket values earlier probes gave, and certification is per end: a
+result is certified when its lower end is decided below and its upper end
+above by brackets.  When probes prove that no bracket of the requested
+width can be decided at both ends, the search closes on the root of the
+bracket midpoint instead and returns ``certified=False``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ __all__ = [
     "spectrum",
 ]
 
-_S_FLOOR = 1e-6   # seed for the bisection bracket; shrink exponents are positive
+_S_FLOOR = 1e-6   # lower end of the search; shrink exponents are positive
 _S_CAP = 128.0
 
 
@@ -35,14 +40,17 @@ _S_CAP = 128.0
 class DimensionResult:
     """Bracketed dimension-like exponent.
 
-    ``certified`` is True when pressure brackets (not point estimates) drove
-    both bisection sides down to the requested width.
+    ``certified`` is True when pressure brackets (not midpoint guesses)
+    decide both ends of ``bracket``: the lower end lies below the exponent
+    and the upper end at or above it.  ``steps`` counts the pressure
+    brackets evaluated (for ``moran_solve``, the Moran sums).
     """
 
     value: float
     bracket: tuple[float, float]
     truncation: tuple[frozenset[int], int] | None
     certified: bool
+    steps: int
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -82,31 +90,136 @@ class Truncation:
                           n_max=n_max, budget=budget, use_tail=use_tail)
 
 
-def _bisect(decide: Callable[[float], int], lo: float, tol: float) -> tuple[float, float]:
-    """Bisect a monotone sign down to a bracket [lo, hi] no wider than tol.
+# A probe (s, lower, upper) holds the pressure bracket at s less the shift
+# there: lower > 0 certifies that s lies below the exponent, upper <= 0 that
+# s lies at or above it, and in between the bracket straddles the shift.
+_Probe = tuple[float, float, float]
 
-    ``decide(s)`` is +1 while s lies below the root and -1 at or above it,
-    and ``decide(lo)`` is taken to be +1.  ``hi`` is found by doubling from 1
-    up to _S_CAP.  Raises ValueError once the bracket cannot be split, which
-    a tolerance below the float spacing there would otherwise turn into an
-    endless loop.
+
+def _lower(p: _Probe) -> float:
+    return p[1]
+
+
+def _upper(p: _Probe) -> float:
+    return p[2]
+
+
+def _mid(p: _Probe) -> float:
+    return math.inf if math.isinf(p[2]) else 0.5 * (p[1] + p[2])
+
+
+def _root_estimate(probes: list[_Probe], f: Callable[[_Probe], float],
+                   start: float, stop: float) -> tuple[float, float]:
+    """Root of f in [start, stop] from its three values nearest zero, with
+    an error estimate.
+
+    Inverse quadratic interpolation through three points is checked
+    against the secant through the best two: their distance estimates the
+    error of the secant, which bounds that of the quadratic from above.
+    With two points the secant comes with an infinite error; with fewer
+    there is no estimate (nan).  The estimate is clipped to [start, stop].
     """
-    hi = 1.0
-    while decide(hi) == 1:
-        lo = hi
-        hi *= 2.0
-        if hi > _S_CAP:
-            raise RuntimeError("no upper bisection endpoint found below the cap")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise ValueError(f"tolerance {tol!r} is below float resolution: bisection "
-                             f"stopped at [{lo!r}, {hi!r}], width {hi - lo!r}")
-        if decide(mid) == 1:
-            lo = mid
+    pts = sorted((abs(v), p[0], v) for p in probes if math.isfinite(v := f(p)))
+    if len(pts) < 2 or pts[0][2] == pts[1][2]:
+        return math.nan, math.inf
+    (_, x0, f0), (_, x1, f1) = pts[0], pts[1]
+    root = secant = x0 - f0 * (x0 - x1) / (f0 - f1)
+    err = math.inf
+    if len(pts) > 2 and pts[2][2] not in (f0, f1):
+        x2, f2 = pts[2][1], pts[2][2]
+        root = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+        err = abs(root - secant)
+    return min(max(root, start), stop), err
+
+
+def _search(measure: Callable[[float], _Probe], first: _Probe,
+            tol: float) -> tuple[float, float, bool]:
+    """Close the exponent inf{s : P <= shift} into [lo, hi] no wider than tol.
+
+    ``first`` is the probe at the floor, taken to lie below the exponent.
+    The upper end is found by doubling from 1 up to _S_CAP.  After that
+    each probe is placed by interpolation on the values the earlier probes
+    gave, aimed at the two ends of the straddle zone: a = sup{s : lower > 0}
+    from below and b = inf{s : upper <= 0} from above.  Once both estimates
+    have settled, a pair of probes a - m and b + m closes the bracket to
+    width tol/2, or as close to that as b - a allows.  A probe that fails to
+    halve the interval of its end is followed by a halving one.  When
+    straddling probes at least tol apart prove b - a >= tol, no certified
+    bracket can be that narrow, and the search closes instead on the root
+    of the bracket midpoint, the sign rule for a straddling bracket.
+
+    Returns the bracket [lo, hi] and whether it is certified: whether the
+    probe at lo has lower > 0 and the probe at hi has upper <= 0.  Raises
+    ValueError once the interval cannot be split, which a tolerance below
+    the float spacing there would otherwise turn into an endless loop.
+    """
+    probes = [first]
+    s = 1.0
+    while True:
+        probes.append(measure(s))
+        if _mid(probes[-1]) <= 0.0:
+            break
+        s *= 2.0
+        if s > _S_CAP:
+            raise RuntimeError("no upper search endpoint found below the cap")
+    left, right = (_lower, _upper) if _lower(first) > 0.0 else (_mid, _mid)
+    halved: dict[str, float] = {}
+    paired = False
+    while True:
+        lo = max(p for p in probes if left(p) > 0.0)
+        up = min((p for p in probes if right(p) <= 0.0), default=None)
+        if up is not None and up[0] - lo[0] <= tol:
+            return lo[0], up[0], _lower(lo) > 0.0 and _upper(up) <= 0.0
+        # a lies in (lo, a_hi] and b in (b_lo, up]
+        a_hi = min(p for p in probes if left(p) <= 0.0)[0]
+        b_lo = max(p for p in probes if right(p) > 0.0)[0]
+        if left is _lower and (b_lo - a_hi >= tol or (up is None and b_lo > _S_CAP)):
+            left = right = _mid
+            halved = {}
+            continue
+        if up is None:
+            # no certified upper end yet: this probe is one, or a straddle
+            # that proves the zone too wide
+            probes.append(measure(max(b_lo + min(2.0 * tol, _S_CAP),
+                                      math.nextafter(b_lo, math.inf))))
+            continue
+        lo_s, up_s = lo[0], up[0]
+        if not lo_s < 0.5 * (lo_s + up_s) < up_s:
+            raise ValueError(f"tolerance {tol!r} is below float resolution: the search "
+                             f"stopped at [{lo_s!r}, {up_s!r}], width {up_s - lo_s!r}")
+        xa, ea = _root_estimate(probes, left, lo_s, a_hi)
+        xb, eb = (xa, ea) if left is right else _root_estimate(probes, right, b_lo, up_s)
+        # a settled pair a - m, b + m, (gap + tol)/2 apart and at least
+        # tol/2: outside the zone it closes the bracket, inside (m < 0, when
+        # b - a > tol) it proves the zone too wide
+        gap = xb - xa
+        margin = 0.5 * (max(0.5 * tol, 0.5 * (gap + tol)) - gap)
+        pair = [x for x in (xa - margin, xb + margin) if lo_s < x < up_s]
+        if not paired and pair and max(ea, eb) <= 0.5 * abs(margin):
+            probes.extend(measure(x) for x in pair)
+            paired = True
+            continue
+        paired = False
+        # one probe, into the wider of the two end intervals
+        if a_hi - lo_s >= up_s - b_lo:
+            key, start, stop, x = "a", lo_s, a_hi, xa
         else:
-            hi = mid
-    return lo, hi
+            key, start, stop, x = "b", b_lo, up_s, xb
+        width = stop - start
+        if not start < x < stop or halved.get(key, math.inf) < width:
+            x = 0.5 * (start + stop)
+            if not start < x < stop:
+                # this end is as close as floats allow and the bracket is
+                # still wider than tol: no certified bracket will do
+                left = right = _mid
+                halved = {}
+                continue
+        else:
+            pad = 0.25 * min(tol, width)
+            x = min(max(x, start + pad), stop - pad)
+        halved[key] = 0.5 * width
+        probes.append(measure(x))
 
 
 class _Solver:
@@ -118,8 +231,8 @@ class _Solver:
         self.trunc = trunc
         self.tables = [None] * len(trunc.subsets)
         self.index = 0
-        self.certified = True
         self.n_used = 0
+        self.steps = 0
 
     def _table(self) -> BirkhoffTable:
         if self.tables[self.index] is None:
@@ -132,6 +245,7 @@ class _Solver:
         """+1 when s is certified below the exponent, -1 when at/above,
         0 when the bracket straddles the shift; the bracket rides along."""
         est = self._table().bracket(s, n_max=self.trunc.n_max, use_tail=self.trunc.use_tail)
+        self.steps += 1
         self.n_used = max(self.n_used, est.truncation[1])
         target = self.shift(s)
         if est.lower > target:
@@ -140,47 +254,48 @@ class _Solver:
             return -1, (est.lower, est.upper)
         return 0, (est.lower, est.upper)
 
-    def decide(self, s: float) -> int:
-        """Certified sign where the truncation allows it; once the ladder is
-        exhausted the bracket midpoint decides, and the result is flagged
-        uncertified (never reporting a certified digit the truncation cannot
-        support).
+    def measure(self, s: float) -> _Probe:
+        """The probe at s, from the first rung that decides it.
 
         Lower-side decisions are monotone in the subset and hold at any
         rung.  Without a tail an upper-side decision only certifies that
-        rung's subsystem, so it must come from the final rung.
+        rung's subsystem, so it must come from the final rung.  A bracket
+        that still straddles at the final rung is returned as it is.
         """
-        d, est = self._decide_once(s)
+        d, (lower, upper) = self._decide_once(s)
         while self.index + 1 < len(self.trunc.subsets) and (
                 d == 0 or (d == -1 and not self.trunc.use_tail)):
             self.index += 1
-            d, est = self._decide_once(s)
-        if d == 0:
-            self.certified = False
-            lower, upper = est
-            if math.isinf(upper):
-                return 1
-            midpoint = 0.5 * (lower + upper)
-            return 1 if midpoint > self.shift(s) else -1
-        return d
+            d, (lower, upper) = self._decide_once(s)
+        # Partition sums are rounded to nearest, not outward, and a probe
+        # placed by interpolation can land within rounding of the root: one
+        # ulp at the scale of the compared values keeps it from deciding a
+        # side it does not lie on.  A bracket inverted by rounding (see
+        # PressureEstimate) is widened, so it decides at most one side.
+        shift = self.shift(s)
+        upper = max(lower, upper)
+        pad = math.ulp(max([1.0, abs(shift)] + [abs(v) for v in (lower, upper)
+                                                if math.isfinite(v)]))
+        return s, lower - shift - pad, upper - shift + pad
 
     def run(self, tol: float) -> DimensionResult:
         if not 0.0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-        if self.decide(_S_FLOOR) == -1:
+        first = self.measure(_S_FLOOR)
+        if _mid(first) <= 0.0:
             raise RuntimeError(
-                f"pressure already nonpositive at the bisection floor s = {_S_FLOOR:g}: "
+                f"pressure already nonpositive at the search floor s = {_S_FLOOR:g}: "
                 f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
                 "example, has a one-point limit set)")
-        lo, hi = _bisect(self.decide, _S_FLOOR, tol)
+        lo, hi, certified = _search(self.measure, first, tol)
         subset = self.trunc.subsets[self.index]
         return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi),
-                               truncation=(subset, self.n_used),
-                               certified=self.certified)
+                               truncation=(subset, self.n_used), certified=certified,
+                               steps=self.steps)
 
 
 def moran_solve(ratios: Sequence[float], tol: float = 1e-10) -> DimensionResult:
-    """Solve sum r_i^s = 1 by monotone bisection."""
+    """Solve sum r_i^s = 1 by the same search; the sums are taken as exact."""
     rs = [float(r) for r in ratios]
     if not rs:
         raise ValueError("at least one contraction ratio required")
@@ -189,9 +304,18 @@ def moran_solve(ratios: Sequence[float], tol: float = 1e-10) -> DimensionResult:
             raise ValueError("ratios must lie in (0, 1)")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    lo, hi = _bisect(lambda s: 1 if sum(r ** s for r in rs) - 1.0 > 0.0 else -1, 0.0, tol)
+    calls = 0
+
+    def measure(s: float) -> _Probe:
+        nonlocal calls
+        calls += 1
+        v = sum(r ** s for r in rs) - 1.0
+        return s, v, v
+
+    # the exponent is never negative: the floor s = 0 counts as decided below
+    lo, hi, certified = _search(measure, (0.0, math.inf, math.inf), tol)
     return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi), truncation=None,
-                           certified=True)
+                           certified=certified, steps=calls)
 
 
 def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:

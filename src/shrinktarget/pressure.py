@@ -246,7 +246,7 @@ class BirkhoffTable:
     endpoints of S_n(u) over every word; levels are built incrementally
     (see the module docstring) and cached.  Partition sums for the scaled
     potential s*u are then single vectorized log-sum-exp passes, which is
-    what dimension bisections iterate.  ``base`` holds the per-symbol ends
+    what the dimension search iterates.  ``base`` holds the per-symbol ends
     of the constant and table parts of u; ``additive`` the level-1 ends
     when the whole bracket is additive (no psi part, or an affine family),
     else None.

@@ -256,6 +256,32 @@ n_max = 2
     assert a.read_bytes() == b.read_bytes()
 
 
+def _manifest_value(path, key):
+    prefix = f"# {key} = "
+    return [l[len(prefix):] for l in path.read_text().splitlines() if l.startswith(prefix)]
+
+
+def test_pressure_brackets_in_the_manifest(tmp_path):
+    cfg = write(tmp_path, "spec.ini", """
+[system]
+kind = doubling
+
+[run]
+alphas = 0.25, 0.5, 1, 2, 4, 8
+tol = 1e-12
+""")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    (count,) = _manifest_value(out, "pressure_brackets")
+    assert 6 <= int(count) <= 36
+    assert all(row[4] == "True" for row in read_rows(out)[1])
+    cfg = write(tmp_path, "dim.ini", "[system]\nkind = doubling\n\n[run]\nn_max = 4\n")
+    out = tmp_path / "dim.csv"
+    assert main(["dimension", "--config", cfg, "--out", str(out)]) == 0
+    (count,) = _manifest_value(out, "pressure_brackets")
+    assert 2 <= int(count) <= 6
+
+
 # ---------------------------------------------------------------- errors
 
 def test_missing_config_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyst
@@ -18,6 +19,7 @@ from shrinktarget import (
     shrink_exponent_potential,
     spectrum,
 )
+from shrinktarget.dimension import _search
 
 PSI = LogDerivative()
 DOUBLING_TRUNC = Truncation.single({1, 2}, n_max=4)
@@ -106,37 +108,49 @@ def test_bowen_moran_consistency():
     assert a.value == pytest.approx(b.value, abs=1e-9)
 
 
-def e2_fekete_oracle(n, tol=2e-4):
-    """Independent deep-level bracket for the {1,2} continued-fraction set.
+def continuant_level(symbols, n):
+    """Level-n pressure bracket of a finite continued-fraction set.
 
     Works directly with continuants: |phi_w'(t)| = (q_n + t q_{n-1})^{-2},
-    so the dominating and dominated level sums are sums of q^{-2s} and
-    (q + q')^{-2s}.  Returns (certified_lo, certified_hi, midpoint_root).
+    so the dominated and dominating level sums are sums of (q + q')^{-2s}
+    and q^{-2s}.  Returns s -> (lower, upper), each a bound on P(-s psi).
     """
     q_cur = np.array([1.0])
     q_prev = np.array([0.0])
     for _ in range(n):
-        q_cur, q_prev = (np.concatenate([a * q_cur + q_prev for a in (1.0, 2.0)]),
-                         np.concatenate([q_cur, q_cur]))
+        q_cur, q_prev = (np.concatenate([a * q_cur + q_prev for a in symbols]),
+                         np.concatenate([q_cur] * len(symbols)))
 
     def level(s):
-        sup_sum = float(np.sum(q_cur ** (-2 * s)))
         inf_sum = float(np.sum((q_cur + q_prev) ** (-2 * s)))
+        sup_sum = float(np.sum(q_cur ** (-2 * s)))
         return math.log(inf_sum) / n, math.log(sup_sum) / n
 
-    def bisect(predicate):
-        a, b = 0.4, 0.7
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if predicate(*level(mid)):
-                a = mid
-            else:
-                b = mid
-        return a, b
+    return level
 
-    lo_side = bisect(lambda low, up: low > 0.0)[0]
-    hi_side = bisect(lambda low, up: not (up <= 0.0))[1]
-    mid_root = 0.5 * sum(bisect(lambda low, up: 0.5 * (low + up) > 0.0))
+
+def level_bisect(level, predicate, a, b, tol):
+    """Bisect predicate(lower, upper) of a level bracket from True at a to
+    False at b, down to width tol."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if predicate(*level(mid)):
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def e2_fekete_oracle(n, tol=2e-4):
+    """Independent deep-level bracket for the {1,2} continued-fraction set.
+
+    Returns (certified_lo, certified_hi, midpoint_root).
+    """
+    level = continuant_level((1.0, 2.0), n)
+    lo_side = level_bisect(level, lambda low, up: low > 0.0, 0.4, 0.7, tol)[0]
+    hi_side = level_bisect(level, lambda low, up: not (up <= 0.0), 0.4, 0.7, tol)[1]
+    mid_root = 0.5 * sum(level_bisect(level, lambda low, up: 0.5 * (low + up) > 0.0,
+                                      0.4, 0.7, tol))
     return lo_side, hi_side, mid_root
 
 
@@ -149,6 +163,75 @@ def test_bowen_gauss_two_branch_matches_oracle():
     assert abs(res.value - 0.5313) <= 5e-3
     assert lo - 5e-3 <= res.value <= hi + 5e-3
     assert not res.certified  # depth 16 cannot certify 5e-3 on this system
+
+
+def test_gauss_row_with_a_straddling_probe_certifies_both_ends():
+    # at depth 6 the zone where the bracket straddles s*alpha is narrower
+    # than tol, so a search whose probe falls inside it can still certify
+    # both ends of its bracket
+    alpha = 1.1
+    res = shrink_exponent_alpha(gauss_system(), alpha, Truncation.single(range(1, 5), n_max=6),
+                                tol=5e-2)
+    assert res.certified
+    assert res.bracket[1] - res.bracket[0] <= 5e-2
+    # the deeper zone [a, b] at n = 10 brackets the exponent more tightly
+    level = continuant_level((1.0, 2.0, 3.0, 4.0), 10)
+
+    def less_shift(s):
+        return tuple(v - alpha * s for v in level(s))
+
+    a = level_bisect(less_shift, lambda low, up: low > 0.0, 0.0, 1.0, 1e-9)[1]
+    b = level_bisect(less_shift, lambda low, up: up > 0.0, 0.0, 1.0, 1e-9)[0]
+    assert res.bracket[0] <= a < b <= res.bracket[1]
+
+
+def _stub_zone(a, b):
+    """A stub measure whose pressure bracket straddles the shift on [a, b)."""
+    probes = []
+
+    def measure(s):
+        probes.append((s, a - s, b - s))
+        return probes[-1]
+
+    return measure, probes
+
+
+def test_search_certifies_each_end_after_a_straddle():
+    measure, probes = _stub_zone(0.3, 0.7)
+    lo, hi, certified = _search(measure, measure(1e-6), 0.5)
+    assert any(low <= 0.0 < up for _, low, up in probes)
+    assert certified
+    assert lo < 0.3 and 0.7 <= hi and hi - lo <= 0.5
+
+
+def test_search_end_set_by_a_midpoint_guess_is_uncertified():
+    # the zone is wider than tol: no bracket that narrow has both ends
+    # decided, and the search closes on the midpoint root 0.5 instead
+    measure, _ = _stub_zone(0.3, 0.7)
+    lo, hi, certified = _search(measure, measure(1e-6), 0.1)
+    assert not certified
+    assert lo <= 0.5 <= hi and hi - lo <= 0.1
+    assert not (lo < 0.3 and 0.7 <= hi)
+
+
+# ---------------------------------------------------------------- cost
+
+@settings(max_examples=30, deadline=None)
+@given(hyst.floats(min_value=0.2, max_value=8.0))
+def test_doubling_row_takes_at_most_six_brackets(alpha):
+    res = shrink_exponent_alpha(doubling_map(), alpha, DOUBLING_TRUNC, tol=1e-12)
+    assert res.certified
+    assert res.steps <= 6
+
+
+@settings(max_examples=30, deadline=None)
+@given(hyst.floats(min_value=0.2, max_value=8.0))
+def test_affine_row_takes_at_most_fourteen_brackets(alpha):
+    ratios = [0.3, 0.25, 0.2, 0.15]
+    res = shrink_exponent_alpha(affine_system(ratios), alpha,
+                                Truncation.single(range(1, 5), n_max=1), tol=1e-12)
+    assert res.certified
+    assert res.steps <= 14
 
 
 # ---------------------------------------------------------------- shrink
@@ -283,3 +366,19 @@ def test_shrink_exponent_positive(ratios, c):
     res = shrink_exponent_potential(sys, Constant(c), trunc, tol=1e-6)
     assert res.bracket[0] > 0.0
     assert res.value > 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(RATIO_LISTS, hyst.floats(min_value=0.2, max_value=8.0))
+def test_affine_exponent_certified_around_the_mpmath_root(ratios, alpha):
+    tol = 1e-12
+    res = shrink_exponent_alpha(affine_system(ratios), alpha,
+                                Truncation.single(range(1, len(ratios) + 1), n_max=1), tol=tol)
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda s: mpmath.log(sum(mpmath.mpf(r) ** s for r in ratios)) - s * alpha,
+            (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+    lo, hi = res.bracket
+    assert res.certified
+    assert hi - lo <= tol
+    assert lo <= root <= hi
