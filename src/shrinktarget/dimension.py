@@ -8,9 +8,9 @@ below the shift); otherwise it straddles the shift, and the truncation is
 refined along the ladder.  The search places each probe by interpolation
 on the bracket values earlier probes gave, and certification is per end: a
 result is certified when its lower end is decided below and its upper end
-above by brackets.  When probes prove that no bracket of the requested
-width can be decided at both ends, the search closes on the root of the
-bracket midpoint instead and returns ``certified=False``.
+above by brackets, within tol/2.  When probes prove that no bracket that
+narrow can be decided at both ends, the search closes on the root of the
+bracket midpoint instead, within tol, and returns ``certified=False``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ class DimensionResult:
 
     ``certified`` is True when pressure brackets (not midpoint guesses)
     decide both ends of ``bracket``: the lower end lies below the exponent
-    and the upper end at or above it.  ``steps`` counts the pressure
-    brackets evaluated (for ``moran_solve``, the Moran sums).
+    and the upper end at or above it.  A certified bracket is at most tol/2
+    wide (plus a few ulps), an uncertified one at most tol.  ``steps``
+    counts the pressure brackets evaluated (for ``moran_solve``, the Moran
+    sums).
     """
 
     value: float
@@ -143,14 +145,21 @@ def _search(measure: Callable[[float], _Probe], first: _Probe,
     gave, aimed at the two ends of the straddle zone: a = sup{s : lower > 0}
     from below and b = inf{s : upper <= 0} from above.  Once both estimates
     have settled, a pair of probes a - m and b + m closes the bracket to
-    width tol/2, or as close to that as b - a allows.  A probe that fails to
-    halve the interval of its end is followed by a halving one.  When
-    straddling probes at least tol apart prove b - a >= tol, no certified
-    bracket can be that narrow, and the search closes instead on the root
-    of the bracket midpoint, the sign rule for a straddling bracket.
+    width tol/2, the width a certified bracket is held to.  A probe that
+    fails to halve the interval of its end is followed by a halving one.
+    When straddling probes at least tol/2 apart prove b - a >= tol/2, no
+    certified bracket can be that narrow, and the search closes instead,
+    to width tol, on the root of the bracket midpoint, the sign rule for a
+    straddling bracket.  Holding certified brackets to tol/2 leaves half of
+    the tolerance to the truncation: a result is certified only when the
+    zone takes at most half of tol, so whether a row certifies does not
+    hinge on a zone that is about tol wide.  The few ulps of zone that
+    rounding alone leaves are not charged to tol/2, so that a tol near
+    float resolution still certifies an exact pressure.
 
     Returns the bracket [lo, hi] and whether it is certified: whether the
-    probe at lo has lower > 0 and the probe at hi has upper <= 0.  Raises
+    probe at lo has lower > 0, the probe at hi has upper <= 0 and hi - lo
+    is at most the held width.  Raises
     ValueError once the interval cannot be split, which a tolerance below
     the float spacing there would otherwise turn into an endless loop.
     """
@@ -164,17 +173,22 @@ def _search(measure: Callable[[float], _Probe], first: _Probe,
         if s > _S_CAP:
             raise RuntimeError("no upper search endpoint found below the cap")
     left, right = (_lower, _upper) if _lower(first) > 0.0 else (_mid, _mid)
+    # the width certified brackets are held to; the few ulps that rounding
+    # alone leaves around a root (each decision is padded by an ulp) are
+    # not charged to it, so a tol near float resolution still certifies
+    half = min(tol, 0.5 * tol + 4.0 * math.ulp(probes[-1][0]))
     halved: dict[str, float] = {}
     paired = False
     while True:
         lo = max(p for p in probes if left(p) > 0.0)
         up = min((p for p in probes if right(p) <= 0.0), default=None)
-        if up is not None and up[0] - lo[0] <= tol:
-            return lo[0], up[0], _lower(lo) > 0.0 and _upper(up) <= 0.0
+        if up is not None and up[0] - lo[0] <= (half if left is _lower else tol):
+            return lo[0], up[0], (_lower(lo) > 0.0 and _upper(up) <= 0.0
+                                  and up[0] - lo[0] <= half)
         # a lies in (lo, a_hi] and b in (b_lo, up]
         a_hi = min(p for p in probes if left(p) <= 0.0)[0]
         b_lo = max(p for p in probes if right(p) > 0.0)[0]
-        if left is _lower and (b_lo - a_hi >= tol or (up is None and b_lo > _S_CAP)):
+        if left is _lower and (b_lo - a_hi >= half or (up is None and b_lo > _S_CAP)):
             left = right = _mid
             halved = {}
             continue
@@ -190,11 +204,11 @@ def _search(measure: Callable[[float], _Probe], first: _Probe,
                              f"stopped at [{lo_s!r}, {up_s!r}], width {up_s - lo_s!r}")
         xa, ea = _root_estimate(probes, left, lo_s, a_hi)
         xb, eb = (xa, ea) if left is right else _root_estimate(probes, right, b_lo, up_s)
-        # a settled pair a - m, b + m, (gap + tol)/2 apart and at least
-        # tol/2: outside the zone it closes the bracket, inside (m < 0, when
-        # b - a > tol) it proves the zone too wide
+        # a settled pair a - m, b + m, (gap + tol/2)/2 apart and at least
+        # tol/4: outside the zone it closes the bracket, inside (m < 0, when
+        # b - a > tol/2) it proves the zone too wide
         gap = xb - xa
-        margin = 0.5 * (max(0.5 * tol, 0.5 * (gap + tol)) - gap)
+        margin = 0.5 * (max(0.5 * half, 0.5 * (gap + half)) - gap)
         pair = [x for x in (xa - margin, xb + margin) if lo_s < x < up_s]
         if not paired and pair and max(ea, eb) <= 0.5 * abs(margin):
             probes.extend(measure(x) for x in pair)
@@ -211,7 +225,7 @@ def _search(measure: Callable[[float], _Probe], first: _Probe,
             x = 0.5 * (start + stop)
             if not start < x < stop:
                 # this end is as close as floats allow and the bracket is
-                # still wider than tol: no certified bracket will do
+                # still wider than tol/2: no certified bracket will do
                 left = right = _mid
                 halved = {}
                 continue

@@ -167,13 +167,13 @@ def test_bowen_gauss_two_branch_matches_oracle():
 
 def test_gauss_row_with_a_straddling_probe_certifies_both_ends():
     # at depth 6 the zone where the bracket straddles s*alpha is narrower
-    # than tol, so a search whose probe falls inside it can still certify
+    # than tol/2, so a search whose probe falls inside it can still certify
     # both ends of its bracket
-    alpha = 1.1
+    alpha = 2.5
     res = shrink_exponent_alpha(gauss_system(), alpha, Truncation.single(range(1, 5), n_max=6),
                                 tol=5e-2)
     assert res.certified
-    assert res.bracket[1] - res.bracket[0] <= 5e-2
+    assert res.bracket[1] - res.bracket[0] <= 2.5e-2
     # the deeper zone [a, b] at n = 10 brackets the exponent more tightly
     level = continuant_level((1.0, 2.0, 3.0, 4.0), 10)
 
@@ -183,6 +183,15 @@ def test_gauss_row_with_a_straddling_probe_certifies_both_ends():
     a = level_bisect(less_shift, lambda low, up: low > 0.0, 0.0, 1.0, 1e-9)[1]
     b = level_bisect(less_shift, lambda low, up: up > 0.0, 0.0, 1.0, 1e-9)[0]
     assert res.bracket[0] <= a < b <= res.bracket[1]
+
+
+def test_gauss_row_whose_zone_is_wider_than_half_tol_is_uncertified():
+    # at alpha = 1.1 the depth-6 zone is about 0.035 wide: a certified
+    # bracket within tol = 0.05 exists, but not within tol/2
+    res = shrink_exponent_alpha(gauss_system(), 1.1, Truncation.single(range(1, 5), n_max=6),
+                                tol=5e-2)
+    assert not res.certified
+    assert res.bracket[1] - res.bracket[0] <= 5e-2
 
 
 def _stub_zone(a, b):
@@ -198,19 +207,21 @@ def _stub_zone(a, b):
 
 def test_search_certifies_each_end_after_a_straddle():
     measure, probes = _stub_zone(0.3, 0.7)
-    lo, hi, certified = _search(measure, measure(1e-6), 0.5)
+    lo, hi, certified = _search(measure, measure(1e-6), 1.0)
     assert any(low <= 0.0 < up for _, low, up in probes)
     assert certified
     assert lo < 0.3 and 0.7 <= hi and hi - lo <= 0.5
 
 
-def test_search_end_set_by_a_midpoint_guess_is_uncertified():
-    # the zone is wider than tol: no bracket that narrow has both ends
-    # decided, and the search closes on the midpoint root 0.5 instead
+@pytest.mark.parametrize("tol", [0.1, 0.6, 0.79])
+def test_search_end_set_by_a_midpoint_guess_is_uncertified(tol):
+    # the zone is wider than tol/2: no bracket that narrow has both ends
+    # decided (at tol 0.6 and 0.79 one within tol would), and the search
+    # closes on the midpoint root 0.5 instead
     measure, _ = _stub_zone(0.3, 0.7)
-    lo, hi, certified = _search(measure, measure(1e-6), 0.1)
+    lo, hi, certified = _search(measure, measure(1e-6), tol)
     assert not certified
-    assert lo <= 0.5 <= hi and hi - lo <= 0.1
+    assert lo <= 0.5 <= hi and hi - lo <= tol
     assert not (lo < 0.3 and 0.7 <= hi)
 
 
