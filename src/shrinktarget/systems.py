@@ -19,6 +19,13 @@ outward-rounded interval evaluation on the current nested interval.
 Derivative and psi brackets contain the true ranges over [0,1];
 ``psi_bracket(i)`` is the depth-1 psi bracket of a symbol.
 
+Composers also extend whole levels for tree walks.  ``level()`` gives a
+cylinder as a one-cylinder level: a tuple of numpy columns of composer state,
+one row per cylinder.  ``level_children(level, symbols)`` yields, symbol by
+symbol, the intervals and the level of every row's child, each in one numpy
+step; Gauss continuants are int64 below 2^53 and Python ints past it, and
+other families evaluate each child word in a Python loop.
+
 Non-affine families also give ``apply`` and ``deriv_bracket`` point by
 point, and their array forms ``map_intervals`` and ``deriv_brackets``, which
 the pressure level kernel calls on every interval of a level at once: the
@@ -538,6 +545,21 @@ class _AffineComposer:
         r = self.ratio
         return (self.lo, self.hi), r, (r, r), (self.psi, self.psi)
 
+    def level(self):
+        """This cylinder as a one-cylinder level: the columns (lo, hi)."""
+        return np.array([self.lo]), np.array([self.hi])
+
+    def level_children(self, level, symbols):
+        """(lo, hi, child level) for each symbol in turn: the operations of
+        ``child`` on whole columns, with np.minimum in place of min."""
+        lo, hi = level
+        w = hi - lo
+        for s in symbols:
+            a, b, _, _ = self.fam.affine_terms(s)
+            c_hi = np.minimum(hi, lo + w * b)
+            c_lo = np.minimum(lo + w * a, c_hi)
+            yield c_lo, c_hi, (c_lo, c_hi)
+
 
 class _MoebiusComposer:
     """Gauss branches via exact integer continuants:
@@ -555,10 +577,14 @@ class _MoebiusComposer:
         return _MoebiusComposer(self.p1, self.p1 * s + self.p0,
                                 self.q1, self.q1 * s + self.q0)
 
+    def ends(self):
+        """(phi_w(0), phi_w(1)).  int / int is correctly rounded, and so is
+        an int64 array divided by one while all entries stay below 2^53,
+        where they convert to float exactly."""
+        return self.p1 / self.q1, (self.p1 + self.p0) / (self.q1 + self.q0)
+
     def interval(self) -> tuple[float, float]:
-        # int / int is correctly rounded
-        a = self.p1 / self.q1
-        b = (self.p1 + self.p0) / (self.q1 + self.q0)
+        a, b = self.ends()
         return (a, b) if a <= b else (b, a)
 
     def geometry(self):
@@ -569,6 +595,28 @@ class _MoebiusComposer:
                  math.nextafter(1 / (q * q), math.inf))
         psi = (2.0 * _down(math.log(q)), 2.0 * _up(math.log(q_sum)))
         return self.interval(), 1 / (q * q_sum), deriv, psi
+
+    def level(self):
+        """This cylinder as a one-cylinder level: the columns (p0, p1, q0,
+        q1) as int64 arrays, which ``child`` extends unchanged."""
+        return tuple(np.array([v], dtype=np.int64)
+                     for v in (self.p0, self.p1, self.q0, self.q1))
+
+    @staticmethod
+    def level_children(level, symbols):
+        """(lo, hi, child level) for each symbol in turn, one ``child`` step
+        over the whole level.  The level switches to Python ints before any
+        child continuant or endpoint sum, at most q1 (s + 1) + q0, could
+        reach 2^53, so int64 neither wraps nor rounds."""
+        q0, q1 = level[2], level[3]
+        if q1.dtype != object and \
+                int(q1.max()) * (max(symbols, default=0) + 1) + int(q0.max()) >= 2**53:
+            level = tuple(column.astype(object) for column in level)
+        comp = _MoebiusComposer(*level)
+        for s in symbols:
+            child = comp.child(s)
+            a, b = (np.asarray(e, dtype=float) for e in child.ends())
+            yield np.minimum(a, b), np.maximum(a, b), (child.p0, child.p1, child.q0, child.q1)
 
 
 class _WordComposer:
@@ -603,6 +651,21 @@ class _WordComposer:
         psi_lo = -math.nextafter(math.log(dhi), math.inf) if dhi > 0.0 else math.inf
         psi_hi = -math.nextafter(math.log(dlo), -math.inf) if dlo > 0.0 else math.inf
         return (lo, hi), hi - lo, (dlo, dhi), (psi_lo, psi_hi)
+
+    def level(self):
+        """This cylinder as a one-cylinder level: one column whose rows are
+        the words."""
+        return (np.array([self.word], dtype=np.int64).reshape(1, len(self.word)),)
+
+    def level_children(self, level, symbols):
+        """(lo, hi, child level) for each symbol in turn, each child's
+        interval evaluated in a Python loop."""
+        (words,) = level
+        for s in symbols:
+            kids = np.column_stack((words, np.full(len(words), s)))
+            ends = [_WordComposer(self.fam, word).interval() for word in map(tuple, kids.tolist())]
+            lo, hi = np.array(ends, dtype=float).reshape(-1, 2).T
+            yield lo, hi, (kids,)
 
 
 def forward_composer(sys: MarkovSystem):

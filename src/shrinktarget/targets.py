@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable
 
 import numpy as np
@@ -213,9 +213,17 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     """Total length of the depth-n cylinders fully inside the open ball
     B(y, r), divided by r.
 
-    Enumeration walks the cylinder tree with nesting-based pruning, which is
-    equivalent to scanning all of F^n but visits only cylinders meeting the
-    ball; the visited-node count is charged against the budget.
+    The cylinder tree is walked a level at a time.  A level holds the
+    composer state of every cylinder of one depth that meets the ball (see
+    the ``systems`` module docstring), and the family's ``level_children``
+    extends all of them by one symbol per numpy step.  A child whose closed
+    interval at most touches the open ball is dropped; at depth n only
+    children strictly inside the ball count.  The nodes visited are those a
+    depth-first walk with the same pruning visits: the root and every child
+    of a level above depth n.  Each level's children are charged to the
+    budget before they are built.  The leaf widths (hi - lo of the composed
+    ends) are summed by one math.fsum, so the total is their correctly
+    rounded sum, whatever the walk order.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -226,25 +234,26 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
         sys.branches._check_symbol(i)
     ball_lo = y - r
     ball_hi = y + r
-    total = 0.0
-    visited = 0
-    stack = [(0, forward_composer(sys))]
-    while stack:
-        depth, comp = stack.pop()
-        visited += 1
+    root = forward_composer(sys)
+    level = root.level()
+    visited = 1
+    for depth in range(1, n + 1):
+        visited += len(level[0]) * len(symbols)
         if visited > budget:
-            raise BudgetExceededError("density", visited, budget)
-        lo, hi = comp.interval()
-        # closed cylinder vs open ball: disjoint when it only touches
-        if hi <= ball_lo or lo >= ball_hi:
-            continue
+            raise BudgetExceededError("density", visited, budget, completed_level=depth - 1)
+        children = root.level_children(level, symbols)
         if depth == n:
-            if ball_lo < lo and hi < ball_hi:
-                total += hi - lo
-            continue
-        for s in symbols:
-            stack.append((depth + 1, comp.child(s)))
-    return total / r
+            break
+        kept = []
+        for lo, hi, child in children:
+            # closed cylinder vs open ball: disjoint when it only touches
+            meets = (hi > ball_lo) & (lo < ball_hi)
+            kept.append(tuple(column[meets] for column in child))
+        if not sum(len(child[0]) for child in kept):
+            return 0.0
+        level = tuple(map(np.concatenate, zip(*kept)))
+    leaves = ((hi - lo)[(ball_lo < lo) & (hi < ball_hi)].tolist() for lo, hi, _ in children)
+    return math.fsum(chain.from_iterable(leaves)) / r
 
 
 # bounds of the window precision hit_times asks for

@@ -3,12 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hyst
 
 from shrinktarget import (
+    BudgetExceededError,
     Constant,
     ConstantRate,
+    CustomMonotoneFamily,
     Interval,
     LogDerivative,
+    MarkovSystem,
     PerSymbolBracket,
     PotentialRate,
     Scale,
@@ -25,7 +29,9 @@ from shrinktarget import (
     upper_dimension_certificate,
 )
 from shrinktarget import targets
+from shrinktarget.cli import _geometric_countable
 from shrinktarget.pressure import _flatten
+from shrinktarget.systems import forward_composer
 
 LOG2 = math.log(2.0)
 ORIGIN_TARGET = TargetSpec(y=0.0, rate=ConstantRate(LOG2))
@@ -286,6 +292,129 @@ def test_density_floor_at_projected_points(kind, seed):
         r = 2.0 * cylinder(sys, prefix[:n]).diam
         density = cylinder_density(sys, y, n, r, subset)
         assert density >= 0.5 - 1e-9
+
+
+def _reference_density_walk(sys, y, n, r, subset):
+    """The depth-first composer walk that cylinder_density replaced, with the
+    same pruning: (leaf widths, visited nodes)."""
+    symbols = sorted(set(subset))
+    ball_lo, ball_hi = y - r, y + r
+    widths, visited = [], 0
+    stack = [(0, forward_composer(sys))]
+    while stack:
+        depth, comp = stack.pop()
+        visited += 1
+        lo, hi = comp.interval()
+        if hi <= ball_lo or lo >= ball_hi:
+            continue
+        if depth == n:
+            if ball_lo < lo and hi < ball_hi:
+                widths.append(hi - lo)
+            continue
+        stack.extend((depth + 1, comp.child(s)) for s in symbols)
+    return widths, visited
+
+
+# (system, subset, deepest n, log10 radius range): ranges that keep the
+# reference walk small
+_DENSITY_CASES = {
+    "doubling": (doubling_map(), {1, 2}, 12, (-4.0, -0.5)),
+    "gapped": (affine_system([0.25, 0.25], placements=[0.0, 0.75]), {1, 2}, 10, (-4.0, -0.5)),
+    "geometric": (_geometric_countable(0.3, 0.6), set(range(1, 33)), 4, (-4.0, -2.0)),
+    "gauss": (gauss_system(), set(range(1, 17)), 6, (-5.0, -3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DENSITY_CASES))
+@settings(max_examples=25, deadline=None)
+@given(hyst.data())
+def test_density_matches_reference_walk(case, data):
+    sys, subset, n_max, (log_lo, log_hi) = _DENSITY_CASES[case]
+    y = data.draw(hyst.floats(min_value=0.0, max_value=1.0), label="y")
+    r = 10.0 ** data.draw(hyst.floats(min_value=log_lo, max_value=log_hi), label="log10 r")
+    n = data.draw(hyst.integers(min_value=1, max_value=n_max), label="n")
+    widths, visited = _reference_density_walk(sys, y, n, r, subset)
+    density = cylinder_density(sys, y, n, r, subset, budget=visited)
+    # the same leaves, summed by one fsum: equal, well within 1e-14
+    assert density == math.fsum(widths) / r
+    assert (density > 0.0) == any(w > 0.0 for w in widths)
+
+
+def test_density_budget_is_the_reference_node_count():
+    # a Gauss ball with over a thousand depth-5 leaves
+    sys, subset = gauss_system(), range(1, 17)
+    y, r, n = 0.0907, 0.0004, 5
+    widths, visited = _reference_density_walk(sys, y, n, r, subset)
+    assert len(widths) > 1000
+    assert cylinder_density(sys, y, n, r, subset, budget=visited) == math.fsum(widths) / r
+    with pytest.raises(BudgetExceededError, match="budget 'density'"):
+        cylinder_density(sys, y, n, r, subset, budget=visited - 1)
+
+
+def test_density_prunes_cylinders_that_touch_the_ball():
+    # B(1/2, 1/4) touches [0, 1/4] and [3/4, 1]: neither is entered
+    sys = doubling_map()
+    widths, visited = _reference_density_walk(sys, 0.5, 4, 0.25, {1, 2})
+    assert visited == 1 + 2 + 4 + 4 + 8
+    assert cylinder_density(sys, 0.5, 4, 0.25, {1, 2}, budget=visited) == math.fsum(widths) / 0.25
+
+
+def test_density_level_charged_before_it_is_built():
+    # every depth-4 cylinder meets B(1/2, 1/2): their 16^5 children take the
+    # count to 1 + 16 + ... + 16^5 before any of them is composed
+    with pytest.raises(BudgetExceededError,
+                       match=r"budget 'density' exceeded: 1\.118e\+06 needed.*completed level: 4"):
+        cylinder_density(gauss_system(), 0.5, 6, 0.5, range(1, 17), budget=10**6)
+
+
+def test_gauss_level_continuants_stay_exact_past_2_53():
+    # one child level a step along (1, 2) * 40, against the scalar composer's
+    # Python ints: q passes 2^53 near depth 56 and 2^64 near depth 68
+    comp = forward_composer(gauss_system())
+    level = comp.level()
+    for s in (1, 2) * 40:
+        ((lo, hi, level),) = comp.level_children(level, [s])
+        comp = comp.child(s)
+        assert [int(column[0]) for column in level] == [comp.p0, comp.p1, comp.q0, comp.q1]
+        assert (float(lo[0]), float(hi[0])) == comp.interval()
+    assert comp.q1 > 2**64
+
+
+@pytest.mark.parametrize("subset, y, r, n", [
+    ({1, 2, 2**53}, 0.5, 0.3, 6),  # continuants past 2^53 from depth 1
+    ({1, 2, 3, 2**40}, 0.5, 0.45, 5),  # past 2^63 from depth 2, where int64 wraps
+])
+def test_density_with_continuants_past_2_53(subset, y, r, n):
+    sys = gauss_system()
+    widths, visited = _reference_density_walk(sys, y, n, r, subset)
+    assert widths
+    assert cylinder_density(sys, y, n, r, subset, budget=visited) == math.fsum(widths) / r
+
+
+def test_density_of_a_ball_below_float_spacing():
+    # a ball three diameters wide around the cylinder of (1, 2) * 40 rounds
+    # to y - r == y + r == y: the walk follows the cylinders whose float
+    # interval holds y strictly inside and stops once they are narrower than
+    # the float spacing, about depth 28, as the depth-first walk did
+    sys = gauss_system()
+    geo = cylinder(sys, (1, 2) * 40)
+    y, r = 0.5 * (geo.interval.lo + geo.interval.hi), 3.0 * geo.diam
+    assert y - r == y + r == y
+    widths, visited = _reference_density_walk(sys, y, 80, r, {1, 2})
+    assert widths == [] and visited < 80
+    assert cylinder_density(sys, y, 80, r, {1, 2}, budget=visited) == 0.0
+
+
+def test_density_of_custom_family_matches_doubling():
+    halves = CustomMonotoneFamily([
+        (lambda x: x / 2, lambda lo, hi: (0.5, 0.5), Interval(0.0, 0.5)),
+        (lambda x: (1 + x) / 2, lambda lo, hi: (0.5, 0.5), Interval(0.5, 1.0)),
+    ])
+    custom = MarkovSystem(halves, xi=2.0)
+    for y, r, n in ((0.3, 0.1, 6), (0.5, 0.25 + 2**-20, 4), (0.71, 0.02, 9)):
+        density = cylinder_density(custom, y, n, r, {1, 2})
+        assert density > 0.0
+        assert density == cylinder_density(doubling_map(), y, n, r, {1, 2})
 
 
 def test_density_validates_input():
