@@ -430,7 +430,8 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
     if horizon > budget:
         # every epoch writes a row
         raise BudgetExceededError("horizon", horizon, budget)
-    # and composes a window of at most depth_for(_PRECISION_FLOOR) symbols
+    # and its xi-depth window is at most depth_for(_PRECISION_FLOOR) symbols
+    # deep; its probe windows compose at most twice that
     symbols = horizon * loaded.system.depth_for(_PRECISION_FLOOR)
     if symbols > budget:
         raise BudgetExceededError("horizon", symbols, budget)
@@ -438,7 +439,8 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
     status = ({n: "hit" for n in report.hits} | {n: "miss" for n in report.misses}
               | {n: "undecided" for n in report.undecided})
     return ({"hits": len(report.hits), "misses": len(report.misses),
-             "undecided": len(report.undecided), "budget": budget},
+             "undecided": len(report.undecided), "window_symbols": report.window_symbols,
+             "budget": budget},
             ["epoch", "status"], [[n, status[n]] for n in range(1, horizon + 1)])
 
 

@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .systems import (
     DEFAULT_WORD_BUDGET,
     MarkovSystem,
     Word,
-    cylinder,
+    cylinder,  # not called here; bench/tracing.py spans pressure.cylinder
 )
 
 __all__ = [
@@ -164,33 +164,61 @@ def _ends_array(flat: _Flat, symbols, psi=None) -> tuple[np.ndarray, np.ndarray]
     return (np.array([lo for lo, _ in ends]), np.array([hi for _, hi in ends]))
 
 
+def _birkhoff_fold(sys: MarkovSystem, pot: Potential,
+                   word: Iterable[int]) -> Iterator[tuple[float, float]]:
+    """Brackets of S_n(pot) over the cylinders of the first n symbols of the
+    word, for n = 1, 2, ..., one symbol read per step.
+
+    Each is n * const, plus psi_coef times the psi bracket of one family
+    composer advanced by one ``child`` per symbol, plus the running sums of
+    the tables.  The table terms are nonnegative and added in reading order,
+    rounded to nearest, so each end moves by 2 (m + 1) ulps outward, with m
+    the number of table terms summed: a bound on the rounding of m such
+    additions in any order, so the bracket also contains the word-order sum.
+    A symbol outside the alphabet raises ValueError when it is read, unless
+    the potential reads no symbols (a constant).
+    """
+    flat = _flatten(pot)
+    fam = sys.branches
+    check = flat.psi_coef != 0.0 or bool(flat.tables)
+    comp = fam.composer()
+    t_lo = t_hi = 0.0
+    for n, s in enumerate(word, 1):
+        if check:
+            fam._check_symbol(s)
+        lo = hi = n * flat.const
+        if flat.psi_coef != 0.0:
+            comp = comp.child(s)
+            plo, phi_ = comp.geometry()[3]
+            lo += flat.psi_coef * plo
+            hi += flat.psi_coef * phi_
+        if flat.tables:
+            for sc, table in flat.tables:
+                tlo, thi = table(s)
+                t_lo += sc * tlo
+                t_hi += sc * thi
+            pad = 2 * (n * len(flat.tables) + 1)
+            lo += t_lo
+            hi += t_hi
+            lo -= pad * math.ulp(lo)
+            hi += pad * math.ulp(hi)
+        yield lo, hi
+
+
 def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
-    """Interval containing the range of S_n(pot) over the cylinder of the word.
+    """Interval containing the range of S_n(pot) over the cylinder of the word:
+    the last bracket of ``_birkhoff_fold``.
 
     For the log-derivative the bracket is the cylinder's psi bracket, which
     the family's composer computes (exact per-symbol logs for affine
     families, continuants for Gauss); sums and scalings combine by interval
-    arithmetic.  A symbol outside the alphabet raises ValueError wherever
-    the potential reads the symbols (a constant potential reads none).
+    arithmetic.
     """
     if not word:
         raise ValueError("word must be nonempty")
-    flat = _flatten(pot)
-    if flat.psi_coef != 0.0 or flat.tables:
-        for s in word:
-            sys.branches._check_symbol(s)
-    n = len(word)
-    lo = hi = n * flat.const
-    if flat.psi_coef != 0.0:
-        plo, phi_ = cylinder(sys, word).psi_bracket
-        lo += flat.psi_coef * plo
-        hi += flat.psi_coef * phi_
-    for sc, table in flat.tables:
-        for s in word:
-            tlo, thi = table(s)
-            lo += sc * tlo
-            hi += sc * thi
-    return (lo, hi)
+    for last in _birkhoff_fold(sys, pot, word):
+        pass
+    return last
 
 
 @dataclass(frozen=True)

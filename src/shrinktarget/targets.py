@@ -22,7 +22,8 @@ from .pressure import (
     LogDerivative,
     Potential,
     Sum,
-    birkhoff_bracket,
+    _birkhoff_fold,
+    birkhoff_bracket,  # not called here; bench/tracing.py spans targets.birkhoff_bracket
 )
 from .systems import (
     BudgetExceededError,
@@ -99,18 +100,22 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class HitReport:
-    """Hit/miss/undecided partition of the epochs 1..horizon."""
+    """Hit/miss/undecided partition of the epochs 1..horizon, and the number
+    of code symbols the epochs' windows composed."""
 
     horizon: int
     hits: tuple[int, ...]
     misses: tuple[int, ...]
     undecided: tuple[int, ...]
+    window_symbols: int
 
 
 def _distance_bracket(y: float, lo: float, hi: float) -> tuple[float, float]:
+    """Bracket of the distance from y to the points of [lo, hi]; the
+    differences round to nearest, so each end is stepped one ulp outward."""
     d_lo = max(0.0, lo - y, y - hi)
     d_hi = max(abs(hi - y), abs(y - lo))
-    return d_lo, d_hi
+    return math.nextafter(d_lo, 0.0), math.nextafter(d_hi, math.inf)
 
 
 def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: int,
@@ -265,46 +270,60 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
               horizon: int) -> HitReport:
     """Exact symbolic hit/miss/undecided schedule of the coded orbit.
 
-    For each epoch n the iterate T^n(pi(w)) lies in one window: the cylinder
-    of the code symbols after position n, at the depth ``sys.depth_for``
-    gives for 1% of the threshold (clamped to [_PRECISION_FLOOR,
-    _PRECISION_CAP]), or of whatever code is left.  The threshold
-    exp(-S_n(phi)) is a Birkhoff bracket over the prefix cylinder.  The
-    window is padded outward by 4 (depth + 1) ulps of its larger end, a
-    bound on the composers' rounding (at most three roundings per affine
-    symbol, half an ulp per continuant quotient), so it contains the true
-    cylinder however narrow the composed one is.  An epoch is a hit when the
-    distance interval lies entirely below the threshold interval, a miss when
-    entirely above, and undecided otherwise (ties, and epochs with no code
-    left after n, included).  The code is read once, up to horizon +
-    ``sys.depth_for(_PRECISION_FLOOR)`` symbols.
+    The threshold exp(-S_n(phi)) at epoch n comes from the Birkhoff bracket
+    over the prefix cylinder, which one running fold (``_birkhoff_fold``)
+    extends by a symbol per epoch; both bracket ends are stepped one ulp
+    outward before exp, and each threshold one ulp outward after it.  The
+    iterate T^n(pi(w)) lies in the cylinder of the code symbols after
+    position n, at the depth ``sys.depth_for`` gives for 1% of the threshold
+    (clamped to [_PRECISION_FLOOR, _PRECISION_CAP]), or of whatever code is
+    left: the epoch's xi-depth window.  The epoch probes prefixes of that
+    window of depth 2, 4, 8, ... while the depth is at most half the
+    xi depth, then the xi-depth window itself, and stops at the first window
+    that decides, so an epoch composes fewer than twice the xi depth's
+    symbols.  Each window is padded outward by 4 (depth + 1) ulps of its
+    larger end, a bound on the composers' rounding (at most three roundings
+    per affine symbol, half an ulp per continuant quotient), so it contains
+    the true cylinder however narrow the composed one is, and a shallower
+    window, being wider, decides only what the true orbit point decides.
+    An epoch is a hit when the distance interval lies entirely below the
+    threshold interval, a miss when entirely above, and undecided otherwise
+    (ties, and epochs with no code left after n, included).  The code is
+    read once, up to horizon + ``sys.depth_for(_PRECISION_FLOOR)`` symbols.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     # no window is deeper than the one at the precision floor
     buffer = list(islice(code, horizon + sys.depth_for(_PRECISION_FLOOR)))
-    phi = target.rate_potential()
+    # epochs with code left after them
+    coded = max(0, min(horizon, len(buffer) - 1))
     y = target.y
     hits: list[int] = []
     misses: list[int] = []
     undecided: list[int] = []
-    for n in range(1, horizon + 1):
-        if len(buffer) <= n:
-            undecided.append(n)
-            continue
-        b_lo, b_hi = birkhoff_bracket(sys, phi, tuple(buffer[:n]))
-        thr_lo = math.exp(-b_hi)
-        thr_hi = math.exp(-b_lo)
-        depth = min(sys.depth_for(max(min(_PRECISION_CAP, 0.01 * thr_lo), _PRECISION_FLOOR)),
-                    len(buffer) - n)
-        interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
-        pad = 4 * (depth + 1) * math.ulp(interval.hi)
-        d_lo, d_hi = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
-        if d_hi < thr_lo:
-            hits.append(n)
-        elif d_lo > thr_hi:
-            misses.append(n)
+    window_symbols = 0
+    brackets = _birkhoff_fold(sys, target.rate_potential(), buffer[:coded])
+    for n, (b_lo, b_hi) in enumerate(brackets, 1):
+        thr_lo = math.nextafter(math.exp(-math.nextafter(b_hi, math.inf)), 0.0)
+        thr_hi = math.nextafter(math.exp(-math.nextafter(b_lo, -math.inf)), math.inf)
+        xi_depth = min(sys.depth_for(max(min(_PRECISION_CAP, 0.01 * math.exp(-b_hi)),
+                                         _PRECISION_FLOOR)),
+                       len(buffer) - n)
+        # 2, 4, 8, ... while at most half the xi depth, then the xi depth
+        probes = chain((1 << k for k in range(1, xi_depth.bit_length() - 1)), (xi_depth,))
+        for depth in probes:
+            interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+            window_symbols += depth
+            pad = 4 * (depth + 1) * math.ulp(interval.hi)
+            d_lo, d_hi = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
+            if d_hi < thr_lo:
+                hits.append(n)
+                break
+            if d_lo > thr_hi:
+                misses.append(n)
+                break
         else:
             undecided.append(n)
+    undecided.extend(range(coded + 1, horizon + 1))
     return HitReport(horizon=horizon, hits=tuple(hits), misses=tuple(misses),
-                     undecided=tuple(undecided))
+                     undecided=tuple(undecided), window_symbols=window_symbols)

@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import io
+import itertools
 import math
 import os
 import resource
@@ -196,6 +197,25 @@ horizon = 10
     _, rows = read_rows(out)
     assert len(rows) == 10
     assert all(row[1] == "hit" for row in rows)
+
+
+def test_hits_manifest_counts_window_symbols(tmp_path):
+    # the doubling odometer past the precision floor: every epoch decides on
+    # a probe of depth 2 or 4, far below its 934-symbol xi-depth window
+    cfg = write(tmp_path, "h.ini", "[system]\nkind = doubling\n[target]\ny = 0.3\n"
+                "rate = const:1\n[run]\ncode = cycle:1,2\nhorizon = 2000\n")
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["hits", "--config", cfg, "--out", str(out)]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+    lines = [line for line in outs[0].read_text().splitlines()
+             if line.startswith("# window_symbols = ")]
+    assert len(lines) == 1
+    report = shrinktarget.hit_times(shrinktarget.doubling_map(), itertools.cycle([1, 2]),
+                                    shrinktarget.TargetSpec(0.3, shrinktarget.ConstantRate(1.0)),
+                                    2000)
+    assert lines[0] == f"# window_symbols = {report.window_symbols}"
+    assert report.window_symbols <= 6 * 2000
 
 
 def test_density_csv(tmp_path):
@@ -495,9 +515,9 @@ def test_oversize_keys_exit_3_before_allocating(tmp_path, name):
 
 
 def test_hits_budget_bounds_the_window_symbols(tmp_path):
-    # 20000 epochs are within the default budget, but their windows at the
-    # precision floor (934 symbols each on doubling) are not; uncharged, the
-    # run takes about 30 s and exits 0
+    # 20000 epochs are within the default budget, but their xi-depth windows
+    # at the precision floor (934 symbols each on doubling) are not; the CLI
+    # charges them although probe windows decide these epochs at depth 4
     cfg = write(tmp_path, "h.ini", "[system]\nkind = doubling\n[target]\ny = 0.3\n"
                 "rate = const:1\n[run]\ncode = cycle:1,2\nhorizon = 20000\n")
     proc = run_cli(["hits", "--config", cfg], timeout=5)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from shrinktarget import (
     Sum,
     affine_system,
     birkhoff_bracket,
+    cylinder,
     doubling_map,
     gauss_system,
     pressure_bracket,
@@ -108,6 +110,79 @@ def test_per_symbol_bracket_table():
     sys = doubling_map()
     pot = PerSymbolBracket.from_mapping({1: (0.1, 0.2), 2: (0.3, 0.5)})
     assert birkhoff_bracket(sys, pot, (1, 2)) == pytest.approx((0.4, 0.7))
+
+
+def _word_order_bracket(sys, pot, word):
+    """The bracket birkhoff_bracket computed before the running fold: n times
+    the constant, then the psi bracket of the whole word's cylinder, then
+    each table summed over the word, all rounded to nearest."""
+    flat = _flatten(pot)
+    lo = hi = len(word) * flat.const
+    if flat.psi_coef != 0.0:
+        plo, phi_ = cylinder(sys, word).psi_bracket
+        lo += flat.psi_coef * plo
+        hi += flat.psi_coef * phi_
+    for sc, table in flat.tables:
+        for s in word:
+            tlo, thi = table(s)
+            lo += sc * tlo
+            hi += sc * thi
+    return lo, hi
+
+
+def test_birkhoff_fold_constant_is_n_times_the_constant():
+    brackets = list(pressure._birkhoff_fold(doubling_map(), Constant(0.3), (1, 1, 2, 2)))
+    assert brackets == [(n * 0.3, n * 0.3) for n in range(1, 5)]
+    assert brackets[-1] == (1.2, 1.2)
+
+
+@pytest.mark.parametrize("pot", [PSI, Scale(0.02, PSI), Sum(Scale(2.0, PSI), Constant(0.7))],
+                         ids=["psi", "scaled-psi", "psi-plus-constant"])
+@pytest.mark.parametrize("sys", [doubling_map(), gauss_system()], ids=["doubling", "gauss"])
+def test_birkhoff_fold_without_tables_is_the_word_bracket(sys, pot):
+    word = (1, 2, 2, 1, 2) * 8
+    brackets = list(pressure._birkhoff_fold(sys, pot, word))
+    assert brackets == [_word_order_bracket(sys, pot, word[:n])
+                        for n in range(1, len(word) + 1)]
+
+
+_TABLE_VALUES = hyst.floats(min_value=0.0, max_value=1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyst.sampled_from(["doubling", "gauss"]),
+       hyst.floats(min_value=0.0, max_value=1e3), hyst.floats(min_value=0.0, max_value=3.0),
+       hyst.lists(hyst.tuples(_TABLE_VALUES, _TABLE_VALUES), min_size=3, max_size=3),
+       hyst.floats(min_value=0.0, max_value=2.0),
+       hyst.lists(hyst.integers(1, 3), min_size=1, max_size=60))
+def test_birkhoff_fold_contains_the_word_order_bracket(kind, const, psi_coef, ends, sc, word):
+    sys = gauss_system() if kind == "gauss" else affine_system([0.3, 0.3, 0.3])
+    table = PerSymbolBracket.from_mapping({i: (min(e), max(e)) for i, e in enumerate(ends, 1)})
+    pot = Sum(Sum(Constant(const), Scale(psi_coef, PSI)), Scale(sc, table))
+    word = tuple(word)
+    lo, hi = birkhoff_bracket(sys, pot, word)
+    old_lo, old_hi = _word_order_bracket(sys, pot, word)
+    assert lo <= old_lo and old_hi <= hi
+    # the table part alone: the exact sum of its terms
+    exact = [sum(Fraction(table.table(s)[k]) for s in word) for k in (0, 1)]
+    lo, hi = birkhoff_bracket(sys, table, word)
+    assert lo <= exact[0] and exact[1] <= hi
+
+
+def test_birkhoff_fold_pads_tiny_table_terms_on_a_large_constant():
+    # each table term is 0.35 ulp of n times the constant, so every
+    # word-order addition rounds it away and the old bracket sits 7 ulps
+    # below the exact sum; the fold's running table sum keeps those ulps,
+    # and its pad covers both
+    sys, word = doubling_map(), (1, 2) * 10
+    tiny = 0.35 * math.ulp(len(word) * 1e3)
+    pot = Sum(Constant(1e3), PerSymbolBracket.from_mapping({1: (tiny, tiny), 2: (tiny, tiny)}))
+    lo, hi = birkhoff_bracket(sys, pot, word)
+    old_lo, old_hi = _word_order_bracket(sys, pot, word)
+    exact = len(word) * (Fraction(1e3) + Fraction(tiny))
+    assert old_hi < exact
+    assert lo <= old_lo and old_hi <= hi
+    assert lo <= exact <= hi
 
 
 @pytest.mark.parametrize("make_sys, word", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from shrinktarget import (
     Sum,
     TargetSpec,
     affine_system,
+    birkhoff_bracket,
     cover_sum,
     cylinder,
     cylinder_density,
@@ -427,6 +429,16 @@ def test_density_validates_input():
 
 # ---------------------------------------------------------------- hit times
 
+@settings(max_examples=200, deadline=None)
+@given(hyst.floats(0.0, 1.0), hyst.floats(-0.1, 1.1), hyst.floats(-0.1, 1.1))
+def test_distance_bracket_contains_the_exact_distances(y, a, b):
+    lo, hi = min(a, b), max(a, b)
+    d_lo, d_hi = targets._distance_bracket(y, lo, hi)
+    y, lo, hi = map(Fraction, (y, lo, hi))
+    assert d_lo <= max(0, lo - y, y - hi)
+    assert max(hi - y, y - lo) <= d_hi
+
+
 def test_hits_fixed_point_on_target():
     sys = doubling_map()
     rep = hit_times(sys, itertools.repeat(1), TargetSpec(0.0, ConstantRate(1.0)), 50)
@@ -504,6 +516,20 @@ def test_hits_below_float_spacing_agree_with_exact_orbit():
     assert set(rep.misses) == set(range(3, 51, 2))
 
 
+def test_hits_probe_windows_below_float_spacing_stay_padded():
+    # from epoch 82 on the xi depth passes 128, so probes of depth 64 run;
+    # those windows collapse onto y, the float just above 1/3, and only their
+    # pad keeps the even epochs (3.7e-17 from y, misses from epoch 38)
+    # from reading as hits
+    y = math.nextafter(1.0 / 3.0, 1.0)
+    assert cylinder(doubling_map(), (1, 2) * 32).interval == Interval(y, y)
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, ConstantRate(1.0)), 150)
+    oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), y, 1.0, 150)
+    assert all(oracle[n] == "hit" for n in rep.hits)
+    assert all(oracle[n] == "miss" for n in rep.misses)
+    assert set(rep.misses) >= set(range(3, 151, 2))
+
+
 def test_hits_window_stuck_one_ulp_wide_is_undecided():
     # the fixed point of branch 2 lies 7.4e-18 below y = 0.4, and its composed
     # windows stay one ulp wide at every depth: refining stops when the width
@@ -520,18 +546,38 @@ def test_hits_window_stuck_one_ulp_wide_is_undecided():
 
 @pytest.mark.parametrize("code_len, windows, first_hits", [(None, 50, 30), (20, 19, 11)],
                          ids=["endless-code", "code-ends-at-20"])
-def test_hits_compose_one_window_per_epoch(monkeypatch, code_len, windows, first_hits):
-    # the stuck-window orbit above: each epoch with code left after it makes
-    # one cylinder at the xi depth (or what is left), and none is refined
-    calls = []
+def test_hits_probe_windows_stop_at_the_xi_window(monkeypatch, code_len, windows,
+                                                   first_hits):
+    # the stuck-window orbit above: each epoch with code left after it probes
+    # prefixes of its xi-depth window (or of what is left), at most
+    # ceil(log2 depth) + 1 of them, and an undecided epoch ends on that window
+    epochs = []
+    fold = targets._birkhoff_fold
+
+    def marked_fold(*args):
+        for bracket in fold(*args):
+            epochs.append([])
+            yield bracket
+
+    monkeypatch.setattr(targets, "_birkhoff_fold", marked_fold)
     monkeypatch.setattr(targets, "cylinder",
-                        lambda sys, word: calls.append(word) or cylinder(sys, word))
+                        lambda sys, word: epochs[-1].append(word) or cylinder(sys, word))
     sys = affine_system([0.3, 0.25, 0.2, 0.15])
     image = sys.branches.branch_interval(2)
     lo, hi = Fraction(image.lo), Fraction(image.hi)
     code = itertools.repeat(2) if code_len is None else [2] * code_len
     rep = hit_times(sys, code, TargetSpec(0.4, ConstantRate(1.0)), 50)
-    assert len(calls) == windows
+    assert len(epochs) == windows
+    read = 50 + sys.depth_for(targets._PRECISION_FLOOR) if code_len is None else code_len
+    for n, words in enumerate(epochs, 1):
+        width = max(min(targets._PRECISION_CAP, 0.01 * math.exp(-n)), targets._PRECISION_FLOOR)
+        xi_depth = min(sys.depth_for(width), read - n)
+        assert all(word == (2,) * len(word) for word in words)  # prefixes of (2,)*xi_depth
+        assert max(map(len, words)) <= xi_depth
+        assert len(words) <= math.ceil(math.log2(xi_depth)) + 1
+        if n in rep.undecided:
+            assert len(words[-1]) == xi_depth
+    assert rep.window_symbols == sum(len(word) for words in epochs for word in words)
     if code_len is not None:
         assert set(rep.undecided) >= set(range(code_len, 51))
     oracle = exact_schedule(lambda n: lo / (1 - (hi - lo)), 0.4, 1.0, 50)
@@ -540,3 +586,119 @@ def test_hits_compose_one_window_per_epoch(monkeypatch, code_len, windows, first
     assert set(rep.hits) >= set(range(1, first_hits + 1))
 
 
+def _reference_hit_times(sys, code, target, horizon):
+    """The fixed-depth loop that hit_times replaced: one xi-depth window per
+    epoch, thresholds and distances rounded to nearest.  Maps each epoch to
+    (status, distance end, threshold end) with the ends a decision compared
+    (None for undecided epochs)."""
+    buffer = list(itertools.islice(code, horizon + sys.depth_for(targets._PRECISION_FLOOR)))
+    phi = target.rate_potential()
+    y = target.y
+    out = {}
+    for n in range(1, horizon + 1):
+        if len(buffer) <= n:
+            out[n] = (None, None, None)
+            continue
+        b_lo, b_hi = birkhoff_bracket(sys, phi, tuple(buffer[:n]))
+        thr_lo = math.exp(-b_hi)
+        thr_hi = math.exp(-b_lo)
+        width = max(min(targets._PRECISION_CAP, 0.01 * thr_lo), targets._PRECISION_FLOOR)
+        depth = min(sys.depth_for(width), len(buffer) - n)
+        interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+        pad = 4 * (depth + 1) * math.ulp(interval.hi)
+        lo, hi = interval.lo - pad, interval.hi + pad
+        d_lo = max(0.0, lo - y, y - hi)
+        d_hi = max(abs(hi - y), abs(y - lo))
+        if d_hi < thr_lo:
+            out[n] = ("hit", d_hi, thr_lo)
+        elif d_lo > thr_hi:
+            out[n] = ("miss", d_lo, thr_hi)
+        else:
+            out[n] = (None, None, None)
+    return out
+
+
+# (system, symbols a code and a table rate draw from)
+_HIT_CASES = {
+    "doubling": (doubling_map(), 2),
+    "packed-affine": (affine_system([0.3, 0.25, 0.2, 0.15]), 4),
+    "geometric": (_geometric_countable(0.3, 0.6), 6),
+    "gauss": (gauss_system(), 5),
+}
+
+
+@pytest.mark.parametrize("rate_kind", ["const", "psi", "table"])
+@pytest.mark.parametrize("case", sorted(_HIT_CASES))
+@settings(max_examples=15, deadline=None)
+@given(hyst.data())
+def test_hits_match_reference_loop(case, rate_kind, data):
+    sys, k = _HIT_CASES[case]
+    word = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=4), label="word"))
+    c = data.draw(hyst.floats(min_value=0.02, max_value=1.0), label="rate scale")
+    if rate_kind == "const":
+        rate = ConstantRate(c)
+    elif rate_kind == "psi":
+        rate = PotentialRate(Scale(c, LogDerivative()))
+    else:
+        ends = data.draw(hyst.lists(hyst.tuples(hyst.floats(0.0, 1.0), hyst.floats(0.0, 1.0)),
+                                    min_size=k, max_size=k), label="table")
+        table = {i: (min(e), max(e)) for i, e in enumerate(ends, 1)}
+        rate = PotentialRate(Sum(Constant(c), PerSymbolBracket.from_mapping(table)))
+    # y near the orbit point pi(word word ...) gives hits as well as misses
+    x = cylinder(sys, word * (60 // len(word))).interval.lo
+    offset = 10.0 ** -data.draw(hyst.floats(min_value=1.0, max_value=18.0), label="-log10 offset")
+    y = min(1.0, x + offset) if data.draw(hyst.booleans(), label="above") else max(0.0, x - offset)
+    horizon = data.draw(hyst.integers(1, 40), label="horizon")
+    target = TargetSpec(y, rate)
+    ref = _reference_hit_times(sys, itertools.cycle(word), target, horizon)
+    rep = hit_times(sys, itertools.cycle(word), target, horizon)
+    status = {n: "hit" for n in rep.hits} | {n: "miss" for n in rep.misses}
+    for n, (expected, d, thr) in ref.items():
+        if n in status and expected is not None:
+            assert status[n] == expected, n
+        elif expected is not None:
+            # undecided here, decided there: only by the one-ulp outward steps,
+            # which move exp(-b) by a relative ulp(b) (below 1e-12 while b < 4000)
+            assert math.isclose(d, thr, rel_tol=1e-12, abs_tol=1e-320), n
+
+
+def test_hits_gauss_psi_rate_is_linear_in_the_horizon():
+    # rebuilding the prefix bracket every epoch made this run quadratic
+    # (0.6 s); the running bracket takes about 0.03 s
+    sys, word, y, horizon = gauss_system(), (1, 3, 2), 0.4, 1000
+    rate = PotentialRate(Scale(0.02, LogDerivative()))
+    start = time.perf_counter()
+    rep = hit_times(sys, itertools.cycle(word), TargetSpec(y, rate), horizon)
+    assert time.perf_counter() - start < 0.2
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        # the three orbit points of the cycle: purely periodic continued fractions
+        points = []
+        for shift in range(3):
+            p = word[shift:] + word[:shift]
+            x = mp.mpf("0.5")
+            for _ in range(200):
+                for s in reversed(p):
+                    x = 1 / (s + x)
+            points.append(x)
+        decided = set(rep.hits + rep.misses)
+        s_psi = 0
+        for n in range(1, horizon + 1):
+            # S_n psi(x) = sum_{k<n} log |T'(T^k x)| = -2 sum_{k<n} log T^k x
+            s_psi -= 2 * mp.log(points[(n - 1) % 3])
+            if n in decided:
+                near = abs(points[n % 3] - y) < mp.exp(-0.02 * s_psi)
+                assert near == (n in rep.hits), n
+
+
+def test_hits_doubling_past_the_precision_floor_in_a_second():
+    # past epoch 640 every xi-depth window is the 934-symbol one (16 s for
+    # this run); a depth-4 probe decides each such epoch
+    start = time.perf_counter()
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(0.3, ConstantRate(1.0)),
+                    10000)
+    assert time.perf_counter() - start < 1.0
+    oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), 0.3, 1.0, 10000)
+    assert all(oracle[n] == "hit" for n in rep.hits)
+    assert all(oracle[n] == "miss" for n in rep.misses)
+    assert rep.undecided == ()
