@@ -18,19 +18,26 @@ level-1 ends, so its level-n partition sum is n times level 1 and a pressure
 bracket takes one log-sum-exp per mode, whatever its depth.  For the other
 tables ``BirkhoffTable`` builds level n+1 from level n: a word of length
 n+1 is a word w of length n with one more outer branch s prepended, whose
-cylinder is phi_s(phi_w([0,1])).  One array step per symbol (the family's
-``map_intervals`` and ``deriv_brackets``) maps the intervals of every word
-at once to their children and adds -log of the bracket of |phi_s'| over each
-interval to the psi sums; children are laid out parent-major, so the words
-come out in one fixed order, the order of ``word_sums``.  The additive
-(constant and table) part of a level is ``word_sums`` of the per-symbol
-ends, and the psi part is added to it in place.  Only the frontier one level
-behind the deepest cached level is kept (intervals and psi sums); going one
-level deeper re-advances it once, at most 1/K of that level's work, and
-writes the new level's endpoints straight from the per-symbol psi sums, so
-no interval array of the deepest level is ever held.  Each log is padded one
-ulp outward with np.nextafter, because np.log may sit an ulp away from the
-correctly rounded value; the sums are rounded to nearest.
+cylinder is phi_s(phi_w([0,1])).  The family's ``map_intervals`` and
+``deriv_brackets`` take the column of symbols and a block of frontier rows
+and return symbol-major (K, C) arrays: the children's intervals, and the
+bracket of |phi_s'| over each parent interval, whose -log is added to the
+psi sums.  Each block is copied, transposed, into its parents' rows, so
+children are laid out parent-major and the words come out in one fixed
+order, the order of ``word_sums``.  A level's ends are psi_coef times its
+psi sums, plus its additive (constant and table) part, ``word_sums`` of
+the per-symbol ends, which is left out when those ends are all +0.0.  A
+request for level n sweeps once from the deepest cached level: each level
+below n is read from the advanced frontier's psi sums, and level n, the
+deepest, is written straight from its blocks' psi sums, so no interval
+array of the deepest level is ever held and each child is computed once.
+The frontier stays one level behind the deepest cached level; a later,
+deeper request re-advances it once, at most 1/K of the work of the level
+it then builds.  ``bracket`` asks for level n_max first, so one sweep
+builds the whole table.  Each log is padded one ulp outward, because
+np.log may sit an ulp away from the correctly rounded value: the step is
+taken on the IEEE bit pattern, equal to np.nextafter bit for bit and
+several times cheaper; the sums are rounded to nearest.
 """
 
 from __future__ import annotations
@@ -236,10 +243,9 @@ class PressureEstimate:
                 raise ValueError(f"invalid pressure bracket [{self.lower}, {self.upper}]")
 
 
-def _logsumexp(arr: np.ndarray) -> float:
-    """log sum exp(arr), overwriting arr: the caller's one temporary is
-    shifted and exponentiated in place."""
-    m = float(np.max(arr))
+def _logsumexp(arr: np.ndarray, m: float) -> float:
+    """log sum exp(arr) given m = max(arr), overwriting arr: the caller's
+    one temporary is shifted and exponentiated in place."""
     if not math.isfinite(m):
         return m
     np.subtract(arr, m, out=arr)
@@ -257,13 +263,36 @@ class _Frontier(NamedTuple):
     psi_hi: np.ndarray
 
 
+def _log_step(x: np.ndarray, up: bool) -> np.ndarray:
+    """np.nextafter(np.log(x), +-inf), bit for bit.  A double's bit pattern
+    read as int64 is its sign and magnitude, so one ulp away from zero is +1
+    for a positive value and -1 for a negative one; a zero or non-finite
+    value, where that step would be wrong, goes through np.nextafter."""
+    y = np.log(x)
+    if not (np.isfinite(y).all() and y.all()):
+        return np.nextafter(y, np.inf if up else -np.inf)
+    bits = y.view(np.int64)
+    step = bits >> 63
+    step |= 1
+    if up:
+        bits += step
+    else:
+        bits -= step
+    return y
+
+
 def _log_up(x: np.ndarray) -> np.ndarray:
     # np.log may differ from the correctly rounded log by an ulp
-    return np.nextafter(np.log(x), np.inf)
+    return _log_step(x, True)
 
 
 def _log_down(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.log(x), -np.inf)
+    return _log_step(x, False)
+
+
+# children per array step of the level kernel: a block of frontier rows
+# times the alphabet, small enough for its temporaries to stay in cache
+_BLOCK = 1 << 13
 
 
 class BirkhoffTable:
@@ -292,9 +321,14 @@ class BirkhoffTable:
         self.budget = budget
         self._flat = _flatten(pot)
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # smallest end per (level, end), the log-sum-exp shift of partition
+        self._least: dict[tuple[int, int], float] = {}
         # interval frontier one level behind the deepest cached level
         self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
+        self._column = np.array(self.symbols)[:, None]
         self.base = _ends_array(self._flat, self.symbols)
+        # +0.0 ends throughout: a level's additive part is +0.0, not summed
+        self._base_zero = not any(np.any(e) or np.any(np.signbit(e)) for e in self.base)
         self.additive: tuple[np.ndarray, np.ndarray] | None = None
         if self._flat.psi_coef == 0.0:
             self.additive = self.base
@@ -331,7 +365,8 @@ class BirkhoffTable:
 
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(c_lo, c_hi) arrays over all words of length n (enumeration order
-        is deterministic).  An additive table sums its level-1 ends."""
+        is deterministic).  An additive table sums its level-1 ends; any
+        other builds every missing level up to n in one sweep."""
         if n in self._levels:
             return self._levels[n]
         if n < 1:
@@ -342,58 +377,107 @@ class BirkhoffTable:
         if self.additive is not None:
             self._levels[n] = tuple(self.word_sums(ends, n) for ends in self.additive)
             return self._levels[n]
-        while len(self._levels) < n:
-            depth = len(self._levels)
-            if depth:
-                self._frontier = self._advance(self._frontier)
-            self._levels[depth + 1] = self._enumerate_level(self._frontier, depth + 1)
+        # levels are built contiguously, so the frontier sits at this depth
+        for depth in range(max(len(self._levels), 1), n):
+            self._frontier = self._advance(self._frontier)
+            if depth not in self._levels:
+                self._levels[depth] = self._psi_level(self._frontier, depth)
+        self._levels[n] = self._enumerate_level(self._frontier, n)
         return self._levels[n]
 
-    def _child_sums(self, f: _Frontier):
-        """Per symbol s_k, the psi sums of the words s_k w for every frontier
-        word w, as (k, psi_lo, psi_hi) with arrays over the frontier.
+    def _child_blocks(self, f: _Frontier, intervals: bool):
+        """Per block of frontier rows, the children s_k w of its words w as
+        symbol-major (K, C) arrays: (lo, hi, psi_lo, psi_hi), or (psi_lo,
+        psi_hi) alone without ``intervals``, with the rows as a slice.
         Prepending s_k composes one more outer branch, so the psi sums gain
         -log of the bracket of |phi_s'| over phi_w([0,1])."""
         fam = self.sys.branches
-        for k, s in enumerate(self.symbols):
-            blo, bhi = fam.deriv_brackets(s, f)
-            yield k, f.psi_lo - _log_up(bhi), f.psi_hi - _log_down(blo)
+        step = max(1, _BLOCK // len(self.symbols))
+        for start in range(0, len(f.lo), step):
+            rows = slice(start, start + step)
+            span = _Frontier(*(a[rows] for a in f))
+            blo, bhi = fam.deriv_brackets(self._column, span)
+            psi = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
+            yield rows, (fam.map_intervals(self._column, span) + psi) if intervals else psi
 
     def _advance(self, f: _Frontier) -> _Frontier:
-        """The frontier one level deeper: child k of parent p sits at p*K + k."""
-        fam = self.sys.branches
+        """The frontier one level deeper: child k of parent p sits at p*K + k,
+        each block copied transposed into its parents' rows."""
         shape = (len(f.lo), len(self.symbols))
         out = _Frontier(*(np.empty(shape) for _ in _Frontier._fields))
-        for k, psi_lo, psi_hi in self._child_sums(f):
-            out.lo[:, k], out.hi[:, k] = fam.map_intervals(self.symbols[k], f)
-            out.psi_lo[:, k] = psi_lo
-            out.psi_hi[:, k] = psi_hi
+        for rows, block in self._child_blocks(f, intervals=True):
+            for dst, src in zip(out, block):
+                dst[rows] = src.T
         return _Frontier(*(a.ravel() for a in out))
+
+    def _psi_part(self, psi: np.ndarray, own: bool) -> np.ndarray:
+        """psi_coef * psi as a level adds it to its additive part, written
+        over psi when the caller owns it.  With a +0.0 additive part the sum
+        is the product itself, except that 0.0 + -0.0 is +0.0: psi is never
+        -0.0, and a product underflows to -0.0 only when psi_coef <= 0.5,
+        so only then is +0.0 added."""
+        pc = self._flat.psi_coef
+        if pc == 1.0:
+            return psi
+        part = np.multiply(psi, pc, out=psi if own else None)
+        if self._base_zero and pc <= 0.5:
+            part += 0.0
+        return part
+
+    def _psi_level(self, f: _Frontier, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c_lo, c_hi) of level n read from the frontier of level n: the
+        additive sums from ``word_sums`` plus psi_coef times the psi sums,
+        or the psi arrays themselves for a psi-only potential."""
+        ends = []
+        for psi, base in zip((f.psi_lo, f.psi_hi), self.base):
+            c = self._psi_part(psi, own=False)
+            if not self._base_zero:
+                sums = self.word_sums(base, n)
+                sums += c
+                c = sums
+            ends.append(c)
+        return tuple(ends)
 
     def _enumerate_level(self, f: _Frontier, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(c_lo, c_hi) over the level-n children of every frontier word, in
-        the order of _advance: the additive sums from ``word_sums``, with
-        psi_coef times the psi sums added in place; no child interval is kept."""
+        the order of _advance, as _psi_level would read them; no child
+        interval is kept."""
         shape = (len(f.lo), len(self.symbols))
-        c_lo, c_hi = (self.word_sums(ends, n).reshape(shape) for ends in self.base)
-        pc = self._flat.psi_coef
-        for k, psi_lo, psi_hi in self._child_sums(f):
-            c_lo[:, k] += pc * psi_lo
-            c_hi[:, k] += pc * psi_hi
+        if self._base_zero:
+            c_lo, c_hi = np.empty(shape), np.empty(shape)
+        else:
+            c_lo, c_hi = (self.word_sums(ends, n).reshape(shape) for ends in self.base)
+        for rows, block in self._child_blocks(f, intervals=False):
+            for dst, psi in zip((c_lo, c_hi), block):
+                part = self._psi_part(psi, own=True).T
+                if self._base_zero:
+                    dst[rows] = part
+                else:
+                    dst[rows] += part
         return (c_lo.ravel(), c_hi.ravel())
 
     def partition(self, scale: float, n: int, mode: str) -> float:
         """log sum over F^n of exp(-scale * end) with end the bracket
-        endpoint selected by mode ('sup' -> lower endpoint, dominating)."""
+        endpoint selected by mode ('sup' -> lower endpoint, dominating).
+
+        The log-sum-exp shift max(-scale * c) is -scale * min(c) for
+        scale > 0, since rounding is monotone; min(c) is cached per level
+        and end."""
         if mode not in ("sup", "inf"):
             raise ValueError("mode must be 'sup' or 'inf'")
+        end = 0 if mode == "sup" else 1
         if self.additive is not None:
-            lo1, hi1 = self.additive
-            c = lo1 if mode == "sup" else hi1
-            return n * _logsumexp(np.multiply(c, -scale))
-        c_lo, c_hi = self.level(n)
-        c = c_lo if mode == "sup" else c_hi
-        return _logsumexp(np.multiply(c, -scale))
+            c, times, key = self.additive[end], n, (1, end)
+        else:
+            c, times, key = self.level(n)[end], 1, (n, end)
+        arr = np.multiply(c, -scale)
+        if scale > 0.0:
+            if key not in self._least:
+                self._least[key] = float(np.min(c))
+            m = -scale * self._least[key]
+        else:
+            m = float(np.max(arr))
+        return times * _logsumexp(arr, m)
 
     @cached_property
     def _skipped_ends(self) -> list[float] | None:
@@ -441,6 +525,8 @@ class BirkhoffTable:
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         levels = range(1, 2 if self.additive is not None else n_max + 1)
+        if self.additive is None:
+            self.level(n_max)  # one sweep builds every level below it too
         lower = max(self.partition(scale, n, "inf") / n for n in levels)
         diverged = False
         if not use_tail:

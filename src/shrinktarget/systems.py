@@ -28,9 +28,10 @@ other families evaluate each child word in a Python loop.
 
 Non-affine families also give ``apply`` and ``deriv_bracket`` point by
 point, and their array forms ``map_intervals`` and ``deriv_brackets``, which
-the pressure level kernel calls on every interval of a level at once: the
-base class calls the scalar methods once per interval, the Gauss family
-calls its own once on whole numpy arrays.
+the pressure level kernel calls on a (K, 1) column of symbols and a block
+of C frontier intervals at once, for symbol-major (K, C) results: the base
+class calls the scalar methods once per symbol and interval, the Gauss
+family calls its own once, broadcasting the column against the block.
 """
 
 from __future__ import annotations
@@ -165,19 +166,22 @@ class BranchFamily:
         """Outward bracket of |phi_i'| over the subinterval j."""
         raise NotImplementedError
 
-    def deriv_brackets(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
-        """deriv_bracket over every interval [span.lo[k], span.hi[k]] of the
-        numpy arrays span.lo and span.hi, as arrays of lower and upper ends."""
-        ends = [self.deriv_bracket(i, Interval(lo, hi))
-                for lo, hi in zip(span.lo.tolist(), span.hi.tolist())]
-        dlo, dhi = np.array(ends, dtype=float).reshape(-1, 2).T
-        return dlo, dhi
+    def deriv_brackets(self, symbols: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
+        """deriv_bracket of each symbol of the (K, 1) column ``symbols`` over
+        every interval [span.lo[c], span.hi[c]] of the numpy arrays span.lo
+        and span.hi, as symbol-major (K, C) arrays of lower and upper ends."""
+        ivs = [Interval(lo, hi) for lo, hi in zip(span.lo.tolist(), span.hi.tolist())]
+        ends = np.array([self.deriv_bracket(i, j) for i in symbols.ravel().tolist()
+                         for j in ivs], dtype=float).reshape(len(symbols), len(ivs), 2)
+        return ends[..., 0], ends[..., 1]
 
-    def map_intervals(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
-        """phi_i of every interval [span.lo[k], span.hi[k]], as arrays of
+    def map_intervals(self, symbols: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
+        """phi_i of every interval [span.lo[c], span.hi[c]] for each symbol i
+        of the (K, 1) column ``symbols``, as symbol-major (K, C) arrays of
         lower and upper ends."""
-        a = np.array([self.apply(i, x) for x in span.lo.tolist()], dtype=float)
-        b = np.array([self.apply(i, x) for x in span.hi.tolist()], dtype=float)
+        syms = symbols.ravel().tolist()
+        a = np.array([[self.apply(i, x) for x in span.lo.tolist()] for i in syms], dtype=float)
+        b = np.array([[self.apply(i, x) for x in span.hi.tolist()] for i in syms], dtype=float)
         return np.minimum(a, b), np.maximum(a, b)
 
     def psi_bracket(self, i: int) -> tuple[float, float]:
@@ -341,13 +345,15 @@ class GaussFamily(BranchFamily):
         b = i + j.lo
         return (_down(1.0 / (a * a)), _up(1.0 / (b * b)))
 
-    # apply and deriv_bracket work elementwise on numpy arrays as they stand
+    # apply and deriv_bracket work elementwise on numpy arrays as they stand,
+    # and a float symbol column against a row of intervals broadcasts to (K, C)
 
-    def deriv_brackets(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
-        return self.deriv_bracket(i, span)
+    def deriv_brackets(self, symbols: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
+        return self.deriv_bracket(symbols.astype(float), span)
 
-    def map_intervals(self, i: int, span) -> tuple[np.ndarray, np.ndarray]:
+    def map_intervals(self, symbols: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
         # phi_i is decreasing
+        i = symbols.astype(float)
         return self.apply(i, span.hi), self.apply(i, span.lo)
 
     def locate(self, x: float) -> int | None:

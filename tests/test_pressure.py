@@ -405,7 +405,7 @@ def test_additive_bracket_ignores_depth():
 def test_additive_bracket_takes_one_logsumexp_per_mode(monkeypatch, n_max, use_tail):
     calls = []
     real = pressure._logsumexp
-    monkeypatch.setattr(pressure, "_logsumexp", lambda arr: calls.append(1) or real(arr))
+    monkeypatch.setattr(pressure, "_logsumexp", lambda *args: calls.append(1) or real(*args))
     table = BirkhoffTable(_geometric_countable(0.5, 0.5), PSI, range(1, 9))
     table.bracket(1.0, n_max=n_max, use_tail=use_tail)
     assert len(calls) <= 2
@@ -574,12 +574,18 @@ def test_level_request_order_does_not_matter():
     sys = gauss_system()
     jumped = BirkhoffTable(sys, MIXED, {1, 2, 3})
     stepped = BirkhoffTable(sys, MIXED, {1, 2, 3})
+    # one bracket sweeps to n_max = 7 before reading any level
+    swept = BirkhoffTable(sys, MIXED, {1, 2, 3})
+    swept.bracket(0.5, n_max=7)
     out = {n: jumped.level(n) for n in (5, 3, 7)}
     for n in range(1, 8):
         stepped.level(n)
     for n, (lo, hi) in out.items():
         assert np.array_equal(lo, stepped.level(n)[0])
         assert np.array_equal(hi, stepped.level(n)[1])
+    for n in range(1, 8):
+        for a, b in zip(swept.level(n), stepped.level(n)):
+            assert a.tobytes() == b.tobytes()
 
 
 class _PerElementGauss(GaussFamily):
@@ -597,13 +603,68 @@ class _PerElementGauss(GaussFamily):
         return super().deriv_bracket(i, j)
 
 
+def _per_element_gauss():
+    return MarkovSystem(_PerElementGauss(), xi=math.sqrt(2.0), expansion_depth=2)
+
+
 def test_array_and_per_element_paths_agree():
-    fast = BirkhoffTable(gauss_system(), PSI, {1, 2, 3})
-    slow = BirkhoffTable(MarkovSystem(_PerElementGauss(), xi=math.sqrt(2.0),
-                                      expansion_depth=2), PSI, {1, 2, 3})
-    for n in range(1, 6):
-        for a, b in zip(fast.level(n), slow.level(n)):
-            assert np.array_equal(a, b)
+    # 5**6 frontier rows are no whole number of symbol blocks
+    assert 5**6 % (pressure._BLOCK // 5) != 0
+    for subset, n_max in (({1, 2, 3}, 5), (range(1, 6), 7)):
+        fast = BirkhoffTable(gauss_system(), PSI, subset)
+        slow = BirkhoffTable(_per_element_gauss(), PSI, subset)
+        for n in range(1, n_max + 1):
+            for a, b in zip(fast.level(n), slow.level(n)):
+                assert np.array_equal(a, b)
+
+
+def test_bracket_computes_each_child_once():
+    sys = _per_element_gauss()
+    BirkhoffTable(sys, PSI, {1, 2, 3}).bracket(0.5, n_max=6)
+    assert sys.branches.calls == sum(3 ** j for j in range(1, 7)) == 1092
+
+
+# BirkhoffTable.bracket reprs, frozen before the one-sweep block kernel
+_FROZEN_BRACKETS = [
+    (gauss_system, PSI, {1, 2}, 0.53, 16, False,
+     "-0.022913863955091207", "0.03318347736639099"),
+    (gauss_system, PSI, range(1, 5), 0.6, 6, False,
+     "0.24501583762912116", "0.37298428425073893"),
+    (gauss_system, Sum(PSI, PSI), range(1, 65), 0.55, 3, True,
+     "-0.4206672550354941", "0.3991760978740356"),
+    (gauss_system, MIXED, {1, 2, 3}, 1.0, 5, False,
+     "-0.5827728904016691", "-0.2367746158801971"),
+    (custom_system, PSI, {1, 2}, 1.0, 6, False,
+     "-0.34139233086899784", "-0.18527951602269624"),
+]
+
+
+@pytest.mark.parametrize("make_sys, pot, subset, s, n_max, use_tail, lower, upper",
+                         _FROZEN_BRACKETS,
+                         ids=["gauss-2", "gauss-4", "gauss-64-tail", "mixed", "custom"])
+def test_bracket_bits_frozen(make_sys, pot, subset, s, n_max, use_tail, lower, upper):
+    est = BirkhoffTable(make_sys(), pot, subset).bracket(s, n_max=n_max, use_tail=use_tail)
+    assert (repr(est.lower), repr(est.upper), est.diverged) == (lower, upper, False)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("step, toward", [(pressure._log_up, np.inf),
+                                          (pressure._log_down, -np.inf)])
+def test_log_step_is_nextafter_of_log(step, toward):
+    rng = np.random.default_rng(14)
+    x = np.exp(rng.uniform(-700.0, 700.0, 10**5))
+    assert np.array_equal(_bits(step(x)), _bits(np.nextafter(np.log(x), toward)))
+    # subnormal inputs, and logs of +0.0 (x = 1), -inf (x = 0) and +inf,
+    # where the integer step is wrong and np.nextafter must take over
+    special = np.array([1.0, 0.0, 5e-324, 1e-320, 0.5, 2.0, np.inf])
+    with np.errstate(divide="ignore"):
+        want = np.nextafter(np.log(special), toward)
+        assert np.array_equal(_bits(step(special)), _bits(want))
+        for x in special:
+            assert np.array_equal(_bits(step(np.array([x]))), _bits(want[special == x]))
 
 
 # The additive part of each level must be summed as the frontier once
