@@ -238,12 +238,18 @@ def _search(measure: Callable[[float], _Probe], first: _Probe,
 
 class _Solver:
     def __init__(self, sys: MarkovSystem, inner: Potential, shift: Callable[[float], float],
-                 trunc: Truncation):
+                 trunc: Truncation, tables: list[BirkhoffTable | None] | None = None):
         self.sys = sys
         self.inner = inner
         self.shift = shift
         self.trunc = trunc
-        self.tables = [None] * len(trunc.subsets)
+        if tables is None:
+            tables = [None] * len(trunc.subsets)
+        elif len(tables) != len(trunc.subsets):
+            raise ValueError(f"tables needs one slot per rung: {len(trunc.subsets)}, "
+                             f"got {len(tables)}")
+        # one slot per rung, built when the search first reaches it
+        self.tables = tables
         self.index = 0
         self.n_used = 0
         self.steps = 0
@@ -337,12 +343,24 @@ def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> 
     return _Solver(sys, LogDerivative(), lambda s: 0.0, trunc).run(tol)
 
 
-def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
-                          tol: float = 1e-9) -> DimensionResult:
-    """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    return _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc).run(tol)
+
+
+def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
+                          tol: float = 1e-9, *,
+                          tables: list[BirkhoffTable | None] | None = None) -> DimensionResult:
+    """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}.
+
+    ``tables`` holds one slot per rung of ``trunc``: the psi table of that
+    rung, or None until the search first reaches it, when it is built in
+    place.  Calls with the same sys and trunc may share one list, since
+    P(-s psi) does not depend on alpha; a table keeps the brackets it has
+    computed, so the result, ``steps`` included, is the same as without it.
+    """
+    _check_alpha(alpha)
+    return _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc, tables).run(tol)
 
 
 def shrink_exponent_potential(sys: MarkovSystem, phi: Potential, trunc: Truncation,
@@ -353,7 +371,17 @@ def shrink_exponent_potential(sys: MarkovSystem, phi: Potential, trunc: Truncati
 
 def spectrum(sys: MarkovSystem, alphas: Sequence[float], trunc: Truncation,
              tol: float = 1e-9) -> list[tuple[float, DimensionResult]]:
-    """One shrink_exponent_alpha row per grid point (nonincreasing in alpha)."""
+    """One shrink_exponent_alpha row per grid point (nonincreasing in alpha).
+
+    The whole grid is checked before any table is built.  Every row shares
+    one list of ladder tables, so each rung is built once per spectrum and
+    a probe an earlier row took (each row probes the floor and s = 1) is
+    served from its table.  Each row still starts at rung 0, so it depends
+    only on its own alpha and equals shrink_exponent_alpha called alone.
+    """
     if not alphas:
         raise ValueError("alpha grid must be nonempty")
-    return [(a, shrink_exponent_alpha(sys, a, trunc, tol)) for a in alphas]
+    for a in alphas:
+        _check_alpha(a)
+    tables: list[BirkhoffTable | None] = [None] * len(trunc.subsets)
+    return [(a, shrink_exponent_alpha(sys, a, trunc, tol, tables=tables)) for a in alphas]

@@ -250,7 +250,8 @@ def _logsumexp(arr: np.ndarray, m: float) -> float:
         return m
     np.subtract(arr, m, out=arr)
     np.exp(arr, out=arr)
-    return m + math.log(float(np.sum(arr)))
+    # np.sum's pairwise sum without its dispatch layer, bit for bit
+    return m + math.log(float(np.add.reduce(arr)))
 
 
 class _Frontier(NamedTuple):
@@ -303,7 +304,10 @@ class BirkhoffTable:
     endpoints of S_n(u) over every word; levels are built incrementally
     (see the module docstring) and cached.  Partition sums for the scaled
     potential s*u are then single vectorized log-sum-exp passes, which is
-    what the dimension search iterates.  ``base`` holds the per-symbol ends
+    what the dimension search iterates.  Each estimate ``bracket`` returns
+    is kept too, so a probe repeated at the same scale, depth and tail rule
+    (every row of a spectrum probes the search floor and s = 1, on tables it
+    shares) is computed once.  ``base`` holds the per-symbol ends
     of the constant and table parts of u; ``additive`` the level-1 ends
     when the whole bracket is additive (no psi part, or an affine family),
     else None.
@@ -323,6 +327,8 @@ class BirkhoffTable:
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # smallest end per (level, end), the log-sum-exp shift of partition
         self._least: dict[tuple[int, int], float] = {}
+        # every bracket returned, by (scale, resolved n_max, use_tail)
+        self._brackets: dict[tuple[float, int, bool], PressureEstimate] = {}
         # interval frontier one level behind the deepest cached level
         self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
         self._column = np.array(self.symbols)[:, None]
@@ -472,9 +478,10 @@ class BirkhoffTable:
             c, times, key = self.level(n)[end], 1, (n, end)
         arr = np.multiply(c, -scale)
         if scale > 0.0:
-            if key not in self._least:
-                self._least[key] = float(np.min(c))
-            m = -scale * self._least[key]
+            least = self._least.get(key)
+            if least is None:
+                least = self._least[key] = float(np.min(c))
+            m = -scale * least
         else:
             m = float(np.max(arr))
         return times * _logsumexp(arr, m)
@@ -519,11 +526,17 @@ class BirkhoffTable:
         known, or a divergent series) sets ``diverged`` and upper = +inf.
         An additive table reads level 1 alone, whatever n_max is: its level
         n is exactly n times level 1, so level 1 is already the bracket.
+        The estimate is kept, keyed by (scale, resolved n_max, use_tail), so
+        a repeat returns it without touching any level.
         """
         if n_max is None:
             n_max = self._max_level
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
+        key = (scale, n_max, use_tail)
+        est = self._brackets.get(key)
+        if est is not None:
+            return est
         levels = range(1, 2 if self.additive is not None else n_max + 1)
         if self.additive is None:
             self.level(n_max)  # one sweep builds every level below it too
@@ -539,9 +552,10 @@ class BirkhoffTable:
             else:
                 z1 = self.partition(scale, 1, "sup")
                 upper = float(np.logaddexp(z1, math.log(tail))) if tail > 0.0 else z1
-        return PressureEstimate(lower=lower, upper=upper,
-                                truncation=(frozenset(self.symbols), n_max),
-                                diverged=diverged)
+        est = self._brackets[key] = PressureEstimate(
+            lower=lower, upper=upper, truncation=(frozenset(self.symbols), n_max),
+            diverged=diverged)
+        return est
 
 
 def pressure_bracket(sys: MarkovSystem, pot: Potential, subset,

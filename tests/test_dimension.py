@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as hyst
 
 from shrinktarget import (
+    BirkhoffTable,
     Constant,
     LogDerivative,
     Scale,
@@ -327,6 +328,53 @@ def test_spectrum_single_point_equals_direct():
 def test_spectrum_duplicate_points_deterministic():
     rows = spectrum(doubling_map(), [1.0, 1.0], DOUBLING_TRUNC, tol=1e-10)
     assert rows[0][1] == rows[1][1]
+
+
+def _count_table_builds(monkeypatch) -> list[BirkhoffTable]:
+    built = []
+    real = BirkhoffTable.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BirkhoffTable, "__init__", init)
+    return built
+
+
+def _fields(res):
+    return (repr(res.value), repr(res.bracket), res.truncation, res.certified, res.steps)
+
+
+@pytest.mark.parametrize("sys, trunc, tol", [
+    (gauss_system(), Truncation.prefix_ladder([2, 4], n_max=6), 5e-3),
+    (affine_system([0.3, 0.25, 0.2, 0.15]), Truncation.single(range(1, 5), n_max=2), 1e-12),
+], ids=["gauss-ladder", "affine-4"])
+def test_spectrum_rows_equal_standalone_rows(monkeypatch, sys, trunc, tol):
+    # the rows share one table per rung, which keeps its brackets; a row
+    # must still come out as if it had been solved alone
+    alphas = [2.0, 0.5, 4.5, 0.5, 1.0]
+    built = _count_table_builds(monkeypatch)
+    rows = spectrum(sys, alphas, trunc, tol=tol)
+    rungs = 1 + max(trunc.subsets.index(res.truncation[0]) for _, res in rows)
+    assert len(built) == rungs == len(trunc.subsets)
+    for alpha, res in rows:
+        assert _fields(res) == _fields(shrink_exponent_alpha(sys, alpha, trunc, tol))
+    assert _fields(rows[1][1]) == _fields(rows[3][1])
+
+
+@pytest.mark.parametrize("alphas", [[0.5, 1.0, 0.0], [0.5, math.nan], [math.inf, 1.0], [-1.0]])
+def test_spectrum_checks_the_grid_before_building_tables(monkeypatch, alphas):
+    built = _count_table_builds(monkeypatch)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        spectrum(gauss_system(), alphas, Truncation.single(range(1, 5), n_max=6), tol=5e-2)
+    assert built == []
+
+
+def test_shared_tables_need_one_slot_per_rung():
+    with pytest.raises(ValueError, match="one slot per rung"):
+        shrink_exponent_alpha(gauss_system(), 1.0, Truncation.prefix_ladder([2, 4], n_max=3),
+                              tables=[None])
 
 
 def test_ladder_refinement_matches_final_rung():

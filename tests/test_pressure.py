@@ -647,6 +647,58 @@ def test_bracket_bits_frozen(make_sys, pot, subset, s, n_max, use_tail, lower, u
     assert (repr(est.lower), repr(est.upper), est.diverged) == (lower, upper, False)
 
 
+def _count_table_work(monkeypatch, table) -> list[str]:
+    """Record every partition and level call the table makes from now on."""
+    calls = []
+    for name in ("partition", "level"):
+        real = getattr(table, name)
+        monkeypatch.setattr(table, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("make_sys, pot", [(gauss_system, PSI), (gauss_system, MIXED),
+                                           (lambda: affine_system([0.3, 0.25, 0.2]), PSI)],
+                         ids=["gauss", "mixed", "affine"])
+def test_repeated_bracket_is_served_from_the_table(monkeypatch, make_sys, pot):
+    table = BirkhoffTable(make_sys(), pot, {1, 2, 3})
+    first = table.bracket(0.7, n_max=4)
+    calls = _count_table_work(monkeypatch, table)
+    again = table.bracket(0.7, n_max=4)
+    assert again == first and calls == []
+    # a new scale or depth is computed
+    assert table.bracket(0.8, n_max=4) != first and "partition" in calls
+
+
+def test_default_depth_shares_the_explicit_depth_entry(monkeypatch):
+    table = BirkhoffTable(gauss_system(), PSI, {1, 2, 3}, budget=100)
+    assert table._max_level == 4
+    first = table.bracket(0.6)
+    calls = _count_table_work(monkeypatch, table)
+    assert table.bracket(0.6, n_max=4) == first
+    other = BirkhoffTable(gauss_system(), PSI, {1, 2, 3}, budget=100)
+    second = other.bracket(0.6, n_max=4)
+    other_calls = _count_table_work(monkeypatch, other)
+    assert other.bracket(0.6) == second == first
+    assert calls == other_calls == []
+
+
+def test_tail_and_subsystem_brackets_do_not_collide(monkeypatch):
+    table = BirkhoffTable(gauss_system(), PSI, range(1, 5))
+    ends = {}
+    for use_tail in (False, True, False, True):
+        est = table.bracket(0.7, n_max=3, use_tail=use_tail)
+        assert ends.setdefault(use_tail, est) == est
+    assert ends[False].upper < ends[True].upper
+    for use_tail, est in ends.items():
+        fresh = BirkhoffTable(gauss_system(), PSI, range(1, 5))
+        assert fresh.bracket(0.7, n_max=3, use_tail=use_tail) == est
+    calls = _count_table_work(monkeypatch, table)
+    table.bracket(0.7, n_max=3, use_tail=True)
+    table.bracket(0.7, n_max=3, use_tail=False)
+    assert calls == []
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
