@@ -5,10 +5,8 @@ from .systems import (
     AffineCountableFamily,
     AffineFamily,
     BudgetExceededError,
-    CustomMonotoneFamily,
     CylinderGeometry,
     DEFAULT_WORD_BUDGET,
-    EscapesRepellerError,
     GaussFamily,
     Interval,
     MarkovSystem,
@@ -16,9 +14,7 @@ from .systems import (
     affine_system,
     cylinder,
     doubling_map,
-    encode_point,
     gauss_system,
-    project_word,
 )
 from .pressure import (
     BirkhoffTable,

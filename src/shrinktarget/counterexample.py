@@ -33,7 +33,7 @@ __all__ = [
 _EULER_TAIL = 1.0 / (math.e - 1.0)  # sum_{k>=1} e^{-k}
 # remainder bound at which width-power series stop adding explicit terms
 _SERIES_SLACK = 1e-14
-# largest symbol index build() tries as n0 and _locate scans
+# largest symbol index build() tries as n0
 _INDEX_CAP = 100_000
 
 
@@ -170,25 +170,10 @@ class CounterexampleSystem:
                 log_width=self.log_width,
                 left=self.left,
                 tail_sum=self.width_tail_sum,
-                locate_fn=self._locate,
             )
             xi = math.exp(-max(self.log_r12, self.log_width(self.n0)))
             self._cache["system"] = MarkovSystem(family, xi=xi)
         return self._cache["system"]
-
-    def _locate(self, x: float) -> int | None:
-        image = self.as_system().branches.branch_interval
-        for n in (1, 2):
-            if image(n).contains(x):
-                return n
-        if x <= 0.0 or x >= self.phi(self.n0):
-            return None
-        n = self.n0
-        while n < _INDEX_CAP:
-            if self.phi(n + 1) <= x:
-                return n if image(n).contains(x) else None
-            n += 1
-        return None
 
 
 def build(beta: float, phi: ShrinkFn) -> CounterexampleSystem:

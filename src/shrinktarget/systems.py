@@ -2,9 +2,9 @@
 
 A system is a family of contracting inverse branches indexed by a finite or
 countable alphabet of positive integers (1-based).  Compositions of branches
-over finite symbol words give nested cylinder intervals.  This module
-provides cylinder geometry, symbolic coding of points and projection of
-symbol words back to the line.
+over finite symbol words give nested cylinder intervals; this module
+provides their geometry.  The families are finite affine, countable affine
+and Gauss.
 
 Each family owns its geometry.  All cylinder geometry (interval, diameter,
 derivative bracket and the bracket of S_n psi = -log|phi_w'|) comes from the
@@ -13,9 +13,7 @@ Affine families keep the running interval, the ratio product and the sum of
 -log ratios, all read from ``affine_terms``, so their brackets are exact
 points.  The Gauss family keeps the exact integer continuants of
 phi_w(t) = (p_n + t p_{n-1}) / (q_n + t q_{n-1}): correctly rounded
-endpoints and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2].  Other families
-evaluate the stored word inside-out, bracketing each branch derivative by
-outward-rounded interval evaluation on the current nested interval.
+endpoints and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2].
 Derivative and psi brackets contain the true ranges over [0,1];
 ``psi_bracket(i)`` is the depth-1 psi bracket of a symbol.
 
@@ -23,15 +21,12 @@ Composers also extend whole levels for tree walks.  ``level()`` gives a
 cylinder as a one-cylinder level: a tuple of numpy columns of composer state,
 one row per cylinder.  ``level_children(level, symbols)`` yields, symbol by
 symbol, the intervals and the level of every row's child, each in one numpy
-step; Gauss continuants are int64 below 2^53 and Python ints past it, and
-other families evaluate each child word in a Python loop.
+step; Gauss continuants are int64 below 2^53 and Python ints past it.
 
-Non-affine families also give ``apply`` and ``deriv_bracket`` point by
-point, and their array forms ``map_intervals`` and ``deriv_brackets``, which
-the pressure level kernel calls on a (K, 1) column of symbols and a block
-of C frontier intervals at once, for symbol-major (K, C) results: the base
-class calls the scalar methods once per symbol and interval, the Gauss
-family calls its own once, broadcasting the column against the block.
+Gauss, the one non-affine family, also gives the array step of the pressure
+level kernel: ``map_intervals`` and ``deriv_brackets`` take a (K, 1) column
+of symbols and a block of C frontier intervals, and broadcast its pointwise
+``apply`` and ``deriv_bracket`` to symbol-major (K, C) results.
 """
 
 from __future__ import annotations
@@ -52,12 +47,8 @@ __all__ = [
     "AffineFamily",
     "AffineCountableFamily",
     "GaussFamily",
-    "CustomMonotoneFamily",
-    "EscapesRepellerError",
     "BudgetExceededError",
     "cylinder",
-    "encode_point",
-    "project_word",
     "forward_composer",
     "doubling_map",
     "affine_system",
@@ -80,14 +71,6 @@ def _down(x: float) -> float:
 
 def _up(x: float) -> float:
     return x / _PAD
-
-
-class EscapesRepellerError(Exception):
-    """A point left the branch domains before the requested coding depth."""
-
-    def __init__(self, depth: int):
-        super().__init__(f"point escapes the branch domains at depth {depth}")
-        self.depth = depth
 
 
 class BudgetExceededError(Exception):
@@ -119,9 +102,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class CylinderGeometry:
@@ -134,15 +114,17 @@ class CylinderGeometry:
     psi_bracket: tuple[float, float]
 
 
-# symbols BranchFamily.locate scans to code a point
-_SCAN_LIMIT = 100_000
-
-
 class BranchFamily:
     """Interface of an inverse-branch family.
 
     Branch indices are 1-based.  Implementations keep branch images inside
-    [0,1] with pairwise disjoint interiors and sup|phi_i'| <= 1.
+    [0,1] with pairwise disjoint interiors and sup|phi_i'| <= 1.  Every
+    family gives its alphabet (``contains_symbol``, ``symbols``), its branch
+    images (``branch_interval``) and its forward ``composer``, from which
+    ``psi_bracket`` is read; countable families override
+    ``tail_weight_sum``.  Affine families also give ``affine_terms``, and
+    Gauss the array step of the pressure level kernel (see the module
+    docstring).
     """
 
     finite: bool = True
@@ -158,47 +140,14 @@ class BranchFamily:
     def branch_interval(self, i: int) -> Interval:
         raise NotImplementedError
 
-    def apply(self, i: int, x: float) -> float:
-        """phi_i(x) for x in [0,1]."""
+    def composer(self):
+        """Forward composer of the empty word (see the module docstring);
+        its ``child(s)`` takes a symbol already checked against the alphabet."""
         raise NotImplementedError
-
-    def deriv_bracket(self, i: int, j: Interval) -> tuple[float, float]:
-        """Outward bracket of |phi_i'| over the subinterval j."""
-        raise NotImplementedError
-
-    def deriv_brackets(self, symbols: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
-        """deriv_bracket of each symbol of the (K, 1) column ``symbols`` over
-        every interval [span.lo[c], span.hi[c]] of the numpy arrays span.lo
-        and span.hi, as symbol-major (K, C) arrays of lower and upper ends."""
-        ivs = [Interval(lo, hi) for lo, hi in zip(span.lo.tolist(), span.hi.tolist())]
-        ends = np.array([self.deriv_bracket(i, j) for i in symbols.ravel().tolist()
-                         for j in ivs], dtype=float).reshape(len(symbols), len(ivs), 2)
-        return ends[..., 0], ends[..., 1]
-
-    def map_intervals(self, symbols: np.ndarray, span) -> tuple[np.ndarray, np.ndarray]:
-        """phi_i of every interval [span.lo[c], span.hi[c]] for each symbol i
-        of the (K, 1) column ``symbols``, as symbol-major (K, C) arrays of
-        lower and upper ends."""
-        syms = symbols.ravel().tolist()
-        a = np.array([[self.apply(i, x) for x in span.lo.tolist()] for i in syms], dtype=float)
-        b = np.array([[self.apply(i, x) for x in span.hi.tolist()] for i in syms], dtype=float)
-        return np.minimum(a, b), np.maximum(a, b)
 
     def psi_bracket(self, i: int) -> tuple[float, float]:
         """Bracket of -log|phi_i'| over [0,1], read from the composer."""
         return self.composer().child(i).geometry()[3]
-
-    def locate(self, x: float) -> int | None:
-        """Lowest-indexed branch whose closed image contains x, if any, among
-        the first _SCAN_LIMIT symbols."""
-        for i in itertools.islice(self.symbols(), _SCAN_LIMIT):
-            if self.branch_interval(i).contains(x):
-                return i
-        return None
-
-    def inverse(self, i: int, x: float) -> float:
-        """The forward map T restricted to branch i (inverse of phi_i)."""
-        raise NotImplementedError
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         """Upper bound for sum_{i > beyond} sup|phi_i'|^exponent.
@@ -207,18 +156,9 @@ class BranchFamily:
         """
         return 0.0 if self.finite else math.inf
 
-    def composer(self):
-        """Forward composer of the empty word (see the module docstring);
-        its ``child(s)`` takes a symbol already checked against the alphabet."""
-        return _WordComposer(self)
-
     def _check_symbol(self, i: int) -> None:
         if not self.contains_symbol(i):
             raise ValueError(f"symbol {i} not in the system alphabet")
-
-
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
 class _AffineBranches(BranchFamily):
@@ -229,12 +169,6 @@ class _AffineBranches(BranchFamily):
 
     def composer(self):
         return _AffineComposer(self)
-
-    def inverse(self, i: int, x: float) -> float:
-        lo, _, r, _ = self.affine_terms(i)
-        if r == 0.0:
-            raise ValueError(f"branch {i} width underflows; cannot invert")
-        return _clamp01((x - lo) / r)
 
 
 class AffineFamily(_AffineBranches):
@@ -252,6 +186,9 @@ class AffineFamily(_AffineBranches):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"branch ratio {r} must lie in (0, 1)")
         self.ratios = tuple(float(r) for r in ratios)
+        for i, (l, r) in enumerate(zip(lefts, self.ratios), 1):
+            if not 0.0 <= l <= l + r <= 1.0:
+                raise ValueError(f"branch {i} image [{l}, {l + r}] leaves [0, 1]")
         self.images = tuple(Interval(l, l + r) for l, r in zip(lefts, self.ratios))
         for a, b in itertools.combinations(self.images, 2):
             if min(a.hi, b.hi) > max(a.lo, b.lo):
@@ -287,13 +224,11 @@ class AffineCountableFamily(_AffineBranches):
                  member: Callable[[int], bool],
                  log_width: Callable[[int], float],
                  left: Callable[[int], float],
-                 tail_sum: Callable[[float, int], float],
-                 locate_fn: Callable[[float], int | None] | None = None):
+                 tail_sum: Callable[[float, int], float]):
         self.member = member
         self.log_width = log_width
         self.left = left
         self.tail_sum = tail_sum
-        self._locate_fn = locate_fn
 
     def affine_terms(self, i: int) -> tuple[float, float, float, float]:
         iv = self.branch_interval(i)
@@ -310,11 +245,6 @@ class AffineCountableFamily(_AffineBranches):
         self._check_symbol(i)
         lo = self.left(i)
         return Interval(lo, min(1.0, lo + math.exp(self.log_width(i))))
-
-    def locate(self, x: float) -> int | None:
-        if self._locate_fn is not None:
-            return self._locate_fn(x)
-        return super().locate(x)
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         return self.tail_sum(exponent, beyond)
@@ -336,10 +266,12 @@ class GaussFamily(BranchFamily):
         return Interval(1.0 / (i + 1.0), 1.0 / i)
 
     def apply(self, i: int, x: float) -> float:
+        """phi_i(x) for x in [0,1]."""
         # i >= 1 and x in [0,1] keep 1/(i+x) in [0,1] in IEEE arithmetic
         return 1.0 / (i + x)
 
     def deriv_bracket(self, i: int, j: Interval) -> tuple[float, float]:
+        """Outward bracket of |phi_i'| over the subinterval j."""
         # |phi_i'(x)| = 1/(i+x)^2, decreasing in x
         a = i + j.hi
         b = i + j.lo
@@ -356,18 +288,6 @@ class GaussFamily(BranchFamily):
         i = symbols.astype(float)
         return self.apply(i, span.hi), self.apply(i, span.lo)
 
-    def locate(self, x: float) -> int | None:
-        if x <= 0.0 or x > 1.0:
-            return None
-        i0 = int(math.floor(1.0 / x))
-        for i in (i0 - 1, i0, i0 + 1):
-            if i >= 1 and self.branch_interval(i).contains(x):
-                return i
-        return None
-
-    def inverse(self, i: int, x: float) -> float:
-        return _clamp01(1.0 / x - i)
-
     def composer(self):
         return _MoebiusComposer()
 
@@ -377,55 +297,6 @@ class GaussFamily(BranchFamily):
             return math.inf
         k = max(1, beyond)
         return k ** (1.0 - 2.0 * exponent) / (2.0 * exponent - 1.0)
-
-
-class CustomMonotoneFamily(BranchFamily):
-    """Finitely many monotone C^1 branches given by evaluators.
-
-    Each branch is a triple ``(apply_fn, deriv_range_fn, image)`` where
-    ``deriv_range_fn(lo, hi)`` must return a bracket containing the range of
-    |phi_i'| over [lo, hi], and sup|phi_i'| <= 1.
-    """
-
-    finite = True
-
-    def __init__(self, branches: Sequence[tuple[Callable[[float], float],
-                                                Callable[[float, float], tuple[float, float]],
-                                                Interval]]):
-        if len(branches) < 2:
-            raise ValueError("at least two branches required")
-        self.branches = tuple(branches)
-
-    def contains_symbol(self, i: int) -> bool:
-        return 1 <= i <= len(self.branches)
-
-    def symbols(self) -> Iterator[int]:
-        return iter(range(1, len(self.branches) + 1))
-
-    def branch_interval(self, i: int) -> Interval:
-        self._check_symbol(i)
-        return self.branches[i - 1][2]
-
-    def apply(self, i: int, x: float) -> float:
-        return _clamp01(self.branches[i - 1][0](x))
-
-    def deriv_bracket(self, i: int, j: Interval) -> tuple[float, float]:
-        lo, hi = self.branches[i - 1][1](j.lo, j.hi)
-        return (_down(lo), _up(hi))
-
-    def inverse(self, i: int, x: float) -> float:
-        # monotone bisection of phi_i on [0,1]
-        fn = self.branches[i - 1][0]
-        increasing = fn(0.0) <= fn(1.0)
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            v = fn(mid)
-            if (v < x) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -470,54 +341,6 @@ def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
     (lo, hi), diam, deriv, psi = comp.geometry()
     return CylinderGeometry(interval=Interval(lo, hi), diam=diam,
                             deriv_bracket=deriv, psi_bracket=psi)
-
-
-def encode_point(sys: MarkovSystem, x: float, depth: int) -> Word:
-    """The depth-n symbolic code of x; ties go to the lower branch index.
-
-    Raises EscapesRepellerError (carrying the escape depth) when an iterate
-    leaves the branch domains before depth symbols are assigned.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    fam = sys.branches
-    symbols: list[int] = []
-    cur = x
-    for d in range(1, depth + 1):
-        i = fam.locate(cur)
-        if i is None:
-            raise EscapesRepellerError(d)
-        symbols.append(i)
-        cur = fam.inverse(i, cur)
-    return tuple(symbols)
-
-
-def project_word(sys: MarkovSystem, prefix: Word, precision: float) -> Interval:
-    """Interval of width <= precision containing the projection of the prefix
-    extended periodically (the whole prefix repeated).
-
-    The result is the deepest cylinder used, so it contains pi(w) for the
-    periodic extension w and is nested in every prefix cylinder; one composer
-    is extended a symbol at a time until it is narrow enough.
-    """
-    if precision <= 0.0:
-        raise ValueError("precision must be positive")
-    if not prefix:
-        raise ValueError("prefix must be nonempty")
-    fam = sys.branches
-    for s in prefix:
-        fam._check_symbol(s)
-    cap = len(prefix) + sys.depth_for(precision) + 6
-    comp = fam.composer()
-    for depth, s in enumerate(itertools.cycle(prefix), 1):
-        comp = comp.child(s)
-        if depth < len(prefix):
-            continue
-        lo, hi = comp.interval()
-        if hi - lo <= precision:
-            return Interval(lo, hi)
-        if depth >= cap:
-            raise RuntimeError("projection failed to contract to the requested precision")
 
 
 class _AffineComposer:
@@ -623,55 +446,6 @@ class _MoebiusComposer:
             child = comp.child(s)
             a, b = (np.asarray(e, dtype=float) for e in child.ends())
             yield np.minimum(a, b), np.maximum(a, b), (child.p0, child.p1, child.q0, child.q1)
-
-
-class _WordComposer:
-    """Any family: the stored word evaluated inside-out, each branch
-    derivative bracketed over the current nested interval."""
-
-    __slots__ = ("fam", "word")
-
-    def __init__(self, fam, word: Word = ()):
-        self.fam = fam
-        self.word = word
-
-    def child(self, s: int) -> "_WordComposer":
-        return _WordComposer(self.fam, self.word + (s,))
-
-    def interval(self) -> tuple[float, float]:
-        return self.geometry()[0]
-
-    def geometry(self):
-        """(interval, diam, derivative bracket, psi bracket)."""
-        fam = self.fam
-        lo, hi = 0.0, 1.0
-        dlo = dhi = 1.0
-        for s in reversed(self.word):
-            blo, bhi = fam.deriv_bracket(s, Interval(lo, hi))
-            dlo = _down(dlo * blo)
-            dhi = _up(dhi * bhi)
-            a = fam.apply(s, lo)
-            b = fam.apply(s, hi)
-            lo, hi = (a, b) if a <= b else (b, a)
-        # math.log may sit an ulp off the true value; pad it outward
-        psi_lo = -math.nextafter(math.log(dhi), math.inf) if dhi > 0.0 else math.inf
-        psi_hi = -math.nextafter(math.log(dlo), -math.inf) if dlo > 0.0 else math.inf
-        return (lo, hi), hi - lo, (dlo, dhi), (psi_lo, psi_hi)
-
-    def level(self):
-        """This cylinder as a one-cylinder level: one column whose rows are
-        the words."""
-        return (np.array([self.word], dtype=np.int64).reshape(1, len(self.word)),)
-
-    def level_children(self, level, symbols):
-        """(lo, hi, child level) for each symbol in turn, each child's
-        interval evaluated in a Python loop."""
-        (words,) = level
-        for s in symbols:
-            kids = np.column_stack((words, np.full(len(words), s)))
-            ends = [_WordComposer(self.fam, word).interval() for word in map(tuple, kids.tolist())]
-            lo, hi = np.array(ends, dtype=float).reshape(-1, 2).T
-            yield lo, hi, (kids,)
 
 
 def forward_composer(sys: MarkovSystem):

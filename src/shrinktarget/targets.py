@@ -154,7 +154,7 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
         if count > budget:
             raise BudgetExceededError("cover", count, budget, completed_level=n - 1)
         if uniform:
-            level = 0.0 if dist >= math.exp(-n * reach[0]) \
+            level = 0.0 if dist >= math.exp(-n * float(reach[0])) \
                 else math.exp(table.partition(s, n, "sup"))
         else:
             reach_n = table.word_sums(reach, n)

@@ -27,7 +27,6 @@ from shrinktarget import (
     gauss_system,
     hit_times,
     pressure_bracket,
-    project_word,
     shrink_exponent_alpha,
     shrink_exponent_potential,
     upper_dimension_certificate,
@@ -200,7 +199,7 @@ def test_criterion_8_cylinder_density_floor():
         samples.append((gauss_system(), [1, 2, 3, 4, 5], set(range(1, 9))))
     for sys, symbols, subset in samples:
         prefix = tuple(rng.choice(symbols) for _ in range(12))
-        iv = project_word(sys, prefix, 1e-13)
+        iv = cylinder(sys, prefix * 4).interval
         y = 0.5 * (iv.lo + iv.hi)
         for n in range(3, 11):
             r = 2.0 * cylinder(sys, prefix[:n]).diam

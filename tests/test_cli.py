@@ -258,6 +258,18 @@ n_max = 6
     assert float(rows[0][1]) == pytest.approx(0.125, rel=1e-9)
 
 
+def test_cover_with_a_huge_constant_rate_is_silent(tmp_path):
+    # -n * rate overflows to -inf, so every ball misses every branch image;
+    # a numpy scalar product used to warn about the overflow on stderr
+    cfg = write(tmp_path, "c.ini", "[system]\nkind = doubling\n\n[target]\ny = 0.3\n"
+                "rate = const:1e308\n\n[run]\ns = 0.5\nm = 1\nn_max = 2\n")
+    out = tmp_path / "c.csv"
+    proc = run_cli(["cover", "--config", cfg, "--out", str(out)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    _, rows = read_rows(out)
+    assert rows == [["1", "0.0"], ["2", "0.0"]]
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write(tmp_path, "spec.ini", """
 [system]
@@ -615,6 +627,18 @@ def test_hit_code_outside_the_alphabet_exits_2(tmp_path):
     proc = run_cli(["hits", "--config", cfg])
     assert proc.returncode == 2
     assert proc.stderr.strip() == "error: symbol 3 not in the system alphabet"
+
+
+@pytest.mark.parametrize("system, message", [
+    ("ratios = 0.5, 0.6\n", "error: branch 2 image [0.5, 1.1] leaves [0, 1]"),
+    ("ratios = 0.5, 0.3\nplacements = 0, 0.9\n", "error: branch 2 image [0.9, 1.2] leaves [0, 1]"),
+], ids=["packed", "placed"])
+def test_affine_branch_image_outside_the_unit_interval_exits_2(tmp_path, system, message):
+    cfg = write(tmp_path, "a.ini", f"[system]\nkind = affine\n{system}\n[run]\nn_max = 2\n")
+    proc = run_cli(["dimension", "--config", cfg])
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == message
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, system, run, message", [

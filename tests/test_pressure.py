@@ -10,7 +10,6 @@ from shrinktarget import (
     BirkhoffTable,
     BudgetExceededError,
     Constant,
-    CustomMonotoneFamily,
     GaussFamily,
     Interval,
     LogDerivative,
@@ -536,13 +535,51 @@ def reference_level(sys, pot, subset, n):
     return np.array(c_lo), np.array(c_hi)
 
 
+class _PerElementArrayStep:
+    """The pressure level kernel's array step, taken one symbol and one
+    interval at a time through the family's scalar apply and deriv_bracket."""
+
+    def deriv_brackets(self, symbols, span):
+        ivs = [Interval(lo, hi) for lo, hi in zip(span.lo.tolist(), span.hi.tolist())]
+        ends = np.array([self.deriv_bracket(i, j) for i in symbols.ravel().tolist()
+                         for j in ivs], dtype=float).reshape(len(symbols), len(ivs), 2)
+        return ends[..., 0], ends[..., 1]
+
+    def map_intervals(self, symbols, span):
+        syms = symbols.ravel().tolist()
+        a = np.array([[self.apply(i, x) for x in span.lo.tolist()] for i in syms], dtype=float)
+        b = np.array([[self.apply(i, x) for x in span.hi.tolist()] for i in syms], dtype=float)
+        return np.minimum(a, b), np.maximum(a, b)
+
+
+_PAD = 1.0 - 2.0**-50
+
+
+class _TwoMonotoneBranches(_PerElementArrayStep, BranchFamily):
+    """Branch 1: x -> x^2/4 + x/4 onto [0, 1/2]; branch 2: decreasing affine
+    x -> 0.9 - 0.3x onto [0.6, 0.9].  Derivative brackets are padded outward
+    by 1 - 2^-50."""
+
+    def contains_symbol(self, i):
+        return i in (1, 2)
+
+    def symbols(self):
+        return iter((1, 2))
+
+    def branch_interval(self, i):
+        self._check_symbol(i)
+        return (Interval(0.0, 0.5), Interval(0.6, 0.9))[i - 1]
+
+    def apply(self, i, x):
+        return 0.25 * x * x + 0.25 * x if i == 1 else 0.9 - 0.3 * x
+
+    def deriv_bracket(self, i, j):
+        lo, hi = (0.5 * j.lo + 0.25, 0.5 * j.hi + 0.25) if i == 1 else (0.3, 0.3)
+        return (lo * _PAD, hi / _PAD)
+
+
 def custom_system():
-    # branch 1: x -> x^2/4 + x/4 on [0, 1/2]; branch 2: decreasing affine onto [0.6, 0.9]
-    return MarkovSystem(CustomMonotoneFamily([
-        (lambda x: 0.25 * x * x + 0.25 * x,
-         lambda lo, hi: (0.5 * lo + 0.25, 0.5 * hi + 0.25), Interval(0.0, 0.5)),
-        (lambda x: 0.9 - 0.3 * x, lambda lo, hi: (0.3, 0.3), Interval(0.6, 0.9)),
-    ]), xi=2.0)
+    return MarkovSystem(_TwoMonotoneBranches(), xi=2.0)
 
 
 MIXED = Sum(Scale(0.7, PSI), Sum(Constant(0.3), PerSymbolBracket.from_mapping(
@@ -588,12 +625,8 @@ def test_level_request_order_does_not_matter():
             assert a.tobytes() == b.tobytes()
 
 
-class _PerElementGauss(GaussFamily):
-    """Gauss branches through the base class's per-element array step,
-    counting calls."""
-
-    deriv_brackets = BranchFamily.deriv_brackets
-    map_intervals = BranchFamily.map_intervals
+class _PerElementGauss(_PerElementArrayStep, GaussFamily):
+    """Gauss branches through the per-element array step, counting calls."""
 
     def __init__(self):
         self.calls = 0

@@ -6,19 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hyst
 
-from shrinktarget.cli import _geometric_countable
 from shrinktarget import (
-    EscapesRepellerError,
     Interval,
-    MarkovSystem,
-    ShrinkFn,
     affine_system,
-    build_counterexample,
     cylinder,
     doubling_map,
-    encode_point,
     gauss_system,
-    project_word,
 )
 
 
@@ -26,25 +19,6 @@ from shrinktarget import (
 
 def gauss_branch(i, x):
     return 1.0 / (i + x)
-
-
-def binary_digits(x, n):
-    """Binary expansion oracle for the doubling code (digit d -> symbol d+1)."""
-    out = []
-    for _ in range(n):
-        x *= 2.0
-        d = int(x >= 1.0)
-        out.append(d + 1)
-        x -= d
-    return tuple(out)
-
-
-def continued_fraction(x, n):
-    out = []
-    for _ in range(n):
-        out.append(int(math.floor(1.0 / x)))
-        x = 1.0 / x - out[-1]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------- cylinder
@@ -110,84 +84,34 @@ def test_gauss_cylinder_is_correctly_rounded_continuant_geometry(seed):
     assert Fraction(dlo) <= min(derivs) and max(derivs) <= Fraction(dhi)
 
 
-# ---------------------------------------------------------------- encode
+# ---------------------------------------------------------------- periodic points
 
-def test_encode_doubling_binary_expansion():
-    sys = doubling_map()
-    assert encode_point(sys, 0.3, 3) == binary_digits(0.3, 3) == (1, 2, 1)
-
-
-def test_encode_gauss_sqrt2():
-    sys = gauss_system()
-    x = math.sqrt(2.0) - 1.0
-    assert encode_point(sys, x, 4) == continued_fraction(x, 4) == (2, 2, 2, 2)
-
-
-def test_encode_escape_carries_depth():
-    sys = affine_system([0.5, 0.4], placements=[0.0, 0.6])
-    # first symbol lands in branch 2, whose forward image 0.55 falls in the gap
-    with pytest.raises(EscapesRepellerError) as err:
-        encode_point(sys, 0.82, 3)
-    assert err.value.depth == 2
-
-
-def test_encode_tie_goes_to_lower_branch():
-    sys = doubling_map()
-    assert encode_point(sys, 0.5, 1) == (1,)
-
-
-# ---------------------------------------------------------------- project
-
-def test_project_doubling_fixed_point():
-    sys = doubling_map()
-    iv = project_word(sys, (1,) * 20, 1e-5)
-    assert iv.contains(0.0)
+def test_cylinder_doubling_fixed_point():
+    iv = cylinder(doubling_map(), (1,) * 20).interval
+    assert iv.lo <= 0.0 <= iv.hi
     assert iv.width <= 2.0 ** -20
 
 
-def test_project_gauss_periodic_two():
-    sys = gauss_system()
-    iv = project_word(sys, (2,), 1e-8)
+def test_cylinder_gauss_periodic_two():
+    # 2, 2, 2, ... is the continued fraction of sqrt(2) - 1
+    iv = cylinder(gauss_system(), (2,) * 12).interval
     assert iv.width <= 1e-8
-    assert iv.contains(math.sqrt(2.0) - 1.0)
+    assert iv.lo <= math.sqrt(2.0) - 1.0 <= iv.hi
 
 
-def test_project_cycles_whole_prefix():
+def test_cylinder_cycles_whole_prefix():
     # (2,1) repeated gives the binary pattern 101010... = 2/3 (geometric series)
-    sys = doubling_map()
     point = sum(2.0 ** -(2 * k + 1) for k in range(40))
-    iv = project_word(sys, (2, 1), 1e-9)
-    assert iv.contains(point)
-    assert iv.contains(2.0 / 3.0)
-
-
-@pytest.mark.parametrize("make_sys, prefix", [(doubling_map, (2, 1)), (gauss_system, (2,)),
-                                              (gauss_system, (1, 3, 2))])
-def test_project_extends_one_composer(monkeypatch, make_sys, prefix):
-    sys = make_sys()
-    cls = type(sys.branches.composer())
-    real = cls.child
-    calls = []
-    monkeypatch.setattr(cls, "child", lambda self, s: calls.append(s) or real(self, s))
-    iv = project_word(sys, prefix, 1e-12)
-    monkeypatch.undo()
-    # one child per symbol of the returned cylinder, the first narrow enough
-    assert len(calls) >= len(prefix)
-    word = tuple(itertools.islice(itertools.cycle(prefix), len(calls)))
-    assert tuple(calls) == word
-    assert cylinder(sys, word).interval == iv
-    assert cylinder(sys, word[:-1]).interval.width > 1e-12
+    iv = cylinder(doubling_map(), (2, 1) * 15).interval
+    assert iv.width <= 1e-9
+    assert iv.lo <= point <= iv.hi
+    assert iv.lo <= 2.0 / 3.0 <= iv.hi
 
 
 @pytest.mark.parametrize("ratios", [[0.0], [0.0, 0.0]])
 def test_affine_system_rejects_bad_ratios_before_dividing(ratios):
     with pytest.raises(ValueError):
         affine_system(ratios)
-
-
-def test_project_rejects_nonpositive_precision():
-    with pytest.raises(ValueError):
-        project_word(doubling_map(), (1,), 0.0)
 
 
 # ---------------------------------------------------------------- invariants
@@ -246,57 +170,8 @@ def test_depth_disjointness_doubling(n):
         assert a.hi <= b.lo + 1e-15
 
 
-@settings(max_examples=25, deadline=None)
-@given(hyst.data())
-def test_coding_round_trip(data):
-    sys = doubling_map()
-    prefix = tuple(data.draw(hyst.integers(min_value=1, max_value=2)) for _ in range(6))
-    iv = project_word(sys, prefix, 1e-9)
-    x = 0.5 * (iv.lo + iv.hi)
-    n = data.draw(hyst.integers(min_value=1, max_value=6))
-    assert encode_point(sys, x, n) == prefix[:n]
-
-
-@pytest.mark.parametrize("system, symbols", [
-    (lambda: _geometric_countable(0.3, 0.6), (1, 2, 3, 7, 20)),
-    # the narrow counterexample branches lie below the float spacing
-    (lambda: build_counterexample(0.5, ShrinkFn.power(1)).as_system(), (1, 2)),
-], ids=["geometric", "counterexample"])
-def test_coding_round_trip_countable(system, symbols):
-    sys = system()
-    for word in itertools.product(symbols, repeat=3):
-        iv = project_word(sys, word, 1e-12)
-        assert encode_point(sys, 0.5 * (iv.lo + iv.hi), 3) == word
-
-
 def test_gauss_contraction_depth_two():
     sys = gauss_system()
     for word in itertools.product((1, 2, 3, 4), repeat=3):
         g = cylinder(sys, word)
         assert g.diam <= sys.xi ** -3
-
-
-def test_custom_monotone_family():
-    from shrinktarget import CustomMonotoneFamily
-
-    # branch 1: x -> x^2/4 + x/4 on [0, 1/2]; branch 2: affine onto [0.6, 0.9]
-    def f1(x):
-        return 0.25 * x * x + 0.25 * x
-
-    def df1(lo, hi):
-        return (0.5 * lo + 0.25, 0.5 * hi + 0.25)  # monotone derivative
-
-    fam = CustomMonotoneFamily([
-        (f1, df1, Interval(0.0, 0.5)),
-        (lambda x: 0.6 + 0.3 * x, lambda lo, hi: (0.3, 0.3), Interval(0.6, 0.9)),
-    ])
-    sys = MarkovSystem(fam, xi=2.0)
-    g = cylinder(sys, (1, 2))
-    # oracle: phi_1(phi_2([0,1])) = phi_1([0.6, 0.9])
-    assert g.interval.lo == pytest.approx(f1(0.6), abs=1e-12)
-    assert g.interval.hi == pytest.approx(f1(0.9), abs=1e-12)
-    lo, hi = g.deriv_bracket
-    assert lo <= g.diam <= hi
-    # coding round trip through the bisection inverse
-    word = encode_point(sys, f1(0.75), 2)
-    assert word == (1, 2)

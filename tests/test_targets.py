@@ -10,10 +10,8 @@ from shrinktarget import (
     BudgetExceededError,
     Constant,
     ConstantRate,
-    CustomMonotoneFamily,
     Interval,
     LogDerivative,
-    MarkovSystem,
     PerSymbolBracket,
     PotentialRate,
     Scale,
@@ -27,7 +25,6 @@ from shrinktarget import (
     doubling_map,
     gauss_system,
     hit_times,
-    project_word,
     upper_dimension_certificate,
 )
 from shrinktarget import targets
@@ -288,7 +285,7 @@ def test_density_floor_at_projected_points(kind, seed):
         symbols = [1, 2, 3, 4, 5]
         subset = set(range(1, 9))
     prefix = tuple(rng.choice(symbols) for _ in range(12))
-    iv = project_word(sys, prefix, 1e-13)
+    iv = cylinder(sys, prefix * 4).interval
     y = 0.5 * (iv.lo + iv.hi)
     for n in range(3, 11):
         r = 2.0 * cylinder(sys, prefix[:n]).diam
@@ -405,18 +402,6 @@ def test_density_of_a_ball_below_float_spacing():
     widths, visited = _reference_density_walk(sys, y, 80, r, {1, 2})
     assert widths == [] and visited < 80
     assert cylinder_density(sys, y, 80, r, {1, 2}, budget=visited) == 0.0
-
-
-def test_density_of_custom_family_matches_doubling():
-    halves = CustomMonotoneFamily([
-        (lambda x: x / 2, lambda lo, hi: (0.5, 0.5), Interval(0.0, 0.5)),
-        (lambda x: (1 + x) / 2, lambda lo, hi: (0.5, 0.5), Interval(0.5, 1.0)),
-    ])
-    custom = MarkovSystem(halves, xi=2.0)
-    for y, r, n in ((0.3, 0.1, 6), (0.5, 0.25 + 2**-20, 4), (0.71, 0.02, 9)):
-        density = cylinder_density(custom, y, n, r, {1, 2})
-        assert density > 0.0
-        assert density == cylinder_density(doubling_map(), y, n, r, {1, 2})
 
 
 def test_density_validates_input():
