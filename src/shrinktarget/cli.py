@@ -431,7 +431,7 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
         # every epoch writes a row
         raise BudgetExceededError("horizon", horizon, budget)
     # and its xi-depth window is at most depth_for(_PRECISION_FLOOR) symbols
-    # deep; its probe windows compose at most twice that
+    # deep; its probe windows read at most twice that
     symbols = horizon * loaded.system.depth_for(_PRECISION_FLOOR)
     if symbols > budget:
         raise BudgetExceededError("horizon", symbols, budget)
@@ -440,7 +440,7 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
               | {n: "undecided" for n in report.undecided})
     return ({"hits": len(report.hits), "misses": len(report.misses),
              "undecided": len(report.undecided), "window_symbols": report.window_symbols,
-             "budget": budget},
+             "windows_composed": report.windows_composed, "budget": budget},
             ["epoch", "status"], [[n, status[n]] for n in range(1, horizon + 1)])
 
 

@@ -21,6 +21,7 @@ from .pressure import (
     Constant,
     LogDerivative,
     Potential,
+    Scale,
     Sum,
     _birkhoff_fold,
     birkhoff_bracket,  # not called here; bench/tracing.py spans targets.birkhoff_bracket
@@ -100,14 +101,16 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class HitReport:
-    """Hit/miss/undecided partition of the epochs 1..horizon, and the number
-    of code symbols the epochs' windows composed."""
+    """Hit/miss/undecided partition of the epochs 1..horizon, the number of
+    code symbols the epochs' probe windows read, and the number of distinct
+    windows composed (``cylinder`` calls)."""
 
     horizon: int
     hits: tuple[int, ...]
     misses: tuple[int, ...]
     undecided: tuple[int, ...]
     window_symbols: int
+    windows_composed: int
 
 
 def _distance_bracket(y: float, lo: float, hi: float) -> tuple[float, float]:
@@ -266,26 +269,74 @@ _PRECISION_CAP = 1e-9
 _PRECISION_FLOOR = 1e-280
 
 
+def _nodes(pot: Potential) -> int:
+    """Number of nodes of the potential's expression tree."""
+    if isinstance(pot, Scale):
+        return 1 + _nodes(pot.inner)
+    if isinstance(pot, Sum):
+        return 1 + _nodes(pot.left) + _nodes(pot.right)
+    return 1
+
+
+def _fold_rounding(pot: Potential) -> float:
+    """Relative bound on the roundings to nearest that ``_birkhoff_fold``
+    leaves unpadded: ``_flatten``'s products and sums of scales and
+    constants (at most one per node of the potential on any term's path),
+    then n * const or psi_coef * psi, their sum, and the table sum added to
+    it.  Every term is nonnegative, so k such roundings move a bracket end
+    by less than 2 k u of itself (u = 2^-53) while k u is small."""
+    return (_nodes(pot) + 3) * 2.0 ** -52
+
+
+def _threshold_bracket(b_lo: float, b_hi: float, rel: float) -> tuple[float, float]:
+    """Bracket of exp(-S) for S in the fold's bracket [b_lo, b_hi]: each end
+    is stepped outward by the relative rounding bound ``rel`` and then one
+    ulp (for that step's own rounding) before exp, and each threshold one
+    ulp outward after it."""
+    b_lo = math.nextafter(b_lo - rel * abs(b_lo), -math.inf)
+    b_hi = math.nextafter(b_hi + rel * b_hi, math.inf)
+    return (math.nextafter(math.exp(-b_hi), 0.0), math.nextafter(math.exp(-b_lo), math.inf))
+
+
+def _window_distance(sys: MarkovSystem, y: float, word: tuple[int, ...],
+                     windows: dict) -> tuple[float, float]:
+    """Padded distance bracket from y to the window's cylinder, read from
+    the run's memo ``windows``; only a word seen for the first time is
+    composed (one ``cylinder`` call) and stored."""
+    bracket = windows.get(word)
+    if bracket is None:
+        interval = cylinder(sys, word).interval
+        pad = 4 * (len(word) + 1) * math.ulp(interval.hi)
+        bracket = windows[word] = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
+    return bracket
+
+
 def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
               horizon: int) -> HitReport:
     """Exact symbolic hit/miss/undecided schedule of the coded orbit.
 
     The threshold exp(-S_n(phi)) at epoch n comes from the Birkhoff bracket
     over the prefix cylinder, which one running fold (``_birkhoff_fold``)
-    extends by a symbol per epoch; both bracket ends are stepped one ulp
-    outward before exp, and each threshold one ulp outward after it.  The
-    iterate T^n(pi(w)) lies in the cylinder of the code symbols after
-    position n, at the depth ``sys.depth_for`` gives for 1% of the threshold
-    (clamped to [_PRECISION_FLOOR, _PRECISION_CAP]), or of whatever code is
-    left: the epoch's xi-depth window.  The epoch probes prefixes of that
-    window of depth 2, 4, 8, ... while the depth is at most half the
-    xi depth, then the xi-depth window itself, and stops at the first window
-    that decides, so an epoch composes fewer than twice the xi depth's
-    symbols.  Each window is padded outward by 4 (depth + 1) ulps of its
-    larger end, a bound on the composers' rounding (at most three roundings
-    per affine symbol, half an ulp per continuant quotient), so it contains
-    the true cylinder however narrow the composed one is, and a shallower
-    window, being wider, decides only what the true orbit point decides.
+    extends by a symbol per epoch; both bracket ends are stepped outward by
+    a relative bound on the fold's unpadded roundings and one ulp before
+    exp, and each threshold one ulp outward after it.  The iterate
+    T^n(pi(w)) lies in the cylinder of the code symbols after position n,
+    at the depth ``sys.depth_for`` gives for 1% of the threshold (clamped
+    to [_PRECISION_FLOOR, _PRECISION_CAP]), or of whatever code is left:
+    the epoch's xi-depth window.  The epoch probes prefixes of that window
+    of depth 2, 4, 8, ... while the depth is at most half the xi depth,
+    then the xi-depth window itself, and stops at the first window that
+    decides, so an epoch reads fewer than twice the xi depth's symbols
+    (``window_symbols`` counts every probe's depth).  Each window is padded
+    outward by 4 (depth + 1) ulps of its larger end, a bound on the
+    composers' rounding (at most three roundings per affine symbol, half an
+    ulp per continuant quotient), so it contains the true cylinder however
+    narrow the composed one is, and a shallower window, being wider,
+    decides only what the true orbit point decides.  The padded distance
+    bracket is a function of the window word alone, so the run keeps one
+    memo keyed by the word and composes each distinct window once
+    (``windows_composed``): at most one entry per probe, and at most p
+    times the number of probe depths for a code of period p.
     An epoch is a hit when the distance interval lies entirely below the
     threshold interval, a miss when entirely above, and undecided otherwise
     (ties, and epochs with no code left after n, included).  The code is
@@ -298,24 +349,23 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
     # epochs with code left after them
     coded = max(0, min(horizon, len(buffer) - 1))
     y = target.y
+    pot = target.rate_potential()
+    rel = _fold_rounding(pot)
     hits: list[int] = []
     misses: list[int] = []
     undecided: list[int] = []
     window_symbols = 0
-    brackets = _birkhoff_fold(sys, target.rate_potential(), buffer[:coded])
-    for n, (b_lo, b_hi) in enumerate(brackets, 1):
-        thr_lo = math.nextafter(math.exp(-math.nextafter(b_hi, math.inf)), 0.0)
-        thr_hi = math.nextafter(math.exp(-math.nextafter(b_lo, -math.inf)), math.inf)
+    windows: dict[tuple[int, ...], tuple[float, float]] = {}
+    for n, (b_lo, b_hi) in enumerate(_birkhoff_fold(sys, pot, buffer[:coded]), 1):
+        thr_lo, thr_hi = _threshold_bracket(b_lo, b_hi, rel)
         xi_depth = min(sys.depth_for(max(min(_PRECISION_CAP, 0.01 * math.exp(-b_hi)),
                                          _PRECISION_FLOOR)),
                        len(buffer) - n)
         # 2, 4, 8, ... while at most half the xi depth, then the xi depth
         probes = chain((1 << k for k in range(1, xi_depth.bit_length() - 1)), (xi_depth,))
         for depth in probes:
-            interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+            d_lo, d_hi = _window_distance(sys, y, tuple(buffer[n:n + depth]), windows)
             window_symbols += depth
-            pad = 4 * (depth + 1) * math.ulp(interval.hi)
-            d_lo, d_hi = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
             if d_hi < thr_lo:
                 hits.append(n)
                 break
@@ -326,4 +376,5 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
             undecided.append(n)
     undecided.extend(range(coded + 1, horizon + 1))
     return HitReport(horizon=horizon, hits=tuple(hits), misses=tuple(misses),
-                     undecided=tuple(undecided), window_symbols=window_symbols)
+                     undecided=tuple(undecided), window_symbols=window_symbols,
+                     windows_composed=len(windows))

@@ -208,14 +208,17 @@ def test_hits_manifest_counts_window_symbols(tmp_path):
     for out in outs:
         assert main(["hits", "--config", cfg, "--out", str(out)]) == 0
     assert outs[0].read_text() == outs[1].read_text()
-    lines = [line for line in outs[0].read_text().splitlines()
-             if line.startswith("# window_symbols = ")]
-    assert len(lines) == 1
+    manifest = outs[0].read_text().splitlines()
+    lines = [k for k, line in enumerate(manifest) if line.startswith("# window")]
+    assert len(lines) == 2
     report = shrinktarget.hit_times(shrinktarget.doubling_map(), itertools.cycle([1, 2]),
                                     shrinktarget.TargetSpec(0.3, shrinktarget.ConstantRate(1.0)),
                                     2000)
-    assert lines[0] == f"# window_symbols = {report.window_symbols}"
+    assert manifest[lines[0]] == f"# window_symbols = {report.window_symbols}"
+    assert manifest[lines[0] + 1] == f"# windows_composed = {report.windows_composed}"
     assert report.window_symbols <= 6 * 2000
+    # the two shifts of the 2-cycle probe a few depths each
+    assert 0 < report.windows_composed <= 2 * 12
 
 
 def test_density_csv(tmp_path):

@@ -535,18 +535,26 @@ def test_hits_probe_windows_stop_at_the_xi_window(monkeypatch, code_len, windows
                                                    first_hits):
     # the stuck-window orbit above: each epoch with code left after it probes
     # prefixes of its xi-depth window (or of what is left), at most
-    # ceil(log2 depth) + 1 of them, and an undecided epoch ends on that window
+    # ceil(log2 depth) + 1 of them, and an undecided epoch ends on that window;
+    # the run composes each distinct window once
     epochs = []
+    composed = []
     fold = targets._birkhoff_fold
+    lookup = targets._window_distance
 
     def marked_fold(*args):
         for bracket in fold(*args):
             epochs.append([])
             yield bracket
 
+    def spied_lookup(sys, y, word, windows):
+        epochs[-1].append(word)
+        return lookup(sys, y, word, windows)
+
     monkeypatch.setattr(targets, "_birkhoff_fold", marked_fold)
+    monkeypatch.setattr(targets, "_window_distance", spied_lookup)
     monkeypatch.setattr(targets, "cylinder",
-                        lambda sys, word: epochs[-1].append(word) or cylinder(sys, word))
+                        lambda sys, word: composed.append(word) or cylinder(sys, word))
     sys = affine_system([0.3, 0.25, 0.2, 0.15])
     image = sys.branches.branch_interval(2)
     lo, hi = Fraction(image.lo), Fraction(image.hi)
@@ -563,12 +571,61 @@ def test_hits_probe_windows_stop_at_the_xi_window(monkeypatch, code_len, windows
         if n in rep.undecided:
             assert len(words[-1]) == xi_depth
     assert rep.window_symbols == sum(len(word) for words in epochs for word in words)
+    probed = {word for words in epochs for word in words}
+    assert sorted(composed) == sorted(probed)  # each distinct window composed once
+    assert rep.windows_composed == len(composed)
     if code_len is not None:
         assert set(rep.undecided) >= set(range(code_len, 51))
     oracle = exact_schedule(lambda n: lo / (1 - (hi - lo)), 0.4, 1.0, 50)
     assert all(oracle[n] == "hit" for n in rep.hits)
     assert all(oracle[n] == "miss" for n in rep.misses)
     assert set(rep.hits) >= set(range(1, first_hits + 1))
+
+
+def _probe_hit_times(sys, code, target, horizon):
+    """hit_times without its window memo: every probe composes its window.
+    Returns (hits, misses, undecided, window_symbols, cylinder calls)."""
+    buffer = list(itertools.islice(code, horizon + sys.depth_for(targets._PRECISION_FLOOR)))
+    coded = max(0, min(horizon, len(buffer) - 1))
+    pot = target.rate_potential()
+    rel = targets._fold_rounding(pot)
+    out = {"hit": [], "miss": [], "undecided": []}
+    symbols = calls = 0
+    for n, (b_lo, b_hi) in enumerate(targets._birkhoff_fold(sys, pot, buffer[:coded]), 1):
+        thr_lo, thr_hi = targets._threshold_bracket(b_lo, b_hi, rel)
+        xi_depth = min(sys.depth_for(max(min(targets._PRECISION_CAP, 0.01 * math.exp(-b_hi)),
+                                         targets._PRECISION_FLOOR)),
+                       len(buffer) - n)
+        status = "undecided"
+        for depth in [1 << k for k in range(1, xi_depth.bit_length() - 1)] + [xi_depth]:
+            interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+            calls += 1
+            symbols += depth
+            pad = 4 * (depth + 1) * math.ulp(interval.hi)
+            d_lo, d_hi = targets._distance_bracket(target.y, interval.lo - pad,
+                                                   interval.hi + pad)
+            if d_hi < thr_lo or d_lo > thr_hi:
+                status = "hit" if d_hi < thr_lo else "miss"
+                break
+        out[status].append(n)
+    out["undecided"].extend(range(coded + 1, horizon + 1))
+    return (tuple(out["hit"]), tuple(out["miss"]), tuple(out["undecided"]), symbols, calls)
+
+
+def test_hits_compose_each_window_of_a_periodic_code_once():
+    # a bench-shaped Gauss run: a 3-cycle probes at most 12 depths per
+    # shift, so at most 36 distinct windows, where composing every probe
+    # takes thousands of cylinder calls; the schedule is the same
+    sys = gauss_system()
+    target = TargetSpec(0.4, ConstantRate(0.02))
+    rep = hit_times(sys, itertools.cycle([2, 3, 2]), target, 1000)
+    hits, misses, undecided, symbols, calls = _probe_hit_times(
+        sys, itertools.cycle([2, 3, 2]), target, 1000)
+    assert (rep.hits, rep.misses, rep.undecided, rep.window_symbols) == (
+        hits, misses, undecided, symbols)
+    assert 0 < rep.windows_composed <= 3 * 12
+    assert calls > 1000
+    assert rep.hits and rep.misses
 
 
 def _reference_hit_times(sys, code, target, horizon):
@@ -617,8 +674,17 @@ _HIT_CASES = {
 @settings(max_examples=15, deadline=None)
 @given(hyst.data())
 def test_hits_match_reference_loop(case, rate_kind, data):
+    # periodic codes repeat their windows, so the run's memo answers most
+    # probes; drawn aperiodic codes check that it never conflates two words
     sys, k = _HIT_CASES[case]
-    word = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=4), label="word"))
+    if data.draw(hyst.booleans(), label="periodic"):
+        word = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=4),
+                               label="word"))
+        # at least as long as a run reads, so it reads as itertools.cycle(word)
+        code = word * (1 + (40 + sys.depth_for(targets._PRECISION_FLOOR)) // len(word))
+    else:
+        code = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=120),
+                               label="symbols"))
     c = data.draw(hyst.floats(min_value=0.02, max_value=1.0), label="rate scale")
     if rate_kind == "const":
         rate = ConstantRate(c)
@@ -629,22 +695,91 @@ def test_hits_match_reference_loop(case, rate_kind, data):
                                     min_size=k, max_size=k), label="table")
         table = {i: (min(e), max(e)) for i, e in enumerate(ends, 1)}
         rate = PotentialRate(Sum(Constant(c), PerSymbolBracket.from_mapping(table)))
-    # y near the orbit point pi(word word ...) gives hits as well as misses
-    x = cylinder(sys, word * (60 // len(word))).interval.lo
+    # y near an orbit point pi(code[m:]) gives hits as well as misses
+    m = data.draw(hyst.integers(0, min(len(code), 41) - 1), label="anchor")
+    x = cylinder(sys, code[m:m + 60]).interval.lo
     offset = 10.0 ** -data.draw(hyst.floats(min_value=1.0, max_value=18.0), label="-log10 offset")
     y = min(1.0, x + offset) if data.draw(hyst.booleans(), label="above") else max(0.0, x - offset)
     horizon = data.draw(hyst.integers(1, 40), label="horizon")
     target = TargetSpec(y, rate)
-    ref = _reference_hit_times(sys, itertools.cycle(word), target, horizon)
-    rep = hit_times(sys, itertools.cycle(word), target, horizon)
+    ref = _reference_hit_times(sys, code, target, horizon)
+    rep = hit_times(sys, code, target, horizon)
     status = {n: "hit" for n in rep.hits} | {n: "miss" for n in rep.misses}
     for n, (expected, d, thr) in ref.items():
         if n in status and expected is not None:
             assert status[n] == expected, n
         elif expected is not None:
-            # undecided here, decided there: only by the one-ulp outward steps,
-            # which move exp(-b) by a relative ulp(b) (below 1e-12 while b < 4000)
+            # undecided here, decided there: only by the outward steps before
+            # exp (a relative rounding bound of at most 6 * 2^-52, then one
+            # ulp), which move exp(-b) by a relative 2e-15 b at most (below
+            # 1e-12 while b < 500)
             assert math.isclose(d, thr, rel_tol=1e-12, abs_tol=1e-320), n
+
+
+def _exact_birkhoff(pot, n, psi):
+    """S_n(pot) in exact arithmetic on the float inputs, with psi the psi
+    value of the prefix cylinder."""
+    if isinstance(pot, LogDerivative):
+        return psi
+    if isinstance(pot, Constant):
+        return n * Fraction(pot.value)
+    if isinstance(pot, Scale):
+        return Fraction(pot.factor) * _exact_birkhoff(pot.inner, n, psi)
+    return _exact_birkhoff(pot.left, n, psi) + _exact_birkhoff(pot.right, n, psi)
+
+
+_RATES = hyst.recursive(
+    hyst.one_of(hyst.builds(Constant, hyst.floats(0.0, 3.0)), hyst.just(LogDerivative())),
+    lambda inner: hyst.one_of(hyst.builds(Scale, hyst.floats(0.0, 3.0), inner),
+                              hyst.builds(Sum, inner, inner)),
+    max_leaves=5)
+
+
+def _check_thresholds(sys, pot, word):
+    """The padded thresholds contain exp(-S_n) over each prefix cylinder,
+    computed exactly from the float constants and the composer's psi ends."""
+    mp = pytest.importorskip("mpmath")
+    rel = targets._fold_rounding(pot)
+    comp = sys.branches.composer()
+    with mp.workdps(60):
+        for n, (s, bracket) in enumerate(zip(word, targets._birkhoff_fold(sys, pot, word)), 1):
+            comp = comp.child(s)
+            p_lo, p_hi = map(Fraction, comp.geometry()[3])
+            thr_lo, thr_hi = targets._threshold_bracket(*bracket, rel)
+            s_lo, s_hi = _exact_birkhoff(pot, n, p_lo), _exact_birkhoff(pot, n, p_hi)
+            assert thr_lo <= mp.exp(-mp.mpf(s_hi.numerator) / s_hi.denominator), n
+            assert mp.exp(-mp.mpf(s_lo.numerator) / s_lo.denominator) <= thr_hi, n
+
+
+@pytest.mark.parametrize("case, pot, word", [
+    ("doubling", Scale(0.21875, Scale(2.2403076384850413, Constant(2.640625))), [1] * 6),
+    ("gauss", Sum(Constant(1.6384341714152444), Sum(Constant(1.0), Constant(1.9100751146951158))),
+     [1] * 3),
+    ("gauss", Scale(2.207893929197543, Sum(Scale(2.0, LogDerivative()),
+                                           Sum(Constant(1.0), LogDerivative()))), [2, 5, 5]),
+], ids=["nested-scale", "constant-sum", "psi-sum"])
+def test_hit_thresholds_pad_the_fold_roundings(case, pot, word):
+    # stepping the fold's ends one ulp before exp leaves these outside: the
+    # roundings of _flatten and of n * const, psi_coef * psi and their sum
+    # add up to more than one ulp of the bracket end
+    _check_thresholds(_HIT_CASES[case][0], pot, word)
+
+
+_RATES = hyst.recursive(
+    hyst.one_of(hyst.builds(Constant, hyst.floats(0.0, 3.0)), hyst.just(LogDerivative())),
+    lambda inner: hyst.one_of(hyst.builds(Scale, hyst.floats(0.0, 3.0), inner),
+                              hyst.builds(Sum, inner, inner)),
+    max_leaves=5)
+
+
+@pytest.mark.parametrize("case", ["doubling", "gauss"])
+@settings(max_examples=150, deadline=None)
+@given(hyst.data())
+def test_hit_thresholds_contain_the_exact_birkhoff_sums(case, data):
+    sys, k = _HIT_CASES[case]
+    pot = data.draw(_RATES, label="rate")
+    word = data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=60), label="word")
+    _check_thresholds(sys, pot, word)
 
 
 def test_hits_gauss_psi_rate_is_linear_in_the_horizon():
