@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import itertools
 import math
@@ -329,7 +330,7 @@ def _emit(out_path: str | None, manifest: list[str], header: Sequence[str],
         buf.write(line + "\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_format_cell(v) for v in row) + "\n")
+        buf.write(",".join(map(_format_cell, row)) + "\n")
     text = buf.getvalue()
     if out_path is None:
         _sys.stdout.write(text)
@@ -436,12 +437,16 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
     if symbols > budget:
         raise BudgetExceededError("horizon", symbols, budget)
     report = hit_times(loaded.system, code, target, horizon)
-    status = ({n: "hit" for n in report.hits} | {n: "miss" for n in report.misses}
-              | {n: "undecided" for n in report.undecided})
+    # the three epoch tuples partition 1..horizon
+    rows = [[n, None] for n in range(1, horizon + 1)]
+    for status, epochs in (("hit", report.hits), ("miss", report.misses),
+                           ("undecided", report.undecided)):
+        for n in epochs:
+            rows[n - 1][1] = status
     return ({"hits": len(report.hits), "misses": len(report.misses),
              "undecided": len(report.undecided), "window_symbols": report.window_symbols,
              "windows_composed": report.windows_composed, "budget": budget},
-            ["epoch", "status"], [[n, status[n]] for n in range(1, horizon + 1)])
+            ["epoch", "status"], rows)
 
 
 def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
@@ -518,7 +523,10 @@ def _write_counterexample(ce: CounterexampleSystem, path: str,
         out.write(fh)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="shrinktarget",
         description="pressure, dimension, and shrinking-target computations "
@@ -528,7 +536,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="CSV output path (stdout if absent)")
     parser.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                         help="enumeration budget in words")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return run(args.command, _read_config(args.config), args.out, args.budget)
     except BudgetExceededError as exc:

@@ -212,9 +212,37 @@ def _birkhoff_fold(sys: MarkovSystem, pot: Potential,
         yield lo, hi
 
 
+def _nodes(pot: Potential) -> int:
+    """Number of nodes of the potential's expression tree."""
+    if isinstance(pot, Scale):
+        return 1 + _nodes(pot.inner)
+    if isinstance(pot, Sum):
+        return 1 + _nodes(pot.left) + _nodes(pot.right)
+    return 1
+
+
+def _fold_rounding(pot: Potential) -> float:
+    """Relative bound on the roundings to nearest that ``_birkhoff_fold``
+    leaves unpadded: ``_flatten``'s products and sums of scales and
+    constants (at most one per node of the potential on any term's path),
+    then n * const or psi_coef * psi, their sum, and the table sum added to
+    it.  Every term is nonnegative, so k such roundings move a bracket end
+    by less than 2 k u of itself (u = 2^-53) while k u is small."""
+    return (_nodes(pot) + 3) * 2.0 ** -52
+
+
+def _pad_fold(lo, hi, rel: float):
+    """Fold bracket ends (floats or arrays) stepped outward by the relative
+    rounding bound ``rel`` and then one ulp, for that step's own rounding."""
+    return (np.nextafter(lo - rel * np.abs(lo), -np.inf),
+            np.nextafter(hi + rel * hi, np.inf))
+
+
 def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
     """Interval containing the range of S_n(pot) over the cylinder of the word:
-    the last bracket of ``_birkhoff_fold``.
+    the last bracket of ``_birkhoff_fold``, both ends stepped outward by
+    ``_fold_rounding`` (see ``_pad_fold``), so it contains S_n whatever the
+    fold rounded to nearest.
 
     For the log-derivative the bracket is the cylinder's psi bracket, which
     the family's composer computes (exact per-symbol logs for affine
@@ -225,7 +253,7 @@ def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[flo
         raise ValueError("word must be nonempty")
     for last in _birkhoff_fold(sys, pot, word):
         pass
-    return last
+    return tuple(map(float, _pad_fold(*last, _fold_rounding(pot))))
 
 
 @dataclass(frozen=True)
@@ -291,8 +319,9 @@ def _log_down(x: np.ndarray) -> np.ndarray:
     return _log_step(x, False)
 
 
-# children per array step of the level kernel: a block of frontier rows
-# times the alphabet, small enough for its temporaries to stay in cache
+# children per array step of the level kernel and of the density walk: a
+# block of rows times the alphabet, small enough for its temporaries to
+# stay in cache
 _BLOCK = 1 << 13
 
 

@@ -19,9 +19,11 @@ Derivative and psi brackets contain the true ranges over [0,1];
 
 Composers also extend whole levels for tree walks.  ``level()`` gives a
 cylinder as a one-cylinder level: a tuple of numpy columns of composer state,
-one row per cylinder.  ``level_children(level, symbols)`` yields, symbol by
-symbol, the intervals and the level of every row's child, each in one numpy
-step; Gauss continuants are int64 below 2^53 and Python ints past it.
+one row per cylinder.  ``level_children(level, column)`` takes a (K, 1)
+column of symbols and a block of C level rows and returns the children of
+every row in one broadcast step, as symbol-major (K, C) arrays: their
+intervals ``lo`` and ``hi`` and their level columns.  Gauss continuants are
+int64 below 2^53 and Python ints past it.
 
 Gauss, the one non-affine family, also gives the array step of the pressure
 level kernel: ``map_intervals`` and ``deriv_brackets`` take a (K, 1) column
@@ -320,7 +322,14 @@ class MarkovSystem:
     def depth_for(self, width: float) -> int:
         """A depth at which xi-contraction certainly brings every cylinder
         below the width."""
-        return (int(math.ceil(max(0.0, -math.log(width)) / math.log(self.xi)))
+        return int(self.depths_for(np.array([width]))[0])
+
+    def depths_for(self, widths: np.ndarray) -> np.ndarray:
+        """``depth_for`` of each width, as an int64 array.  The logs go
+        through math.log, which np.log may differ from by an ulp; since
+        xi >= 1 + 2^-52 and -log(width) < 745, every depth fits in int64."""
+        neg_log = -np.fromiter(map(math.log, widths.tolist()), float, len(widths))
+        return (np.ceil(np.maximum(0.0, neg_log) / math.log(self.xi)).astype(np.int64)
                 + self.expansion_depth + 2)
 
 
@@ -378,16 +387,17 @@ class _AffineComposer:
         """This cylinder as a one-cylinder level: the columns (lo, hi)."""
         return np.array([self.lo]), np.array([self.hi])
 
-    def level_children(self, level, symbols):
-        """(lo, hi, child level) for each symbol in turn: the operations of
-        ``child`` on whole columns, with np.minimum in place of min."""
+    def level_children(self, level, column):
+        """(lo, hi, child level) of every row and symbol of the column, as
+        (K, C) arrays: the operations of ``child`` broadcast over the block,
+        with np.minimum in place of min."""
         lo, hi = level
+        ends = np.array([self.fam.affine_terms(s)[:2] for s in column[:, 0].tolist()])
+        a, b = ends[:, :1], ends[:, 1:]
         w = hi - lo
-        for s in symbols:
-            a, b, _, _ = self.fam.affine_terms(s)
-            c_hi = np.minimum(hi, lo + w * b)
-            c_lo = np.minimum(lo + w * a, c_hi)
-            yield c_lo, c_hi, (c_lo, c_hi)
+        c_hi = np.minimum(hi, lo + w * b)
+        c_lo = np.minimum(lo + w * a, c_hi)
+        return c_lo, c_hi, (c_lo, c_hi)
 
 
 class _MoebiusComposer:
@@ -432,20 +442,22 @@ class _MoebiusComposer:
                      for v in (self.p0, self.p1, self.q0, self.q1))
 
     @staticmethod
-    def level_children(level, symbols):
-        """(lo, hi, child level) for each symbol in turn, one ``child`` step
-        over the whole level.  The level switches to Python ints before any
-        child continuant or endpoint sum, at most q1 (s + 1) + q0, could
-        reach 2^53, so int64 neither wraps nor rounds."""
+    def level_children(level, column):
+        """(lo, hi, child level) of every row and symbol of the column, as
+        (K, C) arrays, from one ``child`` step over the whole block.  The
+        block switches to Python ints before any child continuant or
+        endpoint sum, at most q1 (s + 1) + q0, could reach 2^53, so int64
+        neither wraps nor rounds."""
         q0, q1 = level[2], level[3]
         if q1.dtype != object and \
-                int(q1.max()) * (max(symbols, default=0) + 1) + int(q0.max()) >= 2**53:
-            level = tuple(column.astype(object) for column in level)
-        comp = _MoebiusComposer(*level)
-        for s in symbols:
-            child = comp.child(s)
-            a, b = (np.asarray(e, dtype=float) for e in child.ends())
-            yield np.minimum(a, b), np.maximum(a, b), (child.p0, child.p1, child.q0, child.q1)
+                int(q1.max()) * (int(column.max()) + 1) + int(q0.max()) >= 2**53:
+            level = tuple(c.astype(object) for c in level)
+        child = _MoebiusComposer(*level).child(column)
+        a, b = (np.asarray(e, dtype=float) for e in child.ends())
+        # the child's p0 and q0 are the block's p1 and q1, one row per parent
+        return (np.minimum(a, b), np.maximum(a, b),
+                tuple(np.broadcast_to(c, a.shape)
+                      for c in (child.p0, child.p1, child.q0, child.q1)))
 
 
 def forward_composer(sys: MarkovSystem):

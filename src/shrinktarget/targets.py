@@ -21,9 +21,11 @@ from .pressure import (
     Constant,
     LogDerivative,
     Potential,
-    Scale,
     Sum,
+    _BLOCK,
     _birkhoff_fold,
+    _fold_rounding,
+    _pad_fold,
     birkhoff_bracket,  # not called here; bench/tracing.py spans targets.birkhoff_bracket
 )
 from .systems import (
@@ -224,14 +226,16 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     The cylinder tree is walked a level at a time.  A level holds the
     composer state of every cylinder of one depth that meets the ball (see
     the ``systems`` module docstring), and the family's ``level_children``
-    extends all of them by one symbol per numpy step.  A child whose closed
-    interval at most touches the open ball is dropped; at depth n only
-    children strictly inside the ball count.  The nodes visited are those a
-    depth-first walk with the same pruning visits: the root and every child
-    of a level above depth n.  Each level's children are charged to the
-    budget before they are built.  The leaf widths (hi - lo of the composed
-    ends) are summed by one math.fsum, so the total is their correctly
-    rounded sum, whatever the walk order.
+    extends a block of its rows by every symbol in one broadcast step, with
+    at most _BLOCK children per block, so no step holds a whole level's
+    children at once.  A child whose closed interval at most touches the
+    open ball is dropped; at depth n only children strictly inside the ball
+    count.  The nodes visited are those a depth-first walk with the same
+    pruning visits: the root and every child of a level above depth n.
+    Each level's children are charged to the budget before they are built.
+    The leaf widths (hi - lo of the composed ends) are fed block by block
+    to one math.fsum, so the total is their correctly rounded sum, whatever
+    the walk order.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -240,6 +244,8 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     symbols = sorted(set(subset))
     for i in symbols:
         sys.branches._check_symbol(i)
+    column = np.array(symbols)[:, None]
+    rows = max(1, _BLOCK // len(symbols))
     ball_lo = y - r
     ball_hi = y + r
     root = forward_composer(sys)
@@ -249,17 +255,18 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
         visited += len(level[0]) * len(symbols)
         if visited > budget:
             raise BudgetExceededError("density", visited, budget, completed_level=depth - 1)
-        children = root.level_children(level, symbols)
+        children = (root.level_children(tuple(c[start:start + rows] for c in level), column)
+                    for start in range(0, len(level[0]), rows))
         if depth == n:
             break
         kept = []
         for lo, hi, child in children:
             # closed cylinder vs open ball: disjoint when it only touches
             meets = (hi > ball_lo) & (lo < ball_hi)
-            kept.append(tuple(column[meets] for column in child))
-        if not sum(len(child[0]) for child in kept):
-            return 0.0
+            kept.append(tuple(c[meets] for c in child))
         level = tuple(map(np.concatenate, zip(*kept)))
+        if not len(level[0]):
+            return 0.0
     leaves = ((hi - lo)[(ball_lo < lo) & (hi < ball_hi)].tolist() for lo, hi, _ in children)
     return math.fsum(chain.from_iterable(leaves)) / r
 
@@ -269,33 +276,20 @@ _PRECISION_CAP = 1e-9
 _PRECISION_FLOOR = 1e-280
 
 
-def _nodes(pot: Potential) -> int:
-    """Number of nodes of the potential's expression tree."""
-    if isinstance(pot, Scale):
-        return 1 + _nodes(pot.inner)
-    if isinstance(pot, Sum):
-        return 1 + _nodes(pot.left) + _nodes(pot.right)
-    return 1
+def _threshold_bracket(b_lo: np.ndarray, b_hi: np.ndarray,
+                       rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of exp(-S) for S in the fold's brackets [b_lo, b_hi], one
+    per epoch: each end is padded by ``_pad_fold`` before exp, and each
+    threshold stepped one ulp outward after it.  exp goes through math, the
+    steps through numpy, bit for bit the same IEEE operations."""
+    b_lo, b_hi = _pad_fold(b_lo, b_hi, rel)
+    return (np.nextafter(_exp_neg(b_hi), 0.0), np.nextafter(_exp_neg(b_lo), np.inf))
 
 
-def _fold_rounding(pot: Potential) -> float:
-    """Relative bound on the roundings to nearest that ``_birkhoff_fold``
-    leaves unpadded: ``_flatten``'s products and sums of scales and
-    constants (at most one per node of the potential on any term's path),
-    then n * const or psi_coef * psi, their sum, and the table sum added to
-    it.  Every term is nonnegative, so k such roundings move a bracket end
-    by less than 2 k u of itself (u = 2^-53) while k u is small."""
-    return (_nodes(pot) + 3) * 2.0 ** -52
-
-
-def _threshold_bracket(b_lo: float, b_hi: float, rel: float) -> tuple[float, float]:
-    """Bracket of exp(-S) for S in the fold's bracket [b_lo, b_hi]: each end
-    is stepped outward by the relative rounding bound ``rel`` and then one
-    ulp (for that step's own rounding) before exp, and each threshold one
-    ulp outward after it."""
-    b_lo = math.nextafter(b_lo - rel * abs(b_lo), -math.inf)
-    b_hi = math.nextafter(b_hi + rel * b_hi, math.inf)
-    return (math.nextafter(math.exp(-b_hi), 0.0), math.nextafter(math.exp(-b_lo), math.inf))
+def _exp_neg(b: np.ndarray) -> np.ndarray:
+    """exp(-b) elementwise through math.exp, which np.exp may differ from
+    by an ulp."""
+    return np.fromiter(map(math.exp, (-b).tolist()), float, len(b))
 
 
 def _window_distance(sys: MarkovSystem, y: float, word: tuple[int, ...],
@@ -317,24 +311,27 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
 
     The threshold exp(-S_n(phi)) at epoch n comes from the Birkhoff bracket
     over the prefix cylinder, which one running fold (``_birkhoff_fold``)
-    extends by a symbol per epoch; both bracket ends are stepped outward by
-    a relative bound on the fold's unpadded roundings and one ulp before
-    exp, and each threshold one ulp outward after it.  The iterate
-    T^n(pi(w)) lies in the cylinder of the code symbols after position n,
-    at the depth ``sys.depth_for`` gives for 1% of the threshold (clamped
-    to [_PRECISION_FLOOR, _PRECISION_CAP]), or of whatever code is left:
-    the epoch's xi-depth window.  The epoch probes prefixes of that window
-    of depth 2, 4, 8, ... while the depth is at most half the xi depth,
-    then the xi-depth window itself, and stops at the first window that
-    decides, so an epoch reads fewer than twice the xi depth's symbols
-    (``window_symbols`` counts every probe's depth).  Each window is padded
-    outward by 4 (depth + 1) ulps of its larger end, a bound on the
-    composers' rounding (at most three roundings per affine symbol, half an
-    ulp per continuant quotient), so it contains the true cylinder however
-    narrow the composed one is, and a shallower window, being wider,
-    decides only what the true orbit point decides.  The padded distance
-    bracket is a function of the window word alone, so the run keeps one
-    memo keyed by the word and composes each distinct window once
+    extends by a symbol per epoch.  The fold runs once, into arrays, before
+    any window is read, and every epoch's thresholds and xi depth are
+    computed from those arrays at once: both bracket ends are stepped
+    outward by a relative bound on the fold's unpadded roundings and one
+    ulp before exp, and each threshold one ulp outward after it.  The
+    iterate T^n(pi(w)) lies in the cylinder of the code symbols after
+    position n, at the depth ``sys.depths_for`` gives for 1% of the
+    threshold (clamped to [_PRECISION_FLOOR, _PRECISION_CAP]), or of
+    whatever code is left: the epoch's xi-depth window.  The epoch probes
+    prefixes of that window of depth 2, 4, 8, ... while the depth is at
+    most half the xi depth, then the xi-depth window itself (one tuple of
+    probe depths per xi depth, built once per run), and stops at the first
+    window that decides, so an epoch reads fewer than twice the xi depth's
+    symbols (``window_symbols`` counts every probe's depth).  Each window
+    is padded outward by 4 (depth + 1) ulps of its larger end, a bound on
+    the composers' rounding (at most three roundings per affine symbol,
+    half an ulp per continuant quotient), so it contains the true cylinder
+    however narrow the composed one is, and a shallower window, being
+    wider, decides only what the true orbit point decides.  The padded
+    distance bracket is a function of the window word alone, so the run
+    keeps one memo keyed by the word and composes each distinct window once
     (``windows_composed``): at most one entry per probe, and at most p
     times the number of probe depths for a code of period p.
     An epoch is a hit when the distance interval lies entirely below the
@@ -345,31 +342,36 @@ def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     # no window is deeper than the one at the precision floor
-    buffer = list(islice(code, horizon + sys.depth_for(_PRECISION_FLOOR)))
+    buffer = tuple(islice(code, horizon + sys.depth_for(_PRECISION_FLOOR)))
     # epochs with code left after them
     coded = max(0, min(horizon, len(buffer) - 1))
     y = target.y
     pot = target.rate_potential()
-    rel = _fold_rounding(pot)
+    folds = chain.from_iterable(_birkhoff_fold(sys, pot, buffer[:coded]))
+    b_lo, b_hi = np.fromiter(folds, float, 2 * coded).reshape(coded, 2).T
+    thr_lo, thr_hi = _threshold_bracket(b_lo, b_hi, _fold_rounding(pot))
+    widths = np.maximum(np.minimum(_PRECISION_CAP, 0.01 * _exp_neg(b_hi)), _PRECISION_FLOOR)
+    xi_depths = np.minimum(sys.depths_for(widths), len(buffer) - np.arange(1, coded + 1))
     hits: list[int] = []
     misses: list[int] = []
     undecided: list[int] = []
     window_symbols = 0
     windows: dict[tuple[int, ...], tuple[float, float]] = {}
-    for n, (b_lo, b_hi) in enumerate(_birkhoff_fold(sys, pot, buffer[:coded]), 1):
-        thr_lo, thr_hi = _threshold_bracket(b_lo, b_hi, rel)
-        xi_depth = min(sys.depth_for(max(min(_PRECISION_CAP, 0.01 * math.exp(-b_hi)),
-                                         _PRECISION_FLOOR)),
-                       len(buffer) - n)
-        # 2, 4, 8, ... while at most half the xi depth, then the xi depth
-        probes = chain((1 << k for k in range(1, xi_depth.bit_length() - 1)), (xi_depth,))
+    # 2, 4, 8, ... while at most half the xi depth, then the xi depth
+    probe_depths: dict[int, tuple[int, ...]] = {}
+    for n, lo, hi, xi_depth in zip(range(1, coded + 1), thr_lo.tolist(), thr_hi.tolist(),
+                                   xi_depths.tolist()):
+        probes = probe_depths.get(xi_depth)
+        if probes is None:
+            probes = probe_depths[xi_depth] = (
+                *(1 << k for k in range(1, xi_depth.bit_length() - 1)), xi_depth)
         for depth in probes:
-            d_lo, d_hi = _window_distance(sys, y, tuple(buffer[n:n + depth]), windows)
+            d_lo, d_hi = _window_distance(sys, y, buffer[n:n + depth], windows)
             window_symbols += depth
-            if d_hi < thr_lo:
+            if d_hi < lo:
                 hits.append(n)
                 break
-            if d_lo > thr_hi:
+            if d_lo > hi:
                 misses.append(n)
                 break
         else:

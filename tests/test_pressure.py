@@ -35,10 +35,25 @@ PSI = LogDerivative()
 
 # ---------------------------------------------------------------- birkhoff
 
+def _check_padded_bracket(sys, pot, word, exact):
+    """birkhoff_bracket contains the exact S_n and the fold's unpadded last
+    bracket, and is at most 4 * _fold_rounding(pot) wider than that bracket
+    relative to its ends (a relative step and one ulp on each side)."""
+    lo, hi = birkhoff_bracket(sys, pot, word)
+    *_, (old_lo, old_hi) = pressure._birkhoff_fold(sys, pot, word)
+    assert lo <= exact <= hi
+    assert lo <= old_lo <= old_hi <= hi
+    assert hi - lo <= old_hi - old_lo + 4 * pressure._fold_rounding(pot) * old_hi
+    return lo, hi
+
+
 def test_birkhoff_doubling_psi_exact():
+    # S_4 psi of the composer's exact per-symbol -log ratio
     sys = doubling_map()
-    lo, hi = birkhoff_bracket(sys, PSI, (1, 2, 1, 2))
-    assert lo == hi == pytest.approx(4 * math.log(2), rel=1e-15)
+    exact = 4 * Fraction(-math.log(0.5))
+    lo, hi = _check_padded_bracket(sys, PSI, (1, 2, 1, 2), exact)
+    assert lo == pytest.approx(4 * math.log(2), rel=1e-15)
+    assert hi == pytest.approx(4 * math.log(2), rel=1e-15)
 
 
 def test_birkhoff_gauss_psi_branch_one():
@@ -94,15 +109,32 @@ def test_birkhoff_gauss_psi_deep_words_stay_finite(word):
 
 
 def test_birkhoff_constant_adds():
-    sys = doubling_map()
-    assert birkhoff_bracket(sys, Constant(0.3), (1, 1, 2, 2)) == (1.2, 1.2)
+    # the fold's n * 0.3 reads 1.2, a rounding of the exact 4 * 0.3
+    lo, hi = _check_padded_bracket(doubling_map(), Constant(0.3), (1, 1, 2, 2),
+                                   4 * Fraction(0.3))
+    assert lo <= 1.2 <= hi
+
+
+def test_birkhoff_bracket_contains_a_sum_the_fold_rounds_below():
+    # _flatten's products round this constant down, and the fold's
+    # unpadded upper end sits 1.4e-16 relative below the exact S_n
+    a, b, c = 0.21875, 2.2403076384850413, 2.640625
+    pot = Scale(a, Scale(b, Constant(c)))
+    missed = 0
+    for n in range(1, 7):
+        exact = n * Fraction(a) * Fraction(b) * Fraction(c)
+        *_, (_, old_hi) = pressure._birkhoff_fold(doubling_map(), pot, (1,) * n)
+        missed += old_hi < exact
+        _check_padded_bracket(doubling_map(), pot, (1,) * n, exact)
+    assert missed
 
 
 def test_birkhoff_scale_and_sum():
-    sys = doubling_map()
     pot = Sum(Scale(2.0, PSI), Constant(1.0))
-    lo, hi = birkhoff_bracket(sys, pot, (1, 2))
-    assert lo == hi == pytest.approx(2 * (2 * math.log(2)) + 2.0)
+    exact = 2 * 2 * Fraction(-math.log(0.5)) + 2
+    lo, hi = _check_padded_bracket(doubling_map(), pot, (1, 2), exact)
+    assert lo == pytest.approx(2 * (2 * math.log(2)) + 2.0)
+    assert hi == pytest.approx(2 * (2 * math.log(2)) + 2.0)
 
 
 def test_per_symbol_bracket_table():

@@ -3,6 +3,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyst
 
@@ -18,7 +19,6 @@ from shrinktarget import (
     Sum,
     TargetSpec,
     affine_system,
-    birkhoff_bracket,
     cover_sum,
     cylinder,
     cylinder_density,
@@ -27,7 +27,7 @@ from shrinktarget import (
     hit_times,
     upper_dimension_certificate,
 )
-from shrinktarget import targets
+from shrinktarget import pressure, targets
 from shrinktarget.cli import _geometric_countable
 from shrinktarget.pressure import _flatten
 from shrinktarget.systems import forward_composer
@@ -366,16 +366,41 @@ def test_density_level_charged_before_it_is_built():
         cylinder_density(gauss_system(), 0.5, 6, 0.5, range(1, 17), budget=10**6)
 
 
+def test_density_steps_each_level_in_blocks(monkeypatch):
+    # a Gauss K=16 ball whose depth-5 and depth-6 children span 2 and 25
+    # blocks of _BLOCK: the blocked walk equals the depth-first one bit for
+    # bit, with one composer child step per block
+    sys, subset, y, r, n = gauss_system(), range(1, 17), 0.0907, 0.0004, 6
+    widths, visited = _reference_density_walk(sys, y, n, r, subset)
+    composer = type(forward_composer(sys))
+    level_children, child = composer.level_children, composer.child
+    blocks, steps = [], []
+
+    def spied_level_children(level, column):
+        blocks.append(len(level[0]) * len(column))
+        return level_children(level, column)
+
+    monkeypatch.setattr(composer, "level_children", staticmethod(spied_level_children))
+    monkeypatch.setattr(composer, "child", lambda comp, s: steps.append(s) or child(comp, s))
+    assert cylinder_density(sys, y, n, r, subset, budget=visited) == math.fsum(widths) / r
+    assert len(steps) == len(blocks) > n
+    assert max(blocks) == targets._BLOCK
+    assert sum(blocks) == visited - 1
+
+
 def test_gauss_level_continuants_stay_exact_past_2_53():
-    # one child level a step along (1, 2) * 40, against the scalar composer's
-    # Python ints: q passes 2^53 near depth 56 and 2^64 near depth 68
+    # a one-row block stepped along (1, 2) * 40 by a one-symbol column,
+    # against the scalar composer's Python ints: q passes 2^53 near depth 56
+    # and 2^64 near depth 68
     comp = forward_composer(gauss_system())
     level = comp.level()
     for s in (1, 2) * 40:
-        ((lo, hi, level),) = comp.level_children(level, [s])
+        lo, hi, child = comp.level_children(level, np.array([[s]]))
+        assert lo.shape == hi.shape == (1, 1)
+        level = tuple(column[0] for column in child)
         comp = comp.child(s)
         assert [int(column[0]) for column in level] == [comp.p0, comp.p1, comp.q0, comp.q1]
-        assert (float(lo[0]), float(hi[0])) == comp.interval()
+        assert (float(lo[0, 0]), float(hi[0, 0])) == comp.interval()
     assert comp.q1 > 2**64
 
 
@@ -539,19 +564,16 @@ def test_hits_probe_windows_stop_at_the_xi_window(monkeypatch, code_len, windows
     # the run composes each distinct window once
     epochs = []
     composed = []
-    fold = targets._birkhoff_fold
     lookup = targets._window_distance
 
-    def marked_fold(*args):
-        for bracket in fold(*args):
-            epochs.append([])
-            yield bracket
-
     def spied_lookup(sys, y, word, windows):
+        # an epoch's first probe reads 2 symbols, or its whole xi-depth
+        # window when that is shorter than 4; each later probe reads 4 or more
+        if len(word) < 4:
+            epochs.append([])
         epochs[-1].append(word)
         return lookup(sys, y, word, windows)
 
-    monkeypatch.setattr(targets, "_birkhoff_fold", marked_fold)
     monkeypatch.setattr(targets, "_window_distance", spied_lookup)
     monkeypatch.setattr(targets, "cylinder",
                         lambda sys, word: composed.append(word) or cylinder(sys, word))
@@ -588,11 +610,11 @@ def _probe_hit_times(sys, code, target, horizon):
     buffer = list(itertools.islice(code, horizon + sys.depth_for(targets._PRECISION_FLOOR)))
     coded = max(0, min(horizon, len(buffer) - 1))
     pot = target.rate_potential()
-    rel = targets._fold_rounding(pot)
+    folds = list(targets._birkhoff_fold(sys, pot, buffer[:coded]))
+    thresholds = targets._threshold_bracket(*np.array(folds).T, pressure._fold_rounding(pot))
     out = {"hit": [], "miss": [], "undecided": []}
     symbols = calls = 0
-    for n, (b_lo, b_hi) in enumerate(targets._birkhoff_fold(sys, pot, buffer[:coded]), 1):
-        thr_lo, thr_hi = targets._threshold_bracket(b_lo, b_hi, rel)
+    for n, (_, b_hi), thr_lo, thr_hi in zip(itertools.count(1), folds, *thresholds):
         xi_depth = min(sys.depth_for(max(min(targets._PRECISION_CAP, 0.01 * math.exp(-b_hi)),
                                          targets._PRECISION_FLOOR)),
                        len(buffer) - n)
@@ -641,7 +663,8 @@ def _reference_hit_times(sys, code, target, horizon):
         if len(buffer) <= n:
             out[n] = (None, None, None)
             continue
-        b_lo, b_hi = birkhoff_bracket(sys, phi, tuple(buffer[:n]))
+        # the fold's unpadded last bracket, whose b_hi sets hit_times' xi depth
+        *_, (b_lo, b_hi) = targets._birkhoff_fold(sys, phi, buffer[:n])
         thr_lo = math.exp(-b_hi)
         thr_hi = math.exp(-b_lo)
         width = max(min(targets._PRECISION_CAP, 0.01 * thr_lo), targets._PRECISION_FLOOR)
@@ -675,17 +698,22 @@ _HIT_CASES = {
 @given(hyst.data())
 def test_hits_match_reference_loop(case, rate_kind, data):
     # periodic codes repeat their windows, so the run's memo answers most
-    # probes; drawn aperiodic codes check that it never conflates two words
+    # probes; drawn aperiodic codes check that it never conflates two words.
+    # Past the cap, a rate scale of at least 1 takes every rate's S_n past
+    # log(0.01 / _PRECISION_CAP) = 16.1 before epoch 30, so the run's
+    # xi-depth windows start at the cap and deepen below it
     sys, k = _HIT_CASES[case]
+    past_cap = data.draw(hyst.booleans(), label="past the cap")
     if data.draw(hyst.booleans(), label="periodic"):
         word = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=4),
                                label="word"))
         # at least as long as a run reads, so it reads as itertools.cycle(word)
-        code = word * (1 + (40 + sys.depth_for(targets._PRECISION_FLOOR)) // len(word))
+        code = word * (1 + (60 + sys.depth_for(targets._PRECISION_FLOOR)) // len(word))
     else:
-        code = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=120),
-                               label="symbols"))
-    c = data.draw(hyst.floats(min_value=0.02, max_value=1.0), label="rate scale")
+        code = tuple(data.draw(hyst.lists(hyst.integers(1, k), min_size=31 if past_cap else 1,
+                                          max_size=120), label="symbols"))
+    c = data.draw(hyst.floats(min_value=1.0, max_value=2.0) if past_cap
+                  else hyst.floats(min_value=0.02, max_value=1.0), label="rate scale")
     if rate_kind == "const":
         rate = ConstantRate(c)
     elif rate_kind == "psi":
@@ -700,8 +728,13 @@ def test_hits_match_reference_loop(case, rate_kind, data):
     x = cylinder(sys, code[m:m + 60]).interval.lo
     offset = 10.0 ** -data.draw(hyst.floats(min_value=1.0, max_value=18.0), label="-log10 offset")
     y = min(1.0, x + offset) if data.draw(hyst.booleans(), label="above") else max(0.0, x - offset)
-    horizon = data.draw(hyst.integers(1, 40), label="horizon")
+    horizon = data.draw(hyst.integers(30, 60) if past_cap else hyst.integers(1, 40),
+                        label="horizon")
     target = TargetSpec(y, rate)
+    if past_cap:
+        folds = list(targets._birkhoff_fold(sys, target.rate_potential(), code[:30]))
+        assert 0.01 * math.exp(-folds[0][1]) > targets._PRECISION_CAP
+        assert 0.01 * math.exp(-folds[-1][1]) < targets._PRECISION_CAP
     ref = _reference_hit_times(sys, code, target, horizon)
     rep = hit_times(sys, code, target, horizon)
     status = {n: "hit" for n in rep.hits} | {n: "miss" for n in rep.misses}
@@ -712,7 +745,7 @@ def test_hits_match_reference_loop(case, rate_kind, data):
             # undecided here, decided there: only by the outward steps before
             # exp (a relative rounding bound of at most 6 * 2^-52, then one
             # ulp), which move exp(-b) by a relative 2e-15 b at most (below
-            # 1e-12 while b < 500)
+            # 1e-12 while b < 500: b < 60 * 2 * 3.8 for the rates drawn)
             assert math.isclose(d, thr, rel_tol=1e-12, abs_tol=1e-320), n
 
 
@@ -739,13 +772,13 @@ def _check_thresholds(sys, pot, word):
     """The padded thresholds contain exp(-S_n) over each prefix cylinder,
     computed exactly from the float constants and the composer's psi ends."""
     mp = pytest.importorskip("mpmath")
-    rel = targets._fold_rounding(pot)
+    folds = np.array(list(targets._birkhoff_fold(sys, pot, word)))
+    thresholds = targets._threshold_bracket(*folds.T, pressure._fold_rounding(pot))
     comp = sys.branches.composer()
     with mp.workdps(60):
-        for n, (s, bracket) in enumerate(zip(word, targets._birkhoff_fold(sys, pot, word)), 1):
+        for n, (s, thr_lo, thr_hi) in enumerate(zip(word, *thresholds), 1):
             comp = comp.child(s)
             p_lo, p_hi = map(Fraction, comp.geometry()[3])
-            thr_lo, thr_hi = targets._threshold_bracket(*bracket, rel)
             s_lo, s_hi = _exact_birkhoff(pot, n, p_lo), _exact_birkhoff(pot, n, p_hi)
             assert thr_lo <= mp.exp(-mp.mpf(s_hi.numerator) / s_hi.denominator), n
             assert mp.exp(-mp.mpf(s_lo.numerator) / s_lo.denominator) <= thr_hi, n
