@@ -15,6 +15,7 @@ from .systems import (
     cylinder,
     doubling_map,
     gauss_system,
+    geometric_system,
 )
 from .pressure import (
     BirkhoffTable,

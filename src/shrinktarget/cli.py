@@ -31,6 +31,7 @@ from .systems import (
     affine_system,
     doubling_map,
     gauss_system,
+    geometric_system,
 )
 from .targets import (
     _PRECISION_FLOOR,
@@ -270,29 +271,8 @@ def _load_system(section: configparser.SectionProxy, budget: int) -> _LoadedSyst
         a_str, _, q_str = args.partition(",")
         a = _parse_number(a_str, "geometric width scale")
         q = _parse_number(q_str, "geometric width ratio")
-        return _LoadedSystem(_geometric_countable(a, q), frozenset(range(1, 33)))
+        return _LoadedSystem(geometric_system(a, q), frozenset(range(1, 33)))
     raise ConfigError(f"unknown system kind {kind!r}")
-
-
-def _geometric_countable(a: float, q: float) -> MarkovSystem:
-    """Countable affine family with widths a*q^(i-1) packed from 0."""
-    if not (0.0 < q < 1.0 and 0.0 < a):
-        raise ConfigError("geometric widths need a > 0 and 0 < q < 1")
-    if a / (1.0 - q) > 1.0:
-        raise ConfigError("geometric widths exceed total length 1")
-    from .systems import AffineCountableFamily
-
-    def left(i: int) -> float:
-        # sum of widths of branches 1..i-1
-        return a * (1.0 - q ** (i - 1)) / (1.0 - q)
-
-    family = AffineCountableFamily(
-        member=lambda i: i >= 1,
-        log_width=lambda i: math.log(a) + (i - 1) * math.log(q),
-        left=left,
-        tail_sum=lambda e, k: ((a * q ** k) ** e) / (1.0 - q ** e) if e > 0 else math.inf,
-    )
-    return MarkovSystem(family, xi=1.0 / a)
 
 
 def _load_target(section: configparser.SectionProxy) -> TargetSpec:

@@ -27,17 +27,19 @@ children are laid out parent-major and the words come out in one fixed
 order, the order of ``word_sums``.  A level's ends are psi_coef times its
 psi sums, plus its additive (constant and table) part, ``word_sums`` of
 the per-symbol ends, which is left out when those ends are all +0.0.  A
-request for level n sweeps once from the deepest cached level: each level
-below n is read from the advanced frontier's psi sums, and level n, the
-deepest, is written straight from its blocks' psi sums, so no interval
-array of the deepest level is ever held and each child is computed once.
-The frontier stays one level behind the deepest cached level; a later,
-deeper request re-advances it once, at most 1/K of the work of the level
-it then builds.  ``bracket`` asks for level n_max first, so one sweep
-builds the whole table.  Each log is padded one ulp outward, because
-np.log may sit an ulp away from the correctly rounded value: the step is
-taken on the IEEE bit pattern, equal to np.nextafter bit for bit and
-several times cheaper; the sums are rounded to nearest.
+request for level n sweeps once from the root, with the frontier local to
+that sweep: each block's psi sums go into its level's ends and, above
+level n, into the next frontier with the child intervals, so each child
+is computed once and no interval array of level n is ever held.  A level
+above n whose ends are its psi sums (psi_coef 1, no additive part) is the
+next frontier's psi arrays themselves.  Callers ask for their deepest
+level first (``bracket`` asks for n_max, ``cover_sum`` for its deepest
+unpruned level), so one sweep builds the whole table; a later, deeper
+request sweeps again from the root and keeps the levels already built.
+Each log is padded one ulp outward, because np.log may sit an ulp away
+from the correctly rounded value: the step is taken on the IEEE bit
+pattern, equal to np.nextafter bit for bit and several times cheaper; the
+sums are rounded to nearest.
 """
 
 from __future__ import annotations
@@ -330,16 +332,16 @@ class BirkhoffTable:
     and the one entry point for pressure brackets (``bracket``).
 
     The table stores, for each level n, arrays (c_lo, c_hi) of bracket
-    endpoints of S_n(u) over every word; levels are built incrementally
-    (see the module docstring) and cached.  Partition sums for the scaled
-    potential s*u are then single vectorized log-sum-exp passes, which is
-    what the dimension search iterates.  Each estimate ``bracket`` returns
-    is kept too, so a probe repeated at the same scale, depth and tail rule
-    (every row of a spectrum probes the search floor and s = 1, on tables it
-    shares) is computed once.  ``base`` holds the per-symbol ends
-    of the constant and table parts of u; ``additive`` the level-1 ends
-    when the whole bracket is additive (no psi part, or an affine family),
-    else None.
+    endpoints of S_n(u) over every word; levels are built in one sweep
+    from the root (see the module docstring) and cached.  Partition sums
+    for the scaled potential s*u are then single vectorized log-sum-exp
+    passes, which is what the dimension search iterates.  Each estimate
+    ``bracket`` returns is kept too, so a probe repeated at the same scale,
+    depth and tail rule (every row of a spectrum probes the search floor
+    and s = 1, on tables it shares) is computed once.  ``base`` holds the
+    per-symbol ends of the constant and table parts of u; ``additive`` the
+    level-1 ends when the whole bracket is additive (no psi part, or an
+    affine family), else None.
     """
 
     def __init__(self, sys: MarkovSystem, pot: Potential, subset,
@@ -358,8 +360,6 @@ class BirkhoffTable:
         self._least: dict[tuple[int, int], float] = {}
         # every bracket returned, by (scale, resolved n_max, use_tail)
         self._brackets: dict[tuple[float, int, bool], PressureEstimate] = {}
-        # interval frontier one level behind the deepest cached level
-        self._frontier = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
         self._column = np.array(self.symbols)[:, None]
         self.base = _ends_array(self._flat, self.symbols)
         # +0.0 ends throughout: a level's additive part is +0.0, not summed
@@ -401,7 +401,11 @@ class BirkhoffTable:
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(c_lo, c_hi) arrays over all words of length n (enumeration order
         is deterministic).  An additive table sums its level-1 ends; any
-        other builds every missing level up to n in one sweep."""
+        other sweeps once from the root and keeps every missing level up to
+        n: child k of frontier word p sits at p*K + k, each block of
+        children copied transposed into its parents' rows.  Prepending s_k
+        composes one more outer branch, so the psi sums gain -log of the
+        bracket of |phi_s'| over phi_w([0,1])."""
         if n in self._levels:
             return self._levels[n]
         if n < 1:
@@ -412,84 +416,46 @@ class BirkhoffTable:
         if self.additive is not None:
             self._levels[n] = tuple(self.word_sums(ends, n) for ends in self.additive)
             return self._levels[n]
-        # levels are built contiguously, so the frontier sits at this depth
-        for depth in range(max(len(self._levels), 1), n):
-            self._frontier = self._advance(self._frontier)
-            if depth not in self._levels:
-                self._levels[depth] = self._psi_level(self._frontier, depth)
-        self._levels[n] = self._enumerate_level(self._frontier, n)
-        return self._levels[n]
-
-    def _child_blocks(self, f: _Frontier, intervals: bool):
-        """Per block of frontier rows, the children s_k w of its words w as
-        symbol-major (K, C) arrays: (lo, hi, psi_lo, psi_hi), or (psi_lo,
-        psi_hi) alone without ``intervals``, with the rows as a slice.
-        Prepending s_k composes one more outer branch, so the psi sums gain
-        -log of the bracket of |phi_s'| over phi_w([0,1])."""
         fam = self.sys.branches
-        step = max(1, _BLOCK // len(self.symbols))
-        for start in range(0, len(f.lo), step):
-            rows = slice(start, start + step)
-            span = _Frontier(*(a[rows] for a in f))
-            blo, bhi = fam.deriv_brackets(self._column, span)
-            psi = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
-            yield rows, (fam.map_intervals(self._column, span) + psi) if intervals else psi
-
-    def _advance(self, f: _Frontier) -> _Frontier:
-        """The frontier one level deeper: child k of parent p sits at p*K + k,
-        each block copied transposed into its parents' rows."""
-        shape = (len(f.lo), len(self.symbols))
-        out = _Frontier(*(np.empty(shape) for _ in _Frontier._fields))
-        for rows, block in self._child_blocks(f, intervals=True):
-            for dst, src in zip(out, block):
-                dst[rows] = src.T
-        return _Frontier(*(a.ravel() for a in out))
-
-    def _psi_part(self, psi: np.ndarray, own: bool) -> np.ndarray:
-        """psi_coef * psi as a level adds it to its additive part, written
-        over psi when the caller owns it.  With a +0.0 additive part the sum
-        is the product itself, except that 0.0 + -0.0 is +0.0: psi is never
-        -0.0, and a product underflows to -0.0 only when psi_coef <= 0.5,
-        so only then is +0.0 added."""
         pc = self._flat.psi_coef
-        if pc == 1.0:
-            return psi
-        part = np.multiply(psi, pc, out=psi if own else None)
-        if self._base_zero and pc <= 0.5:
-            part += 0.0
-        return part
-
-    def _psi_level(self, f: _Frontier, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(c_lo, c_hi) of level n read from the frontier of level n: the
-        additive sums from ``word_sums`` plus psi_coef times the psi sums,
-        or the psi arrays themselves for a psi-only potential."""
-        ends = []
-        for psi, base in zip((f.psi_lo, f.psi_hi), self.base):
-            c = self._psi_part(psi, own=False)
-            if not self._base_zero:
-                sums = self.word_sums(base, n)
-                sums += c
-                c = sums
-            ends.append(c)
-        return tuple(ends)
-
-    def _enumerate_level(self, f: _Frontier, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(c_lo, c_hi) over the level-n children of every frontier word, in
-        the order of _advance, as _psi_level would read them; no child
-        interval is kept."""
-        shape = (len(f.lo), len(self.symbols))
-        if self._base_zero:
-            c_lo, c_hi = np.empty(shape), np.empty(shape)
-        else:
-            c_lo, c_hi = (self.word_sums(ends, n).reshape(shape) for ends in self.base)
-        for rows, block in self._child_blocks(f, intervals=False):
-            for dst, psi in zip((c_lo, c_hi), block):
-                part = self._psi_part(psi, own=True).T
-                if self._base_zero:
-                    dst[rows] = part
-                else:
-                    dst[rows] += part
-        return (c_lo.ravel(), c_hi.ravel())
+        step = max(1, _BLOCK // len(self.symbols))
+        # a psi-only level above n is the next frontier's psi arrays
+        alias = self._base_zero and pc == 1.0
+        f = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
+        for depth in range(1, n + 1):
+            shape = (len(f.lo), len(self.symbols))
+            deeper = depth < n
+            nxt = _Frontier(*(np.empty(shape) for _ in _Frontier._fields)) if deeper else None
+            # a level's ends: its additive part (+0.0 when none) plus pc * psi
+            ends = () if depth in self._levels or (deeper and alias) else [
+                np.empty(shape) if self._base_zero else self.word_sums(e, depth).reshape(shape)
+                for e in self.base]
+            for start in range(0, len(f.lo), step):
+                rows = slice(start, start + step)
+                span = _Frontier(*(a[rows] for a in f))
+                blo, bhi = fam.deriv_brackets(self._column, span)
+                psi = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
+                if deeper:
+                    for dst, src in zip(nxt, fam.map_intervals(self._column, span) + psi):
+                        dst[rows] = src.T
+                for dst, part in zip(ends, psi):
+                    if pc != 1.0:
+                        part *= pc
+                    if self._base_zero:
+                        # 0.0 + x is x unless x is -0.0: psi never is, and
+                        # pc * psi underflows to -0.0 only when pc <= 0.5
+                        if pc <= 0.5:
+                            part += 0.0
+                        dst[rows] = part.T
+                    else:
+                        dst[rows] += part.T
+            if deeper:
+                f = _Frontier(*(a.ravel() for a in nxt))
+            if ends:
+                self._levels[depth] = tuple(e.ravel() for e in ends)
+            elif depth not in self._levels:
+                self._levels[depth] = (f.psi_lo, f.psi_hi)
+        return self._levels[n]
 
     def partition(self, scale: float, n: int, mode: str) -> float:
         """log sum over F^n of exp(-scale * end) with end the bracket

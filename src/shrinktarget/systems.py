@@ -54,6 +54,7 @@ __all__ = [
     "forward_composer",
     "doubling_map",
     "affine_system",
+    "geometric_system",
     "gauss_system",
     "DEFAULT_WORD_BUDGET",
 ]
@@ -481,6 +482,26 @@ def affine_system(ratios: Sequence[float],
     # the family checks the ratios before xi divides by one
     family = AffineFamily(lefts, ratios)
     return MarkovSystem(family, xi=1.0 / max(ratios))
+
+
+def geometric_system(a: float, q: float) -> MarkovSystem:
+    """Countable affine system with widths a*q^(i-1) packed from 0."""
+    if not (0.0 < q < 1.0 and 0.0 < a):
+        raise ValueError("geometric widths need a > 0 and 0 < q < 1")
+    if a / (1.0 - q) > 1.0:
+        raise ValueError("geometric widths exceed total length 1")
+
+    def left(i: int) -> float:
+        # sum of widths of branches 1..i-1
+        return a * (1.0 - q ** (i - 1)) / (1.0 - q)
+
+    family = AffineCountableFamily(
+        member=lambda i: i >= 1,
+        log_width=lambda i: math.log(a) + (i - 1) * math.log(q),
+        left=left,
+        tail_sum=lambda e, k: ((a * q ** k) ** e) / (1.0 - q ** e) if e > 0 else math.inf,
+    )
+    return MarkovSystem(family, xi=1.0 / a)
 
 
 def gauss_system() -> MarkovSystem:

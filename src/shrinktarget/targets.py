@@ -130,37 +130,44 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     The diameter of a level-n cover set is bounded by exp(-c_w), with c_w
     the lower end of the Birkhoff bracket of S_n(psi + phi) over the
     cylinder of the word w, so a level sum is a dominating partition sum
-    of -s(psi + phi) read from one ``BirkhoffTable`` (levels built
-    incrementally with every log padded one ulp outward; on affine systems,
-    sums of exact per-symbol ends).  A word contributes only when the
-    ball of radius exp(-r_w) around y meets some branch image of the
-    subset (otherwise the orbit segment cannot both return to the
-    subsystem and hit the target), with r_w the sum over the word of the
-    lower ends of the constant and table parts of phi (the table's
-    ``base``, summed by its ``word_sums``); any psi part of phi is left out
-    of this prune test.  When r_w is the same n*r for every word, the level
-    is either empty or the whole partition sum.
+    of -s(psi + phi) read from one ``BirkhoffTable`` (every log padded one
+    ulp outward; on affine systems, sums of exact per-symbol ends).  Every
+    level's word count is checked against the budget before any level is
+    built, and the deepest unpruned level is asked for first, so one sweep
+    builds the table.  A word contributes only when the ball of radius
+    exp(-r_w) around y meets some branch image of the subset (otherwise
+    the orbit segment cannot both return to the subsystem and hit the
+    target), with r_w the sum over the word of the lower ends of the
+    constant and table parts of phi (the table's ``base``, summed by its
+    ``word_sums``); any psi part of phi is left out of this prune test.
+    When r_w is the same n*r for every word, the level is either empty or
+    the whole partition sum, and only the deepest levels are empty.
     """
-    if s <= 0.0:
-        raise ValueError("exponent s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError("exponent s must be positive and finite")
     if m < 1 or n_max < m:
         raise ValueError("levels must satisfy 1 <= m <= n_max")
     rate = target.rate_potential()
     table = BirkhoffTable(sys, Sum(LogDerivative(), rate), subset, budget=budget)
     symbols = table.symbols
-    dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
-               for iv in map(sys.branches.branch_interval, symbols))
-    reach = table.base[0]
-    uniform = bool(np.all(reach == reach[0]))
-    per_level: list[tuple[int, float]] = []
-    total = 0.0
     for n in range(m, n_max + 1):
         count = len(symbols) ** n
         if count > budget:
             raise BudgetExceededError("cover", count, budget, completed_level=n - 1)
+    dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
+               for iv in map(sys.branches.branch_interval, symbols))
+    reach = table.base[0]
+    uniform = bool(np.all(reach == reach[0]))
+    # a uniform ball shrinks with n, so its pruned levels are the deepest
+    kept = {n for n in range(m, n_max + 1)
+            if not uniform or dist < math.exp(-n * float(reach[0]))}
+    if kept and table.additive is None:
+        table.level(max(kept))  # one sweep builds every level below it too
+    per_level: list[tuple[int, float]] = []
+    total = 0.0
+    for n in range(m, n_max + 1):
         if uniform:
-            level = 0.0 if dist >= math.exp(-n * float(reach[0])) \
-                else math.exp(table.partition(s, n, "sup"))
+            level = math.exp(table.partition(s, n, "sup")) if n in kept else 0.0
         else:
             reach_n = table.word_sums(reach, n)
             c_lo = table.level(n)[0]
@@ -237,11 +244,15 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     to one math.fsum, so the total is their correctly rounded sum, whatever
     the walk order.
     """
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not math.isfinite(y):
+        raise ValueError("target point y must be finite")
     if n < 1:
         raise ValueError("depth must be at least 1")
     symbols = sorted(set(subset))
+    if not symbols:
+        raise ValueError("alphabet subset must be nonempty")
     for i in symbols:
         sys.branches._check_symbol(i)
     column = np.array(symbols)[:, None]

@@ -374,6 +374,17 @@ n_max = 1
     assert float(rows[0][0]) == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("widths, message", [
+    ("geometric:0.5,1.5", "geometric widths need a > 0 and 0 < q < 1"),
+    ("geometric:0.6,0.5", "geometric widths exceed total length 1"),
+])
+def test_affine_countable_bad_widths_exit_2(tmp_path, capsys, widths, message):
+    cfg = write(tmp_path, "g.ini", f"[system]\nkind = affine_countable\nwidths = {widths}\n"
+                "\n[run]\nn_max = 1\n")
+    assert main(["dimension", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_budget_exit_code(tmp_path, capsys):
     # affine systems factorize and never enumerate, so the budget bites on a
     # genuinely enumerated family

@@ -10,6 +10,7 @@ from shrinktarget import (
     BirkhoffTable,
     BudgetExceededError,
     Constant,
+    ConstantRate,
     GaussFamily,
     Interval,
     LogDerivative,
@@ -17,15 +18,18 @@ from shrinktarget import (
     PerSymbolBracket,
     Scale,
     Sum,
+    TargetSpec,
     affine_system,
     birkhoff_bracket,
+    cover_sum,
     cylinder,
     doubling_map,
     gauss_system,
+    geometric_system,
     pressure_bracket,
 )
 from shrinktarget import pressure
-from shrinktarget.cli import _geometric_countable, main
+from shrinktarget.cli import main
 from shrinktarget.dimension import Truncation, _Solver
 from shrinktarget.pressure import _flatten
 from shrinktarget.systems import BranchFamily
@@ -220,7 +224,7 @@ def test_birkhoff_fold_pads_tiny_table_terms_on_a_large_constant():
     (doubling_map, (0, 1)),
     (doubling_map, (5,)),
     (lambda: affine_system([0.3, 0.25, 0.2]), (1, 4)),
-    (lambda: _geometric_countable(0.5, 0.5), (1, 0)),
+    (lambda: geometric_system(0.5, 0.5), (1, 0)),
     (gauss_system, (2, -1)),
 ])
 @pytest.mark.parametrize("pot", [PSI, Sum(PSI, Constant(1.0)),
@@ -339,7 +343,7 @@ def _geometric_tail(sys, scale):
 ADDITIVE_TABLES = {
     "doubling": (doubling_map, PSI, {1, 2}, None),
     "affine-4": (lambda: affine_system([0.3, 0.25, 0.2, 0.15]), PSI, {1, 2, 3, 4}, None),
-    "geometric-tail": (lambda: _geometric_countable(0.5, 0.5), Sum(PSI, Constant(0.1)),
+    "geometric-tail": (lambda: geometric_system(0.5, 0.5), Sum(PSI, Constant(0.1)),
                        range(1, 9), _geometric_tail),
     "per-symbol": (gauss_system, PerSymbolBracket.from_mapping(
         {1: (0.1, 0.3), 2: (0.7, 0.9), 3: (1.2, 1.6)}), {1, 2, 3}, None),
@@ -398,7 +402,7 @@ def test_additive_level_is_the_outer_sum_of_level_one(name):
 TAIL_BRACKETS = {
     "gauss": (gauss_system, 0.8, 3, "kind = gauss",
               ("0.05614776515131936", "0.8342635277850832")),
-    "geometric": (lambda: _geometric_countable(0.3, 0.6), 0.7, None,
+    "geometric": (lambda: geometric_system(0.3, 0.6), 0.7, None,
                   "kind = affine_countable\nwidths = geometric:0.3,0.6",
                   ("0.3001518446211101", "0.35908802392240263")),
 }
@@ -437,13 +441,13 @@ def test_additive_bracket_takes_one_logsumexp_per_mode(monkeypatch, n_max, use_t
     calls = []
     real = pressure._logsumexp
     monkeypatch.setattr(pressure, "_logsumexp", lambda *args: calls.append(1) or real(*args))
-    table = BirkhoffTable(_geometric_countable(0.5, 0.5), PSI, range(1, 9))
+    table = BirkhoffTable(geometric_system(0.5, 0.5), PSI, range(1, 9))
     table.bracket(1.0, n_max=n_max, use_tail=use_tail)
     assert len(calls) <= 2
 
 
 def test_table_rules_are_built_once(monkeypatch):
-    sys = _geometric_countable(0.5, 0.5)
+    sys = geometric_system(0.5, 0.5)
     calls = []
     real = sys.branches.psi_bracket
     monkeypatch.setattr(sys.branches, "psi_bracket", lambda i: calls.append(i) or real(i))
@@ -687,6 +691,16 @@ def test_bracket_computes_each_child_once():
     sys = _per_element_gauss()
     BirkhoffTable(sys, PSI, {1, 2, 3}).bracket(0.5, n_max=6)
     assert sys.branches.calls == sum(3 ** j for j in range(1, 7)) == 1092
+
+
+def test_cover_computes_each_child_once():
+    # y = 0.3 lies in the branch image of 3, so no level is pruned, and the
+    # cover asks for level 6 before reading levels 1..5
+    sys = _per_element_gauss()
+    report = cover_sum(sys, TargetSpec(0.3, ConstantRate(1.0)), 0.7, 1, 6, {1, 2, 3})
+    assert all(value > 0.0 for _, value in report.per_level)
+    assert sys.branches.calls == sum(3 ** j for j in range(1, 7)) == 1092
+    assert repr(report.total) == "1.6342728832753737"
 
 
 # BirkhoffTable.bracket reprs, frozen before the one-sweep block kernel

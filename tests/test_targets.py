@@ -24,11 +24,11 @@ from shrinktarget import (
     cylinder_density,
     doubling_map,
     gauss_system,
+    geometric_system,
     hit_times,
     upper_dimension_certificate,
 )
 from shrinktarget import pressure, targets
-from shrinktarget.cli import _geometric_countable
 from shrinktarget.pressure import _flatten
 from shrinktarget.systems import forward_composer
 
@@ -319,7 +319,7 @@ def _reference_density_walk(sys, y, n, r, subset):
 _DENSITY_CASES = {
     "doubling": (doubling_map(), {1, 2}, 12, (-4.0, -0.5)),
     "gapped": (affine_system([0.25, 0.25], placements=[0.0, 0.75]), {1, 2}, 10, (-4.0, -0.5)),
-    "geometric": (_geometric_countable(0.3, 0.6), set(range(1, 33)), 4, (-4.0, -2.0)),
+    "geometric": (geometric_system(0.3, 0.6), set(range(1, 33)), 4, (-4.0, -2.0)),
     "gauss": (gauss_system(), set(range(1, 17)), 6, (-5.0, -3.0)),
 }
 
@@ -435,6 +435,23 @@ def test_density_validates_input():
         cylinder_density(sys, 0.0, 0, 1.0, {1, 2})
     with pytest.raises(ValueError):
         cylinder_density(sys, 0.0, 2, 0.0, {1, 2})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cylinder_density(doubling_map(), 0.3, 2, 0.1, []),
+     "alphabet subset must be nonempty"),
+    (lambda: cylinder_density(doubling_map(), 0.3, 2, math.nan, {1, 2}), "radius"),
+    (lambda: cylinder_density(doubling_map(), 0.3, 2, math.inf, {1, 2}), "radius"),
+    (lambda: cylinder_density(doubling_map(), math.nan, 2, 0.1, {1, 2}), "target point"),
+    (lambda: cylinder_density(doubling_map(), -math.inf, 2, 0.1, {1, 2}), "target point"),
+    (lambda: cover_sum(gauss_system(), TargetSpec(0.3, ConstantRate(1.0)), math.nan, 1, 3,
+                       {1, 2}), "exponent s"),
+    (lambda: cover_sum(doubling_map(), ORIGIN_TARGET, math.inf, 1, 3, {1, 2}), "exponent s"),
+], ids=["density-empty-subset", "density-r-nan", "density-r-inf", "density-y-nan",
+        "density-y-inf", "cover-s-nan", "cover-s-inf"])
+def test_walks_reject_degenerate_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------- hit times
@@ -687,7 +704,7 @@ def _reference_hit_times(sys, code, target, horizon):
 _HIT_CASES = {
     "doubling": (doubling_map(), 2),
     "packed-affine": (affine_system([0.3, 0.25, 0.2, 0.15]), 4),
-    "geometric": (_geometric_countable(0.3, 0.6), 6),
+    "geometric": (geometric_system(0.3, 0.6), 6),
     "gauss": (gauss_system(), 5),
 }
 
