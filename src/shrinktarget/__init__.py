@@ -21,7 +21,6 @@ from .pressure import (
     BirkhoffTable,
     Constant,
     LogDerivative,
-    PerSymbolBracket,
     Potential,
     PressureEstimate,
     Scale,

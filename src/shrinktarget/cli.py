@@ -475,6 +475,8 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
     """Dispatch a parsed config document.  Returns the process exit status."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if budget < 1:
+        raise ConfigError(f"--budget: expected an int >= 1, got {budget}")
     handler, needed, optional = _COMMANDS[command]
     present = set(cfg.sections())
     missing = needed - present

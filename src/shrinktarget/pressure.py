@@ -1,7 +1,8 @@
 """Birkhoff-sum brackets and two-sided truncated pressure estimates.
 
 Potentials are nonnegative expression trees over the log-derivative
-psi = log|T'|, constants, scalings and sums, plus raw per-symbol brackets.
+psi = log|T'|, constants, scalings and sums, so each one flattens to
+psi_coef * psi + const with finite coefficients.
 The sign convention is fixed here once: partition sums always receive the
 already-negated exponent, i.e. for a nonnegative potential u the weights are
 exp(-end) with `end` an endpoint of the Birkhoff bracket of S_n(u).  The
@@ -25,14 +26,14 @@ bracket of |phi_s'| over each parent interval, whose -log is added to the
 psi sums.  Each block is copied, transposed, into its parents' rows, so
 children are laid out parent-major and the words come out in one fixed
 order, the order of ``word_sums``.  A level's ends are psi_coef times its
-psi sums, plus its additive (constant and table) part, ``word_sums`` of
-the per-symbol ends, which is left out when those ends are all +0.0.  A
+psi sums plus one scalar, the level's sum of const, added up one symbol at
+a time as ``word_sums`` adds level-1 ends.  A
 request for level n sweeps once from the root, with the frontier local to
 that sweep: each block's psi sums go into its level's ends and, above
 level n, into the next frontier with the child intervals, so each child
 is computed once and no interval array of level n is ever held.  A level
-above n whose ends are its psi sums (psi_coef 1, no additive part) is the
-next frontier's psi arrays themselves.  Callers ask for their deepest
+above n whose ends are its psi sums (psi_coef 1, const 0) is the next
+frontier's psi arrays themselves.  Callers ask for their deepest
 level first (``bracket`` asks for n_max, ``cover_sum`` for its deepest
 unpruned level), so one sweep builds the whole table; a later, deeper
 request sweeps again from the root and keeps the levels already built.
@@ -48,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,7 +67,6 @@ __all__ = [
     "Constant",
     "Scale",
     "Sum",
-    "PerSymbolBracket",
     "PressureEstimate",
     "BirkhoffTable",
     "birkhoff_bracket",
@@ -109,68 +109,31 @@ class Sum(Potential):
 
 
 @dataclass(frozen=True)
-class PerSymbolBracket(Potential):
-    """Potential known only through per-branch [inf, sup] brackets.
-
-    ``table`` maps a symbol to the bracket of the potential over that branch
-    domain.
-    """
-
-    table: Callable[[int], tuple[float, float]]
-
-    @staticmethod
-    def from_mapping(entries: Mapping[int, tuple[float, float]]) -> "PerSymbolBracket":
-        data = dict(entries)
-        for i, (lo, hi) in data.items():
-            if not (0.0 <= lo <= hi):
-                raise ValueError(f"bracket for symbol {i} must satisfy 0 <= lo <= hi")
-        return PerSymbolBracket(table=lambda i: data[i])
-
-
-@dataclass(frozen=True)
 class _Flat:
-    """Flattened potential: psi_coef * psi + const + sum of scaled tables."""
+    """Flattened potential psi_coef * psi + const.  A coefficient that is
+    not finite (an overflowed scale or sum, a nan) raises ValueError."""
 
     psi_coef: float
     const: float
-    tables: tuple[tuple[float, Callable[[int], tuple[float, float]]], ...]
+
+    def __post_init__(self):
+        if not (math.isfinite(self.psi_coef) and math.isfinite(self.const)):
+            raise ValueError(f"potential flattens to {self.psi_coef!r} * psi + "
+                             f"{self.const!r}; both coefficients must be finite")
 
 
 def _flatten(pot: Potential, scale: float = 1.0) -> _Flat:
     if isinstance(pot, LogDerivative):
-        return _Flat(scale, 0.0, ())
+        return _Flat(scale, 0.0)
     if isinstance(pot, Constant):
-        return _Flat(0.0, scale * pot.value, ())
+        return _Flat(0.0, scale * pot.value)
     if isinstance(pot, Scale):
         return _flatten(pot.inner, scale * pot.factor)
     if isinstance(pot, Sum):
         a = _flatten(pot.left, scale)
         b = _flatten(pot.right, scale)
-        return _Flat(a.psi_coef + b.psi_coef, a.const + b.const, a.tables + b.tables)
-    if isinstance(pot, PerSymbolBracket):
-        return _Flat(0.0, 0.0, ((scale, pot.table),))
+        return _Flat(a.psi_coef + b.psi_coef, a.const + b.const)
     raise TypeError(f"unknown potential node {pot!r}")
-
-
-def _symbol_ends(flat: _Flat, i: int, psi: float = 0.0) -> tuple[float, float]:
-    """Bracket ends of the flattened potential on symbol i: the constant,
-    then psi_coef * psi, then the tables.  psi = 0.0 leaves the additive
-    (constant and table) part alone, since const + psi_coef * 0.0 == const."""
-    lo = flat.const + flat.psi_coef * psi
-    hi = lo
-    for sc, table in flat.tables:
-        tlo, thi = table(i)
-        lo += sc * tlo
-        hi += sc * thi
-    return (lo, hi)
-
-
-def _ends_array(flat: _Flat, symbols, psi=None) -> tuple[np.ndarray, np.ndarray]:
-    """_symbol_ends over the symbols as (lower ends, upper ends) arrays,
-    with psi[k] the psi value of symbols[k] (0.0 throughout when None)."""
-    ends = [_symbol_ends(flat, i, 0.0 if psi is None else psi[k])
-            for k, i in enumerate(symbols)]
-    return (np.array([lo for lo, _ in ends]), np.array([hi for _, hi in ends]))
 
 
 def _birkhoff_fold(sys: MarkovSystem, pot: Potential,
@@ -178,39 +141,23 @@ def _birkhoff_fold(sys: MarkovSystem, pot: Potential,
     """Brackets of S_n(pot) over the cylinders of the first n symbols of the
     word, for n = 1, 2, ..., one symbol read per step.
 
-    Each is n * const, plus psi_coef times the psi bracket of one family
-    composer advanced by one ``child`` per symbol, plus the running sums of
-    the tables.  The table terms are nonnegative and added in reading order,
-    rounded to nearest, so each end moves by 2 (m + 1) ulps outward, with m
-    the number of table terms summed: a bound on the rounding of m such
-    additions in any order, so the bracket also contains the word-order sum.
-    A symbol outside the alphabet raises ValueError when it is read, unless
-    the potential reads no symbols (a constant).
+    Each is n * const plus psi_coef times the psi bracket of one family
+    composer advanced by one ``child`` per symbol, all rounded to nearest
+    (``_fold_rounding`` bounds the error).  A symbol outside the alphabet
+    raises ValueError when it is read, unless the potential reads no
+    symbols (a constant).
     """
     flat = _flatten(pot)
     fam = sys.branches
-    check = flat.psi_coef != 0.0 or bool(flat.tables)
     comp = fam.composer()
-    t_lo = t_hi = 0.0
     for n, s in enumerate(word, 1):
-        if check:
-            fam._check_symbol(s)
         lo = hi = n * flat.const
         if flat.psi_coef != 0.0:
+            fam._check_symbol(s)
             comp = comp.child(s)
             plo, phi_ = comp.geometry()[3]
             lo += flat.psi_coef * plo
             hi += flat.psi_coef * phi_
-        if flat.tables:
-            for sc, table in flat.tables:
-                tlo, thi = table(s)
-                t_lo += sc * tlo
-                t_hi += sc * thi
-            pad = 2 * (n * len(flat.tables) + 1)
-            lo += t_lo
-            hi += t_hi
-            lo -= pad * math.ulp(lo)
-            hi += pad * math.ulp(hi)
         yield lo, hi
 
 
@@ -227,17 +174,22 @@ def _fold_rounding(pot: Potential) -> float:
     """Relative bound on the roundings to nearest that ``_birkhoff_fold``
     leaves unpadded: ``_flatten``'s products and sums of scales and
     constants (at most one per node of the potential on any term's path),
-    then n * const or psi_coef * psi, their sum, and the table sum added to
-    it.  Every term is nonnegative, so k such roundings move a bracket end
-    by less than 2 k u of itself (u = 2^-53) while k u is small."""
+    then n * const, psi_coef * psi and their sum.  Every term is
+    nonnegative, so k such roundings move a bracket end by less than 2 k u
+    of itself (u = 2^-53) while k u is small; the bound keeps one spare
+    rounding beyond those."""
     return (_nodes(pot) + 3) * 2.0 ** -52
 
 
 def _pad_fold(lo, hi, rel: float):
     """Fold bracket ends (floats or arrays) stepped outward by the relative
-    rounding bound ``rel`` and then one ulp, for that step's own rounding."""
-    return (np.nextafter(lo - rel * np.abs(lo), -np.inf),
-            np.nextafter(hi + rel * hi, np.inf))
+    rounding bound ``rel`` and then one ulp, for that step's own rounding.
+    A fold that overflowed to +inf keeps its ends: its lower step is capped
+    at the largest double, so inf - inf never makes a nan, and an upper end
+    that overflows is +inf, an outward rounding."""
+    with np.errstate(over="ignore"):
+        return (np.nextafter(lo - np.minimum(rel * np.abs(lo), np.finfo(float).max), -np.inf),
+                np.nextafter(hi + rel * hi, np.inf))
 
 
 def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
@@ -338,10 +290,10 @@ class BirkhoffTable:
     passes, which is what the dimension search iterates.  Each estimate
     ``bracket`` returns is kept too, so a probe repeated at the same scale,
     depth and tail rule (every row of a spectrum probes the search floor
-    and s = 1, on tables it shares) is computed once.  ``base`` holds the
-    per-symbol ends of the constant and table parts of u; ``additive`` the
-    level-1 ends when the whole bracket is additive (no psi part, or an
-    affine family), else None.
+    and s = 1, on tables it shares) is computed once.  ``additive`` holds
+    the level-1 ends (lower and upper alike), const + psi_coef * psi per
+    symbol, when the bracket is additive (no psi part, or an affine
+    family), else None.
     """
 
     def __init__(self, sys: MarkovSystem, pot: Potential, subset,
@@ -361,15 +313,15 @@ class BirkhoffTable:
         # every bracket returned, by (scale, resolved n_max, use_tail)
         self._brackets: dict[tuple[float, int, bool], PressureEstimate] = {}
         self._column = np.array(self.symbols)[:, None]
-        self.base = _ends_array(self._flat, self.symbols)
-        # +0.0 ends throughout: a level's additive part is +0.0, not summed
-        self._base_zero = not any(np.any(e) or np.any(np.signbit(e)) for e in self.base)
-        self.additive: tuple[np.ndarray, np.ndarray] | None = None
-        if self._flat.psi_coef == 0.0:
-            self.additive = self.base
-        elif fam.is_affine:
-            self.additive = _ends_array(self._flat, self.symbols,
-                                        [fam.psi_bracket(i)[0] for i in self.symbols])
+        self.additive: np.ndarray | None = None
+        pc = self._flat.psi_coef
+        if pc == 0.0 or fam.is_affine:
+            self.additive = self._ends([fam.psi_bracket(i)[0] if pc else 0.0
+                                        for i in self.symbols])
+
+    def _ends(self, psi: list[float]) -> np.ndarray:
+        """const + psi_coef * psi, elementwise, rounded as floats are."""
+        return self._flat.const + self._flat.psi_coef * np.array(psi)
 
     @cached_property
     def _max_level(self) -> int:
@@ -414,22 +366,26 @@ class BirkhoffTable:
         if count > self.budget:
             raise BudgetExceededError("partition", count, self.budget)
         if self.additive is not None:
-            self._levels[n] = tuple(self.word_sums(ends, n) for ends in self.additive)
+            sums = self.word_sums(self.additive, n)
+            self._levels[n] = (sums, sums)
             return self._levels[n]
         fam = self.sys.branches
-        pc = self._flat.psi_coef
+        pc, const = self._flat.psi_coef, self._flat.const
         step = max(1, _BLOCK // len(self.symbols))
         # a psi-only level above n is the next frontier's psi arrays
-        alias = self._base_zero and pc == 1.0
+        alias = pc == 1.0 and const == 0.0
         f = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
+        # the level's sum of const, added one symbol at a time from 0.0; when
+        # it is +0.0, adding it only turns an underflowed pc * psi of -0.0
+        # into +0.0
+        add = 0.0
         for depth in range(1, n + 1):
+            add += const
             shape = (len(f.lo), len(self.symbols))
             deeper = depth < n
             nxt = _Frontier(*(np.empty(shape) for _ in _Frontier._fields)) if deeper else None
-            # a level's ends: its additive part (+0.0 when none) plus pc * psi
             ends = () if depth in self._levels or (deeper and alias) else [
-                np.empty(shape) if self._base_zero else self.word_sums(e, depth).reshape(shape)
-                for e in self.base]
+                np.empty(shape) for _ in range(2)]
             for start in range(0, len(f.lo), step):
                 rows = slice(start, start + step)
                 span = _Frontier(*(a[rows] for a in f))
@@ -441,14 +397,8 @@ class BirkhoffTable:
                 for dst, part in zip(ends, psi):
                     if pc != 1.0:
                         part *= pc
-                    if self._base_zero:
-                        # 0.0 + x is x unless x is -0.0: psi never is, and
-                        # pc * psi underflows to -0.0 only when pc <= 0.5
-                        if pc <= 0.5:
-                            part += 0.0
-                        dst[rows] = part.T
-                    else:
-                        dst[rows] += part.T
+                    part += add
+                    dst[rows] = part.T
             if deeper:
                 f = _Frontier(*(a.ravel() for a in nxt))
             if ends:
@@ -468,7 +418,7 @@ class BirkhoffTable:
             raise ValueError("mode must be 'sup' or 'inf'")
         end = 0 if mode == "sup" else 1
         if self.additive is not None:
-            c, times, key = self.additive[end], n, (1, end)
+            c, times, key = self.additive, n, (1, end)
         else:
             c, times, key = self.level(n)[end], 1, (n, end)
         arr = np.multiply(c, -scale)
@@ -482,28 +432,22 @@ class BirkhoffTable:
         return times * _logsumexp(arr, m)
 
     @cached_property
-    def _skipped_ends(self) -> list[float] | None:
+    def _skipped_ends(self) -> list[float]:
         """Lower bracket ends of the potential on the family's symbols
         outside F (for a countable family, those below max F), each with
-        the family's depth-1 psi bracket; None when no closed form joins a
-        raw table with a countable family's tail."""
+        the family's depth-1 psi bracket."""
         fam = self.sys.branches
-        if not fam.finite and self._flat.tables:
-            return None
         chosen = set(self.symbols)
         kmax = self.symbols[-1]
         symbols = fam.symbols() if fam.finite else itertools.takewhile(
             lambda i: i <= kmax, fam.symbols())
-        return [_symbol_ends(self._flat, i, fam.psi_bracket(i)[0])[0]
-                for i in symbols if i not in chosen]
+        return self._ends([fam.psi_bracket(i)[0] for i in symbols if i not in chosen]).tolist()
 
     def _tail(self, scale: float) -> float:
         """Bound for the depth-1 dominating weight sum beyond F (+inf when
         no closed form applies): the skipped symbols, plus the family's
         closed form beyond max F (0 for a finite family)."""
         ends = self._skipped_ends
-        if ends is None:
-            return math.inf
         beyond = self.sys.branches.tail_weight_sum(scale * self._flat.psi_coef,
                                                    self.symbols[-1])
         return (beyond * math.exp(-scale * self._flat.const)

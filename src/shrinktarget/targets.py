@@ -24,6 +24,7 @@ from .pressure import (
     Sum,
     _BLOCK,
     _birkhoff_fold,
+    _flatten,
     _fold_rounding,
     _pad_fold,
     birkhoff_bracket,  # not called here; bench/tracing.py spans targets.birkhoff_bracket
@@ -134,14 +135,12 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     ulp outward; on affine systems, sums of exact per-symbol ends).  Every
     level's word count is checked against the budget before any level is
     built, and the deepest unpruned level is asked for first, so one sweep
-    builds the table.  A word contributes only when the ball of radius
-    exp(-r_w) around y meets some branch image of the subset (otherwise
+    builds the table.  A level contributes only when the ball of radius
+    exp(-n c) around y meets some branch image of the subset (otherwise
     the orbit segment cannot both return to the subsystem and hit the
-    target), with r_w the sum over the word of the lower ends of the
-    constant and table parts of phi (the table's ``base``, summed by its
-    ``word_sums``); any psi part of phi is left out of this prune test.
-    When r_w is the same n*r for every word, the level is either empty or
-    the whole partition sum, and only the deepest levels are empty.
+    target), with c the constant part of phi; any psi part of phi is left
+    out of this prune test.  The ball shrinks with n, so a level is either
+    the whole partition sum or empty, and only the deepest levels are empty.
     """
     if not 0.0 < s < math.inf:
         raise ValueError("exponent s must be positive and finite")
@@ -153,25 +152,17 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     for n in range(m, n_max + 1):
         count = len(symbols) ** n
         if count > budget:
-            raise BudgetExceededError("cover", count, budget, completed_level=n - 1)
+            raise BudgetExceededError("cover", count, budget)
     dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
                for iv in map(sys.branches.branch_interval, symbols))
-    reach = table.base[0]
-    uniform = bool(np.all(reach == reach[0]))
-    # a uniform ball shrinks with n, so its pruned levels are the deepest
-    kept = {n for n in range(m, n_max + 1)
-            if not uniform or dist < math.exp(-n * float(reach[0]))}
+    const = _flatten(rate).const
+    kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * const)]
     if kept and table.additive is None:
-        table.level(max(kept))  # one sweep builds every level below it too
+        table.level(kept[-1])  # one sweep builds every level below it too
     per_level: list[tuple[int, float]] = []
     total = 0.0
     for n in range(m, n_max + 1):
-        if uniform:
-            level = math.exp(table.partition(s, n, "sup")) if n in kept else 0.0
-        else:
-            reach_n = table.word_sums(reach, n)
-            c_lo = table.level(n)[0]
-            level = float(np.sum(np.exp(-s * c_lo[dist < np.exp(-reach_n)])))
+        level = math.exp(table.partition(s, n, "sup")) if n in kept else 0.0
         per_level.append((n, level))
         total += level
     return CoverReport(per_level=tuple(per_level), total=total)

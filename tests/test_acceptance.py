@@ -13,9 +13,9 @@ from shrinktarget import (
     Constant,
     ConstantRate,
     LogDerivative,
-    PerSymbolBracket,
     Scale,
     ShrinkFn,
+    Sum,
     TargetSpec,
     Truncation,
     affine_system,
@@ -147,17 +147,13 @@ def test_criterion_6_positivity():
     for case in range(100):
         sys, ratios = random_affine(rng)
         k = len(ratios)
-        kind = rng.choice(("const", "scaled_psi", "table"))
+        kind = rng.choice(("const", "scaled_psi", "psi_plus_const"))
         if kind == "const":
             phi = Constant(rng.uniform(0.0, 3.0))
         elif kind == "scaled_psi":
             phi = Scale(rng.uniform(0.0, 1.5), PSI)
         else:
-            entries = {}
-            for i in range(1, k + 1):
-                lo = rng.uniform(0.0, 1.0)
-                entries[i] = (lo, lo + rng.uniform(0.0, 1.0))
-            phi = PerSymbolBracket.from_mapping(entries)
+            phi = Sum(Scale(rng.uniform(0.0, 1.5), PSI), Constant(rng.uniform(0.0, 1.0)))
         res = shrink_exponent_potential(sys, phi,
                                         Truncation.single(range(1, k + 1), n_max=2),
                                         tol=1e-6)

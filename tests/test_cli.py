@@ -401,6 +401,32 @@ n_max = 12
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("system, run", [("doubling", ""), ("gauss", "subset = 1..3\n")],
+                         ids=["doubling", "gauss-1..3"])
+def test_budget_below_one_exits_2(tmp_path, capsys, system, run, budget):
+    cfg = write(tmp_path, "b.ini", f"[system]\nkind = {system}\n\n[run]\n{run}n_max = 4\n"
+                "tol = 1e-6\n")
+    out = tmp_path / "b.csv"
+    assert main(["dimension", "--config", cfg, "--out", str(out), "--budget", budget]) == 2
+    assert capsys.readouterr().err == f"error: --budget: expected an int >= 1, got {budget}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system, subset", [("gauss", "1..3"), ("doubling", "1,2")])
+def test_overflowing_potential_exits_2(tmp_path, capsys, system, subset):
+    # psi_coef = 1e308 * 1e308 is inf: the bracket read nan or -inf before
+    cfg = write(tmp_path, "p.ini", f"[system]\nkind = {system}\n\n[potential]\n"
+                "expr = scale(1e308, scale(1e308, psi))\n\n"
+                f"[run]\nsubset = {subset}\nn_max = 2\n")
+    out = tmp_path / "p.csv"
+    assert main(["pressure", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: potential flattens to inf * psi")
+    assert "must be finite" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_rejected(tmp_path, capsys, tol):
     cfg = write(tmp_path, "t.ini", f"""

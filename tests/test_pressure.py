@@ -15,7 +15,6 @@ from shrinktarget import (
     Interval,
     LogDerivative,
     MarkovSystem,
-    PerSymbolBracket,
     Scale,
     Sum,
     TargetSpec,
@@ -141,27 +140,16 @@ def test_birkhoff_scale_and_sum():
     assert hi == pytest.approx(2 * (2 * math.log(2)) + 2.0)
 
 
-def test_per_symbol_bracket_table():
-    sys = doubling_map()
-    pot = PerSymbolBracket.from_mapping({1: (0.1, 0.2), 2: (0.3, 0.5)})
-    assert birkhoff_bracket(sys, pot, (1, 2)) == pytest.approx((0.4, 0.7))
-
-
 def _word_order_bracket(sys, pot, word):
     """The bracket birkhoff_bracket computed before the running fold: n times
-    the constant, then the psi bracket of the whole word's cylinder, then
-    each table summed over the word, all rounded to nearest."""
+    the constant, then the psi bracket of the whole word's cylinder, all
+    rounded to nearest."""
     flat = _flatten(pot)
     lo = hi = len(word) * flat.const
     if flat.psi_coef != 0.0:
         plo, phi_ = cylinder(sys, word).psi_bracket
         lo += flat.psi_coef * plo
         hi += flat.psi_coef * phi_
-    for sc, table in flat.tables:
-        for s in word:
-            tlo, thi = table(s)
-            lo += sc * tlo
-            hi += sc * thi
     return lo, hi
 
 
@@ -181,43 +169,20 @@ def test_birkhoff_fold_without_tables_is_the_word_bracket(sys, pot):
                         for n in range(1, len(word) + 1)]
 
 
-_TABLE_VALUES = hyst.floats(min_value=0.0, max_value=1e3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(hyst.sampled_from(["doubling", "gauss"]),
        hyst.floats(min_value=0.0, max_value=1e3), hyst.floats(min_value=0.0, max_value=3.0),
-       hyst.lists(hyst.tuples(_TABLE_VALUES, _TABLE_VALUES), min_size=3, max_size=3),
-       hyst.floats(min_value=0.0, max_value=2.0),
        hyst.lists(hyst.integers(1, 3), min_size=1, max_size=60))
-def test_birkhoff_fold_contains_the_word_order_bracket(kind, const, psi_coef, ends, sc, word):
+def test_birkhoff_fold_contains_the_word_order_bracket(kind, const, psi_coef, word):
     sys = gauss_system() if kind == "gauss" else affine_system([0.3, 0.3, 0.3])
-    table = PerSymbolBracket.from_mapping({i: (min(e), max(e)) for i, e in enumerate(ends, 1)})
-    pot = Sum(Sum(Constant(const), Scale(psi_coef, PSI)), Scale(sc, table))
+    pot = Sum(Constant(const), Scale(psi_coef, PSI))
     word = tuple(word)
     lo, hi = birkhoff_bracket(sys, pot, word)
     old_lo, old_hi = _word_order_bracket(sys, pot, word)
     assert lo <= old_lo and old_hi <= hi
-    # the table part alone: the exact sum of its terms
-    exact = [sum(Fraction(table.table(s)[k]) for s in word) for k in (0, 1)]
-    lo, hi = birkhoff_bracket(sys, table, word)
-    assert lo <= exact[0] and exact[1] <= hi
-
-
-def test_birkhoff_fold_pads_tiny_table_terms_on_a_large_constant():
-    # each table term is 0.35 ulp of n times the constant, so every
-    # word-order addition rounds it away and the old bracket sits 7 ulps
-    # below the exact sum; the fold's running table sum keeps those ulps,
-    # and its pad covers both
-    sys, word = doubling_map(), (1, 2) * 10
-    tiny = 0.35 * math.ulp(len(word) * 1e3)
-    pot = Sum(Constant(1e3), PerSymbolBracket.from_mapping({1: (tiny, tiny), 2: (tiny, tiny)}))
-    lo, hi = birkhoff_bracket(sys, pot, word)
-    old_lo, old_hi = _word_order_bracket(sys, pot, word)
-    exact = len(word) * (Fraction(1e3) + Fraction(tiny))
-    assert old_hi < exact
-    assert lo <= old_lo and old_hi <= hi
-    assert lo <= exact <= hi
+    # the constant part alone: n times the constant, exactly
+    lo, hi = birkhoff_bracket(sys, Constant(const), word)
+    assert lo <= len(word) * Fraction(const) <= hi
 
 
 @pytest.mark.parametrize("make_sys, word", [
@@ -227,8 +192,7 @@ def test_birkhoff_fold_pads_tiny_table_terms_on_a_large_constant():
     (lambda: geometric_system(0.5, 0.5), (1, 0)),
     (gauss_system, (2, -1)),
 ])
-@pytest.mark.parametrize("pot", [PSI, Sum(PSI, Constant(1.0)),
-                                 PerSymbolBracket(table=lambda i: (0.0, 1.0))])
+@pytest.mark.parametrize("pot", [PSI, Sum(PSI, Constant(1.0)), Scale(0.5, PSI)])
 def test_birkhoff_rejects_symbols_outside_the_alphabet(make_sys, word, pot):
     with pytest.raises(ValueError, match="not in the system alphabet"):
         birkhoff_bracket(make_sys(), pot, word)
@@ -239,8 +203,38 @@ def test_nonnegativity_validation():
         Constant(-1.0)
     with pytest.raises(ValueError):
         Scale(-0.5, PSI)
-    with pytest.raises(ValueError):
-        PerSymbolBracket.from_mapping({1: (-0.1, 0.2)})
+
+
+@pytest.mark.parametrize("pot", [
+    Scale(1e308, Scale(1e308, PSI)),
+    Sum(Scale(1e308, Constant(1e308)), PSI),
+    Constant(math.nan),
+    Scale(math.inf, Constant(0.0)),
+], ids=["psi-overflow", "const-overflow", "nan", "inf-times-zero"])
+def test_non_finite_coefficients_rejected_where_flattened(pot):
+    with pytest.raises(ValueError, match="must be finite"):
+        BirkhoffTable(gauss_system(), pot, {1, 2, 3})
+    with pytest.raises(ValueError, match="must be finite"):
+        birkhoff_bracket(doubling_map(), pot, (1, 2))
+    with pytest.raises(ValueError, match="must be finite"):
+        pressure_bracket(doubling_map(), pot, {1, 2}, n_max=2)
+
+
+def test_pad_fold_caps_the_step_of_infinite_ends_only():
+    rel = pressure._fold_rounding(Sum(PSI, Constant(1.0)))
+    rng = np.random.default_rng(20)
+    ends = np.concatenate([np.exp(rng.uniform(-745.0, 709.0, 10**4)),
+                           [0.0, 5e-324, 1.1e308, np.finfo(float).max]])
+    # finite ends step as they did without the cap, the largest double's
+    # upper end to inf; an infinite lower end steps to the largest double
+    lo, hi = pressure._pad_fold(ends, ends, rel)
+    finite = ends[:-1]
+    assert np.array_equal(_bits(lo[:-1]), _bits(np.nextafter(finite - rel * finite, -np.inf)))
+    assert np.array_equal(_bits(hi[:-1]), _bits(np.nextafter(finite + rel * finite, np.inf)))
+    assert hi[-1] == np.inf
+    with np.errstate(all="raise"):
+        lo, hi = pressure._pad_fold(np.array([np.inf]), np.array([np.inf]), rel)
+    assert (lo[0], hi[0]) == (np.finfo(float).max, np.inf)
 
 
 # ---------------------------------------------------------------- partition
@@ -308,14 +302,6 @@ def test_pressure_gauss_tail_converges_above_half():
     assert est.lower <= 0.0
 
 
-def test_pressure_no_tail_leaves_upper_infinite_for_table_potentials():
-    sys = gauss_system()
-    pot = Sum(PSI, PerSymbolBracket(table=lambda i: (0.0, 1.0 / i)))
-    est = pressure_bracket(sys, pot, {1, 2}, n_max=2, use_tail=True)
-    assert est.upper == math.inf
-    assert math.isfinite(est.lower)
-
-
 # ---------------------------------------------------------------- additive tables
 
 
@@ -345,8 +331,9 @@ ADDITIVE_TABLES = {
     "affine-4": (lambda: affine_system([0.3, 0.25, 0.2, 0.15]), PSI, {1, 2, 3, 4}, None),
     "geometric-tail": (lambda: geometric_system(0.5, 0.5), Sum(PSI, Constant(0.1)),
                        range(1, 9), _geometric_tail),
-    "per-symbol": (gauss_system, PerSymbolBracket.from_mapping(
-        {1: (0.1, 0.3), 2: (0.7, 0.9), 3: (1.2, 1.6)}), {1, 2, 3}, None),
+    "gauss-constant": (gauss_system, Constant(0.7), {1, 2, 3}, None),
+    "per-symbol": (lambda: affine_system([0.3, 0.25, 0.2]), Sum(Scale(0.7, PSI), Constant(0.3)),
+                   {1, 2, 3}, None),
 }
 
 
@@ -544,21 +531,13 @@ def reference_level(sys, pot, subset, n):
     fam = sys.branches
     flat = _flatten(pot)
     syms = sorted(set(subset))
-    base = []
-    for i in syms:
-        v_lo = v_hi = flat.const
-        for sc, table in flat.tables:
-            tlo, thi = table(i)
-            v_lo += sc * tlo
-            v_hi += sc * thi
-        base.append((v_lo, v_hi))
     c_lo, c_hi = [], []
-    stack = [(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
+    stack = [(0, 0.0, 1.0, 0.0, 0.0, 0.0)]
     while stack:
-        depth, lo, hi, psi_lo, psi_hi, add_lo, add_hi = stack.pop()
+        depth, lo, hi, psi_lo, psi_hi, add = stack.pop()
         if depth == n:
-            c_lo.append(flat.psi_coef * psi_lo + add_lo)
-            c_hi.append(flat.psi_coef * psi_hi + add_hi)
+            c_lo.append(flat.psi_coef * psi_lo + add)
+            c_hi.append(flat.psi_coef * psi_hi + add)
             continue
         j = Interval(lo, hi)
         for k in range(len(syms) - 1, -1, -1):
@@ -566,8 +545,7 @@ def reference_level(sys, pot, subset, n):
             a = fam.apply(syms[k], lo)
             b = fam.apply(syms[k], hi)
             stack.append((depth + 1, min(a, b), max(a, b),
-                          psi_lo - math.log(bhi), psi_hi - math.log(blo),
-                          add_lo + base[k][0], add_hi + base[k][1]))
+                          psi_lo - math.log(bhi), psi_hi - math.log(blo), add + flat.const))
     return np.array(c_lo), np.array(c_hi)
 
 
@@ -618,8 +596,7 @@ def custom_system():
     return MarkovSystem(_TwoMonotoneBranches(), xi=2.0)
 
 
-MIXED = Sum(Scale(0.7, PSI), Sum(Constant(0.3), PerSymbolBracket.from_mapping(
-    {1: (0.0, 0.1), 2: (0.2, 0.25), 3: (0.05, 0.4)})))
+MIXED = Sum(Scale(0.7, PSI), Constant(0.3))
 
 
 @pytest.mark.parametrize("make_sys, pot, subset, n_max", [
@@ -703,7 +680,7 @@ def test_cover_computes_each_child_once():
     assert repr(report.total) == "1.6342728832753737"
 
 
-# BirkhoffTable.bracket reprs, frozen before the one-sweep block kernel
+# BirkhoffTable.bracket reprs, frozen from earlier level kernels
 _FROZEN_BRACKETS = [
     (gauss_system, PSI, {1, 2}, 0.53, 16, False,
      "-0.022913863955091207", "0.03318347736639099"),
@@ -712,7 +689,7 @@ _FROZEN_BRACKETS = [
     (gauss_system, Sum(PSI, PSI), range(1, 65), 0.55, 3, True,
      "-0.4206672550354941", "0.3991760978740356"),
     (gauss_system, MIXED, {1, 2, 3}, 1.0, 5, False,
-     "-0.5827728904016691", "-0.2367746158801971"),
+     "-0.383061470005964", "-0.17620431338720738"),
     (custom_system, PSI, {1, 2}, 1.0, 6, False,
      "-0.34139233086899784", "-0.18527951602269624"),
 ]
@@ -798,32 +775,23 @@ def test_log_step_is_nextafter_of_log(step, toward):
             assert np.array_equal(_bits(step(np.array([x]))), _bits(want[special == x]))
 
 
-# The additive part of each level must be summed as the frontier once
-# carried it, (0 + b1) + b2 + ..., bit for bit.  The psi part comes from a
+# The constant part of each level must be summed as the frontier once
+# carried it, (0 + c) + c + ..., bit for bit.  The psi part comes from a
 # psi-only table of the same subset, whose levels are psi exactly (pc = 1).
 _ADDITIVE_POTENTIALS = {
     "psi+const": Sum(PSI, Constant(0.3)),
-    "per-symbol": Sum(Scale(0.7, PSI), PerSymbolBracket.from_mapping(
-        {1: (0.1, 0.2), 2: (0.0, 0.3), 3: (0.35, 0.45)})),
+    "per-symbol": Sum(Scale(0.7, PSI), Constant(0.3)),
 }
 
 
 def _running_sums(flat, syms, n):
-    """(lo, hi) additive sums over the words of length n in level order
+    """(lo, hi) constant sums over the words of length n in level order
     (child k of word p at p*K + k), added one symbol at a time from 0.0 in
     the order of reference_level."""
-    base = []
-    for i in syms:
-        v_lo = v_hi = flat.const
-        for sc, table in flat.tables:
-            tlo, thi = table(i)
-            v_lo += sc * tlo
-            v_hi += sc * thi
-        base.append((v_lo, v_hi))
-    sums = [(0.0, 0.0)]
+    sums = [0.0]
     for _ in range(n):
-        sums = [(lo + b_lo, hi + b_hi) for lo, hi in sums for b_lo, b_hi in base]
-    return np.array([lo for lo, _ in sums]), np.array([hi for _, hi in sums])
+        sums = [v + flat.const for v in sums for _ in syms]
+    return np.array(sums), np.array(sums)
 
 
 @pytest.mark.parametrize("name", sorted(_ADDITIVE_POTENTIALS))

@@ -13,7 +13,6 @@ from shrinktarget import (
     ConstantRate,
     Interval,
     LogDerivative,
-    PerSymbolBracket,
     PotentialRate,
     Scale,
     Sum,
@@ -114,14 +113,8 @@ def _cover_level_oracle(sys, target, s, n, subset):
     fam = sys.branches
     symbols = sorted(set(subset))
     phi = target.rate_potential()
-    flat_phi = _flatten(phi)
+    phi_const = _flatten(phi).const
     pc = _flatten(Sum(LogDerivative(), phi)).psi_coef
-    phi_syms = []
-    for i in symbols:
-        p_lo = flat_phi.const
-        for sc, table in flat_phi.tables:
-            p_lo += sc * table(i)[0]
-        phi_syms.append(p_lo)
     dist = math.inf
     for i in symbols:
         iv = fam.branch_interval(i)
@@ -146,11 +139,13 @@ def _cover_level_oracle(sys, target, s, n, subset):
                 blo, bhi = fam.deriv_bracket(sym, Interval(lo, hi))
                 step, a, b = -math.log(bhi), fam.apply(sym, lo), fam.apply(sym, hi)
             stack.append((depth + 1, min(a, b), max(a, b),
-                          psi_lo + step, phi_lo + phi_syms[k]))
+                          psi_lo + step, phi_lo + phi_const))
     return total
 
 
-_STEP_RATE = PerSymbolBracket.from_mapping({i: (0.5 * i, 0.5 * i + 0.1) for i in range(1, 5)})
+# the ball of radius e^{-0.6 n} around 0.05 (Gauss) or 0.95 (affine) meets
+# the branch images for the first three or four levels only
+_PSI_CONST_RATE = Sum(Scale(0.5, LogDerivative()), Constant(0.6))
 
 
 @pytest.mark.parametrize("sys, target, s, subset, n_max", [
@@ -160,8 +155,9 @@ _STEP_RATE = PerSymbolBracket.from_mapping({i: (0.5 * i, 0.5 * i + 0.1) for i in
     (gauss_system(), TargetSpec(0.05, ConstantRate(0.8)), 0.9, {1, 2, 3}, 6),
     (gauss_system(), TargetSpec(0.4, PotentialRate(Sum(Scale(0.5, LogDerivative()),
                                                        Constant(0.3)))), 0.6, range(1, 7), 4),
-    (gauss_system(), TargetSpec(0.05, PotentialRate(_STEP_RATE)), 0.8, range(1, 5), 6),
-    (affine_system([0.3] * 3), TargetSpec(0.95, PotentialRate(_STEP_RATE)), 0.8, {1, 2, 3}, 6),
+    (gauss_system(), TargetSpec(0.05, PotentialRate(_PSI_CONST_RATE)), 0.8, range(1, 5), 6),
+    (affine_system([0.3] * 3), TargetSpec(0.95, PotentialRate(_PSI_CONST_RATE)), 0.8,
+     {1, 2, 3}, 6),
 ], ids=["gauss-16", "gauss-pruned", "scaled-psi-rate", "gauss-per-symbol", "affine-per-symbol"])
 def test_cover_levels_match_scalar_oracle(sys, target, s, subset, n_max):
     rep = cover_sum(sys, target, s, 1, n_max, subset)
@@ -186,14 +182,14 @@ def test_cover_empty_subset_rejected():
 
 
 def test_cover_budget_error_reports_completed_level():
-    from shrinktarget import BudgetExceededError
-
+    # every level's word count is checked before any level is built, so
+    # the error names no completed level
     sys = gauss_system()
     with pytest.raises(BudgetExceededError) as err:
         cover_sum(sys, TargetSpec(0.4, ConstantRate(1.0)), 0.8, 2, 12,
                   subset=range(1, 9), budget=5000)
-    assert err.value.completed_level is not None
-    assert 2 <= err.value.completed_level < 12
+    assert err.value.completed_level is None
+    assert str(err.value) == "budget 'cover' exceeded: 3.277e+04 needed, budget 5000"
 
 
 # ---------------------------------------------------------------- certificate
@@ -700,7 +696,7 @@ def _reference_hit_times(sys, code, target, horizon):
     return out
 
 
-# (system, symbols a code and a table rate draw from)
+# (system, symbols a code draws from)
 _HIT_CASES = {
     "doubling": (doubling_map(), 2),
     "packed-affine": (affine_system([0.3, 0.25, 0.2, 0.15]), 4),
@@ -735,11 +731,9 @@ def test_hits_match_reference_loop(case, rate_kind, data):
         rate = ConstantRate(c)
     elif rate_kind == "psi":
         rate = PotentialRate(Scale(c, LogDerivative()))
-    else:
-        ends = data.draw(hyst.lists(hyst.tuples(hyst.floats(0.0, 1.0), hyst.floats(0.0, 1.0)),
-                                    min_size=k, max_size=k), label="table")
-        table = {i: (min(e), max(e)) for i, e in enumerate(ends, 1)}
-        rate = PotentialRate(Sum(Constant(c), PerSymbolBracket.from_mapping(table)))
+    else:  # "table": a constant plus a scaled psi
+        psi_coef = data.draw(hyst.floats(0.0, 1.0), label="psi coefficient")
+        rate = PotentialRate(Sum(Constant(c), Scale(psi_coef, LogDerivative())))
     # y near an orbit point pi(code[m:]) gives hits as well as misses
     m = data.draw(hyst.integers(0, min(len(code), 41) - 1), label="anchor")
     x = cylinder(sys, code[m:m + 60]).interval.lo
@@ -830,6 +824,19 @@ def test_hit_thresholds_contain_the_exact_birkhoff_sums(case, data):
     pot = data.draw(_RATES, label="rate")
     word = data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=60), label="word")
     _check_thresholds(sys, pot, word)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e308, float(np.finfo(float).max) / 2],
+                         ids=["fold-overflows", "pad-overflows"])
+def test_hits_with_an_overflowing_fold_miss_every_epoch(alpha):
+    # 2 * 1e308 overflows to inf at epoch 2; half the largest double makes
+    # epoch 2's fold the largest double, whose relative step overflows.
+    # Either padded end stays inf, not nan, so every threshold is below
+    # any distance, and no numpy warning is raised
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]),
+                    TargetSpec(0.3, ConstantRate(alpha)), 5)
+    assert (rep.hits, rep.misses, rep.undecided) == ((), (1, 2, 3, 4, 5), ())
 
 
 def test_hits_gauss_psi_rate_is_linear_in_the_horizon():
