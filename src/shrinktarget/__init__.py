@@ -32,7 +32,6 @@ from .dimension import (
     DimensionResult,
     Truncation,
     bowen_dimension,
-    moran_solve,
     shrink_exponent_alpha,
     shrink_exponent_potential,
     spectrum,

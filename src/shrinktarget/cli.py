@@ -393,12 +393,15 @@ def _cover(cfg: configparser.ConfigParser, budget: int):
 
 def _density(cfg: configparser.ConfigParser, budget: int):
     loaded = _load_system(cfg["system"], budget)
-    target = _load_target(cfg["target"])
+    # the density of a fixed ball reads no rate: a rate key is left unparsed
+    y = _key(cfg["target"], "y", float)
+    if not 0.0 <= y <= 1.0:
+        raise ConfigError(f"target point y must be a number in [0, 1], got {y!r}")
     run_sec = cfg["run"]
     subset = _run_subset(run_sec, loaded, budget)
     n = _key(run_sec, "n", int)
     r = _key(run_sec, "r", float)
-    value = cylinder_density(loaded.system, target.y, n, r, subset, budget=budget)
+    value = cylinder_density(loaded.system, y, n, r, subset, budget=budget)
     return {"budget": budget}, ["n", "r", "density"], [[n, r, value]]
 
 

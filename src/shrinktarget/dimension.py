@@ -5,12 +5,15 @@ quantity is inf{s : P(-s*u) <= shift(s)} for a nonnegative potential u and a
 linear shift.  A pressure bracket at s decides that s lies below the
 exponent (lower end above the shift) or at or above it (upper end at or
 below the shift); otherwise it straddles the shift, and the truncation is
-refined along the ladder.  The search places each probe by interpolation
-on the bracket values earlier probes gave, and certification is per end: a
-result is certified when its lower end is decided below and its upper end
-above by brackets, within tol/2.  When probes prove that no bracket that
-narrow can be decided at both ends, the search closes on the root of the
-bracket midpoint instead, within tol, and returns ``certified=False``.
+refined along the ladder.  Each probe's bracket updates the running state
+of three ends: a = sup{s : lower > 0}, b = inf{s : upper <= 0}, and the
+root of the bracket midpoint.  An end keeps its nearest probe on each side
+and its three values nearest zero, and places its next probe by
+interpolation on them.  Certification is per end: a result is certified
+when its lower end is decided below and its upper end above by brackets,
+within tol/2.  When probes prove that no bracket that narrow can be decided
+at both ends, the search closes on the midpoint end instead, within tol,
+and returns ``certified=False``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .systems import DEFAULT_WORD_BUDGET, MarkovSystem
 __all__ = [
     "DimensionResult",
     "Truncation",
-    "moran_solve",
     "bowen_dimension",
     "shrink_exponent_alpha",
     "shrink_exponent_potential",
@@ -44,13 +46,12 @@ class DimensionResult:
     decide both ends of ``bracket``: the lower end lies below the exponent
     and the upper end at or above it.  A certified bracket is at most tol/2
     wide (plus a few ulps), an uncertified one at most tol.  ``steps``
-    counts the pressure brackets evaluated (for ``moran_solve``, the Moran
-    sums).
+    counts the pressure brackets evaluated.
     """
 
     value: float
     bracket: tuple[float, float]
-    truncation: tuple[frozenset[int], int] | None
+    truncation: tuple[frozenset[int], int]
     certified: bool
     steps: int
 
@@ -98,112 +99,130 @@ class Truncation:
 _Probe = tuple[float, float, float]
 
 
-def _lower(p: _Probe) -> float:
-    return p[1]
-
-
-def _upper(p: _Probe) -> float:
-    return p[2]
-
-
 def _mid(p: _Probe) -> float:
     return math.inf if math.isinf(p[2]) else 0.5 * (p[1] + p[2])
 
 
-def _root_estimate(probes: list[_Probe], f: Callable[[_Probe], float],
-                   start: float, stop: float) -> tuple[float, float]:
-    """Root of f in [start, stop] from its three values nearest zero, with
-    an error estimate.
+class _End:
+    """One end, the root of a step function f of the probe, kept as the
+    nearest probe on each side (``below``: f > 0, ``above``: f <= 0), the
+    (|f|, s, f) of the three finite values of f nearest zero, and
+    ``halved``, the width its interval must shrink to before the next
+    probe into it may be placed by interpolation."""
 
-    Inverse quadratic interpolation through three points is checked
-    against the secant through the best two: their distance estimates the
-    error of the secant, which bounds that of the quadratic from above.
-    With two points the secant comes with an infinite error; with fewer
-    there is no estimate (nan).  The estimate is clipped to [start, stop].
-    """
-    pts = sorted((abs(v), p[0], v) for p in probes if math.isfinite(v := f(p)))
-    if len(pts) < 2 or pts[0][2] == pts[1][2]:
-        return math.nan, math.inf
-    (_, x0, f0), (_, x1, f1) = pts[0], pts[1]
-    root = secant = x0 - f0 * (x0 - x1) / (f0 - f1)
-    err = math.inf
-    if len(pts) > 2 and pts[2][2] not in (f0, f1):
-        x2, f2 = pts[2][1], pts[2][2]
-        root = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
-                + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
-        err = abs(root - secant)
-    return min(max(root, start), stop), err
+    def __init__(self, f: Callable[[_Probe], float]):
+        self.f = f
+        self.below: _Probe | None = None
+        self.above: _Probe | None = None
+        self.near: list[tuple[float, float, float]] = []
+        self.halved = math.inf
+
+    def add(self, p: _Probe) -> None:
+        v = self.f(p)
+        if v > 0.0:
+            if self.below is None or p > self.below:
+                self.below = p
+        elif self.above is None or p < self.above:
+            self.above = p
+        if math.isfinite(v):
+            self.near = sorted(self.near + [(abs(v), p[0], v)])[:3]
+
+    def estimate(self, start: float, stop: float) -> tuple[float, float]:
+        """The root in [start, stop] from the three values nearest zero,
+        with an error estimate.
+
+        Inverse quadratic interpolation through three points is checked
+        against the secant through the best two: their distance estimates
+        the error of the secant, which bounds that of the quadratic from
+        above.  With two points the secant comes with an infinite error;
+        with fewer there is no estimate (nan).  The estimate is clipped to
+        [start, stop].
+        """
+        pts = self.near
+        if len(pts) < 2 or pts[0][2] == pts[1][2]:
+            return math.nan, math.inf
+        (_, x0, f0), (_, x1, f1) = pts[:2]
+        root = secant = x0 - f0 * (x0 - x1) / (f0 - f1)
+        err = math.inf
+        if len(pts) > 2 and pts[2][2] not in (f0, f1):
+            _, x2, f2 = pts[2]
+            root = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+                    + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+            err = abs(root - secant)
+        return min(max(root, start), stop), err
 
 
-def _search(measure: Callable[[float], _Probe], first: _Probe,
-            tol: float) -> tuple[float, float, bool]:
+def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, float, bool]:
     """Close the exponent inf{s : P <= shift} into [lo, hi] no wider than tol.
 
-    ``first`` is the probe at the floor, taken to lie below the exponent.
-    The upper end is found by doubling from 1 up to _S_CAP.  After that
-    each probe is placed by interpolation on the values the earlier probes
-    gave, aimed at the two ends of the straddle zone: a = sup{s : lower > 0}
-    from below and b = inf{s : upper <= 0} from above.  Once both estimates
-    have settled, a pair of probes a - m and b + m closes the bracket to
-    width tol/2, the width a certified bracket is held to.  A probe that
-    fails to halve the interval of its end is followed by a halving one.
-    When straddling probes at least tol/2 apart prove b - a >= tol/2, no
-    certified bracket can be that narrow, and the search closes instead,
-    to width tol, on the root of the bracket midpoint, the sign rule for a
-    straddling bracket.  Holding certified brackets to tol/2 leaves half of
-    the tolerance to the truncation: a result is certified only when the
-    zone takes at most half of tol, so whether a row certifies does not
-    hinge on a zone that is about tol wide.  The few ulps of zone that
-    rounding alone leaves are not charged to tol/2, so that a tol near
-    float resolution still certifies an exact pressure.
+    The floor probe at _S_FLOOR must have a positive midpoint, and the
+    upper end is found by doubling from 1 up to _S_CAP.  Every probe then
+    updates the three ends of the module docstring; the next one is placed
+    by interpolation, aimed at a from below or at b from above.  Once both
+    estimates have settled, a pair of probes a - m and b + m closes the
+    bracket to width tol/2, the width a certified bracket is held to.  A
+    probe that fails to halve the interval of its end is followed by a
+    halving one.  When straddling probes at least tol/2 apart prove
+    b - a >= tol/2, no certified bracket can be that narrow: a and b both
+    become the midpoint end, on which the search closes to width tol.
+    Holding certified brackets to tol/2 leaves half of the tolerance to
+    the truncation, so whether a row certifies does not hinge on a zone
+    about tol wide.  The few ulps of zone that rounding alone leaves are
+    not charged to tol/2, so that a tol near float resolution still
+    certifies an exact pressure.
 
-    Returns the bracket [lo, hi] and whether it is certified: whether the
-    probe at lo has lower > 0, the probe at hi has upper <= 0 and hi - lo
-    is at most the held width.  Raises
-    ValueError once the interval cannot be split, which a tolerance below
-    the float spacing there would otherwise turn into an endless loop.
+    Returns lo, hi and whether the probe at lo has lower > 0, the one at
+    hi has upper <= 0 and hi - lo is at most the held width.  Raises
+    RuntimeError when the midpoint is not positive at the floor or stays
+    positive up to the cap, and ValueError once the interval cannot be
+    split, which a tolerance below the float spacing there would
+    otherwise turn into an endless loop.
     """
-    probes = [first]
-    s = 1.0
-    while True:
-        probes.append(measure(s))
-        if _mid(probes[-1]) <= 0.0:
-            break
+    ends = lower, upper, mid = _End(lambda p: p[1]), _End(lambda p: p[2]), _End(_mid)
+
+    def probe(s: float) -> None:
+        p = measure(s)
+        for end in ends:
+            end.add(p)
+
+    probe(_S_FLOOR)
+    if mid.below is None:
+        raise RuntimeError(
+            f"pressure already nonpositive at the search floor s = {_S_FLOOR:g}: "
+            f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
+            "example, has a one-point limit set)")
+    a, b = (lower, upper) if lower.below is not None else (mid, mid)
+    s = 0.5
+    while mid.above is None:
         s *= 2.0
         if s > _S_CAP:
             raise RuntimeError("no upper search endpoint found below the cap")
-    left, right = (_lower, _upper) if _lower(first) > 0.0 else (_mid, _mid)
+        probe(s)
     # the width certified brackets are held to; the few ulps that rounding
     # alone leaves around a root (each decision is padded by an ulp) are
     # not charged to it, so a tol near float resolution still certifies
-    half = min(tol, 0.5 * tol + 4.0 * math.ulp(probes[-1][0]))
-    halved: dict[str, float] = {}
+    half = min(tol, 0.5 * tol + 4.0 * math.ulp(s))
     paired = False
     while True:
-        lo = max(p for p in probes if left(p) > 0.0)
-        up = min((p for p in probes if right(p) <= 0.0), default=None)
-        if up is not None and up[0] - lo[0] <= (half if left is _lower else tol):
-            return lo[0], up[0], (_lower(lo) > 0.0 and _upper(up) <= 0.0
-                                  and up[0] - lo[0] <= half)
+        lo, up = a.below, b.above
+        if up is not None and up[0] - lo[0] <= (half if a is lower else tol):
+            return lo[0], up[0], lo[1] > 0.0 and up[2] <= 0.0 and up[0] - lo[0] <= half
         # a lies in (lo, a_hi] and b in (b_lo, up]
-        a_hi = min(p for p in probes if left(p) <= 0.0)[0]
-        b_lo = max(p for p in probes if right(p) > 0.0)[0]
-        if left is _lower and (b_lo - a_hi >= half or (up is None and b_lo > _S_CAP)):
-            left = right = _mid
-            halved = {}
+        a_hi, b_lo = a.above[0], b.below[0]
+        if a is lower and (b_lo - a_hi >= half or (up is None and b_lo > _S_CAP)):
+            a = b = mid
             continue
         if up is None:
             # no certified upper end yet: this probe is one, or a straddle
             # that proves the zone too wide
-            probes.append(measure(max(b_lo + min(2.0 * tol, _S_CAP),
-                                      math.nextafter(b_lo, math.inf))))
+            probe(max(b_lo + min(2.0 * tol, _S_CAP), math.nextafter(b_lo, math.inf)))
             continue
         lo_s, up_s = lo[0], up[0]
         if not lo_s < 0.5 * (lo_s + up_s) < up_s:
             raise ValueError(f"tolerance {tol!r} is below float resolution: the search "
                              f"stopped at [{lo_s!r}, {up_s!r}], width {up_s - lo_s!r}")
-        xa, ea = _root_estimate(probes, left, lo_s, a_hi)
-        xb, eb = (xa, ea) if left is right else _root_estimate(probes, right, b_lo, up_s)
+        xa, ea = a.estimate(lo_s, a_hi)
+        xb, eb = (xa, ea) if a is b else b.estimate(b_lo, up_s)
         # a settled pair a - m, b + m, (gap + tol/2)/2 apart and at least
         # tol/4: outside the zone it closes the bracket, inside (m < 0, when
         # b - a > tol/2) it proves the zone too wide
@@ -211,29 +230,29 @@ def _search(measure: Callable[[float], _Probe], first: _Probe,
         margin = 0.5 * (max(0.5 * half, 0.5 * (gap + half)) - gap)
         pair = [x for x in (xa - margin, xb + margin) if lo_s < x < up_s]
         if not paired and pair and max(ea, eb) <= 0.5 * abs(margin):
-            probes.extend(measure(x) for x in pair)
+            for x in pair:
+                probe(x)
             paired = True
             continue
         paired = False
         # one probe, into the wider of the two end intervals
         if a_hi - lo_s >= up_s - b_lo:
-            key, start, stop, x = "a", lo_s, a_hi, xa
+            end, start, stop, x = a, lo_s, a_hi, xa
         else:
-            key, start, stop, x = "b", b_lo, up_s, xb
+            end, start, stop, x = b, b_lo, up_s, xb
         width = stop - start
-        if not start < x < stop or halved.get(key, math.inf) < width:
+        if not start < x < stop or end.halved < width:
             x = 0.5 * (start + stop)
             if not start < x < stop:
                 # this end is as close as floats allow and the bracket is
                 # still wider than tol/2: no certified bracket will do
-                left = right = _mid
-                halved = {}
+                a = b = mid
                 continue
         else:
             pad = 0.25 * min(tol, width)
             x = min(max(x, start + pad), stop - pad)
-        halved[key] = 0.5 * width
-        probes.append(measure(x))
+        end.halved = 0.5 * width
+        probe(x)
 
 
 class _Solver:
@@ -301,41 +320,11 @@ class _Solver:
     def run(self, tol: float) -> DimensionResult:
         if not 0.0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-        first = self.measure(_S_FLOOR)
-        if _mid(first) <= 0.0:
-            raise RuntimeError(
-                f"pressure already nonpositive at the search floor s = {_S_FLOOR:g}: "
-                f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
-                "example, has a one-point limit set)")
-        lo, hi, certified = _search(self.measure, first, tol)
+        lo, hi, certified = _search(self.measure, tol)
         subset = self.trunc.subsets[self.index]
         return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi),
                                truncation=(subset, self.n_used), certified=certified,
                                steps=self.steps)
-
-
-def moran_solve(ratios: Sequence[float], tol: float = 1e-10) -> DimensionResult:
-    """Solve sum r_i^s = 1 by the same search; the sums are taken as exact."""
-    rs = [float(r) for r in ratios]
-    if not rs:
-        raise ValueError("at least one contraction ratio required")
-    for r in rs:
-        if not (0.0 < r < 1.0):
-            raise ValueError("ratios must lie in (0, 1)")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    calls = 0
-
-    def measure(s: float) -> _Probe:
-        nonlocal calls
-        calls += 1
-        v = sum(r ** s for r in rs) - 1.0
-        return s, v, v
-
-    # the exponent is never negative: the floor s = 0 counts as decided below
-    lo, hi, certified = _search(measure, (0.0, math.inf, math.inf), tol)
-    return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi), truncation=None,
-                           certified=certified, steps=calls)
 
 
 def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:

@@ -110,8 +110,9 @@ class Sum(Potential):
 
 @dataclass(frozen=True)
 class _Flat:
-    """Flattened potential psi_coef * psi + const.  A coefficient that is
-    not finite (an overflowed scale or sum, a nan) raises ValueError."""
+    """Flattened potential psi_coef * psi + const in Python floats, whose
+    products overflow to inf without a numpy warning.  A coefficient that
+    is not finite (an overflowed scale or sum, a nan) raises ValueError."""
 
     psi_coef: float
     const: float
@@ -126,9 +127,9 @@ def _flatten(pot: Potential, scale: float = 1.0) -> _Flat:
     if isinstance(pot, LogDerivative):
         return _Flat(scale, 0.0)
     if isinstance(pot, Constant):
-        return _Flat(0.0, scale * pot.value)
+        return _Flat(0.0, scale * float(pot.value))
     if isinstance(pot, Scale):
-        return _flatten(pot.inner, scale * pot.factor)
+        return _flatten(pot.inner, scale * float(pot.factor))
     if isinstance(pot, Sum):
         a = _flatten(pot.left, scale)
         b = _flatten(pot.right, scale)

@@ -228,7 +228,6 @@ kind = doubling
 
 [target]
 y = 0.0
-rate = const:1.0
 
 [run]
 n = 3
@@ -238,6 +237,19 @@ r = 0.25
     assert main(["density", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert float(rows[0][2]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("rate", ["const:1", "potential:scale(1e308, scale(1e308, psi))", "x"])
+def test_density_reads_no_rate(tmp_path, rate):
+    # the ball B(y, r) has a fixed radius: a rate that cover and hits would
+    # refuse is left unparsed, and the rows equal those of a config without it
+    run = "\n[run]\nn = 3\nr = 0.25\n"
+    plain = write(tmp_path, "plain.ini", "[system]\nkind = doubling\n\n[target]\ny = 0.3\n" + run)
+    rated = write(tmp_path, "rated.ini",
+                  f"[system]\nkind = doubling\n\n[target]\ny = 0.3\nrate = {rate}\n" + run)
+    assert main(["density", "--config", plain, "--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(["density", "--config", rated, "--out", str(tmp_path / "rated.csv")]) == 0
+    assert read_rows(tmp_path / "rated.csv")[1] == read_rows(tmp_path / "plain.csv")[1]
 
 
 def test_cover_csv(tmp_path):
@@ -486,6 +498,7 @@ def test_malformed_required_run_key(tmp_path, capsys, run, message):
 
 @pytest.mark.parametrize("command, target, run, message", [
     ("density", "y = nan\nrate = const:1.0\n", "n = 3\nr = 0.25\n", "[target] y"),
+    ("density", "y = 1.5\n", "n = 3\nr = 0.25\n", "in [0, 1]"),
     ("hits", "y = nan\nrate = const:1.0\n", "code = const:1\nhorizon = 5\n", "[target] y"),
     ("hits", "y = 1.5\nrate = const:1.0\n", "code = const:1\nhorizon = 5\n", "in [0, 1]"),
     ("hits", "y = 0.0\nrate = const:nan\n", "code = const:1\nhorizon = 5\n", "[target] rate"),

@@ -15,7 +15,7 @@ from shrinktarget import (
     bowen_dimension,
     doubling_map,
     gauss_system,
-    moran_solve,
+    geometric_system,
     shrink_exponent_alpha,
     shrink_exponent_potential,
     spectrum,
@@ -33,42 +33,46 @@ def closed_form_alpha(alpha):
 
 # ---------------------------------------------------------------- moran
 
+def moran_root(ratios):
+    """The root of sum r_i^s = 1 (the Moran equation), in mpmath."""
+    with mpmath.workdps(40):
+        return mpmath.findroot(lambda s: sum(mpmath.mpf(r) ** s for r in ratios) - 1,
+                               (mpmath.mpf(0), mpmath.mpf(2)), solver="anderson")
+
+
+def affine_dimension(ratios, n_max=1, tol=1e-12):
+    return bowen_dimension(affine_system(ratios),
+                           Truncation.single(range(1, len(ratios) + 1), n_max=n_max), tol=tol)
+
+
 def test_moran_halves():
-    res = moran_solve([0.5, 0.5], tol=1e-12)
+    res = affine_dimension([0.5, 0.5])
+    assert res.value == pytest.approx(float(moran_root([0.5, 0.5])), abs=1e-11)
     assert res.value == pytest.approx(1.0, abs=1e-11)
     assert res.certified
 
 
 def test_moran_thirds():
-    res = moran_solve([1 / 3, 1 / 3], tol=1e-12)
+    res = affine_dimension([1 / 3, 1 / 3])
+    assert res.value == pytest.approx(float(moran_root([1 / 3, 1 / 3])), abs=1e-11)
     assert res.value == pytest.approx(math.log(2) / math.log(3), abs=1e-11)
 
 
 def test_moran_golden():
     # u + u^2 = 1 with u = 2^{-s}: u = (sqrt(5)-1)/2, s = log((1+sqrt5)/2)/log 2
-    res = moran_solve([0.5, 0.25], tol=1e-12)
+    res = affine_dimension([0.5, 0.25])
+    assert res.value == pytest.approx(float(moran_root([0.5, 0.25])), abs=1e-11)
     assert res.value == pytest.approx(math.log((1 + math.sqrt(5)) / 2) / math.log(2), abs=1e-11)
-
-
-def test_moran_rejects_bad_input():
-    with pytest.raises(ValueError):
-        moran_solve([])
-    with pytest.raises(ValueError):
-        moran_solve([0.5, 1.2])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
 def test_solvers_reject_non_positive_or_non_finite_tolerance(tol):
-    with pytest.raises(ValueError, match="finite and positive"):
-        moran_solve([0.5, 0.5], tol=tol)
     with pytest.raises(ValueError, match="finite and positive"):
         bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=tol)
 
 
 def test_solvers_reject_tolerance_below_float_resolution():
     # the bracket around 1 cannot shrink below its float spacing, 2.2e-16
-    with pytest.raises(ValueError, match="tolerance 1e-20 is below float resolution"):
-        moran_solve([0.5, 0.5], tol=1e-20)
     with pytest.raises(ValueError, match="tolerance 1e-20 is below float resolution"):
         bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-20)
     assert bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-15).certified
@@ -80,16 +84,33 @@ def test_exponent_at_the_bisection_floor_names_the_floor():
         bowen_dimension(doubling_map(), Truncation.single({1}, n_max=3))
 
 
-def test_moran_upper_end_doubles_up_to_the_cap():
-    # oracle: equal ratios r, k of them, solve k r^s = 1 at s = log k / log(1/r)
-    res = moran_solve([0.9, 0.9], tol=1e-12)
-    assert res.value == pytest.approx(math.log(2) / math.log(10 / 9), abs=1e-11)
-    res = moran_solve([0.99] * 3, tol=1e-9)
-    assert res.value == pytest.approx(math.log(3) / -math.log(0.99), abs=1e-8)
-    assert res.value > 64.0
-    # the root log 1000 / log(1/0.99) = 687.3 lies beyond the cap
+def test_upper_end_doubles_up_to_the_cap(monkeypatch):
+    # at depth 1 the upper bracket end over Gauss 1..64 is log sum_i i^{-2s}
+    # > 0, so the search closes on the root of the bracket midpoint, the
+    # root of sum_i (i+1)^{-2s} * sum_i i^{-2s} = 1, which lies above 1
+    probed = []
+    real = BirkhoffTable.bracket
+
+    def bracket(self, s, *args, **kwargs):
+        probed.append(s)
+        return real(self, s, *args, **kwargs)
+
+    monkeypatch.setattr(BirkhoffTable, "bracket", bracket)
+    res = bowen_dimension(gauss_system(), Truncation.single(range(1, 65), n_max=1), tol=1e-9)
+    with mpmath.workdps(40):
+        root = mpmath.findroot(
+            lambda s: (sum(mpmath.mpf(i + 1) ** (-2 * s) for i in range(1, 65))
+                       * sum(mpmath.mpf(i) ** (-2 * s) for i in range(1, 65)) - 1),
+            (mpmath.mpf(1), mpmath.mpf(2)), solver="anderson")
+    assert probed[:3] == [1e-6, 1.0, 2.0]
+    assert not res.certified
+    assert res.value == pytest.approx(float(root), abs=1e-9)
+    assert res.value > 1.0
+    # a midpoint that never falls to 0 has no upper end below the cap
+    measure, probes = _stub_zone(math.inf, math.inf)
     with pytest.raises(RuntimeError, match="below the cap"):
-        moran_solve([0.99] * 1000)
+        _search(measure, 1e-9)
+    assert [p[0] for p in probes] == [1e-6] + [2.0 ** k for k in range(8)]
 
 
 # ---------------------------------------------------------------- bowen
@@ -102,11 +123,8 @@ def test_bowen_doubling_is_one():
 
 def test_bowen_moran_consistency():
     ratios = [0.4, 0.3, 0.2]
-    sys = affine_system(ratios)
-    trunc = Truncation.single({1, 2, 3}, n_max=3)
-    a = bowen_dimension(sys, trunc, tol=1e-10)
-    b = moran_solve(ratios, tol=1e-10)
-    assert a.value == pytest.approx(b.value, abs=1e-9)
+    res = affine_dimension(ratios, n_max=3, tol=1e-10)
+    assert res.value == pytest.approx(float(moran_root(ratios)), abs=1e-9)
 
 
 def continuant_level(symbols, n):
@@ -208,7 +226,7 @@ def _stub_zone(a, b):
 
 def test_search_certifies_each_end_after_a_straddle():
     measure, probes = _stub_zone(0.3, 0.7)
-    lo, hi, certified = _search(measure, measure(1e-6), 1.0)
+    lo, hi, certified = _search(measure, 1.0)
     assert any(low <= 0.0 < up for _, low, up in probes)
     assert certified
     assert lo < 0.3 and 0.7 <= hi and hi - lo <= 0.5
@@ -220,10 +238,41 @@ def test_search_end_set_by_a_midpoint_guess_is_uncertified(tol):
     # decided (at tol 0.6 and 0.79 one within tol would), and the search
     # closes on the midpoint root 0.5 instead
     measure, _ = _stub_zone(0.3, 0.7)
-    lo, hi, certified = _search(measure, measure(1e-6), tol)
+    lo, hi, certified = _search(measure, tol)
     assert not certified
     assert lo <= 0.5 <= hi and hi - lo <= tol
     assert not (lo < 0.3 and 0.7 <= hi)
+
+
+# (repr(value), repr(bracket), certified, steps) of one row per kind of
+# search: probe placement is frozen bit for bit
+PINNED_ROWS = [
+    ("doubling", lambda: shrink_exponent_alpha(doubling_map(), 1.0, DOUBLING_TRUNC, tol=1e-12),
+     ("0.40938389085042126", "(0.40938389085035853, 0.409383890850484)", True, 4)),
+    ("affine-4", lambda: shrink_exponent_alpha(
+        affine_system([0.3, 0.25, 0.2, 0.15]), 1.0, Truncation.single(range(1, 5), n_max=1),
+        tol=1e-12),
+     ("0.5532038052870141", "(0.5532038052869496, 0.5532038052870787)", True, 8)),
+    ("gauss-straddle", lambda: shrink_exponent_alpha(
+        gauss_system(), 2.5, Truncation.single(range(1, 5), n_max=6), tol=5e-2),
+     ("0.3169703306083272", "(0.30721111895547154, 0.32672954226118284)", True, 5)),
+    ("gauss-ladder", lambda: shrink_exponent_alpha(
+        gauss_system(), 2.0, Truncation.prefix_ladder([2, 4], n_max=6), tol=5e-3),
+     ("0.3562989818886212", "(0.35382167857722424, 0.3587762852000181)", False, 10)),
+    ("e2", lambda: bowen_dimension(gauss_system(), Truncation.single({1, 2}, n_max=16), tol=5e-3),
+     ("0.5337776713747255", "(0.5334651701698482, 0.5340901725796028)", False, 7)),
+    ("geometric-tail", lambda: bowen_dimension(
+        geometric_system(0.3, 0.6), Truncation.single(range(1, 33), n_max=1, use_tail=True),
+        tol=1e-10),
+     ("0.859417661289932", "(0.8594176612836818, 0.8594176612961821)", False, 13)),
+]
+
+
+@pytest.mark.parametrize("solve, expect", [row[1:] for row in PINNED_ROWS],
+                         ids=[row[0] for row in PINNED_ROWS])
+def test_solver_bits_frozen(solve, expect):
+    res = solve()
+    assert (repr(res.value), repr(res.bracket), res.certified, res.steps) == expect
 
 
 # ---------------------------------------------------------------- cost

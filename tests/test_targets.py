@@ -827,13 +827,14 @@ def test_hit_thresholds_contain_the_exact_birkhoff_sums(case, data):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("alpha", [1e308, float(np.finfo(float).max) / 2],
-                         ids=["fold-overflows", "pad-overflows"])
+@pytest.mark.parametrize("alpha", [1e308, float(np.finfo(float).max) / 2, np.float64(1e308)],
+                         ids=["fold-overflows", "pad-overflows", "numpy-scalar"])
 def test_hits_with_an_overflowing_fold_miss_every_epoch(alpha):
     # 2 * 1e308 overflows to inf at epoch 2; half the largest double makes
     # epoch 2's fold the largest double, whose relative step overflows.
     # Either padded end stays inf, not nan, so every threshold is below
-    # any distance, and no numpy warning is raised
+    # any distance, and no numpy warning is raised, also for a numpy
+    # scalar rate, whose flattened const is a Python float
     rep = hit_times(doubling_map(), itertools.cycle([1, 2]),
                     TargetSpec(0.3, ConstantRate(alpha)), 5)
     assert (rep.hits, rep.misses, rep.undecided) == ((), (1, 2, 3, 4, 5), ())
