@@ -500,7 +500,9 @@ def _write_counterexample(ce: CounterexampleSystem, path: str,
     out["system"] = {
         "kind": "counterexample",
         "beta": repr(ce.beta),
-        "phi": ce.phi.spec,
+        # the text read, not a formatted float, so a reload rebuilds the
+        # same system
+        "phi": source["phi"],
     }
     if source.get("truncation"):
         out["system"]["truncation"] = source["truncation"]

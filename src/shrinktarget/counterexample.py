@@ -41,12 +41,10 @@ _INDEX_CAP = 100_000
 class ShrinkFn:
     """Strictly decreasing rate function n -> (0, 1), vanishing at infinity.
 
-    Monotonicity and positivity are checked on the evaluated range; ``spec``
-    is a parseable label used by the config round trip.
+    Monotonicity and positivity are checked on the evaluated range.
     """
 
     fn: Callable[[int], float]
-    spec: str = "custom"
     _seen: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, n: int) -> float:
@@ -68,13 +66,13 @@ class ShrinkFn:
     def power(p: float) -> "ShrinkFn":
         if p <= 0.0:
             raise ValueError("power exponent must be positive")
-        return ShrinkFn(lambda n: float(n) ** (-p), spec=f"power:{p:g}")
+        return ShrinkFn(lambda n: float(n) ** (-p))
 
     @staticmethod
     def exponential(c: float) -> "ShrinkFn":
         if c <= 0.0:
             raise ValueError("exponential rate must be positive")
-        return ShrinkFn(lambda n: math.exp(-c * n), spec=f"exp:{c:g}")
+        return ShrinkFn(lambda n: math.exp(-c * n))
 
 
 def _geom_series(x: float) -> float:

@@ -262,13 +262,8 @@ class _Solver:
         self.inner = inner
         self.shift = shift
         self.trunc = trunc
-        if tables is None:
-            tables = [None] * len(trunc.subsets)
-        elif len(tables) != len(trunc.subsets):
-            raise ValueError(f"tables needs one slot per rung: {len(trunc.subsets)}, "
-                             f"got {len(tables)}")
         # one slot per rung, built when the search first reaches it
-        self.tables = tables
+        self.tables = [None] * len(trunc.subsets) if tables is None else tables
         self.index = 0
         self.n_used = 0
         self.steps = 0
@@ -338,18 +333,12 @@ def _check_alpha(alpha: float) -> None:
 
 
 def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
-                          tol: float = 1e-9, *,
-                          tables: list[BirkhoffTable | None] | None = None) -> DimensionResult:
-    """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}.
-
-    ``tables`` holds one slot per rung of ``trunc``: the psi table of that
-    rung, or None until the search first reaches it, when it is built in
-    place.  Calls with the same sys and trunc may share one list, since
-    P(-s psi) does not depend on alpha; a table keeps the brackets it has
-    computed, so the result, ``steps`` included, is the same as without it.
-    """
+                          tol: float = 1e-9, *, _tables=None) -> DimensionResult:
+    """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}."""
     _check_alpha(alpha)
-    return _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc, tables).run(tol)
+    # _tables: spectrum's per-rung list, shared by its rows; each row stays
+    # one call of this function, which bench/tracing.py spans as a solve
+    return _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc, _tables).run(tol)
 
 
 def shrink_exponent_potential(sys: MarkovSystem, phi: Potential, trunc: Truncation,
@@ -373,4 +362,4 @@ def spectrum(sys: MarkovSystem, alphas: Sequence[float], trunc: Truncation,
     for a in alphas:
         _check_alpha(a)
     tables: list[BirkhoffTable | None] = [None] * len(trunc.subsets)
-    return [(a, shrink_exponent_alpha(sys, a, trunc, tol, tables=tables)) for a in alphas]
+    return [(a, shrink_exponent_alpha(sys, a, trunc, tol, _tables=tables)) for a in alphas]

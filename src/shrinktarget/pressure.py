@@ -14,29 +14,26 @@ Fekete lower bounds for a pressure of the form P(-u)).
 picks the default depth and computes the branch family's tail itself, and
 the family supplies all per-symbol geometry.  A table is additive when its
 potential has no psi part or the family is affine (exact per-symbol psi,
-read from ``affine_terms``): its level n is the n-fold outer sum of its
-level-1 ends, so its level-n partition sum is n times level 1 and a pressure
-bracket takes one log-sum-exp per mode, whatever its depth.  For the other
-tables ``BirkhoffTable`` builds level n+1 from level n: a word of length
-n+1 is a word w of length n with one more outer branch s prepended, whose
-cylinder is phi_s(phi_w([0,1])).  The family's ``map_intervals`` and
-``deriv_brackets`` take the column of symbols and a block of frontier rows
-and return symbol-major (K, C) arrays: the children's intervals, and the
-bracket of |phi_s'| over each parent interval, whose -log is added to the
-psi sums.  Each block is copied, transposed, into its parents' rows, so
-children are laid out parent-major and the words come out in one fixed
-order, the order of ``word_sums``.  A level's ends are psi_coef times its
-psi sums plus one scalar, the level's sum of const, added up one symbol at
-a time as ``word_sums`` adds level-1 ends.  A
-request for level n sweeps once from the root, with the frontier local to
-that sweep: each block's psi sums go into its level's ends and, above
-level n, into the next frontier with the child intervals, so each child
-is computed once and no interval array of level n is ever held.  A level
-above n whose ends are its psi sums (psi_coef 1, const 0) is the next
-frontier's psi arrays themselves.  Callers ask for their deepest
-level first (``bracket`` asks for n_max, ``cover_sum`` for its deepest
-unpruned level), so one sweep builds the whole table; a later, deeper
-request sweeps again from the root and keeps the levels already built.
+read from ``affine_terms``): its level-n partition sum is n times level 1,
+so a pressure bracket takes one log-sum-exp per mode, whatever its depth,
+and it builds no level.  The other tables build levels of psi geometry
+alone: level n holds the bracket of S_n psi over every cylinder of F^n,
+the same arrays for every potential, and ``partition`` applies the
+potential, psi_coef times those sums plus the level's sum of const.  A
+word of length n+1 is a word w of length n with one more outer branch s
+prepended, whose cylinder is phi_s(phi_w([0,1])).  The family's
+``map_intervals`` and ``deriv_brackets`` take the column of symbols and a
+block of frontier rows and return symbol-major (K, C) arrays: the
+children's intervals, and the bracket of |phi_s'| over each parent
+interval, whose -log is added to the psi sums.  Each block is copied,
+transposed, into its parents' rows, so children are laid out parent-major
+and the words come out in one fixed order.  A request for level n sweeps
+once from the root, with the frontier local to that sweep: each level is
+its frontier's psi arrays, and only the levels below n carry child
+intervals, so no interval array of level n is ever held.  Callers ask for
+their deepest level first (``bracket`` asks for n_max, ``cover_sum`` for
+its deepest unpruned level), so one sweep builds the whole table; a later,
+deeper request sweeps again from the root.
 Each log is padded one ulp outward, because np.log may sit an ulp away
 from the correctly rounded value: the step is taken on the IEEE bit
 pattern, equal to np.nextafter bit for bit and several times cheaper; the
@@ -281,20 +278,20 @@ _BLOCK = 1 << 13
 
 
 class BirkhoffTable:
-    """Cached per-word Birkhoff bracket endpoints over F^n for one potential,
+    """Cached per-word psi brackets over F^n, read through one potential,
     and the one entry point for pressure brackets (``bracket``).
 
-    The table stores, for each level n, arrays (c_lo, c_hi) of bracket
-    endpoints of S_n(u) over every word; levels are built in one sweep
-    from the root (see the module docstring) and cached.  Partition sums
-    for the scaled potential s*u are then single vectorized log-sum-exp
-    passes, which is what the dimension search iterates.  Each estimate
-    ``bracket`` returns is kept too, so a probe repeated at the same scale,
-    depth and tail rule (every row of a spectrum probes the search floor
-    and s = 1, on tables it shares) is computed once.  ``additive`` holds
-    the level-1 ends (lower and upper alike), const + psi_coef * psi per
-    symbol, when the bracket is additive (no psi part, or an affine
-    family), else None.
+    The table stores, for each level n, arrays (psi_lo, psi_hi) of the
+    bracket of S_n psi over every word; levels are built in one sweep from
+    the root (see the module docstring) and cached, and they do not depend
+    on the potential.  Partition sums for the scaled potential s*u are then
+    single vectorized log-sum-exp passes over psi_coef * psi + const, which
+    is what the dimension search iterates.  Each estimate ``bracket``
+    returns is kept too, so a probe repeated at the same scale, depth and
+    tail rule (every row of a spectrum probes the search floor and s = 1, on
+    tables it shares) is computed once.  ``additive`` holds the level-1 ends
+    (lower and upper alike), const + psi_coef * psi per symbol, when the
+    bracket is additive (no psi part, or an affine family), else None.
     """
 
     def __init__(self, sys: MarkovSystem, pot: Potential, subset,
@@ -336,29 +333,17 @@ class BirkhoffTable:
             n += 1
         return n
 
-    def word_sums(self, values: np.ndarray, n: int) -> np.ndarray:
-        """Sum over each word of F^n of per-symbol values (values[k] for the
-        k-th symbol of F), in level order: child k of word p sits at p*K + k,
-        and each sum adds the symbols in the order they were appended.  The
-        result is a new array, which callers may write to."""
-        sums = values.copy()
-        for _ in range(n - 1):
-            # one add per symbol over all rows: np.add.outer gives the same
-            # sums but runs one inner loop per row, slow for small alphabets
-            out = np.empty((len(sums), len(values)))
-            for k, v in enumerate(values.tolist()):
-                np.add(sums, v, out=out[:, k])
-            sums = out.ravel()
-        return sums
-
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(c_lo, c_hi) arrays over all words of length n (enumeration order
-        is deterministic).  An additive table sums its level-1 ends; any
-        other sweeps once from the root and keeps every missing level up to
-        n: child k of frontier word p sits at p*K + k, each block of
-        children copied transposed into its parents' rows.  Prepending s_k
-        composes one more outer branch, so the psi sums gain -log of the
-        bracket of |phi_s'| over phi_w([0,1])."""
+        """(psi_lo, psi_hi) arrays over all words of length n: the bracket of
+        S_n psi over each cylinder, whatever the potential (``partition``
+        applies it).  The enumeration order is deterministic: one sweep from
+        the root keeps every level up to n, child k of frontier word p at
+        p*K + k, each block of children copied transposed into its parents'
+        rows.  Prepending s_k composes one more outer branch, so the psi sums
+        gain -log of the bracket of |phi_s'| over phi_w([0,1]).  An additive
+        table has no levels."""
+        if self.additive is not None:
+            raise ValueError("an additive table has no levels: its level n is n times level 1")
         if n in self._levels:
             return self._levels[n]
         if n < 1:
@@ -366,69 +351,63 @@ class BirkhoffTable:
         count = len(self.symbols) ** n
         if count > self.budget:
             raise BudgetExceededError("partition", count, self.budget)
-        if self.additive is not None:
-            sums = self.word_sums(self.additive, n)
-            self._levels[n] = (sums, sums)
-            return self._levels[n]
         fam = self.sys.branches
-        pc, const = self._flat.psi_coef, self._flat.const
         step = max(1, _BLOCK // len(self.symbols))
-        # a psi-only level above n is the next frontier's psi arrays
-        alias = pc == 1.0 and const == 0.0
         f = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
-        # the level's sum of const, added one symbol at a time from 0.0; when
-        # it is +0.0, adding it only turns an underflowed pc * psi of -0.0
-        # into +0.0
-        add = 0.0
         for depth in range(1, n + 1):
-            add += const
-            shape = (len(f.lo), len(self.symbols))
             deeper = depth < n
-            nxt = _Frontier(*(np.empty(shape) for _ in _Frontier._fields)) if deeper else None
-            ends = () if depth in self._levels or (deeper and alias) else [
-                np.empty(shape) for _ in range(2)]
+            # the last level needs no child intervals
+            nxt = [np.empty((len(f.lo), len(self.symbols))) for _ in range(4 if deeper else 2)]
             for start in range(0, len(f.lo), step):
                 rows = slice(start, start + step)
                 span = _Frontier(*(a[rows] for a in f))
                 blo, bhi = fam.deriv_brackets(self._column, span)
-                psi = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
+                parts = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
                 if deeper:
-                    for dst, src in zip(nxt, fam.map_intervals(self._column, span) + psi):
-                        dst[rows] = src.T
-                for dst, part in zip(ends, psi):
-                    if pc != 1.0:
-                        part *= pc
-                    part += add
-                    dst[rows] = part.T
+                    parts = fam.map_intervals(self._column, span) + parts
+                for dst, src in zip(nxt, parts):
+                    dst[rows] = src.T
+            nxt = [a.ravel() for a in nxt]
+            self._levels[depth] = (nxt[-2], nxt[-1])
             if deeper:
-                f = _Frontier(*(a.ravel() for a in nxt))
-            if ends:
-                self._levels[depth] = tuple(e.ravel() for e in ends)
-            elif depth not in self._levels:
-                self._levels[depth] = (f.psi_lo, f.psi_hi)
+                f = _Frontier(*nxt)
         return self._levels[n]
 
     def partition(self, scale: float, n: int, mode: str) -> float:
         """log sum over F^n of exp(-scale * end) with end the bracket
         endpoint selected by mode ('sup' -> lower endpoint, dominating).
 
-        The log-sum-exp shift max(-scale * c) is -scale * min(c) for
-        scale > 0, since rounding is monotone; min(c) is cached per level
+        A level's ends are psi_coef times its psi sums plus the level's sum
+        of const, added one symbol at a time from 0.0; they are formed in
+        this call's one temporary, which is then scaled in place.  A factor
+        1 or a term 0 is not applied: skipping it changes at most the sign
+        of a zero end, and a zero of either sign gives the same shifted
+        exponential and the same result.  The
+        log-sum-exp shift max(-scale * end) is -scale * min(end) for
+        scale > 0, since rounding is monotone; min(end) is cached per level
         and end."""
         if mode not in ("sup", "inf"):
             raise ValueError("mode must be 'sup' or 'inf'")
         end = 0 if mode == "sup" else 1
         if self.additive is not None:
-            c, times, key = self.additive, n, (1, end)
+            ends, temp, times, key = self.additive, None, n, (1, end)
         else:
-            c, times, key = self.level(n)[end], 1, (n, end)
-        arr = np.multiply(c, -scale)
+            psi = self.level(n)[end]
+            pc, add = self._flat.psi_coef, 0.0
+            for _ in range(n):
+                add += self._flat.const
+            ends = psi if pc == 1.0 else np.multiply(psi, pc)
+            if add != 0.0:
+                ends = np.add(ends, add, out=None if ends is psi else ends)
+            temp = None if ends is psi else ends
+            times, key = 1, (n, end)
         if scale > 0.0:
             least = self._least.get(key)
             if least is None:
-                least = self._least[key] = float(np.min(c))
+                least = self._least[key] = float(np.min(ends))
             m = -scale * least
-        else:
+        arr = np.multiply(ends, -scale, out=temp)
+        if scale <= 0.0:
             m = float(np.max(arr))
         return times * _logsumexp(arr, m)
 

@@ -131,8 +131,9 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
     The diameter of a level-n cover set is bounded by exp(-c_w), with c_w
     the lower end of the Birkhoff bracket of S_n(psi + phi) over the
     cylinder of the word w, so a level sum is a dominating partition sum
-    of -s(psi + phi) read from one ``BirkhoffTable`` (every log padded one
-    ulp outward; on affine systems, sums of exact per-symbol ends).  Every
+    of -s(psi + phi) from one ``BirkhoffTable``: its psi levels with phi
+    applied (every log padded one ulp outward), or on affine systems the
+    n-th power of the level-1 sum over exact per-symbol ends.  Every
     level's word count is checked against the budget before any level is
     built, and the deepest unpruned level is asked for first, so one sweep
     builds the table.  A level contributes only when the ball of radius

@@ -161,6 +161,28 @@ def test_counterexample_build_rows_are_the_composed_images(tmp_path, beta):
         assert (float(row[2]), float(row[3])) == (iv.lo, iv.hi)
 
 
+@pytest.mark.parametrize("phi", ["power:1.23456789", "exp:0.123456789"])
+def test_counterexample_file_reloads_the_built_branches(tmp_path, phi):
+    # the system file keeps phi as it was read, so the reloaded system's
+    # branches are the built ones, bit for bit
+    built = tmp_path / "built.ini"
+    cfg = write(tmp_path, "ce.ini", "[system]\nkind = counterexample\nbeta = 0.7\n"
+                f"phi = {phi}\n[run]\nsystem_out = {built}\n")
+    out = tmp_path / "build.csv"
+    assert main(["counterexample-build", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    branch_rows = [row for row in rows if row[0].startswith("branch_")]
+    assert branch_rows
+    reload = configparser.ConfigParser()
+    reload["system"] = {"kind": "counterexample_file", "path": str(built)}
+    ce = shrinktarget.cli._load_system(reload["system"], 10**6).counterexample
+    image = ce.as_system().branches.branch_interval
+    for row in branch_rows:
+        n = int(row[0].removeprefix("branch_"))
+        iv = image(n)
+        assert row[1:4] == [repr(ce.log_width(n)), repr(iv.lo), repr(iv.hi)]
+
+
 @pytest.mark.parametrize("truncation", [None, "20"])
 def test_counterexample_build_system_file_keys(tmp_path, truncation):
     # the loader rebuilds from beta and phi, so the file holds nothing else

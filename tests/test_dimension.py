@@ -420,12 +420,6 @@ def test_spectrum_checks_the_grid_before_building_tables(monkeypatch, alphas):
     assert built == []
 
 
-def test_shared_tables_need_one_slot_per_rung():
-    with pytest.raises(ValueError, match="one slot per rung"):
-        shrink_exponent_alpha(gauss_system(), 1.0, Truncation.prefix_ladder([2, 4], n_max=3),
-                              tables=[None])
-
-
 def test_ladder_refinement_matches_final_rung():
     # without a tail, upper decisions only bind at the deepest rung: a
     # ladder must solve the same quantity as its final subset alone

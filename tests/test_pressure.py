@@ -367,20 +367,21 @@ def test_additive_bracket_matches_per_level_sums(name, n_max, scale):
 def test_additive_level_is_the_outer_sum_of_level_one(name):
     make_sys, pot, subset, _ = ADDITIVE_TABLES[name]
     table = BirkhoffTable(make_sys(), pot, subset)
-    ones = table.level(1)
+    # an additive table builds no level tables
+    with pytest.raises(ValueError, match="additive table has no levels"):
+        table.level(1)
+    one = table.additive.tolist()
     for n in (2, 3, 4):
-        level = table.level(n)
-        for got, one in zip(level, ones):
-            # the last symbol of a word varies fastest; its sum adds the
-            # symbols left to right
-            want = [sum(one[k] for k in word)
-                    for word in itertools.product(range(len(one)), repeat=n)]
-            assert np.array_equal(got, np.array(want))
+        # the last symbol of a word varies fastest; its sum adds the
+        # symbols left to right
+        level = [sum(one[k] for k in word)
+                 for word in itertools.product(range(len(one)), repeat=n)]
         for scale in (0.37, 1.0, 2.5):
-            for mode, c in zip(("sup", "inf"), level):
-                lse = math.log(math.fsum(math.exp(-scale * v) for v in c))
-                assert lse == pytest.approx(n * table.partition(scale, 1, mode),
-                                            rel=0.0, abs=1e-12)
+            for mode in ("sup", "inf"):
+                z1 = table.partition(scale, 1, mode)
+                assert table.partition(scale, n, mode) == n * z1
+                lse = math.log(math.fsum(math.exp(-scale * v) for v in level))
+                assert lse == pytest.approx(n * z1, rel=0.0, abs=1e-12)
 
 
 # P(-s psi) with the family tail over F = 1..8: (system, s, n_max, [system]
@@ -523,21 +524,21 @@ def test_upper_monotone_in_scale(s, ds):
 
 # ---------------------------------------------------------------- level kernel
 
-def reference_level(sys, pot, subset, n):
+def reference_level(sys, subset, n):
     """Scalar oracle for BirkhoffTable.level: a depth-first walk over
-    reversed words, one branch and one math.log per node.  Prepending a
-    symbol composes one more outer branch, so leaves come out in the
-    table's order (innermost symbol most significant)."""
+    reversed words, one branch and one math.log per node, giving the
+    bracket of S_n psi over each cylinder.  Prepending a symbol composes
+    one more outer branch, so leaves come out in the table's order
+    (innermost symbol most significant)."""
     fam = sys.branches
-    flat = _flatten(pot)
     syms = sorted(set(subset))
     c_lo, c_hi = [], []
-    stack = [(0, 0.0, 1.0, 0.0, 0.0, 0.0)]
+    stack = [(0, 0.0, 1.0, 0.0, 0.0)]
     while stack:
-        depth, lo, hi, psi_lo, psi_hi, add = stack.pop()
+        depth, lo, hi, psi_lo, psi_hi = stack.pop()
         if depth == n:
-            c_lo.append(flat.psi_coef * psi_lo + add)
-            c_hi.append(flat.psi_coef * psi_hi + add)
+            c_lo.append(psi_lo)
+            c_hi.append(psi_hi)
             continue
         j = Interval(lo, hi)
         for k in range(len(syms) - 1, -1, -1):
@@ -545,7 +546,7 @@ def reference_level(sys, pot, subset, n):
             a = fam.apply(syms[k], lo)
             b = fam.apply(syms[k], hi)
             stack.append((depth + 1, min(a, b), max(a, b),
-                          psi_lo - math.log(bhi), psi_hi - math.log(blo), add + flat.const))
+                          psi_lo - math.log(bhi), psi_hi - math.log(blo)))
     return np.array(c_lo), np.array(c_hi)
 
 
@@ -606,11 +607,12 @@ MIXED = Sum(Scale(0.7, PSI), Constant(0.3))
     (gauss_system, MIXED, {1, 2, 3}, 5),
 ], ids=["gauss-2", "gauss-6", "custom", "mixed-potential"])
 def test_level_matches_scalar_oracle(make_sys, pot, subset, n_max):
+    # a level is psi geometry alone, whatever the table's potential
     sys = make_sys()
     table = BirkhoffTable(sys, pot, subset)
     for n in range(1, n_max + 1):
         got_lo, got_hi = table.level(n)
-        want_lo, want_hi = reference_level(sys, pot, subset, n)
+        want_lo, want_hi = reference_level(sys, subset, n)
         assert got_lo.shape == want_lo.shape == (len(set(subset)) ** n,)
         np.testing.assert_allclose(got_lo, want_lo, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got_hi, want_hi, rtol=0.0, atol=1e-12)
@@ -775,38 +777,54 @@ def test_log_step_is_nextafter_of_log(step, toward):
             assert np.array_equal(_bits(step(np.array([x]))), _bits(want[special == x]))
 
 
-# The constant part of each level must be summed as the frontier once
-# carried it, (0 + c) + c + ..., bit for bit.  The psi part comes from a
-# psi-only table of the same subset, whose levels are psi exactly (pc = 1).
+# Potentials with a psi part over Gauss, whose tables build levels; the
+# constant part of a level's ends is summed as the frontier once carried
+# it, (0 + c) + c + ..., bit for bit
 _ADDITIVE_POTENTIALS = {
     "psi+const": Sum(PSI, Constant(0.3)),
     "per-symbol": Sum(Scale(0.7, PSI), Constant(0.3)),
 }
 
 
-def _running_sums(flat, syms, n):
-    """(lo, hi) constant sums over the words of length n in level order
-    (child k of word p at p*K + k), added one symbol at a time from 0.0 in
-    the order of reference_level."""
-    sums = [0.0]
-    for _ in range(n):
-        sums = [v + flat.const for v in sums for _ in syms]
-    return np.array(sums), np.array(sums)
-
-
 @pytest.mark.parametrize("name", sorted(_ADDITIVE_POTENTIALS))
 def test_level_bits_frozen(name):
-    pot = _ADDITIVE_POTENTIALS[name]
-    flat = _flatten(pot)
-    syms = (1, 2, 3)
-    table = BirkhoffTable(gauss_system(), pot, set(syms))
-    psi_only = BirkhoffTable(gauss_system(), PSI, set(syms))
+    # a level is the psi-only table's level, bit for bit, whatever the
+    # potential
+    table = BirkhoffTable(gauss_system(), _ADDITIVE_POTENTIALS[name], {1, 2, 3})
+    psi_only = BirkhoffTable(gauss_system(), PSI, {1, 2, 3})
     for n in range(1, 6):
-        add_lo, add_hi = _running_sums(flat, syms, n)
-        psi_lo, psi_hi = psi_only.level(n)
-        c_lo, c_hi = table.level(n)
-        assert np.array_equal(c_lo, flat.psi_coef * psi_lo + add_lo)
-        assert np.array_equal(c_hi, flat.psi_coef * psi_hi + add_hi)
+        for got, want in zip(table.level(n), psi_only.level(n)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _level_ends(flat, psi, n):
+    """psi_coef * psi plus the n-fold sum of const, added one symbol at a
+    time from 0.0, as level ends were built before partition applied the
+    potential."""
+    add = 0.0
+    for _ in range(n):
+        add += flat.const
+    return flat.psi_coef * psi + add
+
+
+# partition skips a factor 1 and a term 0, which changes at most the sign of
+# a zero end: psi alone has both, and 1e-310 * psi rounds the level-1 end of
+# symbol 1 (psi_lo = -8.9e-16) to -0.0, where the formula's + 0.0 gives +0.0
+@pytest.mark.parametrize("pot", [*_ADDITIVE_POTENTIALS.values(), MIXED, Scale(0.55, PSI),
+                                 PSI, Scale(1e-310, PSI)],
+                         ids=[*_ADDITIVE_POTENTIALS, "mixed", "scaled-psi", "psi",
+                              "underflowing-psi"])
+def test_partition_applies_the_potential_to_psi_levels(pot):
+    flat = _flatten(pot)
+    table = BirkhoffTable(gauss_system(), pot, {1, 2, 3})
+    psi_only = BirkhoffTable(gauss_system(), PSI, {1, 2, 3})
+    for n in range(1, 6):
+        for end, mode in enumerate(("sup", "inf")):
+            ends = _level_ends(flat, psi_only.level(n)[end], n)
+            for scale in (0.0, 0.37, 1.0, 2.5):
+                arr = ends * -scale
+                want = pressure._logsumexp(arr, float(np.max(arr)))
+                assert repr(table.partition(scale, n, mode)) == repr(want)
 
 
 def test_over_budget_level_raises_before_any_work():
