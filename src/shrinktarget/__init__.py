@@ -9,7 +9,6 @@ from .systems import (
     DEFAULT_WORD_BUDGET,
     GaussFamily,
     Interval,
-    MarkovSystem,
     Word,
     affine_system,
     cylinder,

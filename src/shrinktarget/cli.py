@@ -25,9 +25,9 @@ from .counterexample import verify_moran
 from .dimension import Truncation, bowen_dimension, spectrum
 from .pressure import Constant, LogDerivative, Potential, Scale, Sum, pressure_bracket
 from .systems import (
+    BranchFamily,
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
-    MarkovSystem,
     affine_system,
     doubling_map,
     gauss_system,
@@ -226,9 +226,8 @@ def _read_config(path: str) -> configparser.ConfigParser:
 
 @dataclass
 class _LoadedSystem:
-    system: MarkovSystem
+    system: BranchFamily
     default_subset: frozenset[int]
-    counterexample: CounterexampleSystem | None = None
 
 
 def _load_counterexample(section: configparser.SectionProxy) -> CounterexampleSystem:
@@ -263,7 +262,7 @@ def _load_system(section: configparser.SectionProxy, budget: int) -> _LoadedSyst
         ce = _load_counterexample(section)
         k = _key(section, "truncation", int, ce.n0 + 40)
         subset = _symbols([range(1, 3), range(ce.n0, k + 1)], budget, "truncation")
-        return _LoadedSystem(ce.as_system(), subset, ce)
+        return _LoadedSystem(ce, subset)
     if kind == "affine_countable":
         law, _, args = _key(section, "widths", str).partition(":")
         if law.strip() != "geometric":
@@ -444,17 +443,16 @@ def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
     _write_counterexample(ce, system_out, section)
     residual = verify_moran(ce)
     rows = [["summary", ce.beta, ce.n0, ce.log_r12, residual]]
-    image = ce.as_system().branches.branch_interval
     for n in sorted(branches):
-        iv = image(n)
+        iv = ce.branch_interval(n)
         rows.append([f"branch_{n}", ce.log_width(n), iv.lo, iv.hi, ""])
     return ({"system_out": system_out, "moran_residual": repr(residual)},
             ["row", "a", "b", "c", "d"], rows)
 
 
 def _counterexample_verify(cfg: configparser.ConfigParser, budget: int):
-    ce = _load_system(cfg["system"], budget).counterexample
-    if ce is None:
+    ce = _load_system(cfg["system"], budget).system
+    if not isinstance(ce, CounterexampleSystem):
         raise ConfigError("counterexample-verify needs a counterexample system")
     residual = verify_moran(ce)
     return {}, ["beta", "n0", "residual"], [[ce.beta, ce.n0, residual]]

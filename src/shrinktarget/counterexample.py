@@ -1,11 +1,11 @@
 """Zero-dimension counterexample family.
 
 Given beta in (0,1) and a strictly decreasing shrink function Phi -> 0, this
-module places countably many affine full branches so that the limit set has
-dimension exactly beta (Moran identity certified to a tiny residual) while
-the orbits hitting the shrinking balls around y = 0 at rate Phi form a set
-whose level cover sums collapse super-exponentially at every positive
-exponent.
+module builds a countable affine family of full branches whose limit set has
+dimension exactly beta (the Moran residual, float roundings included, is
+certified below 1e-10) while the orbits hitting the shrinking balls around
+y = 0 at rate Phi form a set whose level cover sums collapse
+super-exponentially at every positive exponent.
 
 Branch widths decay like exp(-c n^2) and underflow doubles early, so the
 width table is kept in log space throughout; linear-space widths are only
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
-from .systems import AffineCountableFamily, MarkovSystem
+from .systems import AffineCountableFamily
 from .targets import CoverReport
 
 __all__ = [
@@ -97,6 +98,14 @@ def _quad_tail(beta_like: float, m: int) -> float:
     return first / (1.0 - ratio)
 
 
+def _series_end(exponent: float, start: int, slack: float) -> int:
+    """The last index m that ``_width_power_series`` adds from start."""
+    m = start
+    while _quad_tail(exponent, m) > slack and m < start + 400:
+        m += 1
+    return m
+
+
 def _width_power_series(log_width: Callable[[int], float], exponent: float, start: int,
                         slack: float, total: float = 0.0) -> tuple[float, float]:
     """(total + sum_{n=start}^{m} width_n^exponent, remainder bound) for the
@@ -104,20 +113,17 @@ def _width_power_series(log_width: Callable[[int], float], exponent: float, star
     stops at start + 400); terms are added one at a time in order.  The
     remainder bound is _quad_tail(exponent, m) padded by 1e-290, so it stays
     positive where the tail underflows."""
-    m = start
-    while _quad_tail(exponent, m) > slack and m < start + 400:
-        m += 1
+    m = _series_end(exponent, start, slack)
     for n in range(start, m + 1):
         total += math.exp(exponent * log_width(n))
     return total, _quad_tail(exponent, m) + 1e-290
 
 
 @dataclass(frozen=True)
-class CounterexampleSystem:
-    """The built system: two wide branches near 1 and one branch per gap
-    (Phi(n+1), Phi(n)) for n >= n0, all affine onto [0,1].  ``wide_lefts``
-    holds the left ends of the two wide branches; ``as_system()`` composes
-    every branch image from ``left`` and ``log_width``."""
+class CounterexampleSystem(AffineCountableFamily):
+    """The built system, a countable affine family: two wide branches near 1
+    (left ends ``wide_lefts``) and one branch per gap (Phi(n+1), Phi(n)) for
+    n >= n0, each image composed from ``left`` and ``log_width``."""
 
     beta: float
     phi: ShrinkFn
@@ -126,7 +132,11 @@ class CounterexampleSystem:
     wide_lefts: tuple[float, float]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def member(self, n: int) -> bool:
+    def __post_init__(self):
+        if not self.xi > 1.0:
+            raise ValueError("expansion constant xi must exceed 1")
+
+    def contains_symbol(self, n: int) -> bool:
         return n in (1, 2) or n >= self.n0
 
     def log_width(self, n: int) -> float:
@@ -147,7 +157,7 @@ class CounterexampleSystem:
         c = 0.5 * (self.phi(n + 1) + self.phi(n))
         return c - 0.5 * math.exp(self.log_width(n))
 
-    def width_tail_sum(self, exponent: float, beyond: int) -> float:
+    def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         """Upper bound for sum over alphabet members i > beyond of width^e,
         via the domination width_n <= e^{-n}."""
         if exponent <= 0.0:
@@ -161,17 +171,10 @@ class CounterexampleSystem:
         total += math.exp(-exponent * k0) / -math.expm1(-exponent)
         return total
 
-    def as_system(self) -> MarkovSystem:
-        if "system" not in self._cache:
-            family = AffineCountableFamily(
-                member=self.member,
-                log_width=self.log_width,
-                left=self.left,
-                tail_sum=self.width_tail_sum,
-            )
-            xi = math.exp(-max(self.log_r12, self.log_width(self.n0)))
-            self._cache["system"] = MarkovSystem(family, xi=xi)
-        return self._cache["system"]
+    @cached_property
+    def xi(self) -> float:
+        """Expansion constant: 1 / the larger of the wide width and branch n0's."""
+        return math.exp(-max(self.log_r12, self.log_width(self.n0)))
 
 
 def build(beta: float, phi: ShrinkFn) -> CounterexampleSystem:
@@ -216,13 +219,18 @@ def build(beta: float, phi: ShrinkFn) -> CounterexampleSystem:
 
 
 def verify_moran(ce: CounterexampleSystem) -> float:
-    """Certified upper bound for |sum of width^beta - 1|; reads only
-    ``beta``, ``n0`` and ``log_width``."""
+    """Certified upper bound for |sum of width^beta - 1| over the float log
+    widths (reads ``beta``, ``n0``, ``log_width``): the explicit sum padded by
+    its remainder bound and by 2^-52 * sum (|beta log w| + k + 3) w^beta over
+    its k terms, which bounds the roundings of beta * log w, exp and the sum."""
     logw = ce.log_width
     beta = ce.beta
     total, tail = _width_power_series(logw, beta, ce.n0, _SERIES_SLACK,
                                       math.exp(beta * logw(1)) + math.exp(beta * logw(2)))
-    return abs(total - 1.0) + tail
+    terms = (1, 2, *range(ce.n0, _series_end(beta, ce.n0, _SERIES_SLACK) + 1))
+    rounding = sum((abs(beta * logw(n)) + len(terms) + 3) * math.exp(beta * logw(n))
+                   for n in terms)
+    return abs(total - 1.0) + tail + 2.0 ** -52 * rounding
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .pressure import BirkhoffTable, LogDerivative, Potential, Sum
-from .systems import DEFAULT_WORD_BUDGET, MarkovSystem
+from .systems import BranchFamily, DEFAULT_WORD_BUDGET
 
 __all__ = [
     "DimensionResult",
@@ -65,10 +65,11 @@ class DimensionResult:
 class Truncation:
     """Refinement ladder for countable or large systems.
 
-    ``subsets`` is an increasing chain of finite alphabet subsets; ``n_max``
-    limits the pressure depth (None picks the deepest level within budget);
-    ``use_tail`` switches the upper pressure bounds from subsystem semantics
-    to full-alphabet semantics through the family's closed-form tail.
+    ``subsets`` is an increasing chain of finite alphabet subsets, each a
+    subset of the next, so a rung's lower-side decisions hold on later rungs;
+    ``n_max`` limits the pressure depth (None: the deepest level within
+    budget); ``use_tail`` switches the upper pressure bounds from subsystem
+    semantics to full-alphabet semantics through the family's tail.
     """
 
     subsets: tuple[frozenset[int], ...]
@@ -79,6 +80,9 @@ class Truncation:
     def __post_init__(self):
         if not self.subsets:
             raise ValueError("truncation ladder must be nonempty")
+        for k, (rung, nxt) in enumerate(zip(self.subsets, self.subsets[1:]), 1):
+            if not rung <= nxt:
+                raise ValueError(f"truncation ladder rung {k} is not a subset of rung {k + 1}")
 
     @staticmethod
     def single(subset: Iterable[int], n_max: int | None = None,
@@ -256,7 +260,7 @@ def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, floa
 
 
 class _Solver:
-    def __init__(self, sys: MarkovSystem, inner: Potential, shift: Callable[[float], float],
+    def __init__(self, sys: BranchFamily, inner: Potential, shift: Callable[[float], float],
                  trunc: Truncation, tables: list[BirkhoffTable | None] | None = None):
         self.sys = sys
         self.inner = inner
@@ -322,7 +326,7 @@ class _Solver:
                                steps=self.steps)
 
 
-def bowen_dimension(sys: MarkovSystem, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:
+def bowen_dimension(sys: BranchFamily, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:
     """dim of the limit set: inf{s : P(-s psi) <= 0} over the truncation."""
     return _Solver(sys, LogDerivative(), lambda s: 0.0, trunc).run(tol)
 
@@ -332,7 +336,7 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
 
 
-def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
+def shrink_exponent_alpha(sys: BranchFamily, alpha: float, trunc: Truncation,
                           tol: float = 1e-9, *, _tables=None) -> DimensionResult:
     """Constant-rate shrinking-target exponent: inf{s : P(-s psi) <= s alpha}."""
     _check_alpha(alpha)
@@ -341,13 +345,13 @@ def shrink_exponent_alpha(sys: MarkovSystem, alpha: float, trunc: Truncation,
     return _Solver(sys, LogDerivative(), lambda s: s * alpha, trunc, _tables).run(tol)
 
 
-def shrink_exponent_potential(sys: MarkovSystem, phi: Potential, trunc: Truncation,
+def shrink_exponent_potential(sys: BranchFamily, phi: Potential, trunc: Truncation,
                               tol: float = 1e-9) -> DimensionResult:
     """Potential-rate shrinking-target exponent: inf{s : P(-s(psi+phi)) <= 0}."""
     return _Solver(sys, Sum(LogDerivative(), phi), lambda s: 0.0, trunc).run(tol)
 
 
-def spectrum(sys: MarkovSystem, alphas: Sequence[float], trunc: Truncation,
+def spectrum(sys: BranchFamily, alphas: Sequence[float], trunc: Truncation,
              tol: float = 1e-9) -> list[tuple[float, DimensionResult]]:
     """One shrink_exponent_alpha row per grid point (nonincreasing in alpha).
 

@@ -51,9 +51,9 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .systems import (
+    BranchFamily,
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
-    MarkovSystem,
     Word,
     cylinder,  # not called here; bench/tracing.py spans pressure.cylinder
 )
@@ -134,7 +134,7 @@ def _flatten(pot: Potential, scale: float = 1.0) -> _Flat:
     raise TypeError(f"unknown potential node {pot!r}")
 
 
-def _birkhoff_fold(sys: MarkovSystem, pot: Potential,
+def _birkhoff_fold(sys: BranchFamily, pot: Potential,
                    word: Iterable[int]) -> Iterator[tuple[float, float]]:
     """Brackets of S_n(pot) over the cylinders of the first n symbols of the
     word, for n = 1, 2, ..., one symbol read per step.
@@ -146,12 +146,11 @@ def _birkhoff_fold(sys: MarkovSystem, pot: Potential,
     symbols (a constant).
     """
     flat = _flatten(pot)
-    fam = sys.branches
-    comp = fam.composer()
+    comp = sys.composer()
     for n, s in enumerate(word, 1):
         lo = hi = n * flat.const
         if flat.psi_coef != 0.0:
-            fam._check_symbol(s)
+            sys._check_symbol(s)
             comp = comp.child(s)
             plo, phi_ = comp.geometry()[3]
             lo += flat.psi_coef * plo
@@ -190,7 +189,7 @@ def _pad_fold(lo, hi, rel: float):
                 np.nextafter(hi + rel * hi, np.inf))
 
 
-def birkhoff_bracket(sys: MarkovSystem, pot: Potential, word: Word) -> tuple[float, float]:
+def birkhoff_bracket(sys: BranchFamily, pot: Potential, word: Word) -> tuple[float, float]:
     """Interval containing the range of S_n(pot) over the cylinder of the word:
     the last bracket of ``_birkhoff_fold``, both ends stepped outward by
     ``_fold_rounding`` (see ``_pad_fold``), so it contains S_n whatever the
@@ -294,15 +293,14 @@ class BirkhoffTable:
     bracket is additive (no psi part, or an affine family), else None.
     """
 
-    def __init__(self, sys: MarkovSystem, pot: Potential, subset,
+    def __init__(self, sys: BranchFamily, pot: Potential, subset,
                  budget: int = DEFAULT_WORD_BUDGET):
         self.sys = sys
         self.symbols = tuple(sorted(set(subset)))
         if not self.symbols:
             raise ValueError("alphabet subset must be nonempty")
-        fam = sys.branches
         for s in self.symbols:
-            fam._check_symbol(s)
+            sys._check_symbol(s)
         self.budget = budget
         self._flat = _flatten(pot)
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -313,8 +311,8 @@ class BirkhoffTable:
         self._column = np.array(self.symbols)[:, None]
         self.additive: np.ndarray | None = None
         pc = self._flat.psi_coef
-        if pc == 0.0 or fam.is_affine:
-            self.additive = self._ends([fam.psi_bracket(i)[0] if pc else 0.0
+        if pc == 0.0 or sys.is_affine:
+            self.additive = self._ends([sys.psi_bracket(i)[0] if pc else 0.0
                                         for i in self.symbols])
 
     def _ends(self, psi: list[float]) -> np.ndarray:
@@ -351,7 +349,6 @@ class BirkhoffTable:
         count = len(self.symbols) ** n
         if count > self.budget:
             raise BudgetExceededError("partition", count, self.budget)
-        fam = self.sys.branches
         step = max(1, _BLOCK // len(self.symbols))
         f = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
         for depth in range(1, n + 1):
@@ -361,10 +358,10 @@ class BirkhoffTable:
             for start in range(0, len(f.lo), step):
                 rows = slice(start, start + step)
                 span = _Frontier(*(a[rows] for a in f))
-                blo, bhi = fam.deriv_brackets(self._column, span)
+                blo, bhi = self.sys.deriv_brackets(self._column, span)
                 parts = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
                 if deeper:
-                    parts = fam.map_intervals(self._column, span) + parts
+                    parts = self.sys.map_intervals(self._column, span) + parts
                 for dst, src in zip(nxt, parts):
                     dst[rows] = src.T
             nxt = [a.ravel() for a in nxt]
@@ -416,20 +413,19 @@ class BirkhoffTable:
         """Lower bracket ends of the potential on the family's symbols
         outside F (for a countable family, those below max F), each with
         the family's depth-1 psi bracket."""
-        fam = self.sys.branches
         chosen = set(self.symbols)
         kmax = self.symbols[-1]
-        symbols = fam.symbols() if fam.finite else itertools.takewhile(
-            lambda i: i <= kmax, fam.symbols())
-        return self._ends([fam.psi_bracket(i)[0] for i in symbols if i not in chosen]).tolist()
+        symbols = self.sys.symbols() if self.sys.finite else itertools.takewhile(
+            lambda i: i <= kmax, self.sys.symbols())
+        return self._ends([self.sys.psi_bracket(i)[0]
+                           for i in symbols if i not in chosen]).tolist()
 
     def _tail(self, scale: float) -> float:
         """Bound for the depth-1 dominating weight sum beyond F (+inf when
         no closed form applies): the skipped symbols, plus the family's
         closed form beyond max F (0 for a finite family)."""
         ends = self._skipped_ends
-        beyond = self.sys.branches.tail_weight_sum(scale * self._flat.psi_coef,
-                                                   self.symbols[-1])
+        beyond = self.sys.tail_weight_sum(scale * self._flat.psi_coef, self.symbols[-1])
         return (beyond * math.exp(-scale * self._flat.const)
                 + sum(math.exp(-scale * e) for e in ends))
 
@@ -477,7 +473,7 @@ class BirkhoffTable:
         return est
 
 
-def pressure_bracket(sys: MarkovSystem, pot: Potential, subset,
+def pressure_bracket(sys: BranchFamily, pot: Potential, subset,
                      n_max: int | None = None, use_tail: bool = False,
                      budget: int = DEFAULT_WORD_BUDGET) -> PressureEstimate:
     """Two-sided truncated estimate of P(-pot) over the finite subset.

@@ -1,10 +1,10 @@
 """Expanding interval maps through their inverse-branch function systems.
 
-A system is a family of contracting inverse branches indexed by a finite or
-countable alphabet of positive integers (1-based).  Compositions of branches
-over finite symbol words give nested cylinder intervals; this module
-provides their geometry.  The families are finite affine, countable affine
-and Gauss.
+A system is its family of contracting inverse branches, indexed by a finite
+or countable alphabet of positive integers (1-based).  Compositions of
+branches over finite symbol words give nested cylinder intervals; this
+module provides their geometry.  The families are finite affine, countable
+affine and Gauss; each derives its own expansion constant ``xi``.
 
 Each family owns its geometry.  All cylinder geometry (interval, diameter,
 derivative bracket and the bracket of S_n psi = -log|phi_w'|) comes from the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "Word",
     "Interval",
     "CylinderGeometry",
-    "MarkovSystem",
     "BranchFamily",
     "AffineFamily",
     "AffineCountableFamily",
@@ -118,7 +117,7 @@ class CylinderGeometry:
 
 
 class BranchFamily:
-    """Interface of an inverse-branch family.
+    """An expanding Markov map, given by its inverse-branch family.
 
     Branch indices are 1-based.  Implementations keep branch images inside
     [0,1] with pairwise disjoint interiors and sup|phi_i'| <= 1.  Every
@@ -128,10 +127,17 @@ class BranchFamily:
     ``tail_weight_sum``.  Affine families also give ``affine_terms``, and
     Gauss the array step of the pressure level kernel (see the module
     docstring).
+
+    ``xi`` (> 1, derived by each family from its own checked data) is the
+    uniform iterate-expansion constant from depth ``expansion_depth`` on:
+    every depth-n cylinder with n >= expansion_depth has |phi_w'| <= xi^-n,
+    which bounds the depth a window of given width needs.
     """
 
     finite: bool = True
     is_affine: bool = False
+    xi: float
+    expansion_depth: int = 1
 
     def contains_symbol(self, i: int) -> bool:
         raise NotImplementedError
@@ -163,6 +169,19 @@ class BranchFamily:
         if not self.contains_symbol(i):
             raise ValueError(f"symbol {i} not in the system alphabet")
 
+    def depth_for(self, width: float) -> int:
+        """A depth at which xi-contraction certainly brings every cylinder
+        below the width."""
+        return int(self.depths_for(np.array([width]))[0])
+
+    def depths_for(self, widths: np.ndarray) -> np.ndarray:
+        """``depth_for`` of each width, as an int64 array.  The logs go
+        through math.log, which np.log may differ from by an ulp; since
+        xi >= 1 + 2^-52 and -log(width) < 745, every depth fits in int64."""
+        neg_log = -np.fromiter(map(math.log, widths.tolist()), float, len(widths))
+        return (np.ceil(np.maximum(0.0, neg_log) / math.log(self.xi)).astype(np.int64)
+                + self.expansion_depth + 2)
+
 
 class _AffineBranches(BranchFamily):
     """Affine branches, composed from affine_terms(i) = (image lo, image hi,
@@ -176,7 +195,7 @@ class _AffineBranches(BranchFamily):
 
 class AffineFamily(_AffineBranches):
     """Finitely many affine branches phi_i(x) = left_i + ratio_i * x, each
-    with the image [left_i, left_i + ratio_i]."""
+    with the image [left_i, left_i + ratio_i]; xi is 1 / max ratio."""
 
     finite = True
 
@@ -189,6 +208,7 @@ class AffineFamily(_AffineBranches):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"branch ratio {r} must lie in (0, 1)")
         self.ratios = tuple(float(r) for r in ratios)
+        self.xi = 1.0 / max(self.ratios)
         for i, (l, r) in enumerate(zip(lefts, self.ratios), 1):
             if not 0.0 <= l <= l + r <= 1.0:
                 raise ValueError(f"branch {i} image [{l}, {l + r}] leaves [0, 1]")
@@ -214,49 +234,63 @@ class AffineFamily(_AffineBranches):
 
 
 class AffineCountableFamily(_AffineBranches):
-    """Countable affine branch family defined lazily.
-
-    Widths are supplied in log space so that subexponentially small branches
-    survive double precision.  ``tail_sum(e, k)`` must return a certified
-    upper bound for sum_{i > k} width_i^e (or +inf).
-    """
+    """Countable affine branch family defined lazily by a subclass, which
+    gives ``contains_symbol`` (on symbols >= 1), ``left(i)`` and
+    ``log_width(i)`` (widths in log space, so that subexponentially small
+    branches survive double precision), ``tail_weight_sum`` (a certified
+    upper bound for sum_{i > k} width_i^e, or +inf) and ``xi``."""
 
     finite = False
-
-    def __init__(self,
-                 member: Callable[[int], bool],
-                 log_width: Callable[[int], float],
-                 left: Callable[[int], float],
-                 tail_sum: Callable[[float, int], float]):
-        self.member = member
-        self.log_width = log_width
-        self.left = left
-        self.tail_sum = tail_sum
 
     def affine_terms(self, i: int) -> tuple[float, float, float, float]:
         iv = self.branch_interval(i)
         log_w = self.log_width(i)
         return (iv.lo, iv.hi, math.exp(log_w), -log_w)
 
-    def contains_symbol(self, i: int) -> bool:
-        return i >= 1 and self.member(i)
-
     def symbols(self) -> Iterator[int]:
-        return (i for i in itertools.count(1) if self.member(i))
+        return (i for i in itertools.count(1) if self.contains_symbol(i))
 
     def branch_interval(self, i: int) -> Interval:
         self._check_symbol(i)
         lo = self.left(i)
         return Interval(lo, min(1.0, lo + math.exp(self.log_width(i))))
 
+
+class _GeometricFamily(AffineCountableFamily):
+    """Widths a*q^(i-1) packed from 0; xi is 1/a."""
+
+    def __init__(self, a: float, q: float):
+        if not (0.0 < q < 1.0 and 0.0 < a):
+            raise ValueError("geometric widths need a > 0 and 0 < q < 1")
+        # a >= 1 is caught apart: 1 - q rounds to 1 for a tiny q
+        if a / (1.0 - q) > 1.0 or a >= 1.0:
+            raise ValueError("geometric widths exceed total length 1")
+        self.a = a
+        self.q = q
+        self.xi = 1.0 / a
+
+    def contains_symbol(self, i: int) -> bool:
+        return i >= 1
+
+    def left(self, i: int) -> float:
+        # sum of widths of branches 1..i-1
+        return self.a * (1.0 - self.q ** (i - 1)) / (1.0 - self.q)
+
+    def log_width(self, i: int) -> float:
+        return math.log(self.a) + (i - 1) * math.log(self.q)
+
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
-        return self.tail_sum(exponent, beyond)
+        a, q = self.a, self.q
+        return ((a * q ** beyond) ** exponent) / (1.0 - q ** exponent) if exponent > 0 else math.inf
 
 
 class GaussFamily(BranchFamily):
-    """Inverse branches of the Gauss map: phi_i(x) = 1/(i + x), i >= 1."""
+    """Inverse branches of the Gauss map: phi_i(x) = 1/(i + x), i >= 1.
+    Continuant estimates give |(T^n)'| > sqrt(2)^n from depth 2."""
 
     finite = False
+    xi = math.sqrt(2.0)
+    expansion_depth = 2
 
     def contains_symbol(self, i: int) -> bool:
         return i >= 1
@@ -302,39 +336,7 @@ class GaussFamily(BranchFamily):
         return k ** (1.0 - 2.0 * exponent) / (2.0 * exponent - 1.0)
 
 
-@dataclass(frozen=True)
-class MarkovSystem:
-    """Expanding Markov map seen through its inverse-branch family.
-
-    ``xi`` is the uniform iterate-expansion constant (> 1) valid from depth
-    ``expansion_depth`` on: every depth-n cylinder with n >= expansion_depth
-    has |phi_w'| <= xi^-n, which bounds the depth a window of given width
-    needs.
-    """
-
-    branches: BranchFamily
-    xi: float
-    expansion_depth: int = 1
-
-    def __post_init__(self):
-        if not self.xi > 1.0:
-            raise ValueError("expansion constant xi must exceed 1")
-
-    def depth_for(self, width: float) -> int:
-        """A depth at which xi-contraction certainly brings every cylinder
-        below the width."""
-        return int(self.depths_for(np.array([width]))[0])
-
-    def depths_for(self, widths: np.ndarray) -> np.ndarray:
-        """``depth_for`` of each width, as an int64 array.  The logs go
-        through math.log, which np.log may differ from by an ulp; since
-        xi >= 1 + 2^-52 and -log(width) < 745, every depth fits in int64."""
-        neg_log = -np.fromiter(map(math.log, widths.tolist()), float, len(widths))
-        return (np.ceil(np.maximum(0.0, neg_log) / math.log(self.xi)).astype(np.int64)
-                + self.expansion_depth + 2)
-
-
-def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
+def cylinder(sys: BranchFamily, word: Word) -> CylinderGeometry:
     """Geometry of the cylinder phi_w([0,1]), read from the family's forward
     composer after one child step per symbol.
 
@@ -343,10 +345,9 @@ def cylinder(sys: MarkovSystem, word: Word) -> CylinderGeometry:
     """
     if not word:
         raise ValueError("word must be nonempty")
-    fam = sys.branches
-    comp = fam.composer()
+    comp = sys.composer()
     for s in word:
-        fam._check_symbol(s)
+        sys._check_symbol(s)
         comp = comp.child(s)
     (lo, hi), diam, deriv, psi = comp.geometry()
     return CylinderGeometry(interval=Interval(lo, hi), diam=diam,
@@ -461,52 +462,32 @@ class _MoebiusComposer:
                       for c in (child.p0, child.p1, child.q0, child.q1)))
 
 
-def forward_composer(sys: MarkovSystem):
+def forward_composer(sys: BranchFamily):
     """Root composer of the system's family, for walks that extend cylinders
     one symbol at a time."""
-    return sys.branches.composer()
+    return sys.composer()
 
 
-def doubling_map() -> MarkovSystem:
+def doubling_map() -> AffineFamily:
     """Two affine branches of ratio 1/2 on [0,1/2] and [1/2,1]."""
-    return MarkovSystem(AffineFamily([0.0, 0.5], [0.5, 0.5]), xi=2.0)
+    return AffineFamily([0.0, 0.5], [0.5, 0.5])
 
 
 def affine_system(ratios: Sequence[float],
-                  placements: Sequence[float] | None = None) -> MarkovSystem:
+                  placements: Sequence[float] | None = None) -> AffineFamily:
     """Finite affine system; branches packed from 0 unless placements given."""
     if placements is None:
         lefts = list(itertools.accumulate([0.0] + list(ratios[:-1])))
     else:
         lefts = list(placements)
-    # the family checks the ratios before xi divides by one
-    family = AffineFamily(lefts, ratios)
-    return MarkovSystem(family, xi=1.0 / max(ratios))
+    return AffineFamily(lefts, ratios)
 
 
-def geometric_system(a: float, q: float) -> MarkovSystem:
+def geometric_system(a: float, q: float) -> AffineCountableFamily:
     """Countable affine system with widths a*q^(i-1) packed from 0."""
-    if not (0.0 < q < 1.0 and 0.0 < a):
-        raise ValueError("geometric widths need a > 0 and 0 < q < 1")
-    if a / (1.0 - q) > 1.0:
-        raise ValueError("geometric widths exceed total length 1")
-
-    def left(i: int) -> float:
-        # sum of widths of branches 1..i-1
-        return a * (1.0 - q ** (i - 1)) / (1.0 - q)
-
-    family = AffineCountableFamily(
-        member=lambda i: i >= 1,
-        log_width=lambda i: math.log(a) + (i - 1) * math.log(q),
-        left=left,
-        tail_sum=lambda e, k: ((a * q ** k) ** e) / (1.0 - q ** e) if e > 0 else math.inf,
-    )
-    return MarkovSystem(family, xi=1.0 / a)
+    return _GeometricFamily(a, q)
 
 
-def gauss_system() -> MarkovSystem:
-    """The Gauss map x -> 1/x mod 1 via its countable inverse branches.
-
-    Continuant estimates give |(T^n)'| > sqrt(2)^n from depth 2.
-    """
-    return MarkovSystem(GaussFamily(), xi=math.sqrt(2.0), expansion_depth=2)
+def gauss_system() -> GaussFamily:
+    """The Gauss map x -> 1/x mod 1 via its countable inverse branches."""
+    return GaussFamily()

@@ -30,9 +30,9 @@ from .pressure import (
     birkhoff_bracket,  # not called here; bench/tracing.py spans targets.birkhoff_bracket
 )
 from .systems import (
+    BranchFamily,
     BudgetExceededError,
     DEFAULT_WORD_BUDGET,
-    MarkovSystem,
     cylinder,
     forward_composer,
 )
@@ -124,7 +124,7 @@ def _distance_bracket(y: float, lo: float, hi: float) -> tuple[float, float]:
     return math.nextafter(d_lo, 0.0), math.nextafter(d_hi, math.inf)
 
 
-def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: int,
+def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: int,
               subset, budget: int = DEFAULT_WORD_BUDGET) -> CoverReport:
     """Per-level sums of diam^s over the shrinking-target cover sets.
 
@@ -155,7 +155,7 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
         if count > budget:
             raise BudgetExceededError("cover", count, budget)
     dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
-               for iv in map(sys.branches.branch_interval, symbols))
+               for iv in map(sys.branch_interval, symbols))
     const = _flatten(rate).const
     kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * const)]
     if kept and table.additive is None:
@@ -173,7 +173,7 @@ def cover_sum(sys: MarkovSystem, target: TargetSpec, s: float, m: int, n_max: in
 _DECAY_WINDOW = 4
 
 
-def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
+def upper_dimension_certificate(sys: BranchFamily, target: TargetSpec, s: float,
                                 m: int, n_max: int, subset,
                                 budget: int = DEFAULT_WORD_BUDGET) -> CertificateReport:
     """Accepts when the last _DECAY_WINDOW per-level cover sums decay by a
@@ -217,7 +217,7 @@ def upper_dimension_certificate(sys: MarkovSystem, target: TargetSpec, s: float,
                                      f"{ratio:.6g}; " + message_tail)
 
 
-def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
+def cylinder_density(sys: BranchFamily, y: float, n: int, r: float, subset,
                      budget: int = DEFAULT_WORD_BUDGET) -> float:
     """Total length of the depth-n cylinders fully inside the open ball
     B(y, r), divided by r.
@@ -246,7 +246,7 @@ def cylinder_density(sys: MarkovSystem, y: float, n: int, r: float, subset,
     if not symbols:
         raise ValueError("alphabet subset must be nonempty")
     for i in symbols:
-        sys.branches._check_symbol(i)
+        sys._check_symbol(i)
     column = np.array(symbols)[:, None]
     rows = max(1, _BLOCK // len(symbols))
     ball_lo = y - r
@@ -295,7 +295,7 @@ def _exp_neg(b: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, (-b).tolist()), float, len(b))
 
 
-def _window_distance(sys: MarkovSystem, y: float, word: tuple[int, ...],
+def _window_distance(sys: BranchFamily, y: float, word: tuple[int, ...],
                      windows: dict) -> tuple[float, float]:
     """Padded distance bracket from y to the window's cylinder, read from
     the run's memo ``windows``; only a word seen for the first time is
@@ -308,7 +308,7 @@ def _window_distance(sys: MarkovSystem, y: float, word: tuple[int, ...],
     return bracket
 
 
-def hit_times(sys: MarkovSystem, code: Iterable[int], target: TargetSpec,
+def hit_times(sys: BranchFamily, code: Iterable[int], target: TargetSpec,
               horizon: int) -> HitReport:
     """Exact symbolic hit/miss/undecided schedule of the coded orbit.
 

@@ -90,7 +90,7 @@ def test_criterion_3_counterexample_moran_and_bowen():
         ce = build_counterexample(beta, phi)
         residual = verify_moran(ce)
         subset = frozenset({1, 2}) | frozenset(range(ce.n0, ce.n0 + 60))
-        res = bowen_dimension(ce.as_system(),
+        res = bowen_dimension(ce,
                               Truncation.single(subset, n_max=1, use_tail=True),
                               tol=1e-7)
         contains = res.bracket[0] - 1e-9 <= beta <= res.bracket[1] + 1e-9

@@ -152,7 +152,7 @@ def test_counterexample_build_rows_are_the_composed_images(tmp_path, beta):
                 f"beta = {beta}\nphi = power:1\n[run]\nsystem_out = {tmp_path / 'ce_out.ini'}\n")
     out = tmp_path / "build.csv"
     assert main(["counterexample-build", "--config", cfg, "--out", str(out)]) == 0
-    image = build_counterexample(beta, ShrinkFn.power(1)).as_system().branches.branch_interval
+    image = build_counterexample(beta, ShrinkFn.power(1)).branch_interval
     _, rows = read_rows(out)
     branch_rows = [row for row in rows if row[0].startswith("branch_")]
     assert branch_rows
@@ -175,8 +175,8 @@ def test_counterexample_file_reloads_the_built_branches(tmp_path, phi):
     assert branch_rows
     reload = configparser.ConfigParser()
     reload["system"] = {"kind": "counterexample_file", "path": str(built)}
-    ce = shrinktarget.cli._load_system(reload["system"], 10**6).counterexample
-    image = ce.as_system().branches.branch_interval
+    ce = shrinktarget.cli._load_system(reload["system"], 10**6).system
+    image = ce.branch_interval
     for row in branch_rows:
         n = int(row[0].removeprefix("branch_"))
         iv = image(n)
@@ -411,6 +411,8 @@ n_max = 1
 @pytest.mark.parametrize("widths, message", [
     ("geometric:0.5,1.5", "geometric widths need a > 0 and 0 < q < 1"),
     ("geometric:0.6,0.5", "geometric widths exceed total length 1"),
+    # 1 - q rounds to 1, so only a >= 1 shows the excess (and keeps xi = 1/a above 1)
+    ("geometric:1,1e-300", "geometric widths exceed total length 1"),
 ])
 def test_affine_countable_bad_widths_exit_2(tmp_path, capsys, widths, message):
     cfg = write(tmp_path, "g.ini", f"[system]\nkind = affine_countable\nwidths = {widths}\n"
@@ -613,6 +615,17 @@ def test_hits_budget_bounds_the_window_symbols(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_non_nested_ladder_exits_2(tmp_path, capsys):
+    # the final rung {1} has a one-point limit set; a bracket decided on
+    # {1, 2} must not be reported as certified for it
+    cfg = write(tmp_path, "l.ini", "[system]\nkind = doubling\n\n[run]\nladder = 1,2; 1\n"
+                "n_max = 4\ntol = 1e-3\n")
+    out = tmp_path / "l.csv"
+    assert main(["dimension", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: truncation ladder rung 1 is not a subset of rung 2\n"
+    assert not out.exists()
+
+
 def test_reversed_subset_range_exits_2(tmp_path):
     # read as {1} this subset would need an n_max; it must be refused instead
     cfg = write(tmp_path, "r.ini", "[system]\nkind = doubling\n\n[potential]\nexpr = psi\n\n"
@@ -626,7 +639,7 @@ def test_reversed_subset_range_exits_2(tmp_path):
 def _counterexample_fixed_point():
     # the fixed point of branch 1, the affine map onto its image [l, h]
     v1 = shrinktarget.build_counterexample(
-        0.5, shrinktarget.ShrinkFn.power(1.0)).as_system().branches.branch_interval(1)
+        0.5, shrinktarget.ShrinkFn.power(1.0)).branch_interval(1)
     lo, hi = Fraction(v1.lo), Fraction(v1.hi)
     return lo / (1 - (hi - lo))
 

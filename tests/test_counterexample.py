@@ -1,9 +1,11 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 
 from shrinktarget import (
+    CounterexampleSystem,
     ShrinkFn,
     Truncation,
     bowen_dimension,
@@ -55,7 +57,7 @@ def test_min_branch_comparison_at_three(ce_half):
 
 def test_placement_inside_gaps(ce_half):
     phi = ce_half.phi
-    image = ce_half.as_system().branches.branch_interval
+    image = ce_half.branch_interval
     for n in range(ce_half.n0, ce_half.n0 + 12):
         iv = image(n)
         assert phi(n + 1) < iv.lo <= iv.hi < phi(n)
@@ -78,8 +80,7 @@ def test_widths_below_exponential(ce_half):
 
 
 def test_origin_outside_branches(ce_half):
-    sys = ce_half.as_system()
-    image = sys.branches.branch_interval
+    image = ce_half.branch_interval
     for n in (1, 2, *range(ce_half.n0, ce_half.n0 + 31)):
         assert image(n).lo > 0.0
     # but branch intervals accumulate at 0
@@ -98,6 +99,13 @@ def test_shrink_fn_validation():
         nonpositive(3)
 
 
+def test_system_needs_expansion():
+    # a wide branch of width 1 leaves xi = 1, and no depth bounds a window
+    with pytest.raises(ValueError, match="^expansion constant xi must exceed 1$"):
+        CounterexampleSystem(beta=0.5, phi=ShrinkFn.power(1), n0=3, log_r12=0.0,
+                             wide_lefts=(0.0, 0.5))
+
+
 def test_build_validates_beta():
     with pytest.raises(ValueError):
         build_counterexample(1.2, ShrinkFn.power(1))
@@ -108,6 +116,25 @@ def test_build_validates_beta():
 def test_moran_residual_tiny(ce_half, ce_nine):
     assert verify_moran(ce_half) <= 1e-10
     assert verify_moran(ce_nine) <= 1e-10
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.65, 0.7, 0.75, 0.8, 0.85, 0.95])
+def test_moran_residual_bounds_the_exact_residual(beta):
+    # oracle: |sum width^beta - 1| in mpmath (60 digits) over the same float
+    # log widths, the series summed until its terms fall below 1e-70
+    ce = build_counterexample(beta, ShrinkFn.power(1))
+    with mpmath.workdps(60):
+        b = mpmath.mpf(beta)
+        total = mpmath.exp(b * ce.log_width(1)) + mpmath.exp(b * ce.log_width(2))
+        n = ce.n0
+        while True:
+            term = mpmath.exp(b * ce.log_width(n))
+            total += term
+            if term < mpmath.mpf(10) ** -70:
+                break
+            n += 1
+        exact = abs(total - 1)
+    assert exact <= verify_moran(ce) <= 1e-10
 
 
 def test_moran_detects_corruption(ce_half):
@@ -125,7 +152,7 @@ def test_bowen_brackets_beta(ce_half, ce_nine):
     for ce in (ce_half, ce_nine):
         subset = frozenset({1, 2}) | frozenset(range(ce.n0, ce.n0 + 60))
         trunc = Truncation.single(subset, n_max=1, use_tail=True)
-        res = bowen_dimension(ce.as_system(), trunc, tol=1e-7)
+        res = bowen_dimension(ce, trunc, tol=1e-7)
         assert res.certified
         assert res.bracket[0] - 1e-9 <= ce.beta <= res.bracket[1] + 1e-9
         assert abs(res.value - ce.beta) <= 1e-6

@@ -78,6 +78,16 @@ def test_solvers_reject_tolerance_below_float_resolution():
     assert bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-15).certified
 
 
+def test_truncation_ladder_must_be_nested():
+    # a lower-side decision on one rung holds on a later rung only if that
+    # rung contains it; {1,2} then {1} would certify dimension 1 for {1}
+    with pytest.raises(ValueError, match="^truncation ladder rung 2 is not a subset of rung 3$"):
+        Truncation((frozenset({1}), frozenset({1, 2}), frozenset({1})))
+    with pytest.raises(ValueError, match="rung 1 is not a subset of rung 2"):
+        Truncation.prefix_ladder([4, 2])
+    assert len(Truncation((frozenset({1}), frozenset({1, 2}), frozenset({1, 2}))).subsets) == 3
+
+
 def test_exponent_at_the_bisection_floor_names_the_floor():
     # a one-symbol subset has a one-point limit set, of dimension 0
     with pytest.raises(RuntimeError, match="at most 1e-06"):

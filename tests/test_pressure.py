@@ -14,7 +14,6 @@ from shrinktarget import (
     GaussFamily,
     Interval,
     LogDerivative,
-    MarkovSystem,
     Scale,
     Sum,
     TargetSpec,
@@ -91,7 +90,7 @@ def test_birkhoff_gauss_psi_bracket_contains_mpmath_values():
     level_one = BirkhoffTable(sys, PSI, range(1, 40)).level(1)[0]
     for i, lo in zip(range(1, 40), level_one):
         assert lo <= 2 * mp.log(i)
-        assert sys.branches.psi_bracket(i)[0] <= 2 * mp.log(i)
+        assert sys.psi_bracket(i)[0] <= 2 * mp.log(i)
 
 
 @pytest.mark.parametrize("word", [(1,) * 800, (1,) * 3000, (2, 1, 5, 3) * 750],
@@ -323,7 +322,7 @@ def per_level_bracket(table, scale, n_max, tail=None):
 def _geometric_tail(sys, scale):
     # the family's closed form beyond symbol 8 for psi + 0.1; F = 1..8 skips
     # no symbol below it
-    return sys.branches.tail_weight_sum(scale, 8) * math.exp(-scale * 0.1)
+    return sys.tail_weight_sum(scale, 8) * math.exp(-scale * 0.1)
 
 
 ADDITIVE_TABLES = {
@@ -437,8 +436,8 @@ def test_additive_bracket_takes_one_logsumexp_per_mode(monkeypatch, n_max, use_t
 def test_table_rules_are_built_once(monkeypatch):
     sys = geometric_system(0.5, 0.5)
     calls = []
-    real = sys.branches.psi_bracket
-    monkeypatch.setattr(sys.branches, "psi_bracket", lambda i: calls.append(i) or real(i))
+    real = sys.psi_bracket
+    monkeypatch.setattr(sys, "psi_bracket", lambda i: calls.append(i) or real(i))
     # symbol 4 is skipped below max F, so the tail reads its psi bracket
     table = BirkhoffTable(sys, PSI, {1, 2, 3, 5, 6, 7, 8, 9})
     calls.clear()
@@ -530,7 +529,6 @@ def reference_level(sys, subset, n):
     bracket of S_n psi over each cylinder.  Prepending a symbol composes
     one more outer branch, so leaves come out in the table's order
     (innermost symbol most significant)."""
-    fam = sys.branches
     syms = sorted(set(subset))
     c_lo, c_hi = [], []
     stack = [(0, 0.0, 1.0, 0.0, 0.0)]
@@ -542,9 +540,9 @@ def reference_level(sys, subset, n):
             continue
         j = Interval(lo, hi)
         for k in range(len(syms) - 1, -1, -1):
-            blo, bhi = fam.deriv_bracket(syms[k], j)
-            a = fam.apply(syms[k], lo)
-            b = fam.apply(syms[k], hi)
+            blo, bhi = sys.deriv_bracket(syms[k], j)
+            a = sys.apply(syms[k], lo)
+            b = sys.apply(syms[k], hi)
             stack.append((depth + 1, min(a, b), max(a, b),
                           psi_lo - math.log(bhi), psi_hi - math.log(blo)))
     return np.array(c_lo), np.array(c_hi)
@@ -575,6 +573,8 @@ class _TwoMonotoneBranches(_PerElementArrayStep, BranchFamily):
     x -> 0.9 - 0.3x onto [0.6, 0.9].  Derivative brackets are padded outward
     by 1 - 2^-50."""
 
+    xi = 2.0
+
     def contains_symbol(self, i):
         return i in (1, 2)
 
@@ -594,7 +594,7 @@ class _TwoMonotoneBranches(_PerElementArrayStep, BranchFamily):
 
 
 def custom_system():
-    return MarkovSystem(_TwoMonotoneBranches(), xi=2.0)
+    return _TwoMonotoneBranches()
 
 
 MIXED = Sum(Scale(0.7, PSI), Constant(0.3))
@@ -652,7 +652,7 @@ class _PerElementGauss(_PerElementArrayStep, GaussFamily):
 
 
 def _per_element_gauss():
-    return MarkovSystem(_PerElementGauss(), xi=math.sqrt(2.0), expansion_depth=2)
+    return _PerElementGauss()
 
 
 def test_array_and_per_element_paths_agree():
@@ -669,7 +669,7 @@ def test_array_and_per_element_paths_agree():
 def test_bracket_computes_each_child_once():
     sys = _per_element_gauss()
     BirkhoffTable(sys, PSI, {1, 2, 3}).bracket(0.5, n_max=6)
-    assert sys.branches.calls == sum(3 ** j for j in range(1, 7)) == 1092
+    assert sys.calls == sum(3 ** j for j in range(1, 7)) == 1092
 
 
 def test_cover_computes_each_child_once():
@@ -678,7 +678,7 @@ def test_cover_computes_each_child_once():
     sys = _per_element_gauss()
     report = cover_sum(sys, TargetSpec(0.3, ConstantRate(1.0)), 0.7, 1, 6, {1, 2, 3})
     assert all(value > 0.0 for _, value in report.per_level)
-    assert sys.branches.calls == sum(3 ** j for j in range(1, 7)) == 1092
+    assert sys.calls == sum(3 ** j for j in range(1, 7)) == 1092
     assert repr(report.total) == "1.6342728832753737"
 
 
@@ -829,8 +829,7 @@ def test_partition_applies_the_potential_to_psi_levels(pot):
 
 def test_over_budget_level_raises_before_any_work():
     fam = _PerElementGauss()
-    table = BirkhoffTable(MarkovSystem(fam, xi=math.sqrt(2.0), expansion_depth=2),
-                          PSI, {1, 2}, budget=100)
+    table = BirkhoffTable(fam, PSI, {1, 2}, budget=100)
     with pytest.raises(BudgetExceededError) as info:
         table.level(7)
     assert info.value.requested == 128 and info.value.budget == 100

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as hyst
 
 from shrinktarget import (
     Interval,
+    ShrinkFn,
     affine_system,
+    build_counterexample,
     cylinder,
     doubling_map,
     gauss_system,
+    geometric_system,
 )
 
 
@@ -168,6 +171,33 @@ def test_depth_disjointness_doubling(n):
     intervals.sort(key=lambda iv: iv.lo)
     for a, b in zip(intervals, intervals[1:]):
         assert a.hi <= b.lo + 1e-15
+
+
+@pytest.mark.parametrize("make, xi", [
+    (lambda: geometric_system(0.3, 0.6), 1.0 / 0.3),
+    (lambda: build_counterexample(0.7, ShrinkFn.power(1)), None),
+    (lambda: affine_system([0.2, 0.35, 0.1], placements=[0.05, 0.4, 0.88]), 1.0 / 0.35),
+    (doubling_map, 2.0),
+    (gauss_system, math.sqrt(2.0)),
+], ids=["geometric", "counterexample", "affine-placed", "doubling", "gauss"])
+def test_each_family_derives_its_expansion_constant(make, xi):
+    sys = make()
+    if xi is None:
+        # the wider of the two wide branches and branch n0
+        xi = math.exp(-max(sys.log_r12, sys.log_width(sys.n0)))
+    assert sys.xi == xi and sys.xi > 1.0
+    symbols = list(itertools.islice(sys.symbols(), 5))
+    rng = random.Random(23)
+    # every cylinder of depth n >= expansion_depth contracts by xi^-n
+    for n in range(sys.expansion_depth, 7):
+        for _ in range(25):
+            word = tuple(rng.choice(symbols) for _ in range(n))
+            assert cylinder(sys, word).diam <= sys.xi ** -n * (1 + 1e-12)
+    # and a cylinder at depth_for(w) is narrower than w
+    for w in (0.5, 1e-2, 1e-6):
+        for _ in range(10):
+            word = tuple(rng.choice(symbols) for _ in range(sys.depth_for(w)))
+            assert cylinder(sys, word).interval.width < w
 
 
 def test_gauss_contraction_depth_two():

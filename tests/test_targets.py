@@ -110,14 +110,13 @@ def _cover_level_oracle(sys, target, s, n, subset):
     """Scalar DFS level sum with subtree pruning and unpadded math.log: once
     the partial rate shrinks the target ball away from every branch image,
     no extension of the word can contribute."""
-    fam = sys.branches
     symbols = sorted(set(subset))
     phi = target.rate_potential()
     phi_const = _flatten(phi).const
     pc = _flatten(Sum(LogDerivative(), phi)).psi_coef
     dist = math.inf
     for i in symbols:
-        iv = fam.branch_interval(i)
+        iv = sys.branch_interval(i)
         if iv.lo <= target.y <= iv.hi:
             dist = 0.0
             break
@@ -132,12 +131,12 @@ def _cover_level_oracle(sys, target, s, n, subset):
             total += math.exp(-s * (pc * psi_lo + phi_lo))
             continue
         for k, sym in enumerate(symbols):
-            if fam.is_affine:
+            if sys.is_affine:
                 # |phi_sym'| is the ratio r everywhere: psi gains exactly -log r
-                step, a, b = -math.log(fam.ratios[sym - 1]), 0.0, 1.0
+                step, a, b = -math.log(sys.ratios[sym - 1]), 0.0, 1.0
             else:
-                blo, bhi = fam.deriv_bracket(sym, Interval(lo, hi))
-                step, a, b = -math.log(bhi), fam.apply(sym, lo), fam.apply(sym, hi)
+                blo, bhi = sys.deriv_bracket(sym, Interval(lo, hi))
+                step, a, b = -math.log(bhi), sys.apply(sym, lo), sys.apply(sym, hi)
             stack.append((depth + 1, min(a, b), max(a, b),
                           psi_lo + step, phi_lo + phi_const))
     return total
@@ -558,7 +557,7 @@ def test_hits_window_stuck_one_ulp_wide_is_undecided():
     # windows stay one ulp wide at every depth: refining stops when the width
     # stops shrinking, and the padded window leaves e^-n < 7.4e-18 undecided
     sys = affine_system([0.3, 0.25, 0.2, 0.15])
-    image = sys.branches.branch_interval(2)
+    image = sys.branch_interval(2)
     lo, hi = Fraction(image.lo), Fraction(image.hi)
     rep = hit_times(sys, itertools.repeat(2), TargetSpec(0.4, ConstantRate(1.0)), 50)
     oracle = exact_schedule(lambda n: lo / (1 - (hi - lo)), 0.4, 1.0, 50)
@@ -591,7 +590,7 @@ def test_hits_probe_windows_stop_at_the_xi_window(monkeypatch, code_len, windows
     monkeypatch.setattr(targets, "cylinder",
                         lambda sys, word: composed.append(word) or cylinder(sys, word))
     sys = affine_system([0.3, 0.25, 0.2, 0.15])
-    image = sys.branches.branch_interval(2)
+    image = sys.branch_interval(2)
     lo, hi = Fraction(image.lo), Fraction(image.hi)
     code = itertools.repeat(2) if code_len is None else [2] * code_len
     rep = hit_times(sys, code, TargetSpec(0.4, ConstantRate(1.0)), 50)
@@ -785,7 +784,7 @@ def _check_thresholds(sys, pot, word):
     mp = pytest.importorskip("mpmath")
     folds = np.array(list(targets._birkhoff_fold(sys, pot, word)))
     thresholds = targets._threshold_bracket(*folds.T, pressure._fold_rounding(pot))
-    comp = sys.branches.composer()
+    comp = sys.composer()
     with mp.workdps(60):
         for n, (s, thr_lo, thr_hi) in enumerate(zip(word, *thresholds), 1):
             comp = comp.child(s)
