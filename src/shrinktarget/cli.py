@@ -1,9 +1,10 @@
 """Batch front end: INI-style configs in, CSV with a manifest header out.
 
 Subcommands: pressure, dimension, spectrum, cover, density, hits,
-counterexample-build, counterexample-verify.  Each validates exactly the
-config sections it needs and rejects extras.  CSV output starts with a
-'#'-prefixed manifest block (config echo, truncation actually used,
+counterexample-build, counterexample-verify.  Each reads the config sections
+and keys that _COMMANDS and _SYSTEM_KEYS list for it, and rejects any other
+section or key before it builds a system or writes a file.  CSV output starts
+with a '#'-prefixed manifest block (config echo, truncation actually used,
 certification flags) followed by a header row and one row per result item.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import io
 import itertools
 import math
 import sys as _sys
@@ -212,6 +212,12 @@ def _parse_code(text: str):
     raise ConfigError(f"unknown code spec {text!r} (use const:i or cycle:a,b,...)")
 
 
+def _check_keys(section: configparser.SectionProxy, allowed: Sequence[str]) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"[{section.name}] unknown key(s) {unknown}; it reads {sorted(allowed)}")
+
+
 def _read_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     try:
@@ -230,20 +236,30 @@ class _LoadedSystem:
     default_subset: frozenset[int]
 
 
-def _load_counterexample(section: configparser.SectionProxy) -> CounterexampleSystem:
-    return build_counterexample(_key(section, "beta", float),
-                                parse_shrink_fn(_key(section, "phi", str)))
+# system kind -> the [system] keys it reads besides 'kind'
+_SYSTEM_KEYS = {
+    "doubling": (),
+    "affine": ("ratios", "placements"),
+    "gauss": ("truncation",),
+    "counterexample": ("beta", "phi", "truncation"),
+    "counterexample_file": ("path",),
+    "affine_countable": ("widths",),
+}
 
 
 def _load_system(section: configparser.SectionProxy, budget: int) -> _LoadedSystem:
     kind = _key(section, "kind", str)
+    if kind not in _SYSTEM_KEYS:
+        raise ConfigError(f"unknown system kind {kind!r}")
+    _check_keys(section, ("kind", *_SYSTEM_KEYS[kind]))
     if kind == "counterexample_file":
         path = _key(section, "path", str)
         inner = _read_config(path)
+        # the file's kind is checked first, so this recurses once at most
         if inner.get("system", "kind", fallback=None) != "counterexample":
             raise ConfigError(f"serialized system file {path!r} needs a [system] section "
                               "with kind = counterexample")
-        section, kind = inner["system"], "counterexample"
+        return _load_system(inner["system"], budget)
     if kind == "doubling":
         return _LoadedSystem(doubling_map(), frozenset({1, 2}))
     if kind == "affine":
@@ -259,19 +275,18 @@ def _load_system(section: configparser.SectionProxy, budget: int) -> _LoadedSyst
         k = _key(section, "truncation", int, 32)
         return _LoadedSystem(gauss_system(), _symbols([range(1, k + 1)], budget, "truncation"))
     if kind == "counterexample":
-        ce = _load_counterexample(section)
+        ce = build_counterexample(_key(section, "beta", float),
+                                  parse_shrink_fn(_key(section, "phi", str)))
         k = _key(section, "truncation", int, ce.n0 + 40)
         subset = _symbols([range(1, 3), range(ce.n0, k + 1)], budget, "truncation")
         return _LoadedSystem(ce, subset)
-    if kind == "affine_countable":
-        law, _, args = _key(section, "widths", str).partition(":")
-        if law.strip() != "geometric":
-            raise ConfigError("affine_countable currently supports widths=geometric:a,q")
-        a_str, _, q_str = args.partition(",")
-        a = _parse_number(a_str, "geometric width scale")
-        q = _parse_number(q_str, "geometric width ratio")
-        return _LoadedSystem(geometric_system(a, q), frozenset(range(1, 33)))
-    raise ConfigError(f"unknown system kind {kind!r}")
+    law, _, args = _key(section, "widths", str).partition(":")
+    if law.strip() != "geometric":
+        raise ConfigError("affine_countable currently supports widths=geometric:a,q")
+    a_str, _, q_str = args.partition(",")
+    a = _parse_number(a_str, "geometric width scale")
+    q = _parse_number(q_str, "geometric width ratio")
+    return _LoadedSystem(geometric_system(a, q), frozenset(range(1, 33)))
 
 
 def _load_target(section: configparser.SectionProxy) -> TargetSpec:
@@ -296,21 +311,11 @@ def _manifest_lines(command: str, cfg: configparser.ConfigParser,
     return lines
 
 
-def _format_cell(v: object) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _emit(out_path: str | None, manifest: list[str], header: Sequence[str],
           rows: Sequence[Sequence[object]]) -> None:
-    buf = io.StringIO()
-    for line in manifest:
-        buf.write(line + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(map(_format_cell, row)) + "\n")
-    text = buf.getvalue()
+    # str of a Python float is its repr, the shortest text that reads back
+    lines = [*manifest, ",".join(header), *(",".join(map(str, row)) for row in rows)]
+    text = "".join(line + "\n" for line in lines)
     if out_path is None:
         _sys.stdout.write(text)
     else:
@@ -332,6 +337,9 @@ def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
                 budget: int) -> tuple[Truncation, float]:
     """The solver ladder of ``dimension`` and ``spectrum``, and their tolerance."""
     ladder = _key(run_sec, "ladder", str, None)
+    if ladder is not None and _key(run_sec, "subset", str, None) is not None:
+        # a subset is a one-rung ladder: with both, one would go unread
+        raise ConfigError("[run] takes a subset or a ladder, not both")
     trunc = Truncation(
         subsets=((_run_subset(run_sec, loaded, budget),) if ladder is None
                  else parse_ladder(ladder, budget)),
@@ -342,10 +350,10 @@ def _truncation(run_sec: configparser.SectionProxy, loaded: _LoadedSystem,
     return trunc, _key(run_sec, "tol", float, 1e-9, what="[run] tol (search tolerance)")
 
 
-# A handler reads its sections and returns (manifest extras, header, rows).
+# A handler reads its sections, given the loaded [system], and returns
+# (manifest extras, header, rows).
 
-def _pressure(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"], budget)
+def _pressure(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     pot = parse_potential(_key(cfg["potential"], "expr", str, "psi"))
     run_sec = cfg["run"]
     subset = _run_subset(run_sec, loaded, budget)
@@ -355,8 +363,7 @@ def _pressure(cfg: configparser.ConfigParser, budget: int):
             ["lower", "upper", "diverged"], [[est.lower, est.upper, est.diverged]])
 
 
-def _dimension(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"], budget)
+def _dimension(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     trunc, tol = _truncation(cfg["run"], loaded, budget)
     res = bowen_dimension(loaded.system, trunc, tol=tol)
     return ({"truncation": _truncation_text(res.truncation), "certified": res.certified,
@@ -365,8 +372,7 @@ def _dimension(cfg: configparser.ConfigParser, budget: int):
             [[res.value, res.bracket[0], res.bracket[1], res.certified]])
 
 
-def _spectrum(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"], budget)
+def _spectrum(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     run_sec = cfg["run"]
     trunc, tol = _truncation(run_sec, loaded, budget)
     alphas = _numbers(_key(run_sec, "alphas", str), "[run] alphas")
@@ -378,20 +384,18 @@ def _spectrum(cfg: configparser.ConfigParser, budget: int):
             ["alpha", "value", "lower", "upper", "certified"], rows)
 
 
-def _cover(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"], budget)
+def _cover(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     target = _load_target(cfg["target"])
     run_sec = cfg["run"]
     subset = _run_subset(run_sec, loaded, budget)
     report = cover_sum(loaded.system, target, s=_key(run_sec, "s", float),
                        m=_key(run_sec, "m", int), n_max=_key(run_sec, "n_max", int),
                        subset=subset, budget=budget)
-    return ({"total": repr(report.total), "budget": budget},
+    return ({"total": report.total, "budget": budget},
             ["level", "sum"], [[n, v] for n, v in report.per_level])
 
 
-def _density(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"], budget)
+def _density(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     # the density of a fixed ball reads no rate: a rate key is left unparsed
     y = _key(cfg["target"], "y", float)
     if not 0.0 <= y <= 1.0:
@@ -404,8 +408,7 @@ def _density(cfg: configparser.ConfigParser, budget: int):
     return {"budget": budget}, ["n", "r", "density"], [[n, r, value]]
 
 
-def _hits(cfg: configparser.ConfigParser, budget: int):
-    loaded = _load_system(cfg["system"], budget)
+def _hits(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     target = _load_target(cfg["target"])
     run_sec = cfg["run"]
     code = _parse_code(_key(run_sec, "code", str))
@@ -431,43 +434,49 @@ def _hits(cfg: configparser.ConfigParser, budget: int):
             ["epoch", "status"], rows)
 
 
-def _counterexample_build(cfg: configparser.ConfigParser, budget: int):
+def _counterexample_build(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     section = cfg["system"]
-    if section.get("kind") != "counterexample":
+    if section["kind"] != "counterexample":
         raise ConfigError("counterexample-build needs [system] kind = counterexample")
-    ce = _load_counterexample(section)
+    ce = loaded.system
     run_sec = cfg["run"]
     system_out = _key(run_sec, "system_out", str)
     depth = _key(run_sec, "table_depth", int, ce.n0 + 8)
     branches = _symbols([range(1, 3), range(ce.n0, depth + 1)], budget, "table_depth")
-    _write_counterexample(ce, system_out, section)
+    _write_counterexample(system_out, section)
     residual = verify_moran(ce)
     rows = [["summary", ce.beta, ce.n0, ce.log_r12, residual]]
     for n in sorted(branches):
         iv = ce.branch_interval(n)
         rows.append([f"branch_{n}", ce.log_width(n), iv.lo, iv.hi, ""])
-    return ({"system_out": system_out, "moran_residual": repr(residual)},
+    return ({"system_out": system_out, "moran_residual": residual},
             ["row", "a", "b", "c", "d"], rows)
 
 
-def _counterexample_verify(cfg: configparser.ConfigParser, budget: int):
-    ce = _load_system(cfg["system"], budget).system
+def _counterexample_verify(cfg: configparser.ConfigParser, loaded: _LoadedSystem,
+                           budget: int):
+    ce = loaded.system
     if not isinstance(ce, CounterexampleSystem):
         raise ConfigError("counterexample-verify needs a counterexample system")
     residual = verify_moran(ce)
     return {}, ["beta", "n0", "residual"], [[ce.beta, ce.n0, residual]]
 
 
-# command -> (handler, required sections, optional sections)
+_LADDER_KEYS = ("subset", "ladder", "n_max", "use_tail", "tol")
+_TARGET_KEYS = ("y", "rate")
+
+# command -> (handler, {section: the keys it reads}).  Every command also
+# reads [system], whose keys _SYSTEM_KEYS gives per kind.  A section that
+# holds no keys may be left out; density leaves [target] rate unparsed.
 _COMMANDS = {
-    "pressure": (_pressure, {"system", "potential", "run"}, set()),
-    "dimension": (_dimension, {"system", "run"}, set()),
-    "spectrum": (_spectrum, {"system", "run"}, set()),
-    "cover": (_cover, {"system", "target", "run"}, set()),
-    "density": (_density, {"system", "target", "run"}, set()),
-    "hits": (_hits, {"system", "target", "run"}, set()),
-    "counterexample-build": (_counterexample_build, {"system", "run"}, set()),
-    "counterexample-verify": (_counterexample_verify, {"system"}, {"run"}),
+    "pressure": (_pressure, {"potential": ("expr",), "run": ("subset", "n_max", "use_tail")}),
+    "dimension": (_dimension, {"run": _LADDER_KEYS}),
+    "spectrum": (_spectrum, {"run": (*_LADDER_KEYS, "alphas")}),
+    "cover": (_cover, {"target": _TARGET_KEYS, "run": ("subset", "s", "m", "n_max")}),
+    "density": (_density, {"target": _TARGET_KEYS, "run": ("subset", "n", "r")}),
+    "hits": (_hits, {"target": _TARGET_KEYS, "run": ("code", "horizon")}),
+    "counterexample-build": (_counterexample_build, {"run": ("system_out", "table_depth")}),
+    "counterexample-verify": (_counterexample_verify, {"run": ()}),
 }
 
 
@@ -478,32 +487,28 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
         raise ConfigError(f"unknown command {command!r}")
     if budget < 1:
         raise ConfigError(f"--budget: expected an int >= 1, got {budget}")
-    handler, needed, optional = _COMMANDS[command]
+    handler, sections = _COMMANDS[command]
+    needed = {"system"} | {name for name, keys in sections.items() if keys}
     present = set(cfg.sections())
     missing = needed - present
     if missing:
         raise ConfigError(f"{command}: missing config section(s) {sorted(missing)}")
-    extras = present - needed - optional
+    extras = present - needed - set(sections)
     if extras:
         raise ConfigError(f"{command}: unexpected config section(s) {sorted(extras)}; "
                           f"this command reads {sorted(needed)}")
-    extra, header, rows = handler(cfg, budget)
+    for name in sorted(present - {"system"}):
+        _check_keys(cfg[name], sections[name])
+    loaded = _load_system(cfg["system"], budget)
+    extra, header, rows = handler(cfg, loaded, budget)
     _emit(out_path, _manifest_lines(command, cfg, extra), header, rows)
     return 0
 
 
-def _write_counterexample(ce: CounterexampleSystem, path: str,
-                          source: configparser.SectionProxy) -> None:
+def _write_counterexample(path: str, section: configparser.SectionProxy) -> None:
+    # the text read, not formatted numbers, so a reload rebuilds the same system
     out = configparser.ConfigParser()
-    out["system"] = {
-        "kind": "counterexample",
-        "beta": repr(ce.beta),
-        # the text read, not a formatted float, so a reload rebuilds the
-        # same system
-        "phi": source["phi"],
-    }
-    if source.get("truncation"):
-        out["system"]["truncation"] = source["truncation"]
+    out["system"] = dict(section)
     with open(path, "w") as fh:
         out.write(fh)
 
@@ -531,9 +536,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
-    except (ValueError, RuntimeError, configparser.Error) as exc:
+    except (ValueError, RuntimeError, OSError, configparser.Error) as exc:
         # ConfigError is a ValueError; configparser.Error covers bad
-        # '%' interpolation in a value
+        # '%' interpolation in a value; OSError an output path that cannot
+        # be written
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

@@ -279,42 +279,33 @@ class _Solver:
                 budget=self.trunc.budget)
         return self.tables[self.index]
 
-    def _decide_once(self, s: float) -> tuple[int, tuple[float, float]]:
-        """+1 when s is certified below the exponent, -1 when at/above,
-        0 when the bracket straddles the shift; the bracket rides along."""
-        est = self._table().bracket(s, n_max=self.trunc.n_max, use_tail=self.trunc.use_tail)
-        self.steps += 1
-        self.n_used = max(self.n_used, est.truncation[1])
-        target = self.shift(s)
-        if est.lower > target:
-            return 1, (est.lower, est.upper)
-        if est.upper <= target:
-            return -1, (est.lower, est.upper)
-        return 0, (est.lower, est.upper)
-
     def measure(self, s: float) -> _Probe:
-        """The probe at s, from the first rung that decides it.
+        """The probe at s, from the first rung whose probe decides it.
 
         Lower-side decisions are monotone in the subset and hold at any
         rung.  Without a tail an upper-side decision only certifies that
-        rung's subsystem, so it must come from the final rung.  A bracket
-        that still straddles at the final rung is returned as it is.
+        rung's subsystem, so it must come from the final rung.  A probe that
+        still straddles at the final rung is returned as it is.
         """
-        d, (lower, upper) = self._decide_once(s)
-        while self.index + 1 < len(self.trunc.subsets) and (
-                d == 0 or (d == -1 and not self.trunc.use_tail)):
-            self.index += 1
-            d, (lower, upper) = self._decide_once(s)
-        # Partition sums are rounded to nearest, not outward, and a probe
-        # placed by interpolation can land within rounding of the root: one
-        # ulp at the scale of the compared values keeps it from deciding a
-        # side it does not lie on.  A bracket inverted by rounding (see
-        # PressureEstimate) is widened, so it decides at most one side.
         shift = self.shift(s)
-        upper = max(lower, upper)
-        pad = math.ulp(max([1.0, abs(shift)] + [abs(v) for v in (lower, upper)
-                                                if math.isfinite(v)]))
-        return s, lower - shift - pad, upper - shift + pad
+        while True:
+            est = self._table().bracket(s, n_max=self.trunc.n_max, use_tail=self.trunc.use_tail)
+            self.steps += 1
+            self.n_used = max(self.n_used, est.truncation[1])
+            # Partition sums are rounded to nearest, not outward, and a probe
+            # placed by interpolation can land within rounding of the root:
+            # one ulp at the scale of the compared values keeps it from
+            # deciding a side it does not lie on.  A bracket inverted by
+            # rounding (see PressureEstimate) is widened, so it decides at
+            # most one side.
+            lower, upper = est.lower, max(est.lower, est.upper)
+            pad = math.ulp(max([1.0, abs(shift)] + [abs(v) for v in (lower, upper)
+                                                    if math.isfinite(v)]))
+            probe = s, lower - shift - pad, upper - shift + pad
+            decided = probe[1] > 0.0 or (probe[2] <= 0.0 and self.trunc.use_tail)
+            if decided or self.index + 1 == len(self.trunc.subsets):
+                return probe
+            self.index += 1
 
     def run(self, tol: float) -> DimensionResult:
         if not 0.0 < tol < math.inf:

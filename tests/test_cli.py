@@ -758,6 +758,120 @@ def test_counterexample_file_must_hold_a_counterexample(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+_CE = "kind = counterexample\nbeta = 0.5\nphi = power:1\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("dimension", "[system]\nkind = doubling\nratio = 0.3\n\n[run]\nn_mx = 4\ntoll = 1e-3\n",
+     "[run] unknown key(s) ['n_mx', 'toll']; it reads ['ladder', 'n_max', 'subset', 'tol', "
+     "'use_tail']"),
+    ("dimension", "[system]\nkind = doubling\nratio = 0.3\n\n[run]\nn_max = 4\n",
+     "[system] unknown key(s) ['ratio']; it reads ['kind']"),
+    ("pressure", "[system]\nkind = doubling\n\n[potential]\nexp = const(0)\n\n[run]\n",
+     "[potential] unknown key(s) ['exp']; it reads ['expr']"),
+    ("cover", "[system]\nkind = doubling\n\n[target]\ny = 0.3\nrate = const:1\nr = 0.1\n\n"
+     "[run]\ns = 1\nm = 1\nn_max = 2\n", "[target] unknown key(s) ['r']; it reads ['rate', 'y']"),
+    ("counterexample-build", f"[system]\n{_CE}\n[run]\nsystem_out = {{built}}\ntable_dept = 5\n",
+     "[run] unknown key(s) ['table_dept']; it reads ['system_out', 'table_depth']"),
+    ("counterexample-verify", f"[system]\n{_CE}\n[run]\nn_max = 1\n",
+     "[run] unknown key(s) ['n_max']; it reads []"),
+    ("counterexample-verify", "[system]\nkind = counterexample_file\npath = {ce}\n",
+     "[system] unknown key(s) ['truncaton']; it reads ['beta', 'kind', 'phi', 'truncation']"),
+], ids=["run", "system", "potential", "target", "build-run", "verify-run", "file-system"])
+def test_unknown_key_exits_2_before_any_file_is_written(tmp_path, capsys, command, text,
+                                                         message):
+    # a key no reader reads used to be ignored: the first config printed a
+    # certified dimension at the default tol and n_max
+    ce, built = tmp_path / "ce.ini", tmp_path / "built.ini"
+    ce.write_text(f"[system]\n{_CE}truncaton = 50\n")
+    cfg = write(tmp_path, "k.ini", text.format(ce=ce, built=built))
+    out = tmp_path / "k.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not built.exists()
+
+
+def test_subset_and_ladder_together_exit_2(tmp_path, capsys):
+    # the ladder used to win silently: F={1,2} was reported for subset 1..3
+    cfg = write(tmp_path, "l.ini", "[system]\nkind = gauss\n\n[run]\nsubset = 1..3\n"
+                "ladder = 1,2\nn_max = 4\ntol = 1e-2\n")
+    out = tmp_path / "l.csv"
+    assert main(["dimension", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [run] takes a subset or a ladder, not both\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out, system_out", [("missing/out.csv", "ce.ini"),
+                                             ("out.csv", "missing/ce.ini")],
+                         ids=["out", "system_out"])
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys, out, system_out):
+    cfg = write(tmp_path, "b.ini",
+                f"[system]\n{_CE}\n[run]\nsystem_out = {tmp_path / system_out}\n")
+    assert main(["counterexample-build", "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "missing" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# one valid config per command, [system] aside; together with the system
+# kinds below they lead the readers to every key they read
+_VALID_SECTIONS = {
+    "pressure": ["[potential]\nexpr = psi\n\n[run]\nn_max = 2\n"],
+    "dimension": ["[run]\nn_max = 2\ntol = 1e-3\n", "[run]\nladder = 1; 1,2\nn_max = 2\n"],
+    "spectrum": ["[run]\nalphas = 1\ntol = 1e-3\n"],
+    "cover": ["[target]\ny = 0.3\nrate = const:1\n\n[run]\ns = 1\nm = 1\nn_max = 2\n"],
+    "density": ["[target]\ny = 0.3\n\n[run]\nn = 2\nr = 0.1\n"],
+    "hits": ["[target]\ny = 0.3\nrate = const:1\n\n[run]\ncode = cycle:1,2\nhorizon = 5\n"],
+    "counterexample-build": ["[run]\nsystem_out = {built}\n"],
+    "counterexample-verify": ["", "[run]\n"],
+}
+
+
+def test_the_key_table_is_the_keys_the_readers_read(tmp_path, monkeypatch):
+    cli = shrinktarget.cli
+    read = set()
+    real = cli._key
+
+    def recording(section, key, *args, **kwargs):
+        read.add((section.name, key))
+        return real(section, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_key", recording)
+    ce = tmp_path / "ce.ini"
+    ce.write_text(f"[system]\n{_CE}")
+    paths = {"ce": ce, "built": tmp_path / "built.ini"}
+
+    def keys_read(command, system, sections):
+        read.clear()
+        text = f"[system]\n{system.format(**paths)}\n{sections.format(**paths)}"
+        cfg = write(tmp_path, "c.ini", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 0, text
+        return read
+
+    for system in _SYSTEMS:
+        kind = system["kind"]
+        text = "".join(f"{key} = {value}\n" for key, value in system.items())
+        got = {key for name, key in keys_read("dimension", text, "[run]\nn_max = 1\ntol = 1e-3\n")
+               if name == "system"}
+        inner = cli._SYSTEM_KEYS["counterexample"] if kind == "counterexample_file" else ()
+        assert got == {"kind", *cli._SYSTEM_KEYS[kind], *inner}, kind
+    assert {system["kind"] for system in _SYSTEMS} == set(cli._SYSTEM_KEYS)
+
+    assert set(_VALID_SECTIONS) == set(cli._COMMANDS)
+    for command, configs in _VALID_SECTIONS.items():
+        sections = cli._COMMANDS[command][1]
+        got = {name: set() for name in sections}
+        system = _CE if command.startswith("counterexample") else "kind = doubling\n"
+        for text in configs:
+            for name, key in keys_read(command, system, text):
+                if name != "system":
+                    got[name].add(key)
+        want = {name: set(keys) for name, keys in sections.items()}
+        if command == "density":
+            want["target"].remove("rate")  # accepted, and left unparsed
+        assert got == want, command
+
+
 # ---------------------------------------------------------------- fuzz
 
 # A fuzz document starts from valid sections, then has up to two of its keys
@@ -803,7 +917,7 @@ _HOSTILE = {
     "path": ["{self}", "{missing}"], "phi": ["power:x"], "expr": ["psi)"],
     "y": ["1.5"], "rate": ["const:nan", "potential:sum(psi, const(nan))"],
     "subset": ["3..1", "1, 7", "1, x"], "ladder": ["1..2; 3..1"], "alphas": ["1, inf", ","],
-    "code": ["cycle:2,0", "cycle:"],
+    "code": ["cycle:2,0", "cycle:"], "system_out": ["{missing}/x.ini"],
 }
 
 

@@ -9,6 +9,7 @@ from shrinktarget import (
     BirkhoffTable,
     Constant,
     LogDerivative,
+    PressureEstimate,
     Scale,
     Truncation,
     affine_system,
@@ -20,7 +21,7 @@ from shrinktarget import (
     shrink_exponent_potential,
     spectrum,
 )
-from shrinktarget.dimension import _search
+from shrinktarget.dimension import _Solver, _search
 
 PSI = LogDerivative()
 DOUBLING_TRUNC = Truncation.single({1, 2}, n_max=4)
@@ -252,6 +253,32 @@ def test_search_end_set_by_a_midpoint_guess_is_uncertified(tol):
     assert not certified
     assert lo <= 0.5 <= hi and hi - lo <= tol
     assert not (lo < 0.3 and 0.7 <= hi)
+
+
+class _StubTable:
+    """A ladder rung whose pressure bracket is the same at every s."""
+
+    def __init__(self, lower, upper):
+        self.lower, self.upper = lower, upper
+
+    def bracket(self, s, n_max=None, use_tail=False):
+        return PressureEstimate(self.lower, self.upper, (frozenset(), 1))
+
+
+@pytest.mark.parametrize("use_tail, rung0", [
+    (False, (0.5 * math.ulp(1.0), 1.0)),
+    (True, (-1.0, -0.5 * math.ulp(1.0))),
+], ids=["lower", "upper"])
+def test_probe_within_its_pad_of_the_shift_climbs_the_ladder(use_tail, rung0):
+    # rung 0 clears the shift by less than the one-ulp pad, so its probe
+    # straddles: the next rung is asked, and it decides
+    rung1 = (0.25, 1.0) if rung0[0] > 0.0 else (-1.0, -0.25)
+    solver = _Solver(None, PSI, lambda s: 0.0,
+                     Truncation(({1}, {1, 2}), n_max=1, use_tail=use_tail),
+                     [_StubTable(*rung0), _StubTable(*rung1)])
+    pad = math.ulp(1.0)
+    assert solver.measure(0.5) == (0.5, rung1[0] - pad, rung1[1] + pad)
+    assert (solver.index, solver.steps) == (1, 2)
 
 
 # (repr(value), repr(bracket), certified, steps) of one row per kind of
