@@ -37,10 +37,8 @@ from .dimension import (
 )
 from .targets import (
     CertificateReport,
-    ConstantRate,
     CoverReport,
     HitReport,
-    PotentialRate,
     TargetSpec,
     cover_sum,
     cylinder_density,

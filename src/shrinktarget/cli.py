@@ -35,8 +35,6 @@ from .systems import (
 )
 from .targets import (
     _PRECISION_FLOOR,
-    ConstantRate,
-    PotentialRate,
     TargetSpec,
     cover_sum,
     cylinder_density,
@@ -259,7 +257,10 @@ def _load_system(section: configparser.SectionProxy, budget: int) -> _LoadedSyst
         if inner.get("system", "kind", fallback=None) != "counterexample":
             raise ConfigError(f"serialized system file {path!r} needs a [system] section "
                               "with kind = counterexample")
-        return _load_system(inner["system"], budget)
+        try:
+            return _load_system(inner["system"], budget)
+        except ConfigError as exc:
+            raise ConfigError(f"serialized system file {path!r}: {exc}") from exc
     if kind == "doubling":
         return _LoadedSystem(doubling_map(), frozenset({1, 2}))
     if kind == "affine":
@@ -294,9 +295,12 @@ def _load_target(section: configparser.SectionProxy) -> TargetSpec:
     rate_text = _key(section, "rate", str)
     kind, _, arg = rate_text.partition(":")
     if kind.strip() == "const":
-        return TargetSpec(y=y, rate=ConstantRate(_parse_number(arg, "[target] rate")))
+        alpha = _parse_number(arg, "[target] rate")
+        if alpha <= 0.0:
+            raise ConfigError("rate alpha must be positive and finite")
+        return TargetSpec(y=y, rate=Constant(alpha))
     if kind.strip() == "potential":
-        return TargetSpec(y=y, rate=PotentialRate(parse_potential(arg)))
+        return TargetSpec(y=y, rate=parse_potential(arg))
     raise ConfigError(f"unknown target rate {rate_text!r} (use const:a or potential:expr)")
 
 
@@ -398,8 +402,6 @@ def _cover(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
 def _density(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     # the density of a fixed ball reads no rate: a rate key is left unparsed
     y = _key(cfg["target"], "y", float)
-    if not 0.0 <= y <= 1.0:
-        raise ConfigError(f"target point y must be a number in [0, 1], got {y!r}")
     run_sec = cfg["run"]
     subset = _run_subset(run_sec, loaded, budget)
     n = _key(run_sec, "n", int)
@@ -499,6 +501,10 @@ def run(command: str, cfg: configparser.ConfigParser, out_path: str | None,
                           f"this command reads {sorted(needed)}")
     for name in sorted(present - {"system"}):
         _check_keys(cfg[name], sections[name])
+    if out_path is not None:
+        # a missing directory raises here, before any work; the file itself
+        # is written at the end, so a failed run leaves it as it was
+        Path(out_path).parent.stat()
     loaded = _load_system(cfg["system"], budget)
     extra, header, rows = handler(cfg, loaded, budget)
     _emit(out_path, _manifest_lines(command, cfg, extra), header, rows)

@@ -1,8 +1,8 @@
 """Birkhoff-sum brackets and two-sided truncated pressure estimates.
 
-Potentials are nonnegative expression trees over the log-derivative
-psi = log|T'|, constants, scalings and sums, so each one flattens to
-psi_coef * psi + const with finite coefficients.
+A potential is its two finite coefficients, psi_coef * psi + const over
+the log-derivative psi = log|T'|; the constructors ``LogDerivative``,
+``Constant``, ``Scale`` and ``Sum`` build the nonnegative ones.
 The sign convention is fixed here once: partition sums always receive the
 already-negated exponent, i.e. for a nonnegative potential u the weights are
 exp(-end) with `end` an endpoint of the Birkhoff bracket of S_n(u).  The
@@ -71,67 +71,48 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class Potential:
-    """Base class for nonnegative potentials evaluated as cylinder brackets."""
-
-
-@dataclass(frozen=True)
-class LogDerivative(Potential):
-    """The distinguished geometric potential psi = log|T'|."""
-
-
-@dataclass(frozen=True)
-class Constant(Potential):
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("constant potentials must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Scale(Potential):
-    factor: float
-    inner: Potential
-
-    def __post_init__(self):
-        if self.factor < 0.0:
-            raise ValueError("scale factors must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Sum(Potential):
-    left: Potential
-    right: Potential
-
-
-@dataclass(frozen=True)
-class _Flat:
-    """Flattened potential psi_coef * psi + const in Python floats, whose
-    products overflow to inf without a numpy warning.  A coefficient that
-    is not finite (an overflowed scale or sum, a nan) raises ValueError."""
+    """The potential psi_coef * psi + const, psi = log|T'|, built by the
+    constructors below.  ``nodes`` counts the nodes of the expression built
+    (1 for a pair given directly), a bound on the roundings behind each
+    coefficient (see ``_fold_rounding``).  A coefficient that is negative
+    or not finite (an overflowed scale or sum, a nan) raises ValueError."""
 
     psi_coef: float
     const: float
+    nodes: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.psi_coef) and math.isfinite(self.const)):
             raise ValueError(f"potential flattens to {self.psi_coef!r} * psi + "
                              f"{self.const!r}; both coefficients must be finite")
+        if self.psi_coef < 0.0 or self.const < 0.0:
+            raise ValueError("potential coefficients must be nonnegative")
 
 
-def _flatten(pot: Potential, scale: float = 1.0) -> _Flat:
-    if isinstance(pot, LogDerivative):
-        return _Flat(scale, 0.0)
-    if isinstance(pot, Constant):
-        return _Flat(0.0, scale * float(pot.value))
-    if isinstance(pot, Scale):
-        return _flatten(pot.inner, scale * float(pot.factor))
-    if isinstance(pot, Sum):
-        a = _flatten(pot.left, scale)
-        b = _flatten(pot.right, scale)
-        return _Flat(a.psi_coef + b.psi_coef, a.const + b.const)
-    raise TypeError(f"unknown potential node {pot!r}")
+def LogDerivative() -> Potential:
+    """The distinguished geometric potential psi = log|T'|."""
+    return Potential(1.0, 0.0)
+
+
+def Constant(value: float) -> Potential:
+    if value < 0.0:
+        raise ValueError("constant potentials must be nonnegative")
+    return Potential(0.0, float(value))
+
+
+def Scale(factor: float, inner: Potential) -> Potential:
+    if factor < 0.0:
+        raise ValueError("scale factors must be nonnegative")
+    # a Python float's products overflow to inf without a numpy warning
+    factor = float(factor)
+    return Potential(factor * inner.psi_coef, factor * inner.const, inner.nodes + 1)
+
+
+def Sum(left: Potential, right: Potential) -> Potential:
+    return Potential(left.psi_coef + right.psi_coef, left.const + right.const,
+                     left.nodes + right.nodes + 1)
 
 
 def _birkhoff_fold(sys: BranchFamily, pot: Potential,
@@ -145,37 +126,27 @@ def _birkhoff_fold(sys: BranchFamily, pot: Potential,
     raises ValueError when it is read, unless the potential reads no
     symbols (a constant).
     """
-    flat = _flatten(pot)
     comp = sys.composer()
     for n, s in enumerate(word, 1):
-        lo = hi = n * flat.const
-        if flat.psi_coef != 0.0:
+        lo = hi = n * pot.const
+        if pot.psi_coef != 0.0:
             sys._check_symbol(s)
             comp = comp.child(s)
             plo, phi_ = comp.geometry()[3]
-            lo += flat.psi_coef * plo
-            hi += flat.psi_coef * phi_
+            lo += pot.psi_coef * plo
+            hi += pot.psi_coef * phi_
         yield lo, hi
-
-
-def _nodes(pot: Potential) -> int:
-    """Number of nodes of the potential's expression tree."""
-    if isinstance(pot, Scale):
-        return 1 + _nodes(pot.inner)
-    if isinstance(pot, Sum):
-        return 1 + _nodes(pot.left) + _nodes(pot.right)
-    return 1
 
 
 def _fold_rounding(pot: Potential) -> float:
     """Relative bound on the roundings to nearest that ``_birkhoff_fold``
-    leaves unpadded: ``_flatten``'s products and sums of scales and
+    leaves unpadded: the constructors' products and sums of scales and
     constants (at most one per node of the potential on any term's path),
     then n * const, psi_coef * psi and their sum.  Every term is
     nonnegative, so k such roundings move a bracket end by less than 2 k u
     of itself (u = 2^-53) while k u is small; the bound keeps one spare
     rounding beyond those."""
-    return (_nodes(pot) + 3) * 2.0 ** -52
+    return (pot.nodes + 3) * 2.0 ** -52
 
 
 def _pad_fold(lo, hi, rel: float):
@@ -302,7 +273,7 @@ class BirkhoffTable:
         for s in self.symbols:
             sys._check_symbol(s)
         self.budget = budget
-        self._flat = _flatten(pot)
+        self.pot = pot
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # smallest end per (level, end), the log-sum-exp shift of partition
         self._least: dict[tuple[int, int], float] = {}
@@ -310,14 +281,14 @@ class BirkhoffTable:
         self._brackets: dict[tuple[float, int, bool], PressureEstimate] = {}
         self._column = np.array(self.symbols)[:, None]
         self.additive: np.ndarray | None = None
-        pc = self._flat.psi_coef
+        pc = pot.psi_coef
         if pc == 0.0 or sys.is_affine:
             self.additive = self._ends([sys.psi_bracket(i)[0] if pc else 0.0
                                         for i in self.symbols])
 
     def _ends(self, psi: list[float]) -> np.ndarray:
         """const + psi_coef * psi, elementwise, rounded as floats are."""
-        return self._flat.const + self._flat.psi_coef * np.array(psi)
+        return self.pot.const + self.pot.psi_coef * np.array(psi)
 
     @cached_property
     def _max_level(self) -> int:
@@ -390,9 +361,9 @@ class BirkhoffTable:
             ends, temp, times, key = self.additive, None, n, (1, end)
         else:
             psi = self.level(n)[end]
-            pc, add = self._flat.psi_coef, 0.0
+            pc, add = self.pot.psi_coef, 0.0
             for _ in range(n):
-                add += self._flat.const
+                add += self.pot.const
             ends = psi if pc == 1.0 else np.multiply(psi, pc)
             if add != 0.0:
                 ends = np.add(ends, add, out=None if ends is psi else ends)
@@ -425,8 +396,8 @@ class BirkhoffTable:
         no closed form applies): the skipped symbols, plus the family's
         closed form beyond max F (0 for a finite family)."""
         ends = self._skipped_ends
-        beyond = self.sys.tail_weight_sum(scale * self._flat.psi_coef, self.symbols[-1])
-        return (beyond * math.exp(-scale * self._flat.const)
+        beyond = self.sys.tail_weight_sum(scale * self.pot.psi_coef, self.symbols[-1])
+        return (beyond * math.exp(-scale * self.pot.const)
                 + sum(math.exp(-scale * e) for e in ends))
 
     def bracket(self, scale: float, n_max: int | None = None,

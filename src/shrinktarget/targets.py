@@ -1,5 +1,6 @@
-"""Shrinking-target machinery: cover sums, upper-dimension certificates,
-cylinder density, and exact symbolic hitting-time simulation.
+"""Shrinking-target machinery for a target point and a rate potential:
+cover sums, upper-dimension certificates, cylinder density, and exact
+symbolic hitting-time simulation.
 
 Conventions are conservative on both sides: the defining inequality of a
 target hit is strict, containment in a density collection requires the
@@ -18,13 +19,11 @@ import numpy as np
 
 from .pressure import (
     BirkhoffTable,
-    Constant,
     LogDerivative,
     Potential,
     Sum,
     _BLOCK,
     _birkhoff_fold,
-    _flatten,
     _fold_rounding,
     _pad_fold,
     birkhoff_bracket,  # not called here; bench/tracing.py spans targets.birkhoff_bracket
@@ -38,8 +37,6 @@ from .systems import (
 )
 
 __all__ = [
-    "ConstantRate",
-    "PotentialRate",
     "TargetSpec",
     "CoverReport",
     "CertificateReport",
@@ -51,35 +48,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstantRate:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("rate alpha must be positive and finite")
-
-
-@dataclass(frozen=True)
-class PotentialRate:
-    phi: Potential
+def _check_y(y: float) -> None:
+    if not 0.0 <= y <= 1.0:
+        raise ValueError(f"target point y must be a number in [0, 1], got {y!r}")
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A target point y and the shrinking rate of the balls around it."""
+    """A target point y in [0, 1] and the rate potential phi: at epoch n the
+    ball around y has radius exp(-S_n phi), exp(-n alpha) for Constant(alpha)."""
 
     y: float
-    rate: ConstantRate | PotentialRate
+    rate: Potential
 
     def __post_init__(self):
-        if not 0.0 <= self.y <= 1.0:
-            raise ValueError(f"target point y must be a number in [0, 1], got {self.y!r}")
-
-    def rate_potential(self) -> Potential:
-        if isinstance(self.rate, ConstantRate):
-            return Constant(self.rate.alpha)
-        return self.rate.phi
+        _check_y(self.y)
 
 
 @dataclass(frozen=True)
@@ -147,8 +130,7 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
         raise ValueError("exponent s must be positive and finite")
     if m < 1 or n_max < m:
         raise ValueError("levels must satisfy 1 <= m <= n_max")
-    rate = target.rate_potential()
-    table = BirkhoffTable(sys, Sum(LogDerivative(), rate), subset, budget=budget)
+    table = BirkhoffTable(sys, Sum(LogDerivative(), target.rate), subset, budget=budget)
     symbols = table.symbols
     for n in range(m, n_max + 1):
         count = len(symbols) ** n
@@ -156,8 +138,7 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
             raise BudgetExceededError("cover", count, budget)
     dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
                for iv in map(sys.branch_interval, symbols))
-    const = _flatten(rate).const
-    kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * const)]
+    kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * target.rate.const)]
     if kept and table.additive is None:
         table.level(kept[-1])  # one sweep builds every level below it too
     per_level: list[tuple[int, float]] = []
@@ -238,8 +219,7 @@ def cylinder_density(sys: BranchFamily, y: float, n: int, r: float, subset,
     """
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive and finite")
-    if not math.isfinite(y):
-        raise ValueError("target point y must be finite")
+    _check_y(y)
     if n < 1:
         raise ValueError("depth must be at least 1")
     symbols = sorted(set(subset))
@@ -349,10 +329,9 @@ def hit_times(sys: BranchFamily, code: Iterable[int], target: TargetSpec,
     # epochs with code left after them
     coded = max(0, min(horizon, len(buffer) - 1))
     y = target.y
-    pot = target.rate_potential()
-    folds = chain.from_iterable(_birkhoff_fold(sys, pot, buffer[:coded]))
+    folds = chain.from_iterable(_birkhoff_fold(sys, target.rate, buffer[:coded]))
     b_lo, b_hi = np.fromiter(folds, float, 2 * coded).reshape(coded, 2).T
-    thr_lo, thr_hi = _threshold_bracket(b_lo, b_hi, _fold_rounding(pot))
+    thr_lo, thr_hi = _threshold_bracket(b_lo, b_hi, _fold_rounding(target.rate))
     widths = np.maximum(np.minimum(_PRECISION_CAP, 0.01 * _exp_neg(b_hi)), _PRECISION_FLOOR)
     xi_depths = np.minimum(sys.depths_for(widths), len(buffer) - np.arange(1, coded + 1))
     hits: list[int] = []

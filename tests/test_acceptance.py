@@ -11,7 +11,6 @@ import time
 from shrinktarget import (
     BirkhoffTable,
     Constant,
-    ConstantRate,
     LogDerivative,
     Scale,
     ShrinkFn,
@@ -166,7 +165,7 @@ def test_criterion_6_positivity():
 
 def test_criterion_7_cover_sum_criticality():
     sys = doubling_map()
-    target = TargetSpec(y=0.0, rate=ConstantRate(LOG2))
+    target = TargetSpec(y=0.0, rate=Constant(LOG2))
 
     def accepted(s):
         return upper_dimension_certificate(sys, target, s, m=3, n_max=10,
@@ -209,12 +208,12 @@ def test_criterion_8_cylinder_density_floor():
 def test_criterion_9_hit_time_exactness():
     sys = doubling_map()
     horizon = 50
-    rep1 = hit_times(sys, itertools.repeat(1), TargetSpec(0.0, ConstantRate(1.0)), horizon)
+    rep1 = hit_times(sys, itertools.repeat(1), TargetSpec(0.0, Constant(1.0)), horizon)
     ok1 = rep1.hits == tuple(range(1, horizon + 1)) and not rep1.undecided
-    rep2 = hit_times(sys, itertools.repeat(2), TargetSpec(0.0, ConstantRate(1.0)), horizon)
+    rep2 = hit_times(sys, itertools.repeat(2), TargetSpec(0.0, Constant(1.0)), horizon)
     ok2 = rep2.misses == tuple(range(1, horizon + 1)) and not rep2.undecided
     rep3 = hit_times(sys, itertools.cycle([1, 2]),
-                     TargetSpec(1.0 / 3.0, ConstantRate(0.1)), horizon)
+                     TargetSpec(1.0 / 3.0, Constant(0.1)), horizon)
     # exact ternary oracle: even epochs return to 1/3 (distance 0); odd epochs
     # sit at 2/3, and 1/3 < e^{-0.1 n} holds exactly for n <= 10
     expect_hits = tuple(sorted([n for n in range(1, horizon + 1) if n % 2 == 0]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as hyst
 
 import shrinktarget
+from shrinktarget import cli
 from shrinktarget.cli import ConfigError, main, parse_potential, parse_subset
 from shrinktarget import Constant, LogDerivative, Scale, ShrinkFn, Sum, build_counterexample
 
@@ -234,7 +235,7 @@ def test_hits_manifest_counts_window_symbols(tmp_path):
     lines = [k for k, line in enumerate(manifest) if line.startswith("# window")]
     assert len(lines) == 2
     report = shrinktarget.hit_times(shrinktarget.doubling_map(), itertools.cycle([1, 2]),
-                                    shrinktarget.TargetSpec(0.3, shrinktarget.ConstantRate(1.0)),
+                                    shrinktarget.TargetSpec(0.3, shrinktarget.Constant(1.0)),
                                     2000)
     assert manifest[lines[0]] == f"# window_symbols = {report.window_symbols}"
     assert manifest[lines[0] + 1] == f"# windows_composed = {report.windows_composed}"
@@ -776,7 +777,8 @@ _CE = "kind = counterexample\nbeta = 0.5\nphi = power:1\n"
     ("counterexample-verify", f"[system]\n{_CE}\n[run]\nn_max = 1\n",
      "[run] unknown key(s) ['n_max']; it reads []"),
     ("counterexample-verify", "[system]\nkind = counterexample_file\npath = {ce}\n",
-     "[system] unknown key(s) ['truncaton']; it reads ['beta', 'kind', 'phi', 'truncation']"),
+     "serialized system file '{ce}': [system] unknown key(s) ['truncaton']; it reads "
+     "['beta', 'kind', 'phi', 'truncation']"),
 ], ids=["run", "system", "potential", "target", "build-run", "verify-run", "file-system"])
 def test_unknown_key_exits_2_before_any_file_is_written(tmp_path, capsys, command, text,
                                                          message):
@@ -787,8 +789,49 @@ def test_unknown_key_exits_2_before_any_file_is_written(tmp_path, capsys, comman
     cfg = write(tmp_path, "k.ini", text.format(ce=ce, built=built))
     out = tmp_path / "k.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(ce=ce)}\n"
     assert not out.exists() and not built.exists()
+
+
+@pytest.mark.parametrize("inner, message", [
+    ("beta = 0.5\nphi = power:1\ntruncaton = 50\n",
+     "[system] unknown key(s) ['truncaton']; it reads ['beta', 'kind', 'phi', 'truncation']"),
+    ("phi = power:1\n", "[system] needs 'beta'"),
+    ("beta = 0.5\nphi = power:1\ntruncation = x\n",
+     "[system] truncation: expected int, got 'x'"),
+    ("beta = 0.5\nphi = cubic:1\n",
+     "unknown shrink function spec 'cubic:1' (use power:p or exp:c)"),
+], ids=["unknown-key", "missing-key", "malformed-key", "malformed-phi"])
+def test_counterexample_file_errors_name_the_file(tmp_path, capsys, inner, message):
+    # these read '[system] ...' alone, as if the config itself were wrong
+    ce = tmp_path / "ce.ini"
+    ce.write_text(f"[system]\nkind = counterexample\n{inner}")
+    cfg = write(tmp_path, "v.ini", f"[system]\nkind = counterexample_file\npath = {ce}\n")
+    assert main(["counterexample-verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: serialized system file {str(ce)!r}: {message}\n"
+
+
+def test_out_in_a_missing_directory_exits_2_before_the_system_is_loaded(tmp_path, capsys,
+                                                                         monkeypatch):
+    # it used to be reported by the final write, after the whole run
+    def fail(*args):
+        raise AssertionError("the run went ahead")
+
+    monkeypatch.setattr(cli, "_load_system", fail)
+    monkeypatch.setitem(cli._COMMANDS, "dimension", (fail, cli._COMMANDS["dimension"][1]))
+    cfg = write(tmp_path, "d.ini", "[system]\nkind = doubling\n\n[run]\nn_max = 4\n")
+    out = tmp_path / "missing" / "d.csv"
+    assert main(["dimension", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(out.parent)!r}\n")
+
+
+def test_a_failed_run_leaves_an_existing_out_as_it_was(tmp_path):
+    cfg = write(tmp_path, "d.ini", "[system]\nkind = doubling\n\n[run]\nn_max = 4\ntol = -1\n")
+    out = tmp_path / "d.csv"
+    out.write_text("kept\n")
+    assert main(["dimension", "--config", cfg, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
 
 
 def test_subset_and_ladder_together_exit_2(tmp_path, capsys):

@@ -10,10 +10,10 @@ from shrinktarget import (
     BirkhoffTable,
     BudgetExceededError,
     Constant,
-    ConstantRate,
     GaussFamily,
     Interval,
     LogDerivative,
+    Potential,
     Scale,
     Sum,
     TargetSpec,
@@ -29,7 +29,6 @@ from shrinktarget import (
 from shrinktarget import pressure
 from shrinktarget.cli import main
 from shrinktarget.dimension import Truncation, _Solver
-from shrinktarget.pressure import _flatten
 from shrinktarget.systems import BranchFamily
 
 PSI = LogDerivative()
@@ -118,7 +117,7 @@ def test_birkhoff_constant_adds():
 
 
 def test_birkhoff_bracket_contains_a_sum_the_fold_rounds_below():
-    # _flatten's products round this constant down, and the fold's
+    # the constructors' products round this constant down, and the fold's
     # unpadded upper end sits 1.4e-16 relative below the exact S_n
     a, b, c = 0.21875, 2.2403076384850413, 2.640625
     pot = Scale(a, Scale(b, Constant(c)))
@@ -143,12 +142,11 @@ def _word_order_bracket(sys, pot, word):
     """The bracket birkhoff_bracket computed before the running fold: n times
     the constant, then the psi bracket of the whole word's cylinder, all
     rounded to nearest."""
-    flat = _flatten(pot)
-    lo = hi = len(word) * flat.const
-    if flat.psi_coef != 0.0:
+    lo = hi = len(word) * pot.const
+    if pot.psi_coef != 0.0:
         plo, phi_ = cylinder(sys, word).psi_bracket
-        lo += flat.psi_coef * plo
-        hi += flat.psi_coef * phi_
+        lo += pot.psi_coef * plo
+        hi += pot.psi_coef * phi_
     return lo, hi
 
 
@@ -202,21 +200,35 @@ def test_nonnegativity_validation():
         Constant(-1.0)
     with pytest.raises(ValueError):
         Scale(-0.5, PSI)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Potential(-1.0, 0.0)
 
 
-@pytest.mark.parametrize("pot", [
-    Scale(1e308, Scale(1e308, PSI)),
-    Sum(Scale(1e308, Constant(1e308)), PSI),
-    Constant(math.nan),
-    Scale(math.inf, Constant(0.0)),
-], ids=["psi-overflow", "const-overflow", "nan", "inf-times-zero"])
-def test_non_finite_coefficients_rejected_where_flattened(pot):
+@pytest.mark.parametrize("make", [
+    lambda: Scale(1e308, Scale(1e308, PSI)),
+    lambda: Sum(Scale(1e308, Constant(1e308)), PSI),
+    lambda: Constant(math.nan),
+    lambda: Scale(math.inf, Constant(0.0)),
+    lambda: Potential(math.inf, 0.0),
+], ids=["psi-overflow", "const-overflow", "nan", "inf-times-zero", "direct"])
+def test_non_finite_coefficients_rejected_where_flattened(make):
+    # when the potential is made, before any table or fold reads it
     with pytest.raises(ValueError, match="must be finite"):
-        BirkhoffTable(gauss_system(), pot, {1, 2, 3})
-    with pytest.raises(ValueError, match="must be finite"):
-        birkhoff_bracket(doubling_map(), pot, (1, 2))
-    with pytest.raises(ValueError, match="must be finite"):
-        pressure_bracket(doubling_map(), pot, {1, 2}, n_max=2)
+        make()
+
+
+@pytest.mark.parametrize("pot, want", [
+    (PSI, Potential(1.0, 0.0, 1)),
+    (Constant(0.375), Potential(0.0, 0.375, 1)),
+    (Scale(2.0, Sum(PSI, Constant(0.25))), Potential(2.0, 0.5, 4)),
+    (Sum(Scale(0.5, PSI), Scale(3.0, Sum(Constant(1.0), Scale(2.0, PSI)))),
+     Potential(6.5, 3.0, 8)),
+    (Scale(0.5, Scale(4.0, Sum(Constant(1.5), Constant(0.5)))), Potential(0.0, 4.0, 5)),
+], ids=["psi", "const", "scaled-sum", "nested", "scale-chain"])
+def test_constructors_give_the_coefficients_and_node_count(pot, want):
+    # every product and sum above is exact in binary
+    assert pot == want
+    assert type(pot.psi_coef) is float and type(pot.const) is float
 
 
 def test_pad_fold_caps_the_step_of_infinite_ends_only():
@@ -677,7 +689,7 @@ def test_cover_computes_each_child_once():
     # y = 0.3 lies in the branch image of 3, so no level is pruned, and the
     # cover asks for level 6 before reading levels 1..5
     sys = _per_element_gauss()
-    report = cover_sum(sys, TargetSpec(0.3, ConstantRate(1.0)), 0.7, 1, 6, {1, 2, 3})
+    report = cover_sum(sys, TargetSpec(0.3, Constant(1.0)), 0.7, 1, 6, {1, 2, 3})
     assert all(value > 0.0 for _, value in report.per_level)
     assert sys.calls == sum(3 ** j for j in range(1, 7)) == 1092
     assert repr(report.total) == "1.6342728832753737"
@@ -798,14 +810,14 @@ def test_level_bits_frozen(name):
             assert got.tobytes() == want.tobytes()
 
 
-def _level_ends(flat, psi, n):
+def _level_ends(pot, psi, n):
     """psi_coef * psi plus the n-fold sum of const, added one symbol at a
     time from 0.0, as level ends were built before partition applied the
     potential."""
     add = 0.0
     for _ in range(n):
-        add += flat.const
-    return flat.psi_coef * psi + add
+        add += pot.const
+    return pot.psi_coef * psi + add
 
 
 # partition skips a factor 1 and a term 0, which changes at most the sign of
@@ -816,12 +828,11 @@ def _level_ends(flat, psi, n):
                          ids=[*_ADDITIVE_POTENTIALS, "mixed", "scaled-psi", "psi",
                               "underflowing-psi"])
 def test_partition_applies_the_potential_to_psi_levels(pot):
-    flat = _flatten(pot)
     table = BirkhoffTable(gauss_system(), pot, {1, 2, 3})
     psi_only = BirkhoffTable(gauss_system(), PSI, {1, 2, 3})
     for n in range(1, 6):
         for end, mode in enumerate(("sup", "inf")):
-            ends = _level_ends(flat, psi_only.level(n)[end], n)
+            ends = _level_ends(pot, psi_only.level(n)[end], n)
             for scale in (0.0, 0.37, 1.0, 2.5):
                 arr = ends * -scale
                 want = pressure._logsumexp(arr, float(np.max(arr)))

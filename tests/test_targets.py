@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as hyst
 from shrinktarget import (
     BudgetExceededError,
     Constant,
-    ConstantRate,
     Interval,
     LogDerivative,
-    PotentialRate,
     Scale,
     Sum,
     TargetSpec,
@@ -28,25 +26,43 @@ from shrinktarget import (
     upper_dimension_certificate,
 )
 from shrinktarget import pressure, targets
-from shrinktarget.pressure import _flatten
+from shrinktarget.cli import main
 from shrinktarget.systems import forward_composer
 
 LOG2 = math.log(2.0)
-ORIGIN_TARGET = TargetSpec(y=0.0, rate=ConstantRate(LOG2))
+ORIGIN_TARGET = TargetSpec(y=0.0, rate=Constant(LOG2))
 
 
 # ---------------------------------------------------------------- inputs
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
-def test_constant_rate_needs_positive_finite_alpha(alpha):
-    with pytest.raises(ValueError):
-        ConstantRate(alpha)
+def test_constant_rate_needs_positive_finite_alpha(tmp_path, capsys, alpha):
+    # a constant rate is the potential Constant(alpha), which takes alpha = 0;
+    # the CLI's const:alpha refuses it with one line
+    cfg = tmp_path / "h.ini"
+    cfg.write_text(f"[system]\nkind = doubling\n\n[target]\ny = 0.3\nrate = const:{alpha!r}\n"
+                   "\n[run]\ncode = cycle:1,2\nhorizon = 5\n")
+    out = tmp_path / "h.csv"
+    assert main(["hits", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    message = ("rate alpha must be positive and finite" if math.isfinite(alpha)
+               else f"[target] rate: expected a finite number, got '{alpha!r}'")
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("y", [math.nan, -0.1, 1.5, math.inf])
 def test_target_point_must_lie_in_unit_interval(y):
     with pytest.raises(ValueError):
-        TargetSpec(y, ConstantRate(1.0))
+        TargetSpec(y, Constant(1.0))
+
+
+@pytest.mark.parametrize("y", [math.nan, -0.1, 1.5, math.inf])
+def test_density_target_point_must_lie_in_unit_interval(y):
+    # a ball around 1.5 meets [0, 1]: this read 0.0589 when only a finite y
+    # was checked
+    with pytest.raises(ValueError, match=r"must be a number in \[0, 1\]"):
+        cylinder_density(gauss_system(), y, 2, 0.6, range(1, 17))
 
 
 # ---------------------------------------------------------------- cover sums
@@ -76,7 +92,7 @@ def test_cover_empty_when_subset_misses_target():
     # branches live in [0, 0.3] and [0.4, 0.7]; the ball around y = 0.95 of
     # radius e^{-n log 4} < 0.05 never reaches them
     sys = affine_system([0.25, 0.25], placements=[0.0, 0.4])
-    target = TargetSpec(y=0.95, rate=ConstantRate(math.log(4.0)))
+    target = TargetSpec(y=0.95, rate=Constant(math.log(4.0)))
     rep = cover_sum(sys, target, s=0.7, m=2, n_max=8, subset={1, 2})
     assert rep.total == 0.0
     assert all(v == 0.0 for _, v in rep.per_level)
@@ -92,7 +108,7 @@ def test_cover_monotone_in_exponent():
 
 def test_cover_pruning_sound_under_enlargement():
     sys = affine_system([0.3, 0.3, 0.3])
-    target = TargetSpec(y=0.1, rate=ConstantRate(1.0))
+    target = TargetSpec(y=0.1, rate=Constant(1.0))
     small = cover_sum(sys, target, 0.8, 2, 6, {1, 2})
     large = cover_sum(sys, target, 0.8, 2, 6, {1, 2, 3})
     for (_, a), (_, b) in zip(small.per_level, large.per_level):
@@ -101,8 +117,8 @@ def test_cover_pruning_sound_under_enlargement():
 
 def test_cover_potential_rate_matches_constant():
     sys = doubling_map()
-    a = cover_sum(sys, TargetSpec(0.0, ConstantRate(0.4)), 0.9, 2, 7, {1, 2})
-    b = cover_sum(sys, TargetSpec(0.0, PotentialRate(Constant(0.4))), 0.9, 2, 7, {1, 2})
+    a = cover_sum(sys, TargetSpec(0.0, Constant(0.4)), 0.9, 2, 7, {1, 2})
+    b = cover_sum(sys, TargetSpec(0.0, Constant(0.4)), 0.9, 2, 7, {1, 2})
     assert a.per_level == b.per_level
 
 
@@ -111,9 +127,9 @@ def _cover_level_oracle(sys, target, s, n, subset):
     the partial rate shrinks the target ball away from every branch image,
     no extension of the word can contribute."""
     symbols = sorted(set(subset))
-    phi = target.rate_potential()
-    phi_const = _flatten(phi).const
-    pc = _flatten(Sum(LogDerivative(), phi)).psi_coef
+    phi = target.rate
+    phi_const = phi.const
+    pc = Sum(LogDerivative(), phi).psi_coef
     dist = math.inf
     for i in symbols:
         iv = sys.branch_interval(i)
@@ -148,14 +164,14 @@ _PSI_CONST_RATE = Sum(Scale(0.5, LogDerivative()), Constant(0.6))
 
 
 @pytest.mark.parametrize("sys, target, s, subset, n_max", [
-    (gauss_system(), TargetSpec(0.3, ConstantRate(1.0)), 0.7, range(1, 17), 4),
+    (gauss_system(), TargetSpec(0.3, Constant(1.0)), 0.7, range(1, 17), 4),
     # branch images of {1,2,3} cover [1/4, 1]: the ball around 0.05 of radius
     # e^{-0.8 n} reaches them only while n <= 2, so levels 3..6 are 0
-    (gauss_system(), TargetSpec(0.05, ConstantRate(0.8)), 0.9, {1, 2, 3}, 6),
-    (gauss_system(), TargetSpec(0.4, PotentialRate(Sum(Scale(0.5, LogDerivative()),
-                                                       Constant(0.3)))), 0.6, range(1, 7), 4),
-    (gauss_system(), TargetSpec(0.05, PotentialRate(_PSI_CONST_RATE)), 0.8, range(1, 5), 6),
-    (affine_system([0.3] * 3), TargetSpec(0.95, PotentialRate(_PSI_CONST_RATE)), 0.8,
+    (gauss_system(), TargetSpec(0.05, Constant(0.8)), 0.9, {1, 2, 3}, 6),
+    (gauss_system(), TargetSpec(0.4, Sum(Scale(0.5, LogDerivative()),
+                                                       Constant(0.3))), 0.6, range(1, 7), 4),
+    (gauss_system(), TargetSpec(0.05, _PSI_CONST_RATE), 0.8, range(1, 5), 6),
+    (affine_system([0.3] * 3), TargetSpec(0.95, _PSI_CONST_RATE), 0.8,
      {1, 2, 3}, 6),
 ], ids=["gauss-16", "gauss-pruned", "scaled-psi-rate", "gauss-per-symbol", "affine-per-symbol"])
 def test_cover_levels_match_scalar_oracle(sys, target, s, subset, n_max):
@@ -169,8 +185,8 @@ def test_cover_rate_keeps_its_psi_part_on_affine_systems():
     # on the doubling map psi is log 2 everywhere, so the potential rate psi
     # and the constant rate log 2 bound the same cover sets
     sys = doubling_map()
-    a = cover_sum(sys, TargetSpec(0.0, PotentialRate(LogDerivative())), 0.9, 2, 6, {1, 2})
-    b = cover_sum(sys, TargetSpec(0.0, ConstantRate(LOG2)), 0.9, 2, 6, {1, 2})
+    a = cover_sum(sys, TargetSpec(0.0, LogDerivative()), 0.9, 2, 6, {1, 2})
+    b = cover_sum(sys, TargetSpec(0.0, Constant(LOG2)), 0.9, 2, 6, {1, 2})
     for (_, va), (_, vb) in zip(a.per_level, b.per_level):
         assert va == pytest.approx(vb, rel=1e-12)
 
@@ -185,7 +201,7 @@ def test_cover_budget_error_reports_completed_level():
     # the error names no completed level
     sys = gauss_system()
     with pytest.raises(BudgetExceededError) as err:
-        cover_sum(sys, TargetSpec(0.4, ConstantRate(1.0)), 0.8, 2, 12,
+        cover_sum(sys, TargetSpec(0.4, Constant(1.0)), 0.8, 2, 12,
                   subset=range(1, 9), budget=5000)
     assert err.value.completed_level is None
     assert str(err.value) == "budget 'cover' exceeded: 3.277e+04 needed, budget 5000"
@@ -217,7 +233,7 @@ def test_certificate_rejects_below_critical():
 def test_certificate_accepts_at_one_for_positive_rates(alpha):
     # oracle: at s = 1 the ratio is e^{-alpha} < 1 for the doubling map
     sys = doubling_map()
-    cert = upper_dimension_certificate(sys, TargetSpec(0.0, ConstantRate(alpha)),
+    cert = upper_dimension_certificate(sys, TargetSpec(0.0, Constant(alpha)),
                                        s=1.0, m=2, n_max=8, subset={1, 2})
     assert cert.accepted
     assert cert.decay_ratio == pytest.approx(math.exp(-alpha), rel=1e-9)
@@ -439,7 +455,7 @@ def test_density_validates_input():
     (lambda: cylinder_density(doubling_map(), 0.3, 2, math.inf, {1, 2}), "radius"),
     (lambda: cylinder_density(doubling_map(), math.nan, 2, 0.1, {1, 2}), "target point"),
     (lambda: cylinder_density(doubling_map(), -math.inf, 2, 0.1, {1, 2}), "target point"),
-    (lambda: cover_sum(gauss_system(), TargetSpec(0.3, ConstantRate(1.0)), math.nan, 1, 3,
+    (lambda: cover_sum(gauss_system(), TargetSpec(0.3, Constant(1.0)), math.nan, 1, 3,
                        {1, 2}), "exponent s"),
     (lambda: cover_sum(doubling_map(), ORIGIN_TARGET, math.inf, 1, 3, {1, 2}), "exponent s"),
 ], ids=["density-empty-subset", "density-r-nan", "density-r-inf", "density-y-nan",
@@ -463,7 +479,7 @@ def test_distance_bracket_contains_the_exact_distances(y, a, b):
 
 def test_hits_fixed_point_on_target():
     sys = doubling_map()
-    rep = hit_times(sys, itertools.repeat(1), TargetSpec(0.0, ConstantRate(1.0)), 50)
+    rep = hit_times(sys, itertools.repeat(1), TargetSpec(0.0, Constant(1.0)), 50)
     assert rep.hits == tuple(range(1, 51))
     assert rep.misses == ()
     assert rep.undecided == ()
@@ -471,7 +487,7 @@ def test_hits_fixed_point_on_target():
 
 def test_hits_fixed_point_off_target():
     sys = doubling_map()
-    rep = hit_times(sys, itertools.repeat(2), TargetSpec(0.0, ConstantRate(1.0)), 50)
+    rep = hit_times(sys, itertools.repeat(2), TargetSpec(0.0, Constant(1.0)), 50)
     assert rep.misses == tuple(range(1, 51))
     assert rep.hits == ()
     assert rep.undecided == ()
@@ -482,7 +498,7 @@ def test_hits_binary_odometer_exact_schedule():
     # odd shifts sit at 2/3 with distance exactly 1/3, which beats the
     # threshold e^{-0.1 n} only once n >= 11 (exact ternary oracle)
     sys = doubling_map()
-    rep = hit_times(sys, itertools.cycle([1, 2]), TargetSpec(1.0 / 3.0, ConstantRate(0.1)), 50)
+    rep = hit_times(sys, itertools.cycle([1, 2]), TargetSpec(1.0 / 3.0, Constant(0.1)), 50)
     expect_hits = tuple(sorted([n for n in range(1, 51) if n % 2 == 0]
                                + [n for n in range(1, 51, 2) if 1.0 / 3.0 < math.exp(-0.1 * n)]))
     assert rep.hits == expect_hits
@@ -492,22 +508,22 @@ def test_hits_binary_odometer_exact_schedule():
 
 def test_hits_trichotomy_partition():
     sys = doubling_map()
-    rep = hit_times(sys, itertools.cycle([1, 2, 2]), TargetSpec(0.2, ConstantRate(0.3)), 40)
+    rep = hit_times(sys, itertools.cycle([1, 2, 2]), TargetSpec(0.2, Constant(0.3)), 40)
     combined = sorted(rep.hits + rep.misses + rep.undecided)
     assert combined == list(range(1, 41))
 
 
 def test_hits_constant_rate_equals_constant_potential():
     sys = doubling_map()
-    a = hit_times(sys, itertools.cycle([1, 2]), TargetSpec(0.25, ConstantRate(0.7)), 40)
+    a = hit_times(sys, itertools.cycle([1, 2]), TargetSpec(0.25, Constant(0.7)), 40)
     b = hit_times(sys, itertools.cycle([1, 2]),
-                  TargetSpec(0.25, PotentialRate(Constant(0.7))), 40)
+                  TargetSpec(0.25, Constant(0.7)), 40)
     assert a == b
 
 
 def test_hits_exhausted_code_yields_undecided():
     sys = doubling_map()
-    rep = hit_times(sys, iter([1, 1, 1]), TargetSpec(0.0, ConstantRate(1.0)), 6)
+    rep = hit_times(sys, iter([1, 1, 1]), TargetSpec(0.0, Constant(1.0)), 6)
     assert rep.undecided != ()
     assert set(rep.undecided) >= {4, 5, 6}
 
@@ -530,7 +546,7 @@ def test_hits_below_float_spacing_agree_with_exact_orbit():
     # epochs, which is above e^-n from epoch 40 on: the composed windows
     # collapse onto y there, and only the outward pad keeps them undecided
     y = 1.0 / 3.0
-    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, ConstantRate(1.0)), 50)
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, Constant(1.0)), 50)
     oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), y, 1.0, 50)
     assert all(oracle[n] == "hit" for n in rep.hits)
     assert all(oracle[n] == "miss" for n in rep.misses)
@@ -545,7 +561,7 @@ def test_hits_probe_windows_below_float_spacing_stay_padded():
     # from reading as hits
     y = math.nextafter(1.0 / 3.0, 1.0)
     assert cylinder(doubling_map(), (1, 2) * 32).interval == Interval(y, y)
-    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, ConstantRate(1.0)), 150)
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, Constant(1.0)), 150)
     oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), y, 1.0, 150)
     assert all(oracle[n] == "hit" for n in rep.hits)
     assert all(oracle[n] == "miss" for n in rep.misses)
@@ -559,7 +575,7 @@ def test_hits_window_stuck_one_ulp_wide_is_undecided():
     sys = affine_system([0.3, 0.25, 0.2, 0.15])
     image = sys.branch_interval(2)
     lo, hi = Fraction(image.lo), Fraction(image.hi)
-    rep = hit_times(sys, itertools.repeat(2), TargetSpec(0.4, ConstantRate(1.0)), 50)
+    rep = hit_times(sys, itertools.repeat(2), TargetSpec(0.4, Constant(1.0)), 50)
     oracle = exact_schedule(lambda n: lo / (1 - (hi - lo)), 0.4, 1.0, 50)
     assert all(oracle[n] == "hit" for n in rep.hits)
     assert all(oracle[n] == "miss" for n in rep.misses)
@@ -593,7 +609,7 @@ def test_hits_probe_windows_stop_at_the_xi_window(monkeypatch, code_len, windows
     image = sys.branch_interval(2)
     lo, hi = Fraction(image.lo), Fraction(image.hi)
     code = itertools.repeat(2) if code_len is None else [2] * code_len
-    rep = hit_times(sys, code, TargetSpec(0.4, ConstantRate(1.0)), 50)
+    rep = hit_times(sys, code, TargetSpec(0.4, Constant(1.0)), 50)
     assert len(epochs) == windows
     read = 50 + sys.depth_for(targets._PRECISION_FLOOR) if code_len is None else code_len
     for n, words in enumerate(epochs, 1):
@@ -621,7 +637,7 @@ def _probe_hit_times(sys, code, target, horizon):
     Returns (hits, misses, undecided, window_symbols, cylinder calls)."""
     buffer = list(itertools.islice(code, horizon + sys.depth_for(targets._PRECISION_FLOOR)))
     coded = max(0, min(horizon, len(buffer) - 1))
-    pot = target.rate_potential()
+    pot = target.rate
     folds = list(targets._birkhoff_fold(sys, pot, buffer[:coded]))
     thresholds = targets._threshold_bracket(*np.array(folds).T, pressure._fold_rounding(pot))
     out = {"hit": [], "miss": [], "undecided": []}
@@ -651,7 +667,7 @@ def test_hits_compose_each_window_of_a_periodic_code_once():
     # shift, so at most 36 distinct windows, where composing every probe
     # takes thousands of cylinder calls; the schedule is the same
     sys = gauss_system()
-    target = TargetSpec(0.4, ConstantRate(0.02))
+    target = TargetSpec(0.4, Constant(0.02))
     rep = hit_times(sys, itertools.cycle([2, 3, 2]), target, 1000)
     hits, misses, undecided, symbols, calls = _probe_hit_times(
         sys, itertools.cycle([2, 3, 2]), target, 1000)
@@ -668,7 +684,7 @@ def _reference_hit_times(sys, code, target, horizon):
     (status, distance end, threshold end) with the ends a decision compared
     (None for undecided epochs)."""
     buffer = list(itertools.islice(code, horizon + sys.depth_for(targets._PRECISION_FLOOR)))
-    phi = target.rate_potential()
+    phi = target.rate
     y = target.y
     out = {}
     for n in range(1, horizon + 1):
@@ -727,12 +743,12 @@ def test_hits_match_reference_loop(case, rate_kind, data):
     c = data.draw(hyst.floats(min_value=1.0, max_value=2.0) if past_cap
                   else hyst.floats(min_value=0.02, max_value=1.0), label="rate scale")
     if rate_kind == "const":
-        rate = ConstantRate(c)
+        rate = Constant(c)
     elif rate_kind == "psi":
-        rate = PotentialRate(Scale(c, LogDerivative()))
+        rate = Scale(c, LogDerivative())
     else:  # "table": a constant plus a scaled psi
         psi_coef = data.draw(hyst.floats(0.0, 1.0), label="psi coefficient")
-        rate = PotentialRate(Sum(Constant(c), Scale(psi_coef, LogDerivative())))
+        rate = Sum(Constant(c), Scale(psi_coef, LogDerivative()))
     # y near an orbit point pi(code[m:]) gives hits as well as misses
     m = data.draw(hyst.integers(0, min(len(code), 41) - 1), label="anchor")
     x = cylinder(sys, code[m:m + 60]).interval.lo
@@ -742,7 +758,7 @@ def test_hits_match_reference_loop(case, rate_kind, data):
                         label="horizon")
     target = TargetSpec(y, rate)
     if past_cap:
-        folds = list(targets._birkhoff_fold(sys, target.rate_potential(), code[:30]))
+        folds = list(targets._birkhoff_fold(sys, target.rate, code[:30]))
         assert 0.01 * math.exp(-folds[0][1]) > targets._PRECISION_CAP
         assert 0.01 * math.exp(-folds[-1][1]) < targets._PRECISION_CAP
     ref = _reference_hit_times(sys, code, target, horizon)
@@ -759,29 +775,48 @@ def test_hits_match_reference_loop(case, rate_kind, data):
             assert math.isclose(d, thr, rel_tol=1e-12, abs_tol=1e-320), n
 
 
-def _exact_birkhoff(pot, n, psi):
-    """S_n(pot) in exact arithmetic on the float inputs, with psi the psi
-    value of the prefix cylinder."""
-    if isinstance(pot, LogDerivative):
+# Potential expressions local to these tests: ("psi",), ("const", c),
+# ("scale", f, expr) or ("sum", expr, expr).  The library potential and the
+# exact oracle are each read from the tuple on their own.
+
+def _potential(expr):
+    """The potential the library's constructors build from the expression."""
+    kind, *args = expr
+    if kind == "psi":
+        return LogDerivative()
+    if kind == "const":
+        return Constant(*args)
+    if kind == "scale":
+        return Scale(args[0], _potential(args[1]))
+    return Sum(*map(_potential, args))
+
+
+def _exact_birkhoff(expr, n, psi):
+    """S_n of the expression in exact arithmetic on its float inputs, with
+    psi the psi value of the prefix cylinder."""
+    kind, *args = expr
+    if kind == "psi":
         return psi
-    if isinstance(pot, Constant):
-        return n * Fraction(pot.value)
-    if isinstance(pot, Scale):
-        return Fraction(pot.factor) * _exact_birkhoff(pot.inner, n, psi)
-    return _exact_birkhoff(pot.left, n, psi) + _exact_birkhoff(pot.right, n, psi)
+    if kind == "const":
+        return n * Fraction(args[0])
+    if kind == "scale":
+        return Fraction(args[0]) * _exact_birkhoff(args[1], n, psi)
+    return _exact_birkhoff(args[0], n, psi) + _exact_birkhoff(args[1], n, psi)
 
 
 _RATES = hyst.recursive(
-    hyst.one_of(hyst.builds(Constant, hyst.floats(0.0, 3.0)), hyst.just(LogDerivative())),
-    lambda inner: hyst.one_of(hyst.builds(Scale, hyst.floats(0.0, 3.0), inner),
-                              hyst.builds(Sum, inner, inner)),
+    hyst.one_of(hyst.tuples(hyst.just("const"), hyst.floats(0.0, 3.0)), hyst.just(("psi",))),
+    lambda inner: hyst.one_of(hyst.tuples(hyst.just("scale"), hyst.floats(0.0, 3.0), inner),
+                              hyst.tuples(hyst.just("sum"), inner, inner)),
     max_leaves=5)
 
 
-def _check_thresholds(sys, pot, word):
+def _check_thresholds(sys, expr, word):
     """The padded thresholds contain exp(-S_n) over each prefix cylinder,
-    computed exactly from the float constants and the composer's psi ends."""
+    computed exactly from the expression's float constants and the
+    composer's psi ends."""
     mp = pytest.importorskip("mpmath")
+    pot = _potential(expr)
     folds = np.array(list(targets._birkhoff_fold(sys, pot, word)))
     thresholds = targets._threshold_bracket(*folds.T, pressure._fold_rounding(pot))
     comp = sys.composer()
@@ -789,30 +824,24 @@ def _check_thresholds(sys, pot, word):
         for n, (s, thr_lo, thr_hi) in enumerate(zip(word, *thresholds), 1):
             comp = comp.child(s)
             p_lo, p_hi = map(Fraction, comp.geometry()[3])
-            s_lo, s_hi = _exact_birkhoff(pot, n, p_lo), _exact_birkhoff(pot, n, p_hi)
+            s_lo, s_hi = _exact_birkhoff(expr, n, p_lo), _exact_birkhoff(expr, n, p_hi)
             assert thr_lo <= mp.exp(-mp.mpf(s_hi.numerator) / s_hi.denominator), n
             assert mp.exp(-mp.mpf(s_lo.numerator) / s_lo.denominator) <= thr_hi, n
 
 
-@pytest.mark.parametrize("case, pot, word", [
-    ("doubling", Scale(0.21875, Scale(2.2403076384850413, Constant(2.640625))), [1] * 6),
-    ("gauss", Sum(Constant(1.6384341714152444), Sum(Constant(1.0), Constant(1.9100751146951158))),
-     [1] * 3),
-    ("gauss", Scale(2.207893929197543, Sum(Scale(2.0, LogDerivative()),
-                                           Sum(Constant(1.0), LogDerivative()))), [2, 5, 5]),
+@pytest.mark.parametrize("case, expr, word", [
+    ("doubling", ("scale", 0.21875, ("scale", 2.2403076384850413, ("const", 2.640625))),
+     [1] * 6),
+    ("gauss", ("sum", ("const", 1.6384341714152444),
+               ("sum", ("const", 1.0), ("const", 1.9100751146951158))), [1] * 3),
+    ("gauss", ("scale", 2.207893929197543, ("sum", ("scale", 2.0, ("psi",)),
+                                            ("sum", ("const", 1.0), ("psi",)))), [2, 5, 5]),
 ], ids=["nested-scale", "constant-sum", "psi-sum"])
-def test_hit_thresholds_pad_the_fold_roundings(case, pot, word):
+def test_hit_thresholds_pad_the_fold_roundings(case, expr, word):
     # stepping the fold's ends one ulp before exp leaves these outside: the
-    # roundings of _flatten and of n * const, psi_coef * psi and their sum
-    # add up to more than one ulp of the bracket end
-    _check_thresholds(_HIT_CASES[case][0], pot, word)
-
-
-_RATES = hyst.recursive(
-    hyst.one_of(hyst.builds(Constant, hyst.floats(0.0, 3.0)), hyst.just(LogDerivative())),
-    lambda inner: hyst.one_of(hyst.builds(Scale, hyst.floats(0.0, 3.0), inner),
-                              hyst.builds(Sum, inner, inner)),
-    max_leaves=5)
+    # constructors' roundings and those of n * const, psi_coef * psi and
+    # their sum add up to more than one ulp of the bracket end
+    _check_thresholds(_HIT_CASES[case][0], expr, word)
 
 
 @pytest.mark.parametrize("case", ["doubling", "gauss"])
@@ -820,9 +849,9 @@ _RATES = hyst.recursive(
 @given(hyst.data())
 def test_hit_thresholds_contain_the_exact_birkhoff_sums(case, data):
     sys, k = _HIT_CASES[case]
-    pot = data.draw(_RATES, label="rate")
+    expr = data.draw(_RATES, label="rate")
     word = data.draw(hyst.lists(hyst.integers(1, k), min_size=1, max_size=60), label="word")
-    _check_thresholds(sys, pot, word)
+    _check_thresholds(sys, expr, word)
 
 
 @pytest.mark.filterwarnings("error")
@@ -833,9 +862,9 @@ def test_hits_with_an_overflowing_fold_miss_every_epoch(alpha):
     # epoch 2's fold the largest double, whose relative step overflows.
     # Either padded end stays inf, not nan, so every threshold is below
     # any distance, and no numpy warning is raised, also for a numpy
-    # scalar rate, whose flattened const is a Python float
+    # scalar rate, whose const Constant makes a Python float
     rep = hit_times(doubling_map(), itertools.cycle([1, 2]),
-                    TargetSpec(0.3, ConstantRate(alpha)), 5)
+                    TargetSpec(0.3, Constant(alpha)), 5)
     assert (rep.hits, rep.misses, rep.undecided) == ((), (1, 2, 3, 4, 5), ())
 
 
@@ -843,7 +872,7 @@ def test_hits_gauss_psi_rate_is_linear_in_the_horizon():
     # rebuilding the prefix bracket every epoch made this run quadratic
     # (0.6 s); the running bracket takes about 0.03 s
     sys, word, y, horizon = gauss_system(), (1, 3, 2), 0.4, 1000
-    rate = PotentialRate(Scale(0.02, LogDerivative()))
+    rate = Scale(0.02, LogDerivative())
     start = time.perf_counter()
     rep = hit_times(sys, itertools.cycle(word), TargetSpec(y, rate), horizon)
     assert time.perf_counter() - start < 0.2
@@ -872,7 +901,7 @@ def test_hits_doubling_past_the_precision_floor_in_a_second():
     # past epoch 640 every xi-depth window is the 934-symbol one (16 s for
     # this run); a depth-4 probe decides each such epoch
     start = time.perf_counter()
-    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(0.3, ConstantRate(1.0)),
+    rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(0.3, Constant(1.0)),
                     10000)
     assert time.perf_counter() - start < 1.0
     oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), 0.3, 1.0, 10000)
