@@ -34,7 +34,6 @@ from .systems import (
     geometric_system,
 )
 from .targets import (
-    _PRECISION_FLOOR,
     TargetSpec,
     cover_sum,
     cylinder_density,
@@ -415,15 +414,7 @@ def _hits(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int):
     run_sec = cfg["run"]
     code = _parse_code(_key(run_sec, "code", str))
     horizon = _key(run_sec, "horizon", int, 50)
-    if horizon > budget:
-        # every epoch writes a row
-        raise BudgetExceededError("horizon", horizon, budget)
-    # and its xi-depth window is at most depth_for(_PRECISION_FLOOR) symbols
-    # deep; its probe windows read at most twice that
-    symbols = horizon * loaded.system.depth_for(_PRECISION_FLOOR)
-    if symbols > budget:
-        raise BudgetExceededError("horizon", symbols, budget)
-    report = hit_times(loaded.system, code, target, horizon)
+    report = hit_times(loaded.system, code, target, horizon, budget=budget)
     # the three epoch tuples partition 1..horizon
     rows = [[n, None] for n in range(1, horizon + 1)]
     for status, epochs in (("hit", report.hits), ("miss", report.misses),

@@ -2,18 +2,21 @@
 
 All exponents here are infima of nonpositivity sets, not roots: the solved
 quantity is inf{s : P(-s*u) <= shift(s)} for a nonnegative potential u and a
-linear shift.  A pressure bracket at s decides that s lies below the
-exponent (lower end above the shift) or at or above it (upper end at or
-below the shift); otherwise it straddles the shift, and the truncation is
-refined along the ladder.  Each probe's bracket updates the running state
-of three ends: a = sup{s : lower > 0}, b = inf{s : upper <= 0}, and the
-root of the bracket midpoint.  An end keeps its nearest probe on each side
-and its three values nearest zero, and places its next probe by
-interpolation on them.  Certification is per end: a result is certified
-when its lower end is decided below and its upper end above by brackets,
-within tol/2.  When probes prove that no bracket that narrow can be decided
-at both ends, the search closes on the midpoint end instead, within tol,
-and returns ``certified=False``.
+linear shift.  Each is the dimension of a subset of the limit set in [0, 1],
+so the search stays in (0, 1]: P(-psi) <= 0 for every family here (disjoint
+depth-n cylinders in [0, 1], bounded distortion), and u >= psi and a
+nonnegative shift only lower the exponent.  A pressure bracket at s decides
+that s lies below the exponent (lower end above the shift) or at or above
+it (upper end at or below the shift); otherwise it straddles the shift, and
+the truncation is refined along the ladder.  Each probe's bracket updates
+the running state of three ends: a = sup{s : lower > 0}, b = inf{s : upper
+<= 0}, and the root of the bracket midpoint.  An end keeps its nearest
+probe on each side and its three values nearest zero, and places its next
+probe by interpolation on them.  Certification is per end: a result is
+certified when a bracket decides its lower end below, and a bracket or the
+bound at s = 1 its upper end above, within tol/2.  When probes prove that
+no bracket that narrow can be decided at both ends, the search closes on
+the midpoint end instead, within tol, and returns ``certified=False``.
 """
 
 from __future__ import annotations
@@ -35,18 +38,18 @@ __all__ = [
 ]
 
 _S_FLOOR = 1e-6   # lower end of the search; shrink exponents are positive
-_S_CAP = 128.0
 
 
 @dataclass(frozen=True)
 class DimensionResult:
     """Bracketed dimension-like exponent.
 
-    ``certified`` is True when pressure brackets (not midpoint guesses)
-    decide both ends of ``bracket``: the lower end lies below the exponent
-    and the upper end at or above it.  A certified bracket is at most tol/2
-    wide (plus a few ulps), an uncertified one at most tol.  ``steps``
-    counts the pressure brackets evaluated.
+    ``certified`` is True when pressure brackets (not midpoint guesses),
+    or the bound at s = 1 for the upper end, decide both ends of
+    ``bracket``: the lower end lies below the exponent and the upper end at
+    or above it.  A certified bracket is at most tol/2 wide (plus a few
+    ulps), an uncertified one at most tol.  ``steps`` counts the pressure
+    brackets evaluated.
     """
 
     value: float
@@ -159,10 +162,12 @@ class _End:
 def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, float, bool]:
     """Close the exponent inf{s : P <= shift} into [lo, hi] no wider than tol.
 
-    The floor probe at _S_FLOOR must have a positive midpoint, and the
-    upper end is found by doubling from 1 up to _S_CAP.  Every probe then
-    updates the three ends of the module docstring; the next one is placed
-    by interpolation, aimed at a from below or at b from above.  Once both
+    The floor probe at _S_FLOOR must have a positive midpoint.  The next
+    is at s = 1, and by the module docstring's bound an end it leaves
+    undecided takes it, both bracket ends clipped to at most 0, as its
+    point above, though not as an interpolation value.  Every probe updates
+    the three ends; the next one is placed by interpolation, aimed at a
+    from below or at b from above.  Once both
     estimates have settled, a pair of probes a - m and b + m closes the
     bracket to width tol/2, the width a certified bracket is held to.  A
     probe that fails to halve the interval of its end is followed by a
@@ -177,10 +182,9 @@ def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, floa
 
     Returns lo, hi and whether the probe at lo has lower > 0, the one at
     hi has upper <= 0 and hi - lo is at most the held width.  Raises
-    RuntimeError when the midpoint is not positive at the floor or stays
-    positive up to the cap, and ValueError once the interval cannot be
-    split, which a tolerance below the float spacing there would
-    otherwise turn into an endless loop.
+    RuntimeError when the midpoint is not positive at the floor, and
+    ValueError once the interval cannot be split, which a tolerance below
+    the float spacing there would otherwise turn into an endless loop.
     """
     ends = lower, upper, mid = _End(lambda p: p[1]), _End(lambda p: p[2]), _End(_mid)
 
@@ -196,30 +200,26 @@ def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, floa
             f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
             "example, has a one-point limit set)")
     a, b = (lower, upper) if lower.below is not None else (mid, mid)
-    s = 0.5
-    while mid.above is None:
-        s *= 2.0
-        if s > _S_CAP:
-            raise RuntimeError("no upper search endpoint found below the cap")
-        probe(s)
+    probe(1.0)
+    for end in ends:
+        if end.above is None:
+            # the probe at 1 fell on this end's positive side, so it is the
+            # end's below point; the bound makes s = 1 its above point too
+            _, low, up = end.below
+            end.above = (1.0, min(low, 0.0), min(up, 0.0))
     # the width certified brackets are held to; the few ulps that rounding
     # alone leaves around a root (each decision is padded by an ulp) are
     # not charged to it, so a tol near float resolution still certifies
-    half = min(tol, 0.5 * tol + 4.0 * math.ulp(s))
+    half = min(tol, 0.5 * tol + 4.0 * math.ulp(1.0))
     paired = False
     while True:
         lo, up = a.below, b.above
-        if up is not None and up[0] - lo[0] <= (half if a is lower else tol):
+        if up[0] - lo[0] <= (half if a is lower else tol):
             return lo[0], up[0], lo[1] > 0.0 and up[2] <= 0.0 and up[0] - lo[0] <= half
         # a lies in (lo, a_hi] and b in (b_lo, up]
         a_hi, b_lo = a.above[0], b.below[0]
-        if a is lower and (b_lo - a_hi >= half or (up is None and b_lo > _S_CAP)):
+        if a is lower and b_lo - a_hi >= half:
             a = b = mid
-            continue
-        if up is None:
-            # no certified upper end yet: this probe is one, or a straddle
-            # that proves the zone too wide
-            probe(max(b_lo + min(2.0 * tol, _S_CAP), math.nextafter(b_lo, math.inf)))
             continue
         lo_s, up_s = lo[0], up[0]
         if not lo_s < 0.5 * (lo_s + up_s) < up_s:

@@ -139,15 +139,13 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
     dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
                for iv in map(sys.branch_interval, symbols))
     kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * target.rate.const)]
-    if kept and table.additive is None:
-        table.level(kept[-1])  # one sweep builds every level below it too
-    per_level: list[tuple[int, float]] = []
-    total = 0.0
-    for n in range(m, n_max + 1):
-        level = math.exp(table.partition(s, n, "sup")) if n in kept else 0.0
-        per_level.append((n, level))
+    # deepest first: the first partition's sweep builds every level below it
+    sums = {n: math.exp(table.partition(s, n, "sup")) for n in reversed(kept)}
+    per_level = tuple((n, sums.get(n, 0.0)) for n in range(m, n_max + 1))
+    total = 0.0  # left to right: builtin sum compensates from Python 3.12
+    for _, level in per_level:
         total += level
-    return CoverReport(per_level=tuple(per_level), total=total)
+    return CoverReport(per_level=per_level, total=total)
 
 
 # trailing cover levels whose decay the certificate checks
@@ -289,7 +287,7 @@ def _window_distance(sys: BranchFamily, y: float, word: tuple[int, ...],
 
 
 def hit_times(sys: BranchFamily, code: Iterable[int], target: TargetSpec,
-              horizon: int) -> HitReport:
+              horizon: int, budget: int = DEFAULT_WORD_BUDGET) -> HitReport:
     """Exact symbolic hit/miss/undecided schedule of the coded orbit.
 
     The threshold exp(-S_n(phi)) at epoch n comes from the Birkhoff bracket
@@ -320,12 +318,19 @@ def hit_times(sys: BranchFamily, code: Iterable[int], target: TargetSpec,
     An epoch is a hit when the distance interval lies entirely below the
     threshold interval, a miss when entirely above, and undecided otherwise
     (ties, and epochs with no code left after n, included).  The code is
-    read once, up to horizon + ``sys.depth_for(_PRECISION_FLOOR)`` symbols.
+    read once, up to horizon + ``sys.depth_for(_PRECISION_FLOOR)`` symbols,
+    after the horizon and horizon times that depth are checked against the
+    budget.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     # no window is deeper than the one at the precision floor
-    buffer = tuple(islice(code, horizon + sys.depth_for(_PRECISION_FLOOR)))
+    depth = sys.depth_for(_PRECISION_FLOOR)
+    if horizon > budget:
+        raise BudgetExceededError("horizon", horizon, budget)
+    if horizon * depth > budget:
+        raise BudgetExceededError("horizon", horizon * depth, budget)
+    buffer = tuple(islice(code, horizon + depth))
     # epochs with code left after them
     coded = max(0, min(horizon, len(buffer) - 1))
     y = target.y

@@ -95,10 +95,14 @@ def test_exponent_at_the_bisection_floor_names_the_floor():
         bowen_dimension(doubling_map(), Truncation.single({1}, n_max=3))
 
 
-def test_upper_end_doubles_up_to_the_cap(monkeypatch):
-    # at depth 1 the upper bracket end over Gauss 1..64 is log sum_i i^{-2s}
-    # > 0, so the search closes on the root of the bracket midpoint, the
-    # root of sum_i (i+1)^{-2s} * sum_i i^{-2s} = 1, which lies above 1
+@pytest.mark.parametrize("trunc, tol", [
+    (Truncation.single(range(1, 65), n_max=1), 1e-9),
+    (Truncation.single(range(1, 33), n_max=2, use_tail=True), 1e-3),
+], ids=["1..64", "1..32-tail"])
+def test_gauss_search_stays_at_or_below_one(monkeypatch, trunc, tol):
+    # the shallow upper bracket ends over these subsets stay above 0 up to
+    # s = 1 (at depth 1, log sum_i i^{-2s} > 0), and the midpoint root lies
+    # above 1; the Gauss map's dimension is 1, so the search ends at 1
     probed = []
     real = BirkhoffTable.bracket
 
@@ -107,21 +111,21 @@ def test_upper_end_doubles_up_to_the_cap(monkeypatch):
         return real(self, s, *args, **kwargs)
 
     monkeypatch.setattr(BirkhoffTable, "bracket", bracket)
-    res = bowen_dimension(gauss_system(), Truncation.single(range(1, 65), n_max=1), tol=1e-9)
-    with mpmath.workdps(40):
-        root = mpmath.findroot(
-            lambda s: (sum(mpmath.mpf(i + 1) ** (-2 * s) for i in range(1, 65))
-                       * sum(mpmath.mpf(i) ** (-2 * s) for i in range(1, 65)) - 1),
-            (mpmath.mpf(1), mpmath.mpf(2)), solver="anderson")
-    assert probed[:3] == [1e-6, 1.0, 2.0]
+    res = bowen_dimension(gauss_system(), trunc, tol=tol)
+    assert probed[:2] == [1e-6, 1.0]
+    assert max(probed) == 1.0
     assert not res.certified
-    assert res.value == pytest.approx(float(root), abs=1e-9)
-    assert res.value > 1.0
-    # a midpoint that never falls to 0 has no upper end below the cap
-    measure, probes = _stub_zone(math.inf, math.inf)
-    with pytest.raises(RuntimeError, match="below the cap"):
-        _search(measure, 1e-9)
-    assert [p[0] for p in probes] == [1e-6] + [2.0 ** k for k in range(8)]
+    assert res.value <= res.bracket[1] <= 1.0
+
+
+def test_upper_end_at_one_certifies_without_a_bracket():
+    # the stub's upper bracket end is positive up to s = 2, so only the
+    # bound at s = 1 decides the upper end
+    measure, probes = _stub_zone(0.9, 2.0)
+    lo, hi, certified = _search(measure, 0.5)
+    assert certified
+    assert lo < 0.9 and hi == 1.0 and hi - lo <= 0.25
+    assert max(p[0] for p in probes) == 1.0
 
 
 # ---------------------------------------------------------------- bowen
@@ -505,6 +509,18 @@ def test_shrink_exponent_positive(ratios, c):
     res = shrink_exponent_potential(sys, Constant(c), trunc, tol=1e-6)
     assert res.bracket[0] > 0.0
     assert res.value > 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(RATIO_LISTS, hyst.floats(min_value=0.05, max_value=8.0),
+       hyst.floats(min_value=1e-12, max_value=1.0))
+def test_exponents_lie_inside_the_unit_interval(ratios, alpha, tol):
+    sys = affine_system(ratios)
+    trunc = Truncation.single(range(1, len(ratios) + 1), n_max=1)
+    for res in (bowen_dimension(sys, trunc, tol=tol),
+                shrink_exponent_alpha(sys, alpha, trunc, tol=tol)):
+        lo, hi = res.bracket
+        assert 1e-6 <= lo <= res.value <= hi <= 1.0
 
 
 @settings(max_examples=50, deadline=None)

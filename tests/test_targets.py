@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -526,6 +527,19 @@ def test_hits_exhausted_code_yields_undecided():
     rep = hit_times(sys, iter([1, 1, 1]), TargetSpec(0.0, Constant(1.0)), 6)
     assert rep.undecided != ()
     assert set(rep.undecided) >= {4, 5, 6}
+
+
+@pytest.mark.parametrize("horizon, needed", [(101, "101"), (20, "1.868e+04")])
+def test_hits_budget_is_checked_before_the_code_is_read(horizon, needed):
+    # the horizon, then its windows at the precision floor (934 symbols
+    # each on doubling), are charged to the budget
+    def code():
+        raise AssertionError("code read")
+        yield 1
+
+    with pytest.raises(BudgetExceededError,
+                       match=re.escape(f"budget 'horizon' exceeded: {needed} needed")):
+        hit_times(doubling_map(), code(), TargetSpec(0.3, Constant(1.0)), horizon, budget=100)
 
 
 def exact_schedule(points, y, alpha, horizon):
