@@ -18,8 +18,11 @@ read from ``affine_terms``): its level-n partition sum is n times level 1,
 so a pressure bracket takes one log-sum-exp per mode, whatever its depth,
 and it builds no level.  The other tables build levels of psi geometry
 alone: level n holds the bracket of S_n psi over every cylinder of F^n,
-the same arrays for every potential, and ``partition`` applies the
-potential, psi_coef times those sums plus the level's sum of const.  A
+the same arrays for every potential.  Every table applies the potential
+by one rule: S_n(u) = psi_coef * S_n psi + n * const, so a word's weight
+at scale s is exp(-(s * psi_coef) * S_n psi) times exp(-s * n * const),
+a factor all words share, which ``partition`` takes out of the
+log-sum-exp and the tail takes out of its sum.  A
 word of length n+1 is a word w of length n with one more outer branch s
 prepended, whose cylinder is phi_s(phi_w([0,1])).  The family's
 ``map_intervals`` and ``deriv_brackets`` take the column of symbols and a
@@ -254,14 +257,15 @@ class BirkhoffTable:
     The table stores, for each level n, arrays (psi_lo, psi_hi) of the
     bracket of S_n psi over every word; levels are built in one sweep from
     the root (see the module docstring) and cached, and they do not depend
-    on the potential.  Partition sums for the scaled potential s*u are then
-    single vectorized log-sum-exp passes over psi_coef * psi + const, which
-    is what the dimension search iterates.  Each estimate ``bracket``
-    returns is kept too, so a probe repeated at the same scale, depth and
-    tail rule (every row of a spectrum probes the search floor and s = 1, on
-    tables it shares) is computed once.  ``additive`` holds the level-1 ends
-    (lower and upper alike), const + psi_coef * psi per symbol, when the
-    bracket is additive (no psi part, or an affine family), else None.
+    on the potential.  A partition sum for the scaled potential s*u is then
+    one vectorized log-sum-exp pass over a psi array scaled by s * psi_coef,
+    less s * n * const (see ``partition``), which is what the dimension
+    search iterates.  Each estimate ``bracket`` returns is kept too, so a
+    probe repeated at the same scale, depth and tail rule (every row of a
+    spectrum probes the search floor and s = 1, on tables it shares) is
+    computed once.  ``additive`` holds the level-1 psi lower end per symbol
+    (exact for an affine family; a potential with no psi part reads it at
+    factor 0) when the bracket is additive, else None.
     """
 
     def __init__(self, sys: BranchFamily, pot: Potential, subset,
@@ -275,20 +279,14 @@ class BirkhoffTable:
         self.budget = budget
         self.pot = pot
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # smallest end per (level, end), the log-sum-exp shift of partition
+        # smallest psi per (level, end), the log-sum-exp shift of partition
         self._least: dict[tuple[int, int], float] = {}
         # every bracket returned, by (scale, resolved n_max, use_tail)
         self._brackets: dict[tuple[float, int, bool], PressureEstimate] = {}
         self._column = np.array(self.symbols)[:, None]
         self.additive: np.ndarray | None = None
-        pc = pot.psi_coef
-        if pc == 0.0 or sys.is_affine:
-            self.additive = self._ends([sys.psi_bracket(i)[0] if pc else 0.0
-                                        for i in self.symbols])
-
-    def _ends(self, psi: list[float]) -> np.ndarray:
-        """const + psi_coef * psi, elementwise, rounded as floats are."""
-        return self.pot.const + self.pot.psi_coef * np.array(psi)
+        if pot.psi_coef == 0.0 or sys.is_affine:
+            self.additive = np.array([sys.psi_bracket(i)[0] for i in self.symbols])
 
     @cached_property
     def _max_level(self) -> int:
@@ -343,62 +341,46 @@ class BirkhoffTable:
 
     def partition(self, scale: float, n: int, mode: str) -> float:
         """log sum over F^n of exp(-scale * end) with end the bracket
-        endpoint selected by mode ('sup' -> lower endpoint, dominating).
-
-        A level's ends are psi_coef times its psi sums plus the level's sum
-        of const, added one symbol at a time from 0.0; they are formed in
-        this call's one temporary, which is then scaled in place.  A factor
-        1 or a term 0 is not applied: skipping it changes at most the sign
-        of a zero end, and a zero of either sign gives the same shifted
-        exponential and the same result.  The
-        log-sum-exp shift max(-scale * end) is -scale * min(end) for
-        scale > 0, since rounding is monotone; min(end) is cached per level
-        and end."""
+        endpoint of S_n(u) selected by mode ('sup' -> lower endpoint,
+        dominating), by the module's one rule: a log-sum-exp over the psi
+        array alone (level n, or an additive table's level 1 taken n times),
+        less scale * n * const.  Its shift is -(scale * psi_coef) * min(psi),
+        since rounding is monotone; min(psi) is cached per level and end.
+        A negative or nan scale raises ValueError."""
         if mode not in ("sup", "inf"):
             raise ValueError("mode must be 'sup' or 'inf'")
+        if not scale >= 0.0:
+            raise ValueError(f"scale must be nonnegative, got {scale!r}")
         end = 0 if mode == "sup" else 1
         if self.additive is not None:
-            ends, temp, times, key = self.additive, None, n, (1, end)
+            psi, times, depth = self.additive, n, 1
         else:
-            psi = self.level(n)[end]
-            pc, add = self.pot.psi_coef, 0.0
-            for _ in range(n):
-                add += self.pot.const
-            ends = psi if pc == 1.0 else np.multiply(psi, pc)
-            if add != 0.0:
-                ends = np.add(ends, add, out=None if ends is psi else ends)
-            temp = None if ends is psi else ends
-            times, key = 1, (n, end)
-        if scale > 0.0:
-            least = self._least.get(key)
-            if least is None:
-                least = self._least[key] = float(np.min(ends))
-            m = -scale * least
-        arr = np.multiply(ends, -scale, out=temp)
-        if scale <= 0.0:
-            m = float(np.max(arr))
-        return times * _logsumexp(arr, m)
+            psi, times, depth = self.level(n)[end], 1, n
+        least = self._least.get((depth, end))
+        if least is None:
+            least = self._least[depth, end] = float(np.min(psi))
+        f = -(scale * self.pot.psi_coef)
+        return times * (_logsumexp(psi * f, f * least) - scale * (depth * self.pot.const))
 
     @cached_property
-    def _skipped_ends(self) -> list[float]:
-        """Lower bracket ends of the potential on the family's symbols
-        outside F (for a countable family, those below max F), each with
-        the family's depth-1 psi bracket."""
+    def _skipped_psi(self) -> list[float]:
+        """The family's depth-1 psi lower ends on its symbols outside F (for
+        a countable family, those below max F)."""
         chosen = set(self.symbols)
         kmax = self.symbols[-1]
         symbols = self.sys.symbols() if self.sys.finite else itertools.takewhile(
             lambda i: i <= kmax, self.sys.symbols())
-        return self._ends([self.sys.psi_bracket(i)[0]
-                           for i in symbols if i not in chosen]).tolist()
+        return [self.sys.psi_bracket(i)[0] for i in symbols if i not in chosen]
 
     def _tail(self, scale: float) -> float:
         """Bound for the depth-1 dominating weight sum beyond F (+inf when
         no closed form applies): the skipped symbols, plus the family's
-        closed form beyond max F (0 for a finite family)."""
-        ends = self._skipped_ends
-        beyond = self.sys.tail_weight_sum(scale * self.pot.psi_coef, self.symbols[-1])
-        return (beyond * math.exp(-scale * self.pot.const)
-                + sum(math.exp(-scale * e) for e in ends))
+        closed form beyond max F (0 for a finite family), by the same rule
+        as ``partition``."""
+        sa = scale * self.pot.psi_coef
+        beyond = self.sys.tail_weight_sum(sa, self.symbols[-1])
+        return math.exp(-scale * self.pot.const) * (
+            beyond + sum(math.exp(-sa * p) for p in self._skipped_psi))
 
     def bracket(self, scale: float, n_max: int | None = None,
                 use_tail: bool = False) -> PressureEstimate:

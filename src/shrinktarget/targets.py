@@ -320,7 +320,8 @@ def hit_times(sys: BranchFamily, code: Iterable[int], target: TargetSpec,
     (ties, and epochs with no code left after n, included).  The code is
     read once, up to horizon + ``sys.depth_for(_PRECISION_FLOOR)`` symbols,
     after the horizon and horizon times that depth are checked against the
-    budget.
+    budget, and a symbol it reads outside the alphabet raises ValueError
+    before any epoch.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -331,6 +332,9 @@ def hit_times(sys: BranchFamily, code: Iterable[int], target: TargetSpec,
     if horizon * depth > budget:
         raise BudgetExceededError("horizon", horizon * depth, budget)
     buffer = tuple(islice(code, horizon + depth))
+    # a symbol that no window or fold reads still names no orbit
+    for symbol in sorted(set(buffer)):
+        sys._check_symbol(symbol)
     # epochs with code left after them
     coded = max(0, min(horizon, len(buffer) - 1))
     y = target.y

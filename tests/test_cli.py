@@ -718,6 +718,17 @@ def test_hit_code_outside_the_alphabet_exits_2(tmp_path):
     assert proc.stderr.strip() == "error: symbol 3 not in the system alphabet"
 
 
+def test_hit_code_symbol_that_nothing_reads_still_exits_2(tmp_path):
+    # the 3 opens the code, so it lies in no window, and a constant rate
+    # folds no symbol: the code still names no orbit
+    code = "cycle:3," + ",".join(["1,2"] * 40)
+    cfg = write(tmp_path, "h.ini", "[system]\nkind = doubling\n\n[target]\ny = 0.3\n"
+                f"rate = const:1\n\n[run]\ncode = {code}\nhorizon = 3\n")
+    proc = run_cli(["hits", "--config", cfg])
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == "error: symbol 3 not in the system alphabet"
+
+
 @pytest.mark.parametrize("system, message", [
     ("ratios = 0.5, 0.6\n", "error: branch 2 image [0.5, 1.1] leaves [0, 1]"),
     ("ratios = 0.5, 0.3\nplacements = 0, 0.9\n", "error: branch 2 image [0.9, 1.2] leaves [0, 1]"),

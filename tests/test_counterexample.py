@@ -87,6 +87,21 @@ def test_origin_outside_branches(ce_half):
     assert image(40).hi < ce_half.phi(40) < 1e-1
 
 
+@pytest.mark.parametrize("beyond", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("exponent", [0.3, 0.5, 1.0])
+def test_tail_weight_sum_bounds_the_width_powers(ce_half, beyond, exponent):
+    # beyond 0 and 1 count the wide branches 1 and 2; the gap branches'
+    # widths fall below e^-n, so their powers vanish long before n = 200
+    symbols = [i for i in range(1, 201) if ce_half.contains_symbol(i) and i > beyond]
+    explicit = math.fsum(math.exp(exponent * ce_half.log_width(i)) for i in symbols)
+    assert explicit <= ce_half.tail_weight_sum(exponent, beyond) < math.inf
+
+
+@pytest.mark.parametrize("exponent", [0.0, -0.5])
+def test_tail_weight_sum_diverges_at_nonpositive_exponents(ce_half, exponent):
+    assert ce_half.tail_weight_sum(exponent, 2) == math.inf
+
+
 def test_shrink_fn_validation():
     with pytest.raises(ValueError):
         ShrinkFn.power(-1.0)

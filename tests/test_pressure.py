@@ -381,7 +381,8 @@ def test_additive_level_is_the_outer_sum_of_level_one(name):
     # an additive table builds no level tables
     with pytest.raises(ValueError, match="additive table has no levels"):
         table.level(1)
-    one = table.additive.tolist()
+    # the table holds level-1 psi; a word's ends are the potential over it
+    one = (pot.psi_coef * table.additive + pot.const).tolist()
     for n in (2, 3, 4):
         # the last symbol of a word varies fastest; its sum adds the
         # symbols left to right
@@ -692,7 +693,7 @@ def test_cover_computes_each_child_once():
     report = cover_sum(sys, TargetSpec(0.3, Constant(1.0)), 0.7, 1, 6, {1, 2, 3})
     assert all(value > 0.0 for _, value in report.per_level)
     assert sys.calls == sum(3 ** j for j in range(1, 7)) == 1092
-    assert repr(report.total) == "1.6342728832753737"
+    assert repr(report.total) == "1.634272883275374"
 
 
 # BirkhoffTable.bracket reprs, frozen from earlier level kernels
@@ -810,33 +811,32 @@ def test_level_bits_frozen(name):
             assert got.tobytes() == want.tobytes()
 
 
-def _level_ends(pot, psi, n):
-    """psi_coef * psi plus the n-fold sum of const, added one symbol at a
-    time from 0.0, as level ends were built before partition applied the
-    potential."""
-    add = 0.0
-    for _ in range(n):
-        add += pot.const
-    return pot.psi_coef * psi + add
-
-
-# partition skips a factor 1 and a term 0, which changes at most the sign of
-# a zero end: psi alone has both, and 1e-310 * psi rounds the level-1 end of
-# symbol 1 (psi_lo = -8.9e-16) to -0.0, where the formula's + 0.0 gives +0.0
+# 1e-310 * psi makes scale * psi_coef subnormal
 @pytest.mark.parametrize("pot", [*_ADDITIVE_POTENTIALS.values(), MIXED, Scale(0.55, PSI),
                                  PSI, Scale(1e-310, PSI)],
                          ids=[*_ADDITIVE_POTENTIALS, "mixed", "scaled-psi", "psi",
                               "underflowing-psi"])
 def test_partition_applies_the_potential_to_psi_levels(pot):
+    # the potential's partition is the psi-only table's at scale * psi_coef,
+    # less the factor scale * n * const that every word shares, bit for bit
     table = BirkhoffTable(gauss_system(), pot, {1, 2, 3})
     psi_only = BirkhoffTable(gauss_system(), PSI, {1, 2, 3})
     for n in range(1, 6):
         for end, mode in enumerate(("sup", "inf")):
-            ends = _level_ends(pot, psi_only.level(n)[end], n)
             for scale in (0.0, 0.37, 1.0, 2.5):
-                arr = ends * -scale
-                want = pressure._logsumexp(arr, float(np.max(arr)))
-                assert repr(table.partition(scale, n, mode)) == repr(want)
+                arr = psi_only.level(n)[end] * -(scale * pot.psi_coef)
+                want = pressure._logsumexp(arr, float(np.max(arr))) - scale * (n * pot.const)
+                got = table.partition(scale, n, mode)
+                assert repr(got) == repr(want)
+                assert repr(got) == repr(psi_only.partition(scale * pot.psi_coef, n, mode)
+                                         - scale * (n * pot.const))
+
+
+@pytest.mark.parametrize("scale", [-1.0, -5e-324, math.nan])
+def test_partition_refuses_a_negative_or_nan_scale(scale):
+    table = BirkhoffTable(gauss_system(), PSI, {1, 2})
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        table.partition(scale, 1, "sup")
 
 
 def test_over_budget_level_raises_before_any_work():

@@ -240,6 +240,30 @@ def test_certificate_accepts_at_one_for_positive_rates(alpha):
     assert cert.decay_ratio == pytest.approx(math.exp(-alpha), rel=1e-9)
 
 
+def test_certificate_accepts_when_every_window_level_vanishes():
+    # symbol 1's image [0, 1/2] lies 0.4 from y = 0.9, beyond the level-n
+    # radius e^-n for every n >= 1: every level is pruned
+    cert = upper_dimension_certificate(doubling_map(), TargetSpec(0.9, Constant(1.0)),
+                                       s=0.5, m=1, n_max=6, subset={1})
+    assert [v for _, v in cert.cover.per_level] == [0.0] * 6
+    assert cert.accepted
+    assert (cert.decay_ratio, cert.tail_bound, cert.total_with_tail) == (0.0, 0.0, 0.0)
+    assert "trailing levels vanish" in cert.message
+
+
+def test_certificate_accepts_when_the_window_ends_in_vanishing_levels():
+    # the image lies 0.1 from y = 0.6, inside e^-n/2 for n <= 4 only: the
+    # window (levels 3..6) decays, then reads a 0 after a 0
+    cert = upper_dimension_certificate(doubling_map(), TargetSpec(0.6, Constant(0.5)),
+                                       s=0.5, m=1, n_max=6, subset={1})
+    levels = [v for _, v in cert.cover.per_level]
+    assert all(v > 0.0 for v in levels[:4]) and levels[4:] == [0.0, 0.0]
+    assert cert.accepted
+    assert cert.decay_ratio == levels[3] / levels[2]
+    assert cert.tail_bound == 0.0
+    assert cert.total_with_tail == cert.cover.total
+
+
 def test_certificate_transition_brackets_critical_exponent():
     sys = doubling_map()
 
