@@ -5,7 +5,6 @@ from .systems import (
     AffineCountableFamily,
     AffineFamily,
     BudgetExceededError,
-    CylinderGeometry,
     DEFAULT_WORD_BUDGET,
     GaussFamily,
     Interval,

@@ -135,7 +135,7 @@ def _birkhoff_fold(sys: BranchFamily, pot: Potential,
         if pot.psi_coef != 0.0:
             sys._check_symbol(s)
             comp = comp.child(s)
-            plo, phi_ = comp.geometry()[3]
+            plo, phi_ = comp.psi()
             lo += pot.psi_coef * plo
             hi += pot.psi_coef * phi_
         yield lo, hi
@@ -235,15 +235,6 @@ def _log_step(x: np.ndarray, up: bool) -> np.ndarray:
     return y
 
 
-def _log_up(x: np.ndarray) -> np.ndarray:
-    # np.log may differ from the correctly rounded log by an ulp
-    return _log_step(x, True)
-
-
-def _log_down(x: np.ndarray) -> np.ndarray:
-    return _log_step(x, False)
-
-
 # children per array step of the level kernel and of the density walk: a
 # block of rows times the alphabet, small enough for its temporaries to
 # stay in cache
@@ -328,7 +319,8 @@ class BirkhoffTable:
                 rows = slice(start, start + step)
                 span = _Frontier(*(a[rows] for a in f))
                 blo, bhi = self.sys.deriv_brackets(self._column, span)
-                parts = (span.psi_lo - _log_up(bhi), span.psi_hi - _log_down(blo))
+                # np.log may differ from the correctly rounded log by an ulp
+                parts = (span.psi_lo - _log_step(bhi, True), span.psi_hi - _log_step(blo, False))
                 if deeper:
                     parts = self.sys.map_intervals(self._column, span) + parts
                 for dst, src in zip(nxt, parts):

@@ -6,16 +6,17 @@ branches over finite symbol words give nested cylinder intervals; this
 module provides their geometry.  The families are finite affine, countable
 affine and Gauss; each derives its own expansion constant ``xi``.
 
-Each family owns its geometry.  All cylinder geometry (interval, diameter,
-derivative bracket and the bracket of S_n psi = -log|phi_w'|) comes from the
-family's forward composer, extended one symbol at a time in word order.
-Affine families keep the running interval, the ratio product and the sum of
--log ratios, all read from ``affine_terms``, so their brackets are exact
-points.  The Gauss family keeps the exact integer continuants of
+Each family owns its geometry.  A cylinder is read from the family's
+forward composer, extended one symbol at a time in word order, as two
+things: its interval (``interval()``, which ``cylinder`` returns) and the
+bracket of S_n psi = -log|phi_w'| over [0,1] (``psi()``), the one place its
+contraction is kept.  Affine families keep the running interval and the sum
+of -log ratios, both read from ``affine_terms``, so their psi brackets are
+exact points.  The Gauss family keeps the exact integer continuants of
 phi_w(t) = (p_n + t p_{n-1}) / (q_n + t q_{n-1}): correctly rounded
-endpoints and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2].
-Derivative and psi brackets contain the true ranges over [0,1];
-``psi_bracket(i)`` is the depth-1 psi bracket of a symbol.
+endpoints, and |phi_w'| in [1/(q_n + q_{n-1})^2, 1/q_n^2], whose -log ends
+are rounded outward.  ``psi_bracket(i)`` is the depth-1 psi bracket of a
+symbol.
 
 Composers also extend whole levels for tree walks.  ``level()`` gives a
 cylinder as a one-cylinder level: a tuple of numpy columns of composer state,
@@ -43,7 +44,6 @@ import numpy as np
 __all__ = [
     "Word",
     "Interval",
-    "CylinderGeometry",
     "BranchFamily",
     "AffineFamily",
     "AffineCountableFamily",
@@ -105,25 +105,15 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class CylinderGeometry:
-    """Geometry of phi_w([0,1]) for a finite word w; psi_bracket contains
-    the range of S_n psi = -log|phi_w'| over [0,1]."""
-
-    interval: Interval
-    diam: float
-    deriv_bracket: tuple[float, float]
-    psi_bracket: tuple[float, float]
-
-
 class BranchFamily:
     """An expanding Markov map, given by its inverse-branch family.
 
     Branch indices are 1-based.  Implementations keep branch images inside
     [0,1] with pairwise disjoint interiors and sup|phi_i'| <= 1.  Every
     family gives its alphabet (``contains_symbol``, ``symbols``), its branch
-    images (``branch_interval``) and its forward ``composer``, from which
-    ``psi_bracket`` is read; countable families override
+    images (``branch_interval``) and its forward ``composer``, whose
+    ``interval()`` and ``psi()`` are a cylinder's whole geometry and from
+    which ``psi_bracket`` is read; countable families override
     ``tail_weight_sum``.  Affine families also give ``affine_terms``, and
     Gauss the array step of the pressure level kernel (see the module
     docstring).
@@ -155,8 +145,10 @@ class BranchFamily:
         raise NotImplementedError
 
     def psi_bracket(self, i: int) -> tuple[float, float]:
-        """Bracket of -log|phi_i'| over [0,1], read from the composer."""
-        return self.composer().child(i).geometry()[3]
+        """Bracket of -log|phi_i'| over [0,1], read from the composer; a
+        symbol outside the alphabet raises ValueError."""
+        self._check_symbol(i)
+        return self.composer().child(i).psi()
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         """Upper bound for sum_{i > beyond} sup|phi_i'|^exponent.
@@ -185,7 +177,7 @@ class BranchFamily:
 
 class _AffineBranches(BranchFamily):
     """Affine branches, composed from affine_terms(i) = (image lo, image hi,
-    ratio, -log ratio), read for symbols already checked."""
+    -log ratio), read for symbols already checked."""
 
     is_affine = True
 
@@ -216,10 +208,10 @@ class AffineFamily(_AffineBranches):
         for a, b in itertools.combinations(self.images, 2):
             if min(a.hi, b.hi) > max(a.lo, b.lo):
                 raise ValueError(f"branch images {a} and {b} overlap")
-        self._terms = tuple((iv.lo, iv.hi, r, -math.log(r))
+        self._terms = tuple((iv.lo, iv.hi, -math.log(r))
                             for iv, r in zip(self.images, self.ratios))
 
-    def affine_terms(self, i: int) -> tuple[float, float, float, float]:
+    def affine_terms(self, i: int) -> tuple[float, float, float]:
         return self._terms[i - 1]
 
     def contains_symbol(self, i: int) -> bool:
@@ -242,10 +234,9 @@ class AffineCountableFamily(_AffineBranches):
 
     finite = False
 
-    def affine_terms(self, i: int) -> tuple[float, float, float, float]:
+    def affine_terms(self, i: int) -> tuple[float, float, float]:
         iv = self.branch_interval(i)
-        log_w = self.log_width(i)
-        return (iv.lo, iv.hi, math.exp(log_w), -log_w)
+        return (iv.lo, iv.hi, -self.log_width(i))
 
     def symbols(self) -> Iterator[int]:
         return (i for i in itertools.count(1) if self.contains_symbol(i))
@@ -330,60 +321,53 @@ class GaussFamily(BranchFamily):
 
     def tail_weight_sum(self, exponent: float, beyond: int) -> float:
         # sup|phi_i'| = i^{-2}; integral comparison for the p-series tail
+        # from max(1, beyond), plus the term i = 1 when beyond < 1
         if exponent <= 0.5:
             return math.inf
-        k = max(1, beyond)
-        return k ** (1.0 - 2.0 * exponent) / (2.0 * exponent - 1.0)
+        head = 1.0 if beyond < 1 else 0.0
+        return head + max(1, beyond) ** (1.0 - 2.0 * exponent) / (2.0 * exponent - 1.0)
 
 
-def cylinder(sys: BranchFamily, word: Word) -> CylinderGeometry:
-    """Geometry of the cylinder phi_w([0,1]), read from the family's forward
-    composer after one child step per symbol.
-
-    The derivative bracket contains the true range of |phi_w'| over [0,1];
-    for affine families it is exact (lo == hi) and equals the diameter.
-    """
+def cylinder(sys: BranchFamily, word: Word) -> Interval:
+    """The cylinder phi_w([0,1]) as an interval, read from the family's
+    forward composer after one child step per symbol.  Its contraction is
+    the psi bracket, ``birkhoff_bracket(sys, LogDerivative(), word)``."""
     if not word:
         raise ValueError("word must be nonempty")
     comp = sys.composer()
     for s in word:
         sys._check_symbol(s)
         comp = comp.child(s)
-    (lo, hi), diam, deriv, psi = comp.geometry()
-    return CylinderGeometry(interval=Interval(lo, hi), diam=diam,
-                            deriv_bracket=deriv, psi_bracket=psi)
+    return Interval(*comp.interval())
 
 
 class _AffineComposer:
-    """Affine branches composed in word order: the running interval, the
-    product of the branch ratios and the sum of their -log.  A child maps the
-    branch image ends through its parent's interval, clamped into it, so the
-    intervals nest exactly."""
+    """Affine branches composed in word order: the running interval and the
+    sum of the branch -log ratios.  A child maps the branch image ends
+    through its parent's interval, clamped into it, so the intervals nest
+    exactly."""
 
-    __slots__ = ("fam", "lo", "hi", "ratio", "psi")
+    __slots__ = ("fam", "lo", "hi", "psi_sum")
 
-    def __init__(self, fam, lo: float = 0.0, hi: float = 1.0,
-                 ratio: float = 1.0, psi: float = 0.0):
+    def __init__(self, fam, lo: float = 0.0, hi: float = 1.0, psi_sum: float = 0.0):
         self.fam = fam
         self.lo = lo
         self.hi = hi
-        self.ratio = ratio
-        self.psi = psi
+        self.psi_sum = psi_sum
 
     def child(self, s: int) -> "_AffineComposer":
-        a, b, r, neg_log_r = self.fam.affine_terms(s)
+        a, b, neg_log_r = self.fam.affine_terms(s)
         w = self.hi - self.lo
         hi = min(self.hi, self.lo + w * b)
         return _AffineComposer(self.fam, min(self.lo + w * a, hi), hi,
-                               self.ratio * r, self.psi + neg_log_r)
+                               self.psi_sum + neg_log_r)
 
     def interval(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def geometry(self):
-        """(interval, diam, derivative bracket, psi bracket)."""
-        r = self.ratio
-        return (self.lo, self.hi), r, (r, r), (self.psi, self.psi)
+    def psi(self) -> tuple[float, float]:
+        """The psi bracket, an exact point."""
+        return (self.psi_sum, self.psi_sum)
 
     def level(self):
         """This cylinder as a one-cylinder level: the columns (lo, hi)."""
@@ -428,14 +412,10 @@ class _MoebiusComposer:
         a, b = self.ends()
         return (a, b) if a <= b else (b, a)
 
-    def geometry(self):
-        # |phi_w'(t)| = (q1 + t*q0)^-2 and the diameter is 1/(q1 (q1+q0));
-        # math.log of a large int may sit a few ulps off, inside _down/_up
-        q, q_sum = self.q1, self.q1 + self.q0
-        deriv = (math.nextafter(1 / (q_sum * q_sum), 0.0),
-                 math.nextafter(1 / (q * q), math.inf))
-        psi = (2.0 * _down(math.log(q)), 2.0 * _up(math.log(q_sum)))
-        return self.interval(), 1 / (q * q_sum), deriv, psi
+    def psi(self) -> tuple[float, float]:
+        # |phi_w'(t)| = (q1 + t*q0)^-2; math.log of a large int may sit a
+        # few ulps off, inside _down/_up
+        return (2.0 * _down(math.log(self.q1)), 2.0 * _up(math.log(self.q1 + self.q0)))
 
     def level(self):
         """This cylinder as a one-cylinder level: the columns (p0, p1, q0,

@@ -280,7 +280,7 @@ def _window_distance(sys: BranchFamily, y: float, word: tuple[int, ...],
     composed (one ``cylinder`` call) and stored."""
     bracket = windows.get(word)
     if bracket is None:
-        interval = cylinder(sys, word).interval
+        interval = cylinder(sys, word)
         pad = 4 * (len(word) + 1) * math.ulp(interval.hi)
         bracket = windows[word] = _distance_bracket(y, interval.lo - pad, interval.hi + pad)
     return bracket

@@ -194,10 +194,10 @@ def test_criterion_8_cylinder_density_floor():
         samples.append((gauss_system(), [1, 2, 3, 4, 5], set(range(1, 9))))
     for sys, symbols, subset in samples:
         prefix = tuple(rng.choice(symbols) for _ in range(12))
-        iv = cylinder(sys, prefix * 4).interval
+        iv = cylinder(sys, prefix * 4)
         y = 0.5 * (iv.lo + iv.hi)
         for n in range(3, 11):
-            r = 2.0 * cylinder(sys, prefix[:n]).diam
+            r = 2.0 * cylinder(sys, prefix[:n]).width
             density = cylinder_density(sys, y, n, r, subset)
             worst = min(worst, density)
             ok = ok and density >= 0.5 - 1e-9

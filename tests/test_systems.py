@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as hyst
 
 from shrinktarget import (
     Interval,
+    LogDerivative,
     ShrinkFn,
     affine_system,
+    birkhoff_bracket,
     build_counterexample,
     cylinder,
     doubling_map,
     gauss_system,
     geometric_system,
 )
+from shrinktarget.systems import forward_composer
 
 
 # ---------------------------------------------------------------- oracles
@@ -24,26 +27,67 @@ def gauss_branch(i, x):
     return 1.0 / (i + x)
 
 
+def gauss_exact(word):
+    """Exact (phi_w(0), phi_w(1)) and (|phi_w'(0)|, |phi_w'(1)|) as
+    Fractions, by the chain rule phi_s'(u) = -phi_s(u)^2, innermost branch
+    first.  |phi_w'| is monotone in t, so these are its extremes on [0, 1]."""
+    ends, derivs = [], []
+    for t in (Fraction(0), Fraction(1)):
+        x, d = t, Fraction(1)
+        for s in reversed(word):
+            x = 1 / (s + x)
+            d *= x * x
+        ends.append(x)
+        derivs.append(d)
+    return ends, derivs
+
+
+def composed_psi(sys, word):
+    """The psi bracket of the family's composer after one child per symbol."""
+    comp = forward_composer(sys)
+    for s in word:
+        comp = comp.child(s)
+    return comp.psi()
+
+
+def assert_psi_contains_neg_log(psi, values):
+    """psi contains -log of every positive Fraction in values (mpmath, 50
+    digits; a float end converts to mpf exactly)."""
+    mp = pytest.importorskip("mpmath")
+    lo, hi = psi
+    with mp.workdps(50):
+        for v in values:
+            neg_log = mp.log(v.denominator) - mp.log(v.numerator)
+            assert lo <= neg_log <= hi
+
+
+def affine_diameter(sys, word):
+    """Product of the branch ratios along the word, from the family's data."""
+    if hasattr(sys, "ratios"):
+        return math.prod(sys.ratios[s - 1] for s in word)
+    return math.prod(math.exp(sys.log_width(s)) for s in word)
+
+
 # ---------------------------------------------------------------- cylinder
 
 def test_cylinder_doubling_affine_product():
     sys = doubling_map()
-    g = cylinder(sys, (1, 1))
-    assert g.interval == Interval(0.0, 0.25)
-    assert g.diam == 0.25
-    assert g.deriv_bracket == (0.25, 0.25)
+    assert cylinder(sys, (1, 1)) == Interval(0.0, 0.25)
+    # -log|phi_w'| = -log(1/4), an exact point
+    assert composed_psi(sys, (1, 1)) == (2 * math.log(2.0), 2 * math.log(2.0))
+    lo, hi = birkhoff_bracket(sys, LogDerivative(), (1, 1))
+    assert lo <= 2 * math.log(2.0) <= hi
 
 
 def test_cylinder_gauss_branch_one():
     sys = gauss_system()
-    g = cylinder(sys, (1,))
-    assert g.interval == Interval(0.5, 1.0)
-    assert g.diam == pytest.approx(0.5)
-    # oracle: |phi_1'(x)| = 1/(1+x)^2 spans [1/4, 1] over [0,1]
-    lo, hi = g.deriv_bracket
-    assert lo <= 0.25 and hi >= 1.0
-    assert lo == pytest.approx(0.25, rel=1e-12)
-    assert hi == pytest.approx(1.0, rel=1e-12)
+    assert cylinder(sys, (1,)) == Interval(0.5, 1.0)
+    # oracle: |phi_1'(x)| = 1/(1+x)^2 spans [1/4, 1] over [0,1], so its -log
+    # spans [0, log 4]
+    lo, hi = composed_psi(sys, (1,))
+    assert lo <= 0.0 and hi >= math.log(4.0)
+    assert lo == pytest.approx(0.0, abs=1e-12)
+    assert hi == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_cylinder_gauss_two_one_hand_composed():
@@ -52,9 +96,9 @@ def test_cylinder_gauss_two_one_hand_composed():
     # oracle: x -> 1/(2 + 1/(1+x)) maps 0 -> 1/3 and 1 -> 2/5
     a = gauss_branch(2, gauss_branch(1, 0.0))
     b = gauss_branch(2, gauss_branch(1, 1.0))
-    assert g.interval.lo == pytest.approx(min(a, b), abs=1e-15)
-    assert g.interval.hi == pytest.approx(max(a, b), abs=1e-15)
-    assert g.diam == pytest.approx(1.0 / 15.0, rel=1e-12)
+    assert g.lo == pytest.approx(min(a, b), abs=1e-15)
+    assert g.hi == pytest.approx(max(a, b), abs=1e-15)
+    assert g.width == pytest.approx(1.0 / 15.0, rel=1e-12)
 
 
 def test_cylinder_rejects_bad_symbols():
@@ -70,34 +114,25 @@ def test_gauss_cylinder_is_correctly_rounded_continuant_geometry(seed):
     rng = random.Random(seed)
     word = tuple(rng.randint(1, 50) for _ in range(rng.randint(1, 60)))
     g = cylinder(gauss_system(), word)
-    ends, derivs = [], []
-    for t in (Fraction(0), Fraction(1)):
-        # exact chain rule: phi_s'(u) = -phi_s(u)^2, innermost branch first
-        x, d = t, Fraction(1)
-        for s in reversed(word):
-            x = 1 / (s + x)
-            d *= x * x
-        ends.append(x)
-        derivs.append(d)
+    ends, derivs = gauss_exact(word)
     # float(Fraction) is correctly rounded
-    assert (g.interval.lo, g.interval.hi) == tuple(sorted(float(e) for e in ends))
-    assert g.diam == float(abs(ends[0] - ends[1]))
-    # |phi_w'| is monotone in t: the exact range is [1/(q_n+q_{n-1})^2, 1/q_n^2]
-    dlo, dhi = g.deriv_bracket
-    assert Fraction(dlo) <= min(derivs) and max(derivs) <= Fraction(dhi)
+    assert (g.lo, g.hi) == tuple(sorted(float(e) for e in ends))
+    # the exact range of |phi_w'| is [1/(q_n+q_{n-1})^2, 1/q_n^2], and the
+    # psi bracket contains its -log
+    assert_psi_contains_neg_log(composed_psi(gauss_system(), word), derivs)
 
 
 # ---------------------------------------------------------------- periodic points
 
 def test_cylinder_doubling_fixed_point():
-    iv = cylinder(doubling_map(), (1,) * 20).interval
+    iv = cylinder(doubling_map(), (1,) * 20)
     assert iv.lo <= 0.0 <= iv.hi
     assert iv.width <= 2.0 ** -20
 
 
 def test_cylinder_gauss_periodic_two():
     # 2, 2, 2, ... is the continued fraction of sqrt(2) - 1
-    iv = cylinder(gauss_system(), (2,) * 12).interval
+    iv = cylinder(gauss_system(), (2,) * 12)
     assert iv.width <= 1e-8
     assert iv.lo <= math.sqrt(2.0) - 1.0 <= iv.hi
 
@@ -105,7 +140,7 @@ def test_cylinder_gauss_periodic_two():
 def test_cylinder_cycles_whole_prefix():
     # (2,1) repeated gives the binary pattern 101010... = 2/3 (geometric series)
     point = sum(2.0 ** -(2 * k + 1) for k in range(40))
-    iv = cylinder(doubling_map(), (2, 1) * 15).interval
+    iv = cylinder(doubling_map(), (2, 1) * 15)
     assert iv.width <= 1e-9
     assert iv.lo <= point <= iv.hi
     assert iv.lo <= 2.0 / 3.0 <= iv.hi
@@ -133,12 +168,14 @@ def test_nesting_and_chain_rule_affine(ratios, data):
     g = cylinder(sys, word)
     for cut in range(1, len(word)):
         prefix = cylinder(sys, word[:cut])
-        assert prefix.interval.lo <= g.interval.lo and g.interval.hi <= prefix.interval.hi
-    # exact product bracket, diam equals it, contraction at every depth
+        assert prefix.lo <= g.lo and g.hi <= prefix.hi
+    # the psi bracket is the exact point sum of -log ratios, added in word
+    # order; the width is the ratio product, which xi bounds at every depth
+    neg_log = sum(-math.log(ratios[s - 1]) for s in word)
+    assert composed_psi(sys, word) == (neg_log, neg_log)
     expected = math.prod(ratios[s - 1] for s in word)
-    assert g.deriv_bracket == (expected, expected)
-    assert g.diam == expected
-    assert g.diam <= sys.xi ** -len(word) * (1 + 1e-12)
+    assert g.width == pytest.approx(expected, rel=1e-12)
+    assert expected <= sys.xi ** -len(word) * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,24 +187,21 @@ def test_nesting_and_bracket_gauss(data):
     g = cylinder(sys, word)
     for cut in range(1, len(word)):
         prefix = cylinder(sys, word[:cut])
-        assert prefix.interval.lo <= g.interval.lo and g.interval.hi <= prefix.interval.hi
-    lo, hi = g.deriv_bracket
-    assert lo <= g.diam <= hi  # mean value theorem
-    # chain-rule bracket: nested evaluation at least as tight as plain products
-    for cut in range(1, len(word)):
-        a = cylinder(sys, word[:cut]).deriv_bracket
-        b = cylinder(sys, word[cut:]).deriv_bracket
-        assert lo >= a[0] * b[0] * (1 - 1e-12)
-        assert hi <= a[1] * b[1] * (1 + 1e-12)
+        assert prefix.lo <= g.lo and g.hi <= prefix.hi
+    ends, derivs = gauss_exact(word)
+    diam = abs(ends[0] - ends[1])
+    # the psi bracket contains -log of the derivative range, and so, by the
+    # mean value theorem, -log of the exact diameter
+    assert_psi_contains_neg_log(composed_psi(sys, word), derivs + [diam])
     if len(word) >= sys.expansion_depth:
-        assert g.diam <= sys.xi ** -len(word)
+        assert diam <= sys.xi ** -len(word)
 
 
 @settings(max_examples=30, deadline=None)
 @given(hyst.integers(min_value=2, max_value=5))
 def test_depth_disjointness_doubling(n):
     sys = doubling_map()
-    intervals = [cylinder(sys, w).interval for w in itertools.product((1, 2), repeat=n)]
+    intervals = [cylinder(sys, w) for w in itertools.product((1, 2), repeat=n)]
     intervals.sort(key=lambda iv: iv.lo)
     for a, b in zip(intervals, intervals[1:]):
         assert a.hi <= b.lo + 1e-15
@@ -188,20 +222,52 @@ def test_each_family_derives_its_expansion_constant(make, xi):
     assert sys.xi == xi and sys.xi > 1.0
     symbols = list(itertools.islice(sys.symbols(), 5))
     rng = random.Random(23)
-    # every cylinder of depth n >= expansion_depth contracts by xi^-n
+    # every cylinder of depth n >= expansion_depth contracts by xi^-n: the
+    # exact diameter, from Fraction ends for Gauss and the ratio product for
+    # an affine family
     for n in range(sys.expansion_depth, 7):
         for _ in range(25):
             word = tuple(rng.choice(symbols) for _ in range(n))
-            assert cylinder(sys, word).diam <= sys.xi ** -n * (1 + 1e-12)
+            if sys.is_affine:
+                assert affine_diameter(sys, word) <= sys.xi ** -n * (1 + 1e-12)
+            else:
+                ends, _ = gauss_exact(word)
+                assert abs(ends[0] - ends[1]) <= sys.xi ** -n
     # and a cylinder at depth_for(w) is narrower than w
     for w in (0.5, 1e-2, 1e-6):
         for _ in range(10):
             word = tuple(rng.choice(symbols) for _ in range(sys.depth_for(w)))
-            assert cylinder(sys, word).interval.width < w
+            assert cylinder(sys, word).width < w
 
 
 def test_gauss_contraction_depth_two():
     sys = gauss_system()
     for word in itertools.product((1, 2, 3, 4), repeat=3):
-        g = cylinder(sys, word)
-        assert g.diam <= sys.xi ** -3
+        ends, _ = gauss_exact(word)
+        assert abs(ends[0] - ends[1]) <= sys.xi ** -3
+
+
+@pytest.mark.parametrize("make, symbol", [
+    (lambda: affine_system([0.3, 0.2]), 0),
+    (lambda: affine_system([0.3, 0.2]), -1),
+    (lambda: affine_system([0.3, 0.2]), 3),
+    (gauss_system, 0),
+    (gauss_system, -1),
+    (lambda: geometric_system(0.3, 0.6), 0),
+    (lambda: geometric_system(0.3, 0.6), -1),
+], ids=["affine-0", "affine-minus-1", "affine-3", "gauss-0", "gauss-minus-1",
+        "geometric-0", "geometric-minus-1"])
+def test_psi_bracket_refuses_a_symbol_outside_the_alphabet(make, symbol):
+    with pytest.raises(ValueError, match=f"symbol {symbol} not in the system alphabet"):
+        make().psi_bracket(symbol)
+
+
+@pytest.mark.parametrize("exponent", [0.6, 0.75, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("beyond", range(4))
+def test_gauss_tail_weight_sum_bounds_the_zeta_tail(beyond, exponent):
+    # sum_{i > beyond} sup|phi_i'|^e = zeta(2e) - sum_{i <= beyond} i^(-2e)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        tail = mp.zeta(2 * mp.mpf(exponent)) - mp.fsum(
+            mp.mpf(i) ** (-2 * mp.mpf(exponent)) for i in range(1, beyond + 1))
+        assert tail <= gauss_system().tail_weight_sum(exponent, beyond) < mp.inf

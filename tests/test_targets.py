@@ -321,10 +321,10 @@ def test_density_floor_at_projected_points(kind, seed):
         symbols = [1, 2, 3, 4, 5]
         subset = set(range(1, 9))
     prefix = tuple(rng.choice(symbols) for _ in range(12))
-    iv = cylinder(sys, prefix * 4).interval
+    iv = cylinder(sys, prefix * 4)
     y = 0.5 * (iv.lo + iv.hi)
     for n in range(3, 11):
-        r = 2.0 * cylinder(sys, prefix[:n]).diam
+        r = 2.0 * cylinder(sys, prefix[:n]).width
         density = cylinder_density(sys, y, n, r, subset)
         assert density >= 0.5 - 1e-9
 
@@ -457,8 +457,13 @@ def test_density_of_a_ball_below_float_spacing():
     # interval holds y strictly inside and stops once they are narrower than
     # the float spacing, about depth 28, as the depth-first walk did
     sys = gauss_system()
-    geo = cylinder(sys, (1, 2) * 40)
-    y, r = 0.5 * (geo.interval.lo + geo.interval.hi), 3.0 * geo.diam
+    word = (1, 2) * 40
+    iv = cylinder(sys, word)
+    # the exact diameter 1/(q_n (q_n + q_{n-1})), from the continuants
+    q_prev, q = 0, 1
+    for s in word:
+        q_prev, q = q, s * q + q_prev
+    y, r = 0.5 * (iv.lo + iv.hi), 3.0 * (1 / (q * (q + q_prev)))
     assert y - r == y + r == y
     widths, visited = _reference_density_walk(sys, y, 80, r, {1, 2})
     assert widths == [] and visited < 80
@@ -598,7 +603,7 @@ def test_hits_probe_windows_below_float_spacing_stay_padded():
     # pad keeps the even epochs (3.7e-17 from y, misses from epoch 38)
     # from reading as hits
     y = math.nextafter(1.0 / 3.0, 1.0)
-    assert cylinder(doubling_map(), (1, 2) * 32).interval == Interval(y, y)
+    assert cylinder(doubling_map(), (1, 2) * 32) == Interval(y, y)
     rep = hit_times(doubling_map(), itertools.cycle([1, 2]), TargetSpec(y, Constant(1.0)), 150)
     oracle = exact_schedule(lambda n: Fraction(1 + n % 2, 3), y, 1.0, 150)
     assert all(oracle[n] == "hit" for n in rep.hits)
@@ -686,7 +691,7 @@ def _probe_hit_times(sys, code, target, horizon):
                        len(buffer) - n)
         status = "undecided"
         for depth in [1 << k for k in range(1, xi_depth.bit_length() - 1)] + [xi_depth]:
-            interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+            interval = cylinder(sys, tuple(buffer[n:n + depth]))
             calls += 1
             symbols += depth
             pad = 4 * (depth + 1) * math.ulp(interval.hi)
@@ -735,7 +740,7 @@ def _reference_hit_times(sys, code, target, horizon):
         thr_hi = math.exp(-b_lo)
         width = max(min(targets._PRECISION_CAP, 0.01 * thr_lo), targets._PRECISION_FLOOR)
         depth = min(sys.depth_for(width), len(buffer) - n)
-        interval = cylinder(sys, tuple(buffer[n:n + depth])).interval
+        interval = cylinder(sys, tuple(buffer[n:n + depth]))
         pad = 4 * (depth + 1) * math.ulp(interval.hi)
         lo, hi = interval.lo - pad, interval.hi + pad
         d_lo = max(0.0, lo - y, y - hi)
@@ -789,7 +794,7 @@ def test_hits_match_reference_loop(case, rate_kind, data):
         rate = Sum(Constant(c), Scale(psi_coef, LogDerivative()))
     # y near an orbit point pi(code[m:]) gives hits as well as misses
     m = data.draw(hyst.integers(0, min(len(code), 41) - 1), label="anchor")
-    x = cylinder(sys, code[m:m + 60]).interval.lo
+    x = cylinder(sys, code[m:m + 60]).lo
     offset = 10.0 ** -data.draw(hyst.floats(min_value=1.0, max_value=18.0), label="-log10 offset")
     y = min(1.0, x + offset) if data.draw(hyst.booleans(), label="above") else max(0.0, x - offset)
     horizon = data.draw(hyst.integers(30, 60) if past_cap else hyst.integers(1, 40),
@@ -861,7 +866,7 @@ def _check_thresholds(sys, expr, word):
     with mp.workdps(60):
         for n, (s, thr_lo, thr_hi) in enumerate(zip(word, *thresholds), 1):
             comp = comp.child(s)
-            p_lo, p_hi = map(Fraction, comp.geometry()[3])
+            p_lo, p_hi = map(Fraction, comp.psi())
             s_lo, s_hi = _exact_birkhoff(expr, n, p_lo), _exact_birkhoff(expr, n, p_hi)
             assert thr_lo <= mp.exp(-mp.mpf(s_hi.numerator) / s_hi.denominator), n
             assert mp.exp(-mp.mpf(s_lo.numerator) / s_lo.denominator) <= thr_hi, n
