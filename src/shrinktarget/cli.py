@@ -11,11 +11,14 @@ certification flags) followed by a header row and one row per result item.
 from __future__ import annotations
 
 import argparse
+import ast
 import configparser
 import functools
 import itertools
 import math
+import re
 import sys as _sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -124,65 +127,40 @@ def parse_ladder(text: str, budget: int = DEFAULT_WORD_BUDGET) -> tuple[frozense
     return tuple(parse_subset(part, budget) for part in text.split(";") if part.strip())
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ConfigError(f"potential expression: expected {ch!r} at column "
-                              f"{self.pos + 1} of {self.text!r}")
-        self.pos += 1
-
-    def word(self) -> str:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "._+-"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
 def parse_potential(text: str) -> Potential:
-    """Tiny prefix notation: psi | const(c) | scale(c, expr) | sum(expr, expr)."""
-    toks = _Tokens(text)
-    pot = _parse_potential_expr(toks)
-    if toks.peek():
-        raise ConfigError(f"potential expression: trailing input at column "
-                          f"{toks.pos + 1} of {text!r}")
-    return pot
+    """A potential psi | const(c) | scale(c, expr) | sum(expr, expr), read by
+    Python's expression parser, never compiled or evaluated; each c is its
+    source text, a finite float.  docs/cli.md gives its redundancies and limit."""
+    # any whitespace separates, and float() reads non-ASCII decimal digits
+    # and leading zeros: put those in Python's terms
+    text = re.sub(r"\d", lambda m: str(int(m[0])), re.sub(r"\s", " ", text.strip()))
+    text = re.sub(r"(?<![\w.])0(?:_?0)*_?(?=\d)", "", text)
+    try:
+        with warnings.catch_warnings():
+            # a warning, such as 'invalid decimal literal', refuses the text
+            warnings.simplefilter("error")
+            return _potential(ast.parse(text, mode="eval").body, text)
+    except SyntaxError as exc:
+        where = f" at column {exc.offset}" if exc.offset else ""
+        raise ConfigError(f"potential expression: {exc.msg}{where} of {text!r}") from None
+    except (MemoryError, RecursionError):
+        # how Python's parser gives up on a unary chain thousands deep
+        raise ConfigError(f"potential expression: nested too deeply: {text!r}") from None
 
 
-def _parse_potential_expr(toks: _Tokens) -> Potential:
-    name = toks.word()
-    if name == "psi":
+def _potential(node: ast.expr, text: str) -> Potential:
+    # names are compared as written, since Python reads 'ｐｓｉ' as psi
+    source = functools.partial(ast.get_source_segment, text)
+    if source(node) == "psi":
         return LogDerivative()
-    if name == "const":
-        toks.expect("(")
-        value = _parse_number(toks.word(), "const")
-        toks.expect(")")
-        return Constant(value)
-    if name == "scale":
-        toks.expect("(")
-        factor = _parse_number(toks.word(), "scale factor")
-        toks.expect(",")
-        inner = _parse_potential_expr(toks)
-        toks.expect(")")
-        return Scale(factor, inner)
-    if name == "sum":
-        toks.expect("(")
-        left = _parse_potential_expr(toks)
-        toks.expect(",")
-        right = _parse_potential_expr(toks)
-        toks.expect(")")
-        return Sum(left, right)
-    raise ConfigError(f"potential expression: unknown node {name!r}")
+    match node:
+        case ast.Call(args=[c], keywords=[]) if source(node.func) == "const":
+            return Constant(_parse_number(source(c), "const"))
+        case ast.Call(args=[c, inner], keywords=[]) if source(node.func) == "scale":
+            return Scale(_parse_number(source(c), "scale factor"), _potential(inner, text))
+        case ast.Call(args=[left, right], keywords=[]) if source(node.func) == "sum":
+            return Sum(_potential(left, text), _potential(right, text))
+    raise ConfigError(f"potential expression: unknown node {source(node)!r}")
 
 
 def parse_shrink_fn(text: str) -> ShrinkFn:

@@ -169,10 +169,10 @@ def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, floa
     the three ends; the next one is placed by interpolation, aimed at a
     from below or at b from above.  Once both
     estimates have settled, a pair of probes a - m and b + m closes the
-    bracket to width tol/2, the width a certified bracket is held to.  A
-    probe that fails to halve the interval of its end is followed by a
-    halving one.  When straddling probes at least tol/2 apart prove
-    b - a >= tol/2, no certified bracket can be that narrow: a and b both
+    bracket to width tol/2, the width a certified bracket is held to.  An
+    interpolated probe that fails to halve the interval of its end is
+    followed by a halving one.  When straddling probes at least tol/2 apart
+    prove b - a >= tol/2, no certified bracket can be that narrow: a and b both
     become the midpoint end, on which the search closes to width tol.
     Holding certified brackets to tol/2 leaves half of the tolerance to
     the truncation, so whether a row certifies does not hinge on a zone
@@ -252,10 +252,13 @@ def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, floa
                 # still wider than tol/2: no certified bracket will do
                 a = b = mid
                 continue
+            # a halving probe halves its interval, up to rounding, and a
+            # rounding ulp must not force the next probe to halve as well
+            end.halved = math.inf
         else:
             pad = 0.25 * min(tol, width)
             x = min(max(x, start + pad), stop - pad)
-        end.halved = 0.5 * width
+            end.halved = 0.5 * width
         probe(x)
 
 

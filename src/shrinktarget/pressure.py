@@ -100,8 +100,6 @@ def LogDerivative() -> Potential:
 
 
 def Constant(value: float) -> Potential:
-    if value < 0.0:
-        raise ValueError("constant potentials must be nonnegative")
     return Potential(0.0, float(value))
 
 

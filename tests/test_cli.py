@@ -62,6 +62,110 @@ def test_parse_potential_rejects_garbage():
         parse_potential("psi extra")
 
 
+# (expression, (psi_coef, const, nodes)); any whitespace separates, and a
+# number is read as float() reads it; the last four are redundancies that
+# Python's expression grammar admits
+_POTENTIALS = [
+    ("psi", (1.0, 0.0, 1)),
+    ("const(2)", (0.0, 2.0, 1)),
+    ("scale(0.5, psi)", (0.5, 0.0, 2)),
+    ("sum(psi, const(0.3))", (1.0, 0.3, 3)),
+    ("scale(0.5, sum(psi, const(0.3)))", (0.5, 0.15, 4)),
+    ("sum(scale(2, psi), scale(0.5, const(2)))", (2.0, 1.0, 5)),
+    (" sum( psi ,\n\tpsi ) ", (2.0, 0.0, 3)),
+    ("sum(psi, psi)", (2.0, 0.0, 3)),
+    ("const(1_000)", (0.0, 1000.0, 1)),
+    ("const(007)", (0.0, 7.0, 1)),
+    ("const(0_5)", (0.0, 5.0, 1)),
+    ("const(١٢)", (0.0, 12.0, 1)),
+    ("const(+1e-03)", (0.0, 0.001, 1)),
+    ("const(.5)", (0.0, 0.5, 1)),
+    ("scale(1e308, psi)", (1e308, 0.0, 2)),
+    ("sum(psi, " * 200 + "psi" + ")" * 200, (201.0, 0.0, 401)),
+    ("(psi)", (1.0, 0.0, 1)),
+    ("const((2))", (0.0, 2.0, 1)),
+    ("sum(psi, psi,)", (2.0, 0.0, 3)),
+    ("psi  # the log-derivative", (1.0, 0.0, 1)),
+]
+
+
+@pytest.mark.parametrize("text, expect", _POTENTIALS,
+                         ids=[text[:40] for text, _ in _POTENTIALS])
+def test_parse_potential_reads_coefficients(text, expect):
+    pot = parse_potential(text)
+    assert (pot.psi_coef, pot.const, pot.nodes) == expect
+
+
+_REFUSED_POTENTIALS = [
+    ("product(psi, psi)", "potential expression: unknown node 'product(psi, psi)'"),
+    ("psi extra", "invalid syntax at column 5 of 'psi extra'"),
+    ("psi()", "unknown node 'psi()'"),
+    ("sum(psi,", "'(' was never closed at column 4 of 'sum(psi,'"),
+    ("sum(psi, psi))", "unmatched ')' at column 14"),
+    ("scale(2)", "unknown node 'scale(2)'"),
+    ("const(1, 2)", "unknown node 'const(1, 2)'"),
+    ("const(c=1)", "unknown node 'const(c=1)'"),
+    ("sum(*psi, psi)", "unknown node '*psi'"),
+    ("ｐｓｉ", "unknown node 'ｐｓｉ'"),
+    ("const(x)", "const: expected float, got 'x'"),
+    ("const(0x10)", "const: expected float, got '0x10'"),
+    ("const(nan)", "const: expected a finite number, got 'nan'"),
+    ("scale(1e309, psi)", "scale factor: expected a finite number, got '1e309'"),
+    ("const(1__0)", "invalid decimal literal"),
+    ("const(1if)", "invalid decimal literal"),
+    ("const(-1)", "potential coefficients must be nonnegative"),
+    ("scale(-1, const(0))", "scale factors must be nonnegative"),
+    ("scale(1e308, scale(1e308, psi))", "potential flattens to inf * psi"),
+    ("sum(psi, " * 201 + "psi" + ")" * 201, "too many nested parentheses"),
+    ("const(" + "-" * 10000 + "1)", "potential expression: nested too deeply"),
+]
+
+
+@pytest.mark.parametrize("text, message", _REFUSED_POTENTIALS,
+                         ids=[text[:40] for text, _ in _REFUSED_POTENTIALS])
+def test_parse_potential_refuses_with_one_line(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "p.ini", "[system]\nkind = doubling\n\n[potential]\n"
+                f"expr = {text}\n\n[run]\nn_max = 2\n")
+    assert main(["pressure", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+_HITS = "[system]\nkind = doubling\n\n[target]\ny = 0.3\nrate = const:1\n\n[run]\n"
+
+# command, config, extra arguments, exit status, its one error line
+_REFUSALS = {
+    "empty-ratios": ("dimension", "[system]\nkind = affine\nratios = ,\n\n[run]\nn_max = 2\n",
+                     (), 2, "[system] needs 'ratios'"),
+    "empty-subset": ("dimension", "[system]\nkind = doubling\n\n[run]\nsubset = ,\n", (), 2,
+                     "empty subset spec ','"),
+    "const-code-of-two": ("hits", _HITS + "code = const:1,2\n", (), 2,
+                          "const code takes exactly one symbol"),
+    "empty-cycle-code": ("hits", _HITS + "code = cycle:\n", (), 2,
+                         "cycle code needs at least one symbol"),
+    "build-on-gauss": ("counterexample-build",
+                       "[system]\nkind = gauss\n\n[run]\nsystem_out = {built}\n", (), 2,
+                       "counterexample-build needs [system] kind = counterexample"),
+    "verify-on-doubling": ("counterexample-verify", "[system]\nkind = doubling\n", (), 2,
+                           "counterexample-verify needs a counterexample system"),
+    "subset-over-budget": ("dimension", "[system]\nkind = gauss\n\n[run]\nsubset = 1..100\n",
+                           ("--budget", "50"), 3,
+                           "budget 'subset' exceeded: 100 needed, budget 50"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_refusal_exits_with_one_line(tmp_path, capsys, name):
+    command, text, args, status, message = _REFUSALS[name]
+    built = tmp_path / "ce.ini"
+    cfg = write(tmp_path, "c.ini", text.format(built=built))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *args]) == status
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not built.exists()
+
+
 # ---------------------------------------------------------------- commands
 
 def test_spectrum_matches_closed_form(tmp_path):

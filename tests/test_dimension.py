@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hyst
+from hypothesis import example, given, settings, strategies as hyst
 
 from shrinktarget import (
     BirkhoffTable,
@@ -305,7 +305,7 @@ PINNED_ROWS = [
     ("geometric-tail", lambda: bowen_dimension(
         geometric_system(0.3, 0.6), Truncation.single(range(1, 33), n_max=1, use_tail=True),
         tol=1e-10),
-     ("0.859417661289932", "(0.8594176612836818, 0.8594176612961821)", False, 13)),
+     ("0.8594176612899318", "(0.8594176612836817, 0.859417661296182)", False, 11)),
 ]
 
 
@@ -328,6 +328,9 @@ def test_doubling_row_takes_at_most_six_brackets(alpha):
 
 @settings(max_examples=30, deadline=None)
 @given(hyst.floats(min_value=0.2, max_value=8.0))
+# a halving probe here leaves its end an ulp wider than half its interval,
+# which must not make every later probe a halving one (17 brackets)
+@example(alpha=0.7399329132460064)
 def test_affine_row_takes_at_most_fourteen_brackets(alpha):
     ratios = [0.3, 0.25, 0.2, 0.15]
     res = shrink_exponent_alpha(affine_system(ratios), alpha,
