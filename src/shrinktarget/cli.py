@@ -5,7 +5,8 @@ counterexample-build, counterexample-verify.  Each reads the config sections
 and keys that _COMMANDS and _SYSTEM_KEYS list for it, and rejects any other
 section or key before it builds a system or writes a file.  CSV output starts
 with a '#'-prefixed manifest block (config echo, truncation actually used,
-certification flags) followed by a header row and one row per result item.
+certification flags and deterministic counters) followed by a header row and
+one row per result item.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ def _dimension(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: in
     trunc, tol = _truncation(cfg["run"], loaded, budget)
     res = bowen_dimension(loaded.system, trunc, tol=tol)
     return ({"truncation": _truncation_text(res.truncation), "certified": res.certified,
-             "pressure_brackets": res.steps, "budget": budget},
+             "pressure_brackets": res.steps, "matrix_depth": res.matrix_depth, "budget": budget},
             ["value", "lower", "upper", "certified"],
             [[res.value, res.bracket[0], res.bracket[1], res.certified]])
 
@@ -361,7 +362,8 @@ def _spectrum(cfg: configparser.ConfigParser, loaded: _LoadedSystem, budget: int
     rows = [[alpha, res.value, res.bracket[0], res.bracket[1], res.certified]
             for alpha, res in results]
     return ({"certified": all(row[-1] for row in rows),
-             "pressure_brackets": sum(res.steps for _, res in results), "budget": budget},
+             "pressure_brackets": sum(res.steps for _, res in results),
+             "matrix_depth": max(res.matrix_depth for _, res in results), "budget": budget},
             ["alpha", "value", "lower", "upper", "certified"], rows)
 
 

@@ -49,7 +49,8 @@ class DimensionResult:
     ``bracket``: the lower end lies below the exponent and the upper end at
     or above it.  A certified bracket is at most tol/2 wide (plus a few
     ulps), an uncertified one at most tol.  ``steps`` counts the pressure
-    brackets evaluated.
+    brackets evaluated, and ``matrix_depth`` the deepest cylinder transfer
+    matrix behind a probe that decided (0 when none did).
     """
 
     value: float
@@ -57,6 +58,7 @@ class DimensionResult:
     truncation: tuple[frozenset[int], int]
     certified: bool
     steps: int
+    matrix_depth: int = 0
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -274,6 +276,7 @@ class _Solver:
         self.index = 0
         self.n_used = 0
         self.steps = 0
+        self.matrix_depth = 0
 
     def _table(self) -> BirkhoffTable:
         if self.tables[self.index] is None:
@@ -288,25 +291,22 @@ class _Solver:
         Lower-side decisions are monotone in the subset and hold at any
         rung.  Without a tail an upper-side decision only certifies that
         rung's subsystem, so it must come from the final rung.  A probe that
-        still straddles at the final rung is returned as it is.
+        still straddles at the final rung is returned as it is.  The table
+        is given the shift, so it decides by the same margins
+        (``PressureEstimate.margins``) as the probe does here.
         """
         shift = self.shift(s)
         while True:
-            est = self._table().bracket(s, n_max=self.trunc.n_max, use_tail=self.trunc.use_tail)
+            est = self._table().bracket(s, n_max=self.trunc.n_max, use_tail=self.trunc.use_tail,
+                                        target=shift)
             self.steps += 1
             self.n_used = max(self.n_used, est.truncation[1])
-            # Partition sums are rounded to nearest, not outward, and a probe
-            # placed by interpolation can land within rounding of the root:
-            # one ulp at the scale of the compared values keeps it from
-            # deciding a side it does not lie on.  A bracket inverted by
-            # rounding (see PressureEstimate) is widened, so it decides at
-            # most one side.
-            lower, upper = est.lower, max(est.lower, est.upper)
-            pad = math.ulp(max([1.0, abs(shift)] + [abs(v) for v in (lower, upper)
-                                                    if math.isfinite(v)]))
-            probe = s, lower - shift - pad, upper - shift + pad
-            decided = probe[1] > 0.0 or (probe[2] <= 0.0 and self.trunc.use_tail)
-            if decided or self.index + 1 == len(self.trunc.subsets):
+            probe = s, *est.margins(shift)
+            final = self.index + 1 == len(self.trunc.subsets)
+            if probe[1] > 0.0 or (probe[2] <= 0.0 and (final or self.trunc.use_tail)):
+                self.matrix_depth = max(self.matrix_depth, est.matrix_depth)
+                return probe
+            if final:
                 return probe
             self.index += 1
 
@@ -317,7 +317,7 @@ class _Solver:
         subset = self.trunc.subsets[self.index]
         return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi),
                                truncation=(subset, self.n_used), certified=certified,
-                               steps=self.steps)
+                               steps=self.steps, matrix_depth=self.matrix_depth)
 
 
 def bowen_dimension(sys: BranchFamily, trunc: Truncation, tol: float = 1e-9) -> DimensionResult:

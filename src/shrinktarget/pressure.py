@@ -40,7 +40,22 @@ deeper request sweeps again from the root.
 Each log is padded one ulp outward, because np.log may sit an ulp away
 from the correctly rounded value: the step is taken on the IEEE bit
 pattern, equal to np.nextafter bit for bit and several times cheaper; the
-sums are rounded to nearest.
+level sums are rounded to nearest.
+
+A bracket is read from the levels in one of two ways.  Fekete's lemma
+bounds P by the best level partition over n (the dominated sums from below,
+the dominating ones from above), a width that shrinks like 1/n; this is
+the bracket of ``pressure_bracket``, of every request without a target,
+with a tail or on an additive table.
+A probe of the dimension search asks with its target, the shift it is
+compared with, and gets the first depth-m cylinder transfer matrix bracket
+(McMullen 1998), m = 1, 2, ..., that decides it by at least its own width
+(at the deepest m by any margin), read from levels m and m + 1 alone; its
+width shrinks like the distortion over depth-m cylinders, geometrically
+in m.  Every bound is rounded outward through ``_outward``:
+the partition sums, the quotients of the Fekete levels and the matrix
+weights, row sums and logs; ``PressureEstimate.margins`` is the one rule
+by which a bracket decides a target.
 """
 
 from __future__ import annotations
@@ -181,17 +196,56 @@ def birkhoff_bracket(sys: BranchFamily, pot: Potential, word: Word) -> tuple[flo
 
 @dataclass(frozen=True)
 class PressureEstimate:
-    """Two-sided truncated pressure bracket for P(-u) at truncation (F, n)."""
+    """Two-sided truncated pressure bracket for P(-u) at truncation (F, n),
+    n the deepest level read.  ``matrix_depth`` is the depth m of the
+    cylinder transfer matrix behind the bracket, 0 when none was read."""
 
     lower: float
     upper: float
     truncation: tuple[frozenset[int], int]
     diverged: bool = False
+    matrix_depth: int = 0
 
     def __post_init__(self):
-        if math.isfinite(self.lower) and math.isfinite(self.upper):
-            if self.lower > self.upper + 1e-12:
-                raise ValueError(f"invalid pressure bracket [{self.lower}, {self.upper}]")
+        if self.lower > self.upper:
+            raise ValueError(f"invalid pressure bracket [{self.lower}, {self.upper}]")
+
+    def margins(self, target: float) -> tuple[float, float]:
+        """(lower - target, upper - target), each padded one ulp at the scale
+        of the compared values against the target: the first positive
+        decides that the pressure lies above the target, the second at most
+        0 that it lies at or below it.  The pad keeps a target within an
+        ulp of either end from deciding the side it is on by rounding."""
+        return _margins(self.lower, self.upper, target)
+
+
+def _margins(lower: float, upper: float, target: float) -> tuple[float, float]:
+    # the pad's scale skips an infinite end (abs(nan) < inf is False too)
+    pad = math.ulp(max(1.0, abs(target), abs(lower) if abs(lower) < math.inf else 0.0,
+                       abs(upper) if abs(upper) < math.inf else 0.0))
+    return lower - target - pad, upper - target + pad
+
+
+def _decides(lower: float, upper: float, target: float, by_width: bool = False) -> bool:
+    """Whether the bracket decides the target by ``_margins``; with
+    ``by_width``, also with a margin at least the bracket's width."""
+    low, up = _margins(lower, upper, target)
+    need = upper - lower if by_width else 0.0
+    return (low > 0.0 and low >= need) or (up <= 0.0 and -up >= need)
+
+
+# unit roundoff: a rounding to nearest moves a double by at most _U of itself
+_U = 2.0 ** -53
+
+
+def _outward(x, err, toward):
+    """x moved outward by the absolute error bound err and then one ulp, for
+    that step's own rounding: up where ``toward`` is 1, down where it is -1.
+    Floats, or arrays with ``toward`` a broadcasting array of signs; a float
+    that is not finite is returned as it is."""
+    if isinstance(x, float):
+        return x if not math.isfinite(x) else math.nextafter(x + toward * err, toward * math.inf)
+    return np.nextafter(x + toward * err, toward * np.inf)
 
 
 def _logsumexp(arr: np.ndarray, m: float) -> float:
@@ -268,10 +322,11 @@ class BirkhoffTable:
         self.budget = budget
         self.pot = pot
         self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # smallest psi per (level, end), the log-sum-exp shift of partition
-        self._least: dict[tuple[int, int], float] = {}
-        # every bracket returned, by (scale, resolved n_max, use_tail)
-        self._brackets: dict[tuple[float, int, bool], PressureEstimate] = {}
+        # per (level, end), ``_psi_range``: partition's log-sum-exp shift
+        # and the terms of its rounding bound
+        self._ranges: dict[tuple[int, int], tuple[float, float, float]] = {}
+        # every bracket returned, by (scale, resolved n_max, use_tail, target)
+        self._brackets: dict[tuple[float, int, bool, float | None], PressureEstimate] = {}
         self._column = np.array(self.symbols)[:, None]
         self.additive: np.ndarray | None = None
         if pot.psi_coef == 0.0 or sys.is_affine:
@@ -297,7 +352,19 @@ class BirkhoffTable:
         p*K + k, each block of children copied transposed into its parents'
         rows.  Prepending s_k composes one more outer branch, so the psi sums
         gain -log of the bracket of |phi_s'| over phi_w([0,1]).  An additive
-        table has no levels."""
+        table has no levels.
+
+        The child intervals are rounded to nearest, so each bracket of
+        |phi_s'| is taken over an interval whose ends drift from the exact
+        cylinder's; the family's padding covers that drift.  For Gauss
+        (u = 2^-53): an end y = 1/(s + x) is rounded twice, within 2u y, and
+        inherits the parent's drift times y^2, since each ``apply`` is a
+        contraction; y nears 1 only where x nears 0, so the drift stays below
+        about 2.3u (measured: 1.3u on {1,2} to depth 14).  A drift d moves
+        (j + y)^-2 by at most 2d / (j + y) relative, at most about 3.1u,
+        and with ``deriv_bracket``'s own 4u of roundings that stays inside
+        the 8u of its _PAD (measured: at least 4.8u of it left on {1,2} to
+        depth 14, 1..4 to depth 5, 1..8 to depth 3 and 1..16 to depth 2)."""
         if self.additive is not None:
             raise ValueError("an additive table has no levels: its level n is n times level 1")
         if n in self._levels:
@@ -329,14 +396,41 @@ class BirkhoffTable:
                 f = _Frontier(*nxt)
         return self._levels[n]
 
+    def _psi_range(self, depth: int, end: int) -> tuple[float, float, float]:
+        """Of one end's psi array at a level (an additive table's level 1 at
+        depth 1), cached for ``partition``: its min, which sets the shift,
+        and the two parts of the rounding bound that depend on the level
+        alone, 32 + log2 of its length and the factor of |f|,
+        4 (max - min) + depth * max|psi|."""
+        psi = self.additive if self.additive is not None else self.level(depth)[end]
+        least = float(np.min(psi))
+        spread = float(np.max(psi)) - least
+        span = self._ranges[depth, end] = (least, 32 + math.log2(len(psi)),
+                                           4 * spread + depth * (abs(least) + spread))
+        return span
+
     def partition(self, scale: float, n: int, mode: str) -> float:
         """log sum over F^n of exp(-scale * end) with end the bracket
         endpoint of S_n(u) selected by mode ('sup' -> lower endpoint,
         dominating), by the module's one rule: a log-sum-exp over the psi
         array alone (level n, or an additive table's level 1 taken n times),
-        less scale * n * const.  Its shift is -(scale * psi_coef) * min(psi),
-        since rounding is monotone; min(psi) is cached per level and end.
-        A negative or nan scale raises ValueError."""
+        less scale * n * const.  Its shift is m = f * min(psi), f =
+        -(scale * psi_coef), since rounding is monotone.
+
+        The result is rounded outward, 'sup' up and 'inf' down, by a bound
+        on its roundings to nearest, u the unit roundoff.  Level n's psi
+        sums are each rounded n times, so they sit within n u max|psi| of
+        their exact values, which moves each exponent by |f| times that.
+        The products psi * f and their difference from m move each exponent
+        d <= 0 by at most u (4|m| + 3|d|), and |d| <= |f| * (max - min)(psi);
+        exp adds at most 4u relative; numpy sums a contiguous array
+        pairwise, in blocks of at most 128 terms kept in eight running sums,
+        within (25 + log2 K) u relative for K terms.  The log, m, the
+        constant scale * (n * const) and the sums of these add u of each;
+        the bound takes 8u of each magnitude.  The n-fold product of an
+        additive table's level 1 (covers read it; ``bracket`` reads level 1
+        alone) is rounded to nearest.  A negative or nan scale raises
+        ValueError."""
         if mode not in ("sup", "inf"):
             raise ValueError("mode must be 'sup' or 'inf'")
         if not scale >= 0.0:
@@ -346,11 +440,13 @@ class BirkhoffTable:
             psi, times, depth = self.additive, n, 1
         else:
             psi, times, depth = self.level(n)[end], 1, n
-        least = self._least.get((depth, end))
-        if least is None:
-            least = self._least[depth, end] = float(np.min(psi))
+        least, terms, per_f = self._ranges.get((depth, end)) or self._psi_range(depth, end)
         f = -(scale * self.pot.psi_coef)
-        return times * (_logsumexp(psi * f, f * least) - scale * (depth * self.pot.const))
+        shift = f * least
+        lse = _logsumexp(psi * f, shift)
+        c = scale * (depth * self.pot.const)
+        err = _U * (terms + 8 * (abs(shift) + abs(lse) + c) - f * per_f)
+        return times * _outward(lse - c, err, 1.0 if mode == "sup" else -1.0)
 
     @cached_property
     def _skipped_psi(self) -> list[float]:
@@ -372,36 +468,56 @@ class BirkhoffTable:
         return math.exp(-scale * self.pot.const) * (
             beyond + sum(math.exp(-sa * p) for p in self._skipped_psi))
 
-    def bracket(self, scale: float, n_max: int | None = None,
-                use_tail: bool = False) -> PressureEstimate:
+    def bracket(self, scale: float, n_max: int | None = None, use_tail: bool = False,
+                target: float | None = None) -> PressureEstimate:
         """Two-sided estimate of P(-scale*u) over the truncation.
 
         ``n_max`` defaults to the deepest level within the budget.  Without
-        ``use_tail`` the upper bound certifies the F-subsystem, and deeper
-        levels sharpen it by submultiplicativity.  With it the upper bound
-        is the depth-1 dominated sum plus the family's closed-form tail
-        beyond F, dominating the full alphabet; an infinite tail (none
-        known, or a divergent series) sets ``diverged`` and upper = +inf.
-        An additive table reads level 1 alone, whatever n_max is: its level
-        n is exactly n times level 1, so level 1 is already the bracket.
-        The estimate is kept, keyed by (scale, resolved n_max, use_tail), so
-        a repeat returns it without touching any level.
+        ``use_tail`` the upper bound certifies the F-subsystem.  With it the
+        upper bound is the depth-1 dominated sum plus the family's
+        closed-form tail beyond F, dominating the full alphabet; an infinite
+        tail (none known, or a divergent series) sets ``diverged`` and
+        upper = +inf.  An additive table reads level 1 alone, whatever n_max
+        is: its level n is exactly n times level 1, so level 1 is already
+        the bracket.
+
+        Otherwise the bracket is read from the levels 1..n_max by Fekete's
+        lemma (the best of the level partitions over n), unless a ``target``
+        is given and n_max >= 2: then it is the first cylinder transfer
+        matrix bracket, at depth m = 1, 2, ..., n_max - 1, that decides the
+        target (see ``PressureEstimate.margins``), below n_max - 1 by at
+        least its own width, read from levels m and m + 1 alone.  One that
+        still straddles the target at m = n_max - 1 is intersected with the
+        Fekete bracket.  A target is ignored with ``use_tail``, on an
+        additive table and at n_max = 1.  The estimate is kept, keyed by
+        (scale, resolved n_max, use_tail, target), so a repeat returns it
+        without touching any level.
         """
         if n_max is None:
             n_max = self._max_level
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        key = (scale, n_max, use_tail)
+        if use_tail or self.additive is not None or n_max == 1:
+            target = None
+        key = (scale, n_max, use_tail, target)
         est = self._brackets.get(key)
-        if est is not None:
-            return est
+        if est is None:
+            est = self._brackets[key] = (self._fekete(scale, n_max, use_tail) if target is None
+                                         else self._climb(scale, n_max, target))
+        return est
+
+    def _fekete(self, scale: float, n_max: int, use_tail: bool) -> PressureEstimate:
+        """The level bracket: max over n of the dominated partitions / n
+        below, and above min over n of the dominating ones / n, or with
+        ``use_tail`` the depth-1 dominating sum and the family tail.  A
+        quotient by n > 1 is stepped an ulp outward."""
         levels = range(1, 2 if self.additive is not None else n_max + 1)
         if self.additive is None:
             self.level(n_max)  # one sweep builds every level below it too
-        lower = max(self.partition(scale, n, "inf") / n for n in levels)
+        lower = max(self._per_level(scale, n, "inf") for n in levels)
         diverged = False
         if not use_tail:
-            upper = min(self.partition(scale, n, "sup") / n for n in levels)
+            upper = min(self._per_level(scale, n, "sup") for n in levels)
         else:
             tail = self._tail(scale)
             diverged = not math.isfinite(tail)
@@ -410,10 +526,114 @@ class BirkhoffTable:
             else:
                 z1 = self.partition(scale, 1, "sup")
                 upper = float(np.logaddexp(z1, math.log(tail))) if tail > 0.0 else z1
-        est = self._brackets[key] = PressureEstimate(
-            lower=lower, upper=upper, truncation=(frozenset(self.symbols), n_max),
-            diverged=diverged)
-        return est
+        return PressureEstimate(lower=lower, upper=upper,
+                                truncation=(frozenset(self.symbols), n_max), diverged=diverged)
+
+    def _per_level(self, scale: float, n: int, mode: str) -> float:
+        z = self.partition(scale, n, mode)
+        return z if n == 1 else _outward(z / n, 0.0, 1.0 if mode == "sup" else -1.0)
+
+    def _climb(self, scale: float, n_max: int, target: float) -> PressureEstimate:
+        """The first matrix bracket, at depth 1, 2, ..., that decides the
+        target; at n_max - 1 one that straddles it is intersected with the
+        Fekete bracket of levels 1..n_max.
+
+        Below n_max - 1 a bracket decides only by at least its own width
+        (``_decides`` by_width), so that its margins, which the dimension
+        search interpolates, lie within their own size of the exact
+        distance to the target: a bracket that barely decides has margins
+        near 0 wherever the target is, and a search that interpolates such
+        margins ends on certified brackets whose width swings with the
+        target.
+        """
+        subset = frozenset(self.symbols)
+        for m in range(1, n_max):
+            last = m == n_max - 1
+            lower, upper = self._matrix(scale, m, target, last)
+            if _decides(lower, upper, target, by_width=not last):
+                return PressureEstimate(lower, upper, (subset, m + 1), matrix_depth=m)
+        fek = self._fekete(scale, n_max, False)
+        return PressureEstimate(max(lower, fek.lower), min(upper, fek.upper), (subset, n_max),
+                                matrix_depth=n_max - 1)
+
+    def _matrix(self, scale: float, m: int, target: float, last: bool) -> tuple[float, float]:
+        """Bracket of P(-scale*u) on the F-subsystem from its depth-m cylinder
+        transfer matrices (McMullen, Amer. J. Math. 120, 1998).
+
+        State c = c_1..c_m steps to i.c_1..c_{m-1} with the weight
+        A(i, c) = exp(-scale * (psi_coef * dpsi(i, c) + const)), dpsi the
+        bracket of -log|phi_i'| over cyl(c): child i.c of level m + 1 less c
+        of level m, at idx(c) * K + i.  Its lower ends give M_sup and its
+        upper ends M_inf, and chaining the weights along a word gives
+        log rho(M_inf) <= P <= log rho(M_sup).  For any positive x,
+        Collatz-Wielandt gives min(Mx/x) <= rho(M) <= max(Mx/x), so x comes
+        from a plain power iteration of each matrix, started at the level-m
+        weights, and only the roundings of the bounds are padded: each
+        weight by its exponent's roundings, dpsi's subtraction included,
+        and exp's, the K-term row sums and their quotient by (K+3)u relative,
+        and the logs by an ulp.  The iteration stops once the two
+        Collatz-Wielandt gaps sum to at most 2^-10 of the inner width
+        log min(M_sup x/x) - log max(M_inf x/x) (or 2^-40), or after
+        _POWER_STEPS, so that the bracket is a continuous function of the
+        scale up to that gap; at the ``last`` depth also at the first step
+        whose bounds decide the target, and below it once the inner bounds,
+        which the converged bracket contains, show that it cannot decide the
+        target by its width.
+        Weights below _TINY_WEIGHT, whose products could leave the normal
+        range, give no bracket, (-inf, inf).  Row 0 of every stacked array
+        belongs to M_sup and row 1 to M_inf, and ``out`` steps each row
+        outward: M_sup's weights up and M_inf's down.
+        """
+        k = len(self.symbols)
+        f = -(scale * self.pot.psi_coef)
+        g = -(scale * self.pot.const)
+        out = np.array([[[1.0]], [[-1.0]]])
+        parent = np.stack(self.level(m))[:, None, :]
+        child = np.stack(self.level(m + 1)).reshape(2, -1, k).transpose(0, 2, 1)
+        a = f * (child - parent)
+        w = np.exp(a + g)
+        # child - parent rounds by at most 2u of |child| + |parent|, which
+        # moves the exponent by |f| times that; f, a and a + g round by at
+        # most u of |a| + |g| each, exp by 4u; 4u of each term leaves room
+        # for the second-order terms (the exponent's error is far below 1)
+        err = 1.0 + np.abs(a) + abs(g) + abs(f) * (np.abs(child) + np.abs(parent))
+        w = _outward(w, 4 * _U * err * w, out)
+        if w[1].min() < _TINY_WEIGHT:
+            return -math.inf, math.inf
+        w = w.reshape(2, k, k, -1)
+        x = np.maximum(np.exp(f * (parent[:, 0] - parent[:, 0].min(axis=1, keepdims=True))),
+                       _TINY_WEIGHT)
+        # the K-term row sums and their quotient by x; then the log
+        rel = (k + 3) * _U
+
+        def bounds() -> tuple[float, float]:
+            lower, upper = math.log(inf_lo), math.log(sup_hi)
+            return (_outward(lower, rel + 2 * _U * abs(lower), -1.0),
+                    _outward(upper, rel + 2 * _U * abs(upper), 1.0))
+
+        for _ in range(_POWER_STEPS):
+            y = np.einsum("eijr,ejr->eri", w, x.reshape(2, k, -1)).reshape(2, -1)
+            r = y / x
+            lo, hi = r.min(axis=1), r.max(axis=1)
+            x = np.maximum(y / hi[:, None], _TINY_WEIGHT)
+            (sup_lo, inf_lo), (sup_hi, inf_hi) = lo.tolist(), hi.tolist()
+            inner_lo, inner_hi = math.log(inf_hi), math.log(sup_lo)
+            if last:
+                if _decides(*bounds(), target):
+                    break
+            elif (inner_lo - target < inner_hi - inner_lo
+                  and target - inner_hi < inner_hi - inner_lo):
+                break
+            gap = math.log(sup_hi / sup_lo) + math.log(inf_hi / inf_lo)
+            if gap <= 2.0 ** -10 * max(inner_hi - inner_lo, 2.0 ** -30):
+                break
+        return bounds()
+
+
+# power iteration steps per matrix bracket at most, and the least weight and
+# vector entry it admits: products of two stay normal doubles
+_POWER_STEPS = 200
+_TINY_WEIGHT = 2.0 ** -500
 
 
 def pressure_bracket(sys: BranchFamily, pot: Potential, subset,

@@ -132,11 +132,12 @@ def test_criterion_5_pressure_bracket_properties():
             small = pressure_bracket(sys, pot, frozenset(range(1, k)), n_max=2)
             ok = ok and est.lower >= small.lower - 1e-12                # (c)
         zero = pressure_bracket(sys, Constant(0.0), full, n_max=3)
-        ok = ok and zero.lower == zero.upper == math.log(k)             # (d)
+        # (d): rounded outward around the exact log k
+        ok = ok and zero.lower < math.log(k) < zero.upper < zero.lower + 4e-14
         if not ok:
             break
     report(5, ok, f"200 randomized affine systems: bracket validity, "
-                  f"depth monotonicity, subset monotonicity, exact log k")
+                  f"depth monotonicity, subset monotonicity, log k within 4e-14")
 
 
 def test_criterion_6_positivity():

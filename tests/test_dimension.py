@@ -24,6 +24,8 @@ from shrinktarget import (
 from shrinktarget.dimension import _Solver, _search
 
 PSI = LogDerivative()
+# Jenkinson-Pollicott (2001): the dimension of the {1,2} continued-fraction set
+E2 = 0.5312805062772051
 DOUBLING_TRUNC = Truncation.single({1, 2}, n_max=4)
 
 
@@ -76,7 +78,12 @@ def test_solvers_reject_tolerance_below_float_resolution():
     # the bracket around 1 cannot shrink below its float spacing, 2.2e-16
     with pytest.raises(ValueError, match="tolerance 1e-20 is below float resolution"):
         bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-20)
-    assert bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-15).certified
+    # the partition sums are rounded outward, so the exact P(-s psi) = (1-s)
+    # log 2 straddles 0 on a zone about 1e-14 wide: 1e-15 closes on its
+    # midpoint uncertified, 1e-13 certifies
+    res = bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-15)
+    assert not res.certified and res.bracket[0] <= 1.0 <= res.bracket[1]
+    assert bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-13).certified
 
 
 def test_truncation_ladder_must_be_nested():
@@ -191,41 +198,63 @@ def e2_fekete_oracle(n, tol=2e-4):
 def test_bowen_gauss_two_branch_matches_oracle():
     lo, hi, root = e2_fekete_oracle(16)
     # frozen from the oracle at depth 16; literature value 0.5312805...
-    assert lo <= 0.5312805 <= hi
+    assert lo <= E2 <= hi
     assert root == pytest.approx(0.53370, abs=5e-4)
     res = bowen_dimension(gauss_system(), Truncation.single({1, 2}, n_max=16), tol=5e-3)
     assert abs(res.value - 0.5313) <= 5e-3
     assert lo - 5e-3 <= res.value <= hi + 5e-3
-    assert not res.certified  # depth 16 cannot certify 5e-3 on this system
+    # the level brackets alone cannot certify 5e-3 at depth 16; a matrix
+    # bracket at depth 8 or less decides every probe
+    assert res.certified and res.bracket[0] <= E2 <= res.bracket[1]
+    assert res.matrix_depth == 8 and res.truncation == (frozenset({1, 2}), 9)
 
 
-def test_gauss_row_with_a_straddling_probe_certifies_both_ends():
-    # at depth 6 the zone where the bracket straddles s*alpha is narrower
+def test_bowen_gauss_two_branch_certifies_e2_to_1e_6():
+    res = bowen_dimension(gauss_system(), Truncation.single({1, 2}, n_max=16), tol=1e-6)
+    assert res.certified and res.bracket[0] <= E2 <= res.bracket[1]
+
+
+def transfer_root(transfer_pressure, branches, alpha, guess):
+    """The root of P(-s psi) = s * alpha from the mpmath transfer-operator
+    pressure, by Anderson-Bjorck steps from the pair of guesses."""
+    return float(mpmath.findroot(lambda s: transfer_pressure(branches, s) - alpha * s, guess,
+                                 solver="anderson", verify=False))
+
+
+def test_gauss_row_with_a_straddling_probe_certifies_both_ends(transfer_pressure, gauss_branches):
+    # at depth 2 the zone where the bracket straddles s*alpha is narrower
     # than tol/2, so a search whose probe falls inside it can still certify
     # both ends of its bracket
     alpha = 2.5
-    res = shrink_exponent_alpha(gauss_system(), alpha, Truncation.single(range(1, 5), n_max=6),
+    res = shrink_exponent_alpha(gauss_system(), alpha, Truncation.single(range(1, 5), n_max=2),
                                 tol=5e-2)
     assert res.certified
     assert res.bracket[1] - res.bracket[0] <= 2.5e-2
-    # the deeper zone [a, b] at n = 10 brackets the exponent more tightly
-    level = continuant_level((1.0, 2.0, 3.0, 4.0), 10)
-
-    def less_shift(s):
-        return tuple(v - alpha * s for v in level(s))
-
-    a = level_bisect(less_shift, lambda low, up: low > 0.0, 0.0, 1.0, 1e-9)[1]
-    b = level_bisect(less_shift, lambda low, up: up > 0.0, 0.0, 1.0, 1e-9)[0]
-    assert res.bracket[0] <= a < b <= res.bracket[1]
+    root = transfer_root(transfer_pressure, gauss_branches(range(1, 5)), alpha, (0.30, 0.33))
+    assert res.bracket[0] <= root <= res.bracket[1]
 
 
 def test_gauss_row_whose_zone_is_wider_than_half_tol_is_uncertified():
-    # at alpha = 1.1 the depth-6 zone is about 0.035 wide: a certified
-    # bracket within tol = 0.05 exists, but not within tol/2
-    res = shrink_exponent_alpha(gauss_system(), 1.1, Truncation.single(range(1, 5), n_max=6),
+    # at alpha = 1.1 the depth-2 zone (a depth-1 matrix) is wider than
+    # tol/2: a certified bracket within tol = 0.05 exists, but not within
+    # tol/2
+    res = shrink_exponent_alpha(gauss_system(), 1.1, Truncation.single(range(1, 5), n_max=2),
                                 tol=5e-2)
     assert not res.certified
     assert res.bracket[1] - res.bracket[0] <= 5e-2
+
+
+@pytest.mark.parametrize("alpha, guess", [(1.1, (0.46, 0.49)), (2.5, (0.30, 0.33))],
+                         ids=["alpha-1.1", "alpha-2.5"])
+def test_gauss_row_at_depth_six_certifies_the_transfer_operator_root(
+        transfer_pressure, gauss_branches, alpha, guess):
+    # the matrix brackets decide every probe by depth 5, where the level
+    # brackets of depth 6 straddled a zone wider than tol/2 at alpha = 1.1
+    res = shrink_exponent_alpha(gauss_system(), alpha, Truncation.single(range(1, 5), n_max=6),
+                                tol=5e-2)
+    root = transfer_root(transfer_pressure, gauss_branches(range(1, 5)), alpha, guess)
+    assert res.certified and res.bracket[0] <= root <= res.bracket[1]
+    assert res.bracket[1] - res.bracket[0] <= 2.5e-2
 
 
 def _stub_zone(a, b):
@@ -265,7 +294,7 @@ class _StubTable:
     def __init__(self, lower, upper):
         self.lower, self.upper = lower, upper
 
-    def bracket(self, s, n_max=None, use_tail=False):
+    def bracket(self, s, n_max=None, use_tail=False, target=None):
         return PressureEstimate(self.lower, self.upper, (frozenset(), 1))
 
 
@@ -286,26 +315,27 @@ def test_probe_within_its_pad_of_the_shift_climbs_the_ladder(use_tail, rung0):
 
 
 # (repr(value), repr(bracket), certified, steps) of one row per kind of
-# search: probe placement is frozen bit for bit
+# search: probe placement is frozen bit for bit, with partition sums
+# rounded outward and Gauss probes decided by matrix brackets
 PINNED_ROWS = [
     ("doubling", lambda: shrink_exponent_alpha(doubling_map(), 1.0, DOUBLING_TRUNC, tol=1e-12),
-     ("0.40938389085042126", "(0.40938389085035853, 0.409383890850484)", True, 4)),
+     ("0.4093838908504206", "(0.4093838908503559, 0.4093838908504853)", True, 4)),
     ("affine-4", lambda: shrink_exponent_alpha(
         affine_system([0.3, 0.25, 0.2, 0.15]), 1.0, Truncation.single(range(1, 5), n_max=1),
         tol=1e-12),
-     ("0.5532038052870141", "(0.5532038052869496, 0.5532038052870787)", True, 8)),
+     ("0.5532038052870749", "(0.5532038052869486, 0.5532038052872013)", True, 9)),
     ("gauss-straddle", lambda: shrink_exponent_alpha(
         gauss_system(), 2.5, Truncation.single(range(1, 5), n_max=6), tol=5e-2),
-     ("0.3169703306083272", "(0.30721111895547154, 0.32672954226118284)", True, 5)),
+     ("0.3135988486234703", "(0.3103923706151016, 0.316805326631839)", True, 4)),
     ("gauss-ladder", lambda: shrink_exponent_alpha(
         gauss_system(), 2.0, Truncation.prefix_ladder([2, 4], n_max=6), tol=5e-3),
-     ("0.3562989818886212", "(0.35382167857722424, 0.3587762852000181)", False, 10)),
+     ("0.3586357074670361", "(0.3580107074670359, 0.3592607074670363)", True, 12)),
     ("e2", lambda: bowen_dimension(gauss_system(), Truncation.single({1, 2}, n_max=16), tol=5e-3),
-     ("0.5337776713747255", "(0.5334651701698482, 0.5340901725796028)", False, 7)),
+     ("0.5310138308775956", "(0.5306482552767872, 0.531379406478404)", True, 8)),
     ("geometric-tail", lambda: bowen_dimension(
         geometric_system(0.3, 0.6), Truncation.single(range(1, 33), n_max=1, use_tail=True),
         tol=1e-10),
-     ("0.8594176612899318", "(0.8594176612836817, 0.859417661296182)", False, 11)),
+     ("0.859417661289932", "(0.8594176612836818, 0.8594176612961821)", False, 11)),
 ]
 
 
