@@ -1,31 +1,30 @@
-"""Bowen-type equation solvers: a secant-guided search over pressure brackets.
+"""Bowen-type equation solvers: a proven interval from convex pressure brackets.
 
 All exponents here are infima of nonpositivity sets, not roots: the solved
-quantity is inf{s : P(-s*u) <= shift(s)} for a nonnegative potential u and a
-linear shift.  Each is the dimension of a subset of the limit set in [0, 1],
-so the search stays in (0, 1]: P(-psi) <= 0 for every family here (disjoint
-depth-n cylinders in [0, 1], bounded distortion), and u >= psi and a
-nonnegative shift only lower the exponent.  A pressure bracket at s decides
-that s lies below the exponent (lower end above the shift) or at or above
-it (upper end at or below the shift); otherwise it straddles the shift, and
-the truncation is refined along the ladder.  Each probe's bracket updates
-the running state of three ends: a = sup{s : lower > 0}, b = inf{s : upper
-<= 0}, and the root of the bracket midpoint.  An end keeps its nearest
-probe on each side and its three values nearest zero, and places its next
-probe by interpolation on them.  Certification is per end: a result is
-certified when a bracket decides its lower end below, and a bracket or the
-bound at s = 1 its upper end above, within tol/2.  When probes prove that
-no bracket that narrow can be decided at both ends, the search closes on
-the midpoint end instead, within tol, and returns ``certified=False``.
+quantity is inf{s : g(s) <= 0} with g(s) = P(-s*u) - shift(s), for a
+nonnegative potential u and a linear shift.  Each is the dimension of a
+subset of the limit set in [0, 1], so the search stays in (0, 1]: P(-psi)
+<= 0 for every family here (disjoint depth-n cylinders in [0, 1], bounded
+distortion), and u >= psi and a nonnegative shift only lower the exponent.
+A pressure bracket at s decides that s lies below the exponent (lower end
+above the shift) or at or above it (upper end at or below the shift);
+otherwise it straddles the shift, and the truncation is refined along the
+ladder.  g is convex, so besides these decisions the chords through any
+two probes' brackets bound the exponent, and every probe tightens one
+proven interval [lo, hi] around it.  Probes aim at the root of the bracket
+midpoint, then at the ends of the zone where the brackets straddle.  A
+result is certified when hi - lo is at most tol/2; every result,
+certified or not, reports [lo, hi] as its bracket.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .pressure import BirkhoffTable, LogDerivative, Potential, Sum
+from .pressure import BirkhoffTable, LogDerivative, Potential, Sum, _U, _outward
 from .systems import BranchFamily, DEFAULT_WORD_BUDGET
 
 __all__ = [
@@ -44,13 +43,14 @@ _S_FLOOR = 1e-6   # lower end of the search; shrink exponents are positive
 class DimensionResult:
     """Bracketed dimension-like exponent.
 
-    ``certified`` is True when pressure brackets (not midpoint guesses),
-    or the bound at s = 1 for the upper end, decide both ends of
-    ``bracket``: the lower end lies below the exponent and the upper end at
-    or above it.  A certified bracket is at most tol/2 wide (plus a few
-    ulps), an uncertified one at most tol.  ``steps`` counts the pressure
-    brackets evaluated, and ``matrix_depth`` the deepest cylinder transfer
-    matrix behind a probe that decided (0 when none did).
+    ``bracket`` is proven in every result: its lower end lies below the
+    exponent and its upper end at or above it, by the pressure brackets of
+    the probes, the chords through them and the bound at s = 1.
+    ``certified`` is True when it is at most tol/2 wide (plus a few ulps);
+    an uncertified bracket may be wider than tol.  ``value`` is the root of
+    the bracket midpoint, clipped into ``bracket``.  ``steps`` counts the
+    pressure brackets evaluated, and ``matrix_depth`` the deepest cylinder
+    transfer matrix behind a probe that decided (0 when none did).
     """
 
     value: float
@@ -102,166 +102,154 @@ class Truncation:
                           n_max=n_max, budget=budget, use_tail=use_tail)
 
 
-# A probe (s, lower, upper) holds the pressure bracket at s less the shift
-# there: lower > 0 certifies that s lies below the exponent, upper <= 0 that
-# s lies at or above it, and in between the bracket straddles the shift.
+# A probe (s, lower, upper) holds a bracket of g(s) = P(-s*u) - shift(s):
+# lower > 0 decides that s lies below the exponent, upper <= 0 that s lies at
+# or above it, and in between the bracket straddles the shift.
 _Probe = tuple[float, float, float]
 
 
+def _bound(p: _Probe) -> _Probe:
+    """The probe with the bound at s = 1 applied: g(1) <= 0 (module docstring)."""
+    return (1.0, min(p[1], 0.0), min(p[2], 0.0)) if p[0] == 1.0 else p
+
+
 def _mid(p: _Probe) -> float:
-    return math.inf if math.isinf(p[2]) else 0.5 * (p[1] + p[2])
+    return 0.5 * (p[1] + p[2])
 
 
-class _End:
-    """One end, the root of a step function f of the probe, kept as the
-    nearest probe on each side (``below``: f > 0, ``above``: f <= 0), the
-    (|f|, s, f) of the three finite values of f nearest zero, and
-    ``halved``, the width its interval must shrink to before the next
-    probe into it may be placed by interpolation."""
-
-    def __init__(self, f: Callable[[_Probe], float]):
-        self.f = f
-        self.below: _Probe | None = None
-        self.above: _Probe | None = None
-        self.near: list[tuple[float, float, float]] = []
-        self.halved = math.inf
-
-    def add(self, p: _Probe) -> None:
-        v = self.f(p)
-        if v > 0.0:
-            if self.below is None or p > self.below:
-                self.below = p
-        elif self.above is None or p < self.above:
-            self.above = p
-        if math.isfinite(v):
-            self.near = sorted(self.near + [(abs(v), p[0], v)])[:3]
-
-    def estimate(self, start: float, stop: float) -> tuple[float, float]:
-        """The root in [start, stop] from the three values nearest zero,
-        with an error estimate.
-
-        Inverse quadratic interpolation through three points is checked
-        against the secant through the best two: their distance estimates
-        the error of the secant, which bounds that of the quadratic from
-        above.  With two points the secant comes with an infinite error;
-        with fewer there is no estimate (nan).  The estimate is clipped to
-        [start, stop].
-        """
-        pts = self.near
-        if len(pts) < 2 or pts[0][2] == pts[1][2]:
-            return math.nan, math.inf
-        (_, x0, f0), (_, x1, f1) = pts[:2]
-        root = secant = x0 - f0 * (x0 - x1) / (f0 - f1)
-        err = math.inf
-        if len(pts) > 2 and pts[2][2] not in (f0, f1):
-            _, x2, f2 = pts[2]
-            root = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
-                    + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
-            err = abs(root - secant)
-        return min(max(root, start), stop), err
+def _zero(s0: float, y0: float, s1: float, y1: float, toward: float) -> float:
+    """The zero of the line through (s0, y0) and (s1, y1), y0 != y1, moved
+    outward (down where ``toward`` is -1, up where 1) past its roundings:
+    four in the quotient and one in the sum."""
+    q = y0 * (s1 - s0) / (y0 - y1)
+    x = s0 + q
+    return _outward(x, _U * (5.0 * abs(q) + 2.0 * abs(x)), toward)
 
 
-def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, float, bool]:
-    """Close the exponent inf{s : P <= shift} into [lo, hi] no wider than tol.
+def _secant(p0: _Probe, p1: _Probe, end: Callable[[_Probe], float], default: float) -> float:
+    """The zero of the secant through ``end`` of two probes, if it falls."""
+    slope = (end(p0) - end(p1)) / (p0[0] - p1[0])
+    return p0[0] - end(p0) / slope if slope < 0.0 else default
 
-    The floor probe at _S_FLOOR must have a positive midpoint.  The next
-    is at s = 1, and by the module docstring's bound an end it leaves
-    undecided takes it, both bracket ends clipped to at most 0, as its
-    point above, though not as an interpolation value.  Every probe updates
-    the three ends; the next one is placed by interpolation, aimed at a
-    from below or at b from above.  Once both
-    estimates have settled, a pair of probes a - m and b + m closes the
-    bracket to width tol/2, the width a certified bracket is held to.  An
-    interpolated probe that fails to halve the interval of its end is
-    followed by a halving one.  When straddling probes at least tol/2 apart
-    prove b - a >= tol/2, no certified bracket can be that narrow: a and b both
-    become the midpoint end, on which the search closes to width tol.
-    Holding certified brackets to tol/2 leaves half of the tolerance to
-    the truncation, so whether a row certifies does not hinge on a zone
-    about tol wide.  The few ulps of zone that rounding alone leaves are
-    not charged to tol/2, so that a tol near float resolution still
-    certifies an exact pressure.
 
-    Returns lo, hi and whether the probe at lo has lower > 0, the one at
-    hi has upper <= 0 and hi - lo is at most the held width.  Raises
-    RuntimeError when the midpoint is not positive at the floor, and
-    ValueError once the interval cannot be split, which a tolerance below
-    the float spacing there would otherwise turn into an endless loop.
+def _search(measure: Callable[[float], _Probe], tol: float) -> tuple[float, float, float, bool]:
+    """Close the exponent r = inf{s : g(s) <= 0} into a proven interval [lo, hi].
+
+    g is convex and nonincreasing (pressure is convex in the potential, and
+    nonincreasing in s for u >= 0; the shift is linear and nondecreasing),
+    so the chord through the brackets of two probes s0 < s1 bounds r
+    besides their own decisions.  Extended to the right of two points below
+    r the chord lies below g, so r >= s1 + L1 (s1 - s0) / (U0 - L1) when
+    L1 > 0; extended to the left it does too, so r >= s0 + L0 (s1 - s0) /
+    (L0 - U1) when L0 <= 0 and L0 > U1; between the points it lies above g,
+    so r <= s0 + U0 (s1 - s0) / (U0 - U1) when U0 > 0 >= U1.  A new probe
+    applies these with its two neighbours, and the probe at s = 1 enters
+    them with both ends clipped to at most 0, by the module docstring.
+
+    Probes first aim at the root of the bracket midpoint: the secant through
+    the two midpoints nearest zero (their lower ends where an upper end is
+    infinite), kept tol/4 inside the interval between the nearest probes
+    with a positive and a non-positive midpoint, or its middle when it did
+    not halve over the last two probes.  Once that interval is within tol,
+    or the secant moves the probe of least |midpoint| by at most tol/4,
+    closing probes aim at the ends of the zone where brackets straddle: the
+    secant zero of the two lower ends nearest zero less a pad, and of the
+    upper ends plus a pad.  The pad is a quarter of what the estimated zone
+    leaves of the held width (tol/8 when it leaves nothing), and a closing
+    probe goes only where it would move its end by more than a quarter of
+    what hi - lo exceeds the held width by, while hi - lo shrinks.
+
+    Certified brackets are held to tol/2, which leaves half of the
+    tolerance to the truncation, so whether a row certifies does not hinge
+    on a zone about tol wide; the few ulps of zone that rounding alone
+    leaves are not charged to it.  Returns lo, hi, the midpoint root
+    clipped into [lo, hi], and whether hi - lo is within the held width.
+    Raises RuntimeError when the midpoint is not positive at the floor, and
+    ValueError once the midpoint interval cannot be split, which a
+    tolerance below the float spacing would otherwise make an endless loop.
     """
-    ends = lower, upper, mid = _End(lambda p: p[1]), _End(lambda p: p[2]), _End(_mid)
+    probes: list[_Probe] = []  # sorted by s, as measured
+    lo, hi = 0.0, 1.0
 
     def probe(s: float) -> None:
-        p = measure(s)
-        for end in ends:
-            end.add(p)
+        nonlocal lo, hi
+        i = bisect.bisect(probes, (s,))
+        if i < len(probes) and probes[i][0] == s:
+            return
+        probes.insert(i, measure(s))
+        _, low, up = _bound(probes[i])
+        if low > 0.0:
+            lo = max(lo, s)
+        if up <= 0.0:
+            hi = min(hi, s)
+        near = [_bound(p) for p in probes[max(i - 1, 0):i + 2]]
+        for (s0, l0, u0), (s1, l1, u1) in zip(near, near[1:]):
+            if l1 > 0.0 and u0 > l1:
+                lo = max(lo, _zero(s1, l1, s0, u0, -1.0))
+            if l0 <= 0.0 and l0 > u1:
+                lo = max(lo, _zero(s0, l0, s1, u1, -1.0))
+            if u0 > 0.0 >= u1 and u0 < math.inf:
+                hi = min(hi, _zero(s0, u0, s1, u1, 1.0))
+
+    def estimate() -> tuple[float, float, float, float]:
+        """The probes either side of the midpoint root, the secant root kept
+        between them (else their middle), and the probe of least |midpoint|."""
+        k = next(k for k, p in enumerate(probes) if _mid(_bound(p)) <= 0.0)
+        start, stop = probes[k - 1][0], probes[k][0]
+        p0, p1 = sorted(probes, key=lambda p: abs(_mid(p)))[:2]
+        end = (lambda p: p[1]) if math.inf in (p0[2], p1[2]) else _mid
+        x = _secant(p0, p1, end, 0.5 * (start + stop))
+        return start, stop, min(max(x, start), stop), p0[0]
+
+    def zone_end(end: int, default: float) -> float:
+        """The secant zero of the lower (1) or upper (2) ends nearest 0."""
+        finite = sorted((p for p in probes if abs(p[end]) < math.inf), key=lambda p: abs(p[end]))
+        if len(finite) < 2:
+            return default
+        return _secant(finite[0], finite[1], lambda p: p[end], default)
 
     probe(_S_FLOOR)
-    if mid.below is None:
+    if not _mid(probes[0]) > 0.0:
         raise RuntimeError(
             f"pressure already nonpositive at the search floor s = {_S_FLOOR:g}: "
             f"the exponent is at most {_S_FLOOR:g} (a one-symbol subset, for "
             "example, has a one-point limit set)")
-    a, b = (lower, upper) if lower.below is not None else (mid, mid)
     probe(1.0)
-    for end in ends:
-        if end.above is None:
-            # the probe at 1 fell on this end's positive side, so it is the
-            # end's below point; the bound makes s = 1 its above point too
-            _, low, up = end.below
-            end.above = (1.0, min(low, 0.0), min(up, 0.0))
     # the width certified brackets are held to; the few ulps that rounding
     # alone leaves around a root (each decision is padded by an ulp) are
     # not charged to it, so a tol near float resolution still certifies
     half = min(tol, 0.5 * tol + 4.0 * math.ulp(1.0))
-    paired = False
-    while True:
-        lo, up = a.below, b.above
-        if up[0] - lo[0] <= (half if a is lower else tol):
-            return lo[0], up[0], lo[1] > 0.0 and up[2] <= 0.0 and up[0] - lo[0] <= half
-        # a lies in (lo, a_hi] and b in (b_lo, up]
-        a_hi, b_lo = a.above[0], b.below[0]
-        if a is lower and b_lo - a_hi >= half:
-            a = b = mid
-            continue
-        lo_s, up_s = lo[0], up[0]
-        if not lo_s < 0.5 * (lo_s + up_s) < up_s:
+    widths = (math.inf, math.inf)  # the midpoint interval two and one probes ago
+    while hi - lo > half:
+        start, stop, x, nearest = estimate()
+        width, pad = stop - start, 0.25 * tol
+        if width <= tol:
+            break
+        if not start < 0.5 * (start + stop) < stop:
             raise ValueError(f"tolerance {tol!r} is below float resolution: the search "
-                             f"stopped at [{lo_s!r}, {up_s!r}], width {up_s - lo_s!r}")
-        xa, ea = a.estimate(lo_s, a_hi)
-        xb, eb = (xa, ea) if a is b else b.estimate(b_lo, up_s)
-        # a settled pair a - m, b + m, (gap + tol/2)/2 apart and at least
-        # tol/4: outside the zone it closes the bracket, inside (m < 0, when
-        # b - a > tol/2) it proves the zone too wide
-        gap = xb - xa
-        margin = 0.5 * (max(0.5 * half, 0.5 * (gap + half)) - gap)
-        pair = [x for x in (xa - margin, xb + margin) if lo_s < x < up_s]
-        if not paired and pair and max(ea, eb) <= 0.5 * abs(margin):
-            for x in pair:
-                probe(x)
-            paired = True
-            continue
-        paired = False
-        # one probe, into the wider of the two end intervals
-        if a_hi - lo_s >= up_s - b_lo:
-            end, start, stop, x = a, lo_s, a_hi, xa
-        else:
-            end, start, stop, x = b, b_lo, up_s, xb
-        width = stop - start
-        if not start < x < stop or end.halved < width:
+                             f"stopped at [{start!r}, {stop!r}], width {width!r}")
+        if start < x < stop and abs(x - nearest) <= pad:
+            break
+        x = min(max(x, start + pad), stop - pad)
+        if width > 0.5 * widths[0] or not start < x < stop:
             x = 0.5 * (start + stop)
-            if not start < x < stop:
-                # this end is as close as floats allow and the bracket is
-                # still wider than tol/2: no certified bracket will do
-                a = b = mid
-                continue
-            # a halving probe halves its interval, up to rounding, and a
-            # rounding ulp must not force the next probe to halve as well
-            end.halved = math.inf
-        else:
-            pad = 0.25 * min(tol, width)
-            x = min(max(x, start + pad), stop - pad)
-            end.halved = 0.5 * width
+        widths = (widths[1], width)
         probe(x)
+    spans = (math.inf, math.inf)  # hi - lo two and one closing rounds ago
+    while half < hi - lo < spans[0]:
+        spans = (spans[1], hi - lo)
+        a, b = max(zone_end(1, lo), lo), min(zone_end(2, hi), hi)
+        spare = half - (b - a)
+        pad = 0.25 * spare if spare > 0.0 else 0.125 * tol
+        reach = 0.25 * (hi - lo - half)
+        count = len(probes)
+        if lo + reach < a - pad:
+            probe(a - pad)
+        if b + pad < hi - reach:
+            probe(b + pad)
+        if len(probes) == count:
+            break
+    return lo, hi, min(max(estimate()[2], lo), hi), hi - lo <= half
 
 
 class _Solver:
@@ -288,12 +276,12 @@ class _Solver:
     def measure(self, s: float) -> _Probe:
         """The probe at s, from the first rung whose probe decides it.
 
-        Lower-side decisions are monotone in the subset and hold at any
-        rung.  Without a tail an upper-side decision only certifies that
-        rung's subsystem, so it must come from the final rung.  A probe that
-        still straddles at the final rung is returned as it is.  The table
-        is given the shift, so it decides by the same margins
-        (``PressureEstimate.margins``) as the probe does here.
+        A lower end holds at any rung, since the pressure grows with the
+        subset.  Without a tail an upper end bounds only that rung's
+        subsystem, so below the final rung it enters as +inf and cannot
+        decide.  A probe that still straddles at the final rung is returned
+        as it is.  The table is given the shift, so it decides by the same
+        margins (``PressureEstimate.margins``) as the probe does here.
         """
         shift = self.shift(s)
         while True:
@@ -301,21 +289,23 @@ class _Solver:
                                         target=shift)
             self.steps += 1
             self.n_used = max(self.n_used, est.truncation[1])
-            probe = s, *est.margins(shift)
+            low, up = est.margins(shift)
             final = self.index + 1 == len(self.trunc.subsets)
-            if probe[1] > 0.0 or (probe[2] <= 0.0 and (final or self.trunc.use_tail)):
+            if not (final or self.trunc.use_tail):
+                up = math.inf
+            if low > 0.0 or up <= 0.0:
                 self.matrix_depth = max(self.matrix_depth, est.matrix_depth)
-                return probe
+                return s, low, up
             if final:
-                return probe
+                return s, low, up
             self.index += 1
 
     def run(self, tol: float) -> DimensionResult:
         if not 0.0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-        lo, hi, certified = _search(self.measure, tol)
+        lo, hi, value, certified = _search(self.measure, tol)
         subset = self.trunc.subsets[self.index]
-        return DimensionResult(value=0.5 * (lo + hi), bracket=(lo, hi),
+        return DimensionResult(value=value, bracket=(lo, hi),
                                truncation=(subset, self.n_used), certified=certified,
                                steps=self.steps, matrix_depth=self.matrix_depth)
 

@@ -539,12 +539,11 @@ class BirkhoffTable:
         Fekete bracket of levels 1..n_max.
 
         Below n_max - 1 a bracket decides only by at least its own width
-        (``_decides`` by_width), so that its margins, which the dimension
-        search interpolates, lie within their own size of the exact
-        distance to the target: a bracket that barely decides has margins
-        near 0 wherever the target is, and a search that interpolates such
-        margins ends on certified brackets whose width swings with the
-        target.
+        (``_decides`` by_width), so that the margin it decides by is at
+        least half the exact distance to the target.  The dimension search
+        bounds its exponent by chords through these margins, and a chord
+        through a bracket that barely decides, with a margin near 0 wherever
+        the target is, reaches no further than that probe itself.
         """
         subset = frozenset(self.symbols)
         for m in range(1, n_max):

@@ -458,7 +458,7 @@ tol = 1e-12
 
 def test_matrix_depth_in_the_manifest(tmp_path):
     # an affine table builds no matrix; Gauss {1,2} certifies E2 at matrix
-    # depth 8, reading levels 8 and 9 alone
+    # depth 7, reading levels 7 and 8 alone
     cfg = write(tmp_path, "dim.ini", "[system]\nkind = doubling\n\n[run]\nn_max = 4\n")
     out = tmp_path / "dim.csv"
     assert main(["dimension", "--config", cfg, "--out", str(out)]) == 0
@@ -466,12 +466,12 @@ def test_matrix_depth_in_the_manifest(tmp_path):
     cfg = write(tmp_path, "e2.ini", "[system]\nkind = gauss\n\n"
                 "[run]\nsubset = 1,2\nn_max = 16\ntol = 5e-3\n")
     assert main(["dimension", "--config", cfg, "--out", str(out)]) == 0
-    assert _manifest_value(out, "matrix_depth") == ["8"]
-    assert _manifest_value(out, "truncation") == ["F={1,2} n=9"]
+    assert _manifest_value(out, "matrix_depth") == ["7"]
+    assert _manifest_value(out, "truncation") == ["F={1,2} n=8"]
     cfg = write(tmp_path, "spec.ini", "[system]\nkind = gauss\n\n"
-                "[run]\nsubset = 1..4\nn_max = 6\ntol = 5e-2\nalphas = 4, 0.9\n")
+                "[run]\nsubset = 1..4\nn_max = 6\ntol = 5e-2\nalphas = 4, 0.5\n")
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-    # the deepest over the rows: 1 at alpha = 4, 3 at alpha = 0.9
+    # the deepest over the rows: 2 at alpha = 4, 3 at alpha = 0.5
     assert _manifest_value(out, "matrix_depth") == ["3"]
 
 

@@ -79,8 +79,8 @@ def test_solvers_reject_tolerance_below_float_resolution():
     with pytest.raises(ValueError, match="tolerance 1e-20 is below float resolution"):
         bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-20)
     # the partition sums are rounded outward, so the exact P(-s psi) = (1-s)
-    # log 2 straddles 0 on a zone about 1e-14 wide: 1e-15 closes on its
-    # midpoint uncertified, 1e-13 certifies
+    # log 2 straddles 0 on a zone about 1e-14 wide: 1e-15 ends uncertified
+    # with a proven bracket around 1, 1e-13 certifies
     res = bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-15)
     assert not res.certified and res.bracket[0] <= 1.0 <= res.bracket[1]
     assert bowen_dimension(doubling_map(), DOUBLING_TRUNC, tol=1e-13).certified
@@ -129,7 +129,7 @@ def test_upper_end_at_one_certifies_without_a_bracket():
     # the stub's upper bracket end is positive up to s = 2, so only the
     # bound at s = 1 decides the upper end
     measure, probes = _stub_zone(0.9, 2.0)
-    lo, hi, certified = _search(measure, 0.5)
+    lo, hi, _, certified = _search(measure, 0.5)
     assert certified
     assert lo < 0.9 and hi == 1.0 and hi - lo <= 0.25
     assert max(p[0] for p in probes) == 1.0
@@ -204,9 +204,9 @@ def test_bowen_gauss_two_branch_matches_oracle():
     assert abs(res.value - 0.5313) <= 5e-3
     assert lo - 5e-3 <= res.value <= hi + 5e-3
     # the level brackets alone cannot certify 5e-3 at depth 16; a matrix
-    # bracket at depth 8 or less decides every probe
+    # bracket at depth 7 or less decides every probe
     assert res.certified and res.bracket[0] <= E2 <= res.bracket[1]
-    assert res.matrix_depth == 8 and res.truncation == (frozenset({1, 2}), 9)
+    assert res.matrix_depth == 7 and res.truncation == (frozenset({1, 2}), 8)
 
 
 def test_bowen_gauss_two_branch_certifies_e2_to_1e_6():
@@ -234,14 +234,15 @@ def test_gauss_row_with_a_straddling_probe_certifies_both_ends(transfer_pressure
     assert res.bracket[0] <= root <= res.bracket[1]
 
 
-def test_gauss_row_whose_zone_is_wider_than_half_tol_is_uncertified():
+def test_gauss_row_whose_zone_is_wider_than_half_tol_is_uncertified(
+        transfer_pressure, gauss_branches):
     # at alpha = 1.1 the depth-2 zone (a depth-1 matrix) is wider than
-    # tol/2: a certified bracket within tol = 0.05 exists, but not within
-    # tol/2
+    # tol/2: the row is uncertified, and its bracket is what the probes proved
     res = shrink_exponent_alpha(gauss_system(), 1.1, Truncation.single(range(1, 5), n_max=2),
                                 tol=5e-2)
+    root = transfer_root(transfer_pressure, gauss_branches(range(1, 5)), 1.1, (0.46, 0.49))
     assert not res.certified
-    assert res.bracket[1] - res.bracket[0] <= 5e-2
+    assert res.bracket[0] <= root <= res.bracket[1]
 
 
 @pytest.mark.parametrize("alpha, guess", [(1.1, (0.46, 0.49)), (2.5, (0.30, 0.33))],
@@ -257,45 +258,57 @@ def test_gauss_row_at_depth_six_certifies_the_transfer_operator_root(
     assert res.bracket[1] - res.bracket[0] <= 2.5e-2
 
 
-def _stub_zone(a, b):
-    """A stub measure whose pressure bracket straddles the shift on [a, b)."""
+def _stub_zone(a, b, curve=0.0):
+    """A stub measure whose pressure bracket straddles the shift on [a, b):
+    its ends are a - s and b - s plus curve (s - a)^2 and curve (s - b)^2,
+    convex and decreasing for curve < 1/2, and the exponent c of any
+    g(s) = c - s + curve (s - c)^2 with c in [a, b] is consistent with it."""
     probes = []
 
     def measure(s):
-        probes.append((s, a - s, b - s))
+        probes.append((s, a - s + curve * (s - a) ** 2, b - s + curve * (s - b) ** 2))
         return probes[-1]
 
     return measure, probes
 
 
 def test_search_certifies_each_end_after_a_straddle():
-    measure, probes = _stub_zone(0.3, 0.7)
-    lo, hi, certified = _search(measure, 1.0)
+    # the zone is narrower than tol/2, so the row certifies: a closing
+    # probe aims at each zone end the chords leave open, padded by a quarter
+    # of what the zone leaves of tol/2; with curved brackets the probe at
+    # the midpoint root straddles first
+    for curve in (0.0, 0.4):
+        measure, probes = _stub_zone(0.3, 0.7, curve)
+        lo, hi, _, certified = _search(measure, 1.0)
+        assert certified
+        assert lo < 0.3 and 0.7 <= hi and hi - lo <= 0.5
     assert any(low <= 0.0 < up for _, low, up in probes)
-    assert certified
-    assert lo < 0.3 and 0.7 <= hi and hi - lo <= 0.5
 
 
 @pytest.mark.parametrize("tol", [0.1, 0.6, 0.79])
 def test_search_end_set_by_a_midpoint_guess_is_uncertified(tol):
-    # the zone is wider than tol/2: no bracket that narrow has both ends
-    # decided (at tol 0.6 and 0.79 one within tol would), and the search
-    # closes on the midpoint root 0.5 instead
+    # the zone is wider than tol/2 (at tol 0.6 and 0.79 a bracket within
+    # tol would hold it): every c in [0.3, 0.7] fits the stub's brackets,
+    # so the proven bracket holds the whole zone and is uncertified; the
+    # closing probes take it to within tol/8 of each zone end, and the
+    # value is the root of the bracket midpoint, 0.5
     measure, _ = _stub_zone(0.3, 0.7)
-    lo, hi, certified = _search(measure, tol)
+    lo, hi, value, certified = _search(measure, tol)
     assert not certified
-    assert lo <= 0.5 <= hi and hi - lo <= tol
-    assert not (lo < 0.3 and 0.7 <= hi)
+    assert lo <= 0.3 and 0.7 <= hi and hi - lo <= 0.4 + tol / 4
+    assert value == pytest.approx(0.5)
 
 
 class _StubTable:
-    """A ladder rung whose pressure bracket is the same at every s."""
+    """A ladder rung whose pressure bracket is [lower - s, upper - s] at s,
+    or [lower, upper] at every s with ``constant``."""
 
-    def __init__(self, lower, upper):
-        self.lower, self.upper = lower, upper
+    def __init__(self, lower, upper, constant=True):
+        self.lower, self.upper, self.constant = lower, upper, constant
 
     def bracket(self, s, n_max=None, use_tail=False, target=None):
-        return PressureEstimate(self.lower, self.upper, (frozenset(), 1))
+        drop = 0.0 if self.constant else s
+        return PressureEstimate(self.lower - drop, self.upper - drop, (frozenset(), 1))
 
 
 @pytest.mark.parametrize("use_tail, rung0", [
@@ -314,28 +327,58 @@ def test_probe_within_its_pad_of_the_shift_climbs_the_ladder(use_tail, rung0):
     assert (solver.index, solver.steps) == (1, 2)
 
 
+def test_upper_end_below_the_final_rung_never_bounds_the_exponent():
+    # rung 0's subsystem has its exponent in [0.29, 0.31], the final rung's
+    # in [0.69, 0.71]; without a tail rung 0's upper ends bound only its own
+    # subsystem, so they enter as +inf: its chord from the floor to s = 1
+    # would put the exponent below 0.52
+    def solver():
+        return _Solver(None, PSI, lambda s: 0.0, Truncation(({1}, {1, 2}), n_max=1),
+                       [_StubTable(0.29, 0.31, constant=False),
+                        _StubTable(0.69, 0.71, constant=False)])
+
+    floor = solver()
+    _, low, up = floor.measure(1e-6)
+    assert floor.index == 0 and low > 0.0 and up == math.inf
+    res = solver().run(0.1)
+    assert res.bracket[0] <= 0.69 and 0.71 <= res.bracket[1]
+    assert res.truncation[0] == frozenset({1, 2})
+
+
+def jarnik_row():
+    # the benchmark's Jarnik row: phi = (alpha/2 - 1) psi at alpha = 4, whose
+    # exponent over the whole Gauss map is 2/alpha
+    return shrink_exponent_potential(gauss_system(), Scale(1.0, PSI),
+                                     Truncation.prefix_ladder([16, 32, 64], n_max=3,
+                                                              use_tail=True), tol=1e-4)
+
+
+def geometric_tail_row():
+    return bowen_dimension(geometric_system(0.3, 0.6),
+                           Truncation.single(range(1, 33), n_max=1, use_tail=True), tol=1e-10)
+
+
 # (repr(value), repr(bracket), certified, steps) of one row per kind of
 # search: probe placement is frozen bit for bit, with partition sums
 # rounded outward and Gauss probes decided by matrix brackets
 PINNED_ROWS = [
     ("doubling", lambda: shrink_exponent_alpha(doubling_map(), 1.0, DOUBLING_TRUNC, tol=1e-12),
-     ("0.4093838908504206", "(0.4093838908503559, 0.4093838908504853)", True, 4)),
+     ("0.40938389085035876", "(0.40938389085035587, 0.40938389085036164)", True, 3)),
     ("affine-4", lambda: shrink_exponent_alpha(
         affine_system([0.3, 0.25, 0.2, 0.15]), 1.0, Truncation.single(range(1, 5), n_max=1),
         tol=1e-12),
-     ("0.5532038052870749", "(0.5532038052869486, 0.5532038052872013)", True, 9)),
+     ("0.553203805287075", "(0.5532038052870428, 0.5532038052870774)", True, 5)),
     ("gauss-straddle", lambda: shrink_exponent_alpha(
         gauss_system(), 2.5, Truncation.single(range(1, 5), n_max=6), tol=5e-2),
-     ("0.3135988486234703", "(0.3103923706151016, 0.316805326631839)", True, 4)),
+     ("0.31698859768250653", "(0.3141444578743189, 0.31848423728956504)", True, 3)),
     ("gauss-ladder", lambda: shrink_exponent_alpha(
         gauss_system(), 2.0, Truncation.prefix_ladder([2, 4], n_max=6), tol=5e-3),
-     ("0.3586357074670361", "(0.3580107074670359, 0.3592607074670363)", True, 12)),
+     ("0.3585071209139863", "(0.3575534969486257, 0.3590679864424794)", True, 5)),
     ("e2", lambda: bowen_dimension(gauss_system(), Truncation.single({1, 2}, n_max=16), tol=5e-3),
-     ("0.5310138308775956", "(0.5306482552767872, 0.531379406478404)", True, 8)),
-    ("geometric-tail", lambda: bowen_dimension(
-        geometric_system(0.3, 0.6), Truncation.single(range(1, 33), n_max=1, use_tail=True),
-        tol=1e-10),
-     ("0.859417661289932", "(0.8594176612836818, 0.8594176612961821)", False, 11)),
+     ("0.5312458809565619", "(0.5311525746620925, 0.5314536115261796)", True, 4)),
+    ("geometric-tail", geometric_tail_row,
+     ("0.8594176612961819", "(0.8594174743786915, 0.8594178472010515)", False, 7)),
+    ("jarnik", jarnik_row, ("0.5465765838880446", "(0.45870846819896516, 1.0)", False, 9)),
 ]
 
 
@@ -346,27 +389,81 @@ def test_solver_bits_frozen(solve, expect):
     assert (repr(res.value), repr(res.bracket), res.certified, res.steps) == expect
 
 
+def geometric_root(a, q):
+    """The root of a^s + q^s = 1: the Moran equation of the widths a q^(k-1)."""
+    with mpmath.workdps(40):
+        return mpmath.findroot(lambda s: mpmath.mpf(a) ** s + mpmath.mpf(q) ** s - 1,
+                               (mpmath.mpf(0.5), mpmath.mpf(1)), solver="anderson")
+
+
+def affine_alpha_root(ratios, alpha):
+    """The root of log sum r_i^s = s alpha, in mpmath."""
+    with mpmath.workdps(40):
+        return mpmath.findroot(
+            lambda s: mpmath.log(sum(mpmath.mpf(r) ** s for r in ratios)) - s * alpha,
+            (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+
+
+# one row per oracle, certified or not: (solve, the exponent it must bracket)
+ORACLE_ROWS = [
+    ("e2-1e-9", lambda: bowen_dimension(gauss_system(), Truncation.single({1, 2}, n_max=16),
+                                        tol=1e-9), lambda: E2),
+    ("geometric-tail", geometric_tail_row, lambda: geometric_root(0.3, 0.6)),
+    ("jarnik", jarnik_row, lambda: 0.5),
+    ("doubling", lambda: shrink_exponent_alpha(doubling_map(), 3.0, DOUBLING_TRUNC, tol=1e-12),
+     lambda: closed_form_alpha(3.0)),
+    ("affine-4", lambda: shrink_exponent_alpha(
+        affine_system([0.3, 0.25, 0.2, 0.15]), 3.0, Truncation.single(range(1, 5), n_max=1),
+        tol=1e-12), lambda: affine_alpha_root([0.3, 0.25, 0.2, 0.15], 3.0)),
+]
+
+
+@pytest.mark.parametrize("solve, oracle", [row[1:] for row in ORACLE_ROWS],
+                         ids=[row[0] for row in ORACLE_ROWS])
+def test_every_row_brackets_its_oracle(solve, oracle):
+    # an uncertified row's bracket is what its probes proved: E2 at tol 1e-9
+    # lies below what depth 15 resolves, the geometric row's lower end is
+    # its 32-symbol subsystem's, and no upper end but s = 1's decides the
+    # Jarnik row, whose lower end is where its Fekete lower ends decide
+    res = solve()
+    lo, hi = res.bracket
+    assert lo < hi
+    assert lo <= oracle() <= hi
+
+
+def test_shallow_gauss_row_brackets_the_transfer_operator_root(transfer_pressure, gauss_branches):
+    # no depth-1 bracket over 1..64 decides an upper end below s = 1, so the
+    # row is uncertified, but lower < upper still holds the root
+    res = bowen_dimension(gauss_system(), Truncation.single(range(1, 65), n_max=1), tol=1e-9)
+    lo, hi = res.bracket
+    assert not res.certified and lo < hi
+    branches = gauss_branches(range(1, 65))
+    assert transfer_pressure(branches, lo) > 0.0 >= transfer_pressure(branches, hi)
+
+
 # ---------------------------------------------------------------- cost
 
 @settings(max_examples=30, deadline=None)
 @given(hyst.floats(min_value=0.2, max_value=8.0))
-def test_doubling_row_takes_at_most_six_brackets(alpha):
+def test_doubling_row_takes_at_most_three_brackets(alpha):
+    # the floor, s = 1 and one probe: g is linear, so the chords through
+    # the three brackets close the exponent to a few ulps
     res = shrink_exponent_alpha(doubling_map(), alpha, DOUBLING_TRUNC, tol=1e-12)
     assert res.certified
-    assert res.steps <= 6
+    assert res.steps <= 3
 
 
 @settings(max_examples=30, deadline=None)
 @given(hyst.floats(min_value=0.2, max_value=8.0))
-# a halving probe here leaves its end an ulp wider than half its interval,
-# which must not make every later probe a halving one (17 brackets)
+# a halving probe here once left its interval an ulp wider than half,
+# which must not make every later probe a halving one
 @example(alpha=0.7399329132460064)
-def test_affine_row_takes_at_most_fourteen_brackets(alpha):
+def test_affine_row_takes_at_most_six_brackets(alpha):
     ratios = [0.3, 0.25, 0.2, 0.15]
     res = shrink_exponent_alpha(affine_system(ratios), alpha,
                                 Truncation.single(range(1, 5), n_max=1), tol=1e-12)
     assert res.certified
-    assert res.steps <= 14
+    assert res.steps <= 6
 
 
 # ---------------------------------------------------------------- shrink
