@@ -107,13 +107,14 @@ def _series_end(exponent: float, start: int, slack: float) -> int:
 
 
 def _width_power_series(log_width: Callable[[int], float], exponent: float, start: int,
-                        slack: float, total: float = 0.0) -> tuple[float, float]:
-    """(total + sum_{n=start}^{m} width_n^exponent, remainder bound) for the
+                        slack: float) -> tuple[float, float]:
+    """(sum_{n=start}^{m} width_n^exponent, remainder bound) for the
     first m >= start whose quadratic-domination tail is at most the slack (m
     stops at start + 400); terms are added one at a time in order.  The
     remainder bound is _quad_tail(exponent, m) padded by 1e-290, so it stays
     positive where the tail underflows."""
     m = _series_end(exponent, start, slack)
+    total = 0.0
     for n in range(start, m + 1):
         total += math.exp(exponent * log_width(n))
     return total, _quad_tail(exponent, m) + 1e-290
@@ -144,10 +145,9 @@ class CounterexampleSystem(AffineCountableFamily):
             return self.log_r12
         if n < self.n0:
             raise ValueError(f"symbol {n} not in the counterexample alphabet")
-        key = ("w", n)
-        if key not in self._cache:
-            self._cache[key] = _log_raw_width(self.phi, n)
-        return self._cache[key]
+        if n not in self._cache:
+            self._cache[n] = _log_raw_width(self.phi, n)
+        return self._cache[n]
 
     def left(self, n: int) -> float:
         """Left end of branch n's image: the centre of its gap less half
@@ -220,17 +220,18 @@ def build(beta: float, phi: ShrinkFn) -> CounterexampleSystem:
 
 def verify_moran(ce: CounterexampleSystem) -> float:
     """Certified upper bound for |sum of width^beta - 1| over the float log
-    widths (reads ``beta``, ``n0``, ``log_width``): the explicit sum padded by
-    its remainder bound and by 2^-52 * sum (|beta log w| + k + 3) w^beta over
-    its k terms, which bounds the roundings of beta * log w, exp and the sum."""
-    logw = ce.log_width
-    beta = ce.beta
-    total, tail = _width_power_series(logw, beta, ce.n0, _SERIES_SLACK,
-                                      math.exp(beta * logw(1)) + math.exp(beta * logw(2)))
-    terms = (1, 2, *range(ce.n0, _series_end(beta, ce.n0, _SERIES_SLACK) + 1))
-    rounding = sum((abs(beta * logw(n)) + len(terms) + 3) * math.exp(beta * logw(n))
-                   for n in terms)
-    return abs(total - 1.0) + tail + 2.0 ** -52 * rounding
+    widths (reads ``beta``, ``n0``, ``log_width``): the explicit sum over the
+    wide branches and n0..m, m as in ``_width_power_series``, added in that
+    order and padded by that series' remainder bound and by
+    2^-52 * sum (|beta log w| + k + 3) w^beta over its k terms, which bounds
+    the roundings of beta * log w, exp and the sum."""
+    m = _series_end(ce.beta, ce.n0, _SERIES_SLACK)
+    powers = [ce.beta * ce.log_width(n) for n in (1, 2, *range(ce.n0, m + 1))]
+    total = 0.0
+    for x in powers:
+        total += math.exp(x)
+    rounding = sum((abs(x) + len(powers) + 3) * math.exp(x) for x in powers)
+    return abs(total - 1.0) + (_quad_tail(ce.beta, m) + 1e-290) + 2.0 ** -52 * rounding
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,10 @@ block of frontier rows and return symbol-major (K, C) arrays: the
 children's intervals, and the bracket of |phi_s'| over each parent
 interval, whose -log is added to the psi sums.  Each block is copied,
 transposed, into its parents' rows, so children are laid out parent-major
-and the words come out in one fixed order.  A request for level n sweeps
-once from the root, with the frontier local to that sweep: each level is
-its frontier's psi arrays, and only the levels below n carry child
-intervals, so no interval array of level n is ever held.  Callers ask for
-their deepest level first (``bracket`` asks for n_max, ``cover_sum`` for
-its deepest unpruned level), so one sweep builds the whole table; a later,
-deeper request sweeps again from the root.
+and the words come out in one fixed order.  Each level is built once, in
+any request order: the table keeps the frontier of the level above its
+deepest, d, and a deeper request steps on from there (d's stored psi gain
+their intervals first), so no interval array of level d is ever held.
 Each log is padded one ulp outward, because np.log may sit an ulp away
 from the correctly rounded value: the step is taken on the IEEE bit
 pattern, equal to np.nextafter bit for bit and several times cheaper; the
@@ -297,10 +294,10 @@ class BirkhoffTable:
     """Cached per-word psi brackets over F^n, read through one potential,
     and the one entry point for pressure brackets (``bracket``).
 
-    The table stores, for each level n, arrays (psi_lo, psi_hi) of the
-    bracket of S_n psi over every word; levels are built in one sweep from
-    the root (see the module docstring) and cached, and they do not depend
-    on the potential.  A partition sum for the scaled potential s*u is then
+    The table stores, for each level n, one array of the bracket of S_n psi
+    over every word, lower ends in row 0 and upper ends in row 1; each level
+    is built once (see the module docstring), and none depends on the
+    potential.  A partition sum for the scaled potential s*u is then
     one vectorized log-sum-exp pass over a psi array scaled by s * psi_coef,
     less s * n * const (see ``partition``), which is what the dimension
     search iterates.  Each estimate ``bracket`` returns is kept too, so a
@@ -321,7 +318,10 @@ class BirkhoffTable:
             sys._check_symbol(s)
         self.budget = budget
         self.pot = pot
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # level n at n - 1, and the frontier of the level above the deepest
+        # (the root before any level is built)
+        self._levels: list[np.ndarray] = []
+        self._parent = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
         # per (level, end), ``_psi_range``: partition's log-sum-exp shift
         # and the terms of its rounding bound
         self._ranges: dict[tuple[int, int], tuple[float, float, float]] = {}
@@ -344,15 +344,14 @@ class BirkhoffTable:
             n += 1
         return n
 
-    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(psi_lo, psi_hi) arrays over all words of length n: the bracket of
-        S_n psi over each cylinder, whatever the potential (``partition``
-        applies it).  The enumeration order is deterministic: one sweep from
-        the root keeps every level up to n, child k of frontier word p at
-        p*K + k, each block of children copied transposed into its parents'
-        rows.  Prepending s_k composes one more outer branch, so the psi sums
-        gain -log of the bracket of |phi_s'| over phi_w([0,1]).  An additive
-        table has no levels.
+    def level(self, n: int) -> np.ndarray:
+        """The (2, K^n) array of S_n psi brackets over all words of length n,
+        lower ends in row 0 and upper ends in row 1, whatever the potential
+        (``partition`` applies it).  The enumeration order is deterministic:
+        child k of word p of level n - 1 sits at p*K + k.  Prepending s_k
+        composes one more outer branch, so the psi sums gain -log of the
+        bracket of |phi_s'| over phi_w([0,1]).  An additive table has no
+        levels.
 
         The child intervals are rounded to nearest, so each bracket of
         |phi_s'| is taken over an interval whose ends drift from the exact
@@ -367,34 +366,40 @@ class BirkhoffTable:
         depth 14, 1..4 to depth 5, 1..8 to depth 3 and 1..16 to depth 2)."""
         if self.additive is not None:
             raise ValueError("an additive table has no levels: its level n is n times level 1")
-        if n in self._levels:
-            return self._levels[n]
         if n < 1:
             raise ValueError("level must be at least 1")
+        self._check_budget(n)
+        while len(self._levels) < n:
+            if self._levels:
+                # the deepest level's intervals, beside its stored psi
+                self._parent = _Frontier(*self._children(
+                    lambda span: self.sys.map_intervals(self._column, span)), *self._levels[-1])
+            self._levels.append(self._children(self._psi_children))
+        return self._levels[n - 1]
+
+    def _check_budget(self, n: int) -> None:
         count = len(self.symbols) ** n
         if count > self.budget:
             raise BudgetExceededError("partition", count, self.budget)
-        step = max(1, _BLOCK // len(self.symbols))
-        f = _Frontier(*(np.array([v]) for v in (0.0, 1.0, 0.0, 0.0)))
-        for depth in range(1, n + 1):
-            deeper = depth < n
-            # the last level needs no child intervals
-            nxt = [np.empty((len(f.lo), len(self.symbols))) for _ in range(4 if deeper else 2)]
-            for start in range(0, len(f.lo), step):
-                rows = slice(start, start + step)
-                span = _Frontier(*(a[rows] for a in f))
-                blo, bhi = self.sys.deriv_brackets(self._column, span)
-                # np.log may differ from the correctly rounded log by an ulp
-                parts = (span.psi_lo - _log_step(bhi, True), span.psi_hi - _log_step(blo, False))
-                if deeper:
-                    parts = self.sys.map_intervals(self._column, span) + parts
-                for dst, src in zip(nxt, parts):
-                    dst[rows] = src.T
-            nxt = [a.ravel() for a in nxt]
-            self._levels[depth] = (nxt[-2], nxt[-1])
-            if deeper:
-                f = _Frontier(*nxt)
-        return self._levels[n]
+
+    def _children(self, step) -> np.ndarray:
+        """The (2, C*K) array of the lower and upper ends that ``step`` gives
+        the children of the parent frontier's C words, parent-major: each
+        block of frontier rows is stepped symbol-major and copied transposed."""
+        f, k = self._parent, len(self.symbols)
+        size = max(1, _BLOCK // k)
+        out = np.empty((2, len(f.lo), k))
+        for start in range(0, len(f.lo), size):
+            rows = slice(start, start + size)
+            lo, hi = step(_Frontier(*(a[rows] for a in f)))
+            out[0, rows] = lo.T
+            out[1, rows] = hi.T
+        return out.reshape(2, -1)
+
+    def _psi_children(self, span: _Frontier) -> tuple[np.ndarray, np.ndarray]:
+        blo, bhi = self.sys.deriv_brackets(self._column, span)
+        # np.log may differ from the correctly rounded log by an ulp
+        return span.psi_lo - _log_step(bhi, True), span.psi_hi - _log_step(blo, False)
 
     def _psi_range(self, depth: int, end: int) -> tuple[float, float, float]:
         """Of one end's psi array at a level (an additive table's level 1 at
@@ -513,7 +518,7 @@ class BirkhoffTable:
         quotient by n > 1 is stepped an ulp outward."""
         levels = range(1, 2 if self.additive is not None else n_max + 1)
         if self.additive is None:
-            self.level(n_max)  # one sweep builds every level below it too
+            self._check_budget(n_max)
         lower = max(self._per_level(scale, n, "inf") for n in levels)
         diverged = False
         if not use_tail:
@@ -579,16 +584,16 @@ class BirkhoffTable:
         which the converged bracket contains, show that it cannot decide the
         target by its width.
         Weights below _TINY_WEIGHT, whose products could leave the normal
-        range, give no bracket, (-inf, inf).  Row 0 of every stacked array
-        belongs to M_sup and row 1 to M_inf, and ``out`` steps each row
-        outward: M_sup's weights up and M_inf's down.
+        range, give no bracket, (-inf, inf).  Row 0 of every array belongs
+        to M_sup and row 1 to M_inf, as in a level, and ``out`` steps each
+        row outward: M_sup's weights up and M_inf's down.
         """
         k = len(self.symbols)
         f = -(scale * self.pot.psi_coef)
         g = -(scale * self.pot.const)
         out = np.array([[[1.0]], [[-1.0]]])
-        parent = np.stack(self.level(m))[:, None, :]
-        child = np.stack(self.level(m + 1)).reshape(2, -1, k).transpose(0, 2, 1)
+        parent = self.level(m)[:, None, :]
+        child = self.level(m + 1).reshape(2, -1, k).transpose(0, 2, 1)
         a = f * (child - parent)
         w = np.exp(a + g)
         # child - parent rounds by at most 2u of |child| + |parent|, which

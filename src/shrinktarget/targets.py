@@ -118,13 +118,12 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
     applied (every log padded one ulp outward), or on affine systems the
     n-th power of the level-1 sum over exact per-symbol ends.  Every
     level's word count is checked against the budget before any level is
-    built, and the deepest unpruned level is asked for first, so one sweep
-    builds the table.  A level contributes only when the ball of radius
-    exp(-n c) around y meets some branch image of the subset (otherwise
-    the orbit segment cannot both return to the subsystem and hit the
-    target), with c the constant part of phi; any psi part of phi is left
-    out of this prune test.  The ball shrinks with n, so a level is either
-    the whole partition sum or empty, and only the deepest levels are empty.
+    built.  A level contributes only when the ball of radius exp(-n c)
+    around y meets some branch image of the subset (otherwise the orbit
+    segment cannot both return to the subsystem and hit the target), with
+    c the constant part of phi; any psi part of phi is left out of this
+    prune test.  The ball shrinks with n, so a level is either the whole
+    partition sum or empty, and only the deepest levels are empty.
     """
     if not 0.0 < s < math.inf:
         raise ValueError("exponent s must be positive and finite")
@@ -139,7 +138,6 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
     dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
                for iv in map(sys.branch_interval, symbols))
     kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * target.rate.const)]
-    # deepest first: the first partition's sweep builds every level below it
     sums = {n: math.exp(table.partition(s, n, "sup")) for n in reversed(kept)}
     per_level = tuple((n, sums.get(n, 0.0)) for n in range(m, n_max + 1))
     total = 0.0  # left to right: builtin sum compensates from Python 3.12

@@ -13,7 +13,7 @@ from shrinktarget import (
     verify_moran,
     zero_dim_cover_report,
 )
-from shrinktarget.counterexample import _SERIES_SLACK, _width_power_series
+from shrinktarget.counterexample import _SERIES_SLACK, _series_end, _width_power_series
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,23 @@ def test_moran_residual_bounds_the_exact_residual(beta):
             n += 1
         exact = abs(total - 1)
     assert exact <= verify_moran(ce) <= 1e-10
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.7])
+def test_moran_residual_bits_frozen(beta):
+    # one term list gives the residual that two passes gave, bit for bit: the
+    # wide terms' sum, then n0..m added one at a time, padded by the series
+    # remainder and by the rounding bound summed over the same terms in order
+    ce = build_counterexample(beta, ShrinkFn.power(1))
+    m = _series_end(beta, ce.n0, _SERIES_SLACK)
+    total = math.exp(beta * ce.log_width(1)) + math.exp(beta * ce.log_width(2))
+    for n in range(ce.n0, m + 1):
+        total += math.exp(beta * ce.log_width(n))
+    _, tail = _width_power_series(ce.log_width, beta, ce.n0, _SERIES_SLACK)
+    terms = (1, 2, *range(ce.n0, m + 1))
+    rounding = sum((abs(beta * ce.log_width(n)) + len(terms) + 3)
+                   * math.exp(beta * ce.log_width(n)) for n in terms)
+    assert verify_moran(ce) == abs(total - 1.0) + tail + 2.0 ** -52 * rounding
 
 
 def test_moran_detects_corruption(ce_half):

@@ -285,6 +285,24 @@ def test_search_certifies_each_end_after_a_straddle():
     assert any(low <= 0.0 < up for _, low, up in probes)
 
 
+def test_search_closes_the_upper_end_below_its_chord():
+    # the lower end is straight and the upper end curved (convex, decreasing)
+    # with its zero at 0.5: the chord through the probe at s = 1 leaves hi
+    # above 0.5 by more than the closing reach, and the secant of the upper
+    # ends nearest zero lies below hi, so the upper closing probes bring hi
+    # down to 0.5; only they probe above 0.5 short of s = 1
+    probes = []
+
+    def measure(s):
+        probes.append((s, 0.4 - s, 0.5 - s + 0.4 * (s - 0.5) ** 2))
+        return probes[-1]
+
+    lo, hi, _, certified = _search(measure, 0.2)
+    assert certified
+    assert lo <= 0.4 and 0.5 <= hi <= 0.5 + 1e-15
+    assert [s for s, _, up in probes if up <= 0.0 and s < 1.0] == [hi]
+
+
 @pytest.mark.parametrize("tol", [0.1, 0.6, 0.79])
 def test_search_end_set_by_a_midpoint_guess_is_uncertified(tol):
     # the zone is wider than tol/2 (at tol 0.6 and 0.79 a bracket within

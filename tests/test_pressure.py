@@ -692,6 +692,15 @@ def test_bracket_computes_each_child_once():
     assert sys.calls == sum(3 ** j for j in range(1, 7)) == 1092
 
 
+def test_rising_level_requests_compute_each_child_once():
+    # each deeper request steps on from the kept frontier, not from the root
+    sys = _per_element_gauss()
+    table = BirkhoffTable(sys, PSI, {1, 2, 3})
+    for n in range(1, 7):
+        assert table.level(n).shape == (2, 3 ** n)
+    assert sys.calls == 1092
+
+
 def test_cover_computes_each_child_once():
     # y = 0.3 lies in the branch image of 3, so no level is pruned, and the
     # cover asks for level 6 before reading levels 1..5
@@ -779,6 +788,27 @@ def test_matrix_bracket_contains_zero_at_e2(transfer_pressure, gauss_branches):
     # the depth-15 matrix pins P(-E2 psi) within 1e-7, the levels within 0.1
     assert est.upper - est.lower < 1e-7
     assert table.bracket(E2, n_max=16).upper - table.bracket(E2, n_max=16).lower > 0.01
+
+
+def test_underflowing_matrix_falls_back_to_the_fekete_bracket(transfer_pressure,
+                                                              gauss_branches):
+    # |phi'|^0.99 of the symbol 10**80 is about 1e-158, below _TINY_WEIGHT,
+    # so no depth gives a matrix bracket; the last one is intersected with
+    # the Fekete levels, which still decide the target
+    subset = {1, 2, 10**80}
+    table = BirkhoffTable(gauss_system(), PSI, subset)
+    for m in (1, 2, 3):
+        assert table._matrix(0.99, m, 0.0, m == 3) == (-math.inf, math.inf)
+    est = table.bracket(0.99, n_max=4, target=0.0)
+    fekete = table.bracket(0.99, n_max=4)
+    assert (est.lower, est.upper) == (fekete.lower, fekete.upper)
+    assert est.matrix_depth == 3 and est.truncation[1] == 4
+    assert est.lower == pytest.approx(-0.7535, abs=1e-4)
+    assert est.upper == pytest.approx(-0.3109, abs=1e-4)
+    want = transfer_pressure(gauss_branches(subset), 0.99)
+    assert want == pytest.approx(-0.5654, abs=1e-4)
+    assert est.lower <= want <= est.upper
+    assert est.margins(0.0)[1] <= 0.0
 
 
 def _count_table_work(monkeypatch, table) -> list[str]:
@@ -915,3 +945,13 @@ def test_over_budget_level_raises_before_any_work():
     assert info.value.requested == 128 and info.value.budget == 100
     assert fam.calls == 0
     assert len(table.level(6)[0]) == 64
+
+
+def test_over_budget_fekete_bracket_raises_before_any_level():
+    # level n_max's word count is checked before any level is built, so the
+    # error names it, not the first level over the budget
+    fam = _PerElementGauss()
+    table = BirkhoffTable(fam, PSI, {1, 2}, budget=100)
+    with pytest.raises(BudgetExceededError) as info:
+        table.bracket(0.5, n_max=9)
+    assert info.value.requested == 512 and fam.calls == 0
