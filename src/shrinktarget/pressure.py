@@ -434,8 +434,8 @@ class BirkhoffTable:
         constant scale * (n * const) and the sums of these add u of each;
         the bound takes 8u of each magnitude.  The n-fold product of an
         additive table's level 1 (covers read it; ``bracket`` reads level 1
-        alone) is rounded to nearest.  A negative or nan scale raises
-        ValueError."""
+        alone) is stepped one more ulp outward when n > 1.  A negative or
+        nan scale raises ValueError."""
         if mode not in ("sup", "inf"):
             raise ValueError("mode must be 'sup' or 'inf'")
         if not scale >= 0.0:
@@ -451,7 +451,9 @@ class BirkhoffTable:
         lse = _logsumexp(psi * f, shift)
         c = scale * (depth * self.pot.const)
         err = _U * (terms + 8 * (abs(shift) + abs(lse) + c) - f * per_f)
-        return times * _outward(lse - c, err, 1.0 if mode == "sup" else -1.0)
+        toward = 1.0 if mode == "sup" else -1.0
+        value = _outward(lse - c, err, toward)
+        return value if times == 1 else _outward(times * value, 0.0, toward)
 
     @cached_property
     def _skipped_psi(self) -> list[float]:

@@ -24,7 +24,10 @@ one row per cylinder.  ``level_children(level, column)`` takes a (K, 1)
 column of symbols and a block of C level rows and returns the children of
 every row in one broadcast step, as symbol-major (K, C) arrays: their
 intervals ``lo`` and ``hi`` and their level columns.  Gauss continuants are
-int64 below 2^53 and Python ints past it.
+int64 below 2^53 and Python ints past it.  The Gauss composer also gives
+``boundaries(level, column)``, the ends that neighbouring children share,
+so that a run of children of consecutive symbols is read from its two
+outer ends; affine composers set ``boundaries`` to None.
 
 Gauss, the one non-affine family, also gives the array step of the pressure
 level kernel: ``map_intervals`` and ``deriv_brackets`` take a (K, 1) column
@@ -349,6 +352,10 @@ class _AffineComposer:
 
     __slots__ = ("fam", "lo", "hi", "psi_sum")
 
+    # a child's ends are products clamped into its parent's, not quotients
+    # its neighbour shares, so no run of children is declared to tile
+    boundaries = None
+
     def __init__(self, fam, lo: float = 0.0, hi: float = 1.0, psi_sum: float = 0.0):
         self.fam = fam
         self.lo = lo
@@ -426,20 +433,37 @@ class _MoebiusComposer:
     @staticmethod
     def level_children(level, column):
         """(lo, hi, child level) of every row and symbol of the column, as
-        (K, C) arrays, from one ``child`` step over the whole block.  The
-        block switches to Python ints before any child continuant or
-        endpoint sum, at most q1 (s + 1) + q0, could reach 2^53, so int64
-        neither wraps nor rounds."""
-        q0, q1 = level[2], level[3]
-        if q1.dtype != object and \
-                int(q1.max()) * (int(column.max()) + 1) + int(q0.max()) >= 2**53:
-            level = tuple(c.astype(object) for c in level)
-        child = _MoebiusComposer(*level).child(column)
+        (K, C) arrays, from one ``child`` step over the whole block."""
+        child = _MoebiusComposer(*_exact(level, int(column.max()) + 1)).child(column)
         a, b = (np.asarray(e, dtype=float) for e in child.ends())
         # the child's p0 and q0 are the block's p1 and q1, one row per parent
         return (np.minimum(a, b), np.maximum(a, b),
                 tuple(np.broadcast_to(c, a.shape)
                       for c in (child.p0, child.p1, child.q0, child.q1)))
+
+    @staticmethod
+    def boundaries(level, column):
+        """phi_w(1/t) = (p1 t + p0) / (q1 t + q0) of every row w and symbol
+        t of the column, as a (K, C) float array.  Child s of w is
+        phi_w([1/(s+1), 1/s]), and its ``ends`` are the quotients of the
+        same integers as the boundaries at s and s + 1, so both are these
+        floats: over a run u..v of consecutive symbols the children tile
+        the hull of the boundaries at u and v + 1, each child's float ends
+        are neighbouring boundaries, and the boundaries are monotone in t
+        (phi_w is monotone and rounding is too)."""
+        p0, p1, q0, q1 = _exact(level, int(column.max()))
+        return np.asarray((p1 * column + p0) / (q1 * column + q0), dtype=float)
+
+
+def _exact(level, t_max: int):
+    """The level's continuant columns, as Python ints once a denominator
+    q1 t + q0 with t <= t_max could reach 2^53, so int64 neither wraps nor
+    rounds and every quotient is correctly rounded (each numerator
+    p1 t + p0 is at most its denominator)."""
+    q0, q1 = level[2], level[3]
+    if q1.dtype != object and int(q1.max()) * t_max + int(q0.max()) >= 2**53:
+        return tuple(c.astype(object) for c in level)
+    return level
 
 
 def forward_composer(sys: BranchFamily):

@@ -116,7 +116,10 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
     cylinder of the word w, so a level sum is a dominating partition sum
     of -s(psi + phi) from one ``BirkhoffTable``: its psi levels with phi
     applied (every log padded one ulp outward), or on affine systems the
-    n-th power of the level-1 sum over exact per-symbol ends.  Every
+    n-th power of the level-1 sum over exact per-symbol ends.  Each
+    level's exp and each addition to the running total are stepped one ulp
+    up, so every level and the total bound their exact sums from above;
+    an empty level is an exact 0.0.  Every
     level's word count is checked against the budget before any level is
     built.  A level contributes only when the ball of radius exp(-n c)
     around y meets some branch image of the subset (otherwise the orbit
@@ -138,11 +141,12 @@ def cover_sum(sys: BranchFamily, target: TargetSpec, s: float, m: int, n_max: in
     dist = min(_distance_bracket(target.y, iv.lo, iv.hi)[0]
                for iv in map(sys.branch_interval, symbols))
     kept = [n for n in range(m, n_max + 1) if dist < math.exp(-n * target.rate.const)]
-    sums = {n: math.exp(table.partition(s, n, "sup")) for n in reversed(kept)}
+    sums = {n: math.nextafter(math.exp(table.partition(s, n, "sup")), math.inf) for n in kept}
     per_level = tuple((n, sums.get(n, 0.0)) for n in range(m, n_max + 1))
     total = 0.0  # left to right: builtin sum compensates from Python 3.12
     for _, level in per_level:
-        total += level
+        # a sum with a zero term is exact; any other is stepped up
+        total = math.nextafter(total + level, math.inf) if total and level else total + level
     return CoverReport(per_level=per_level, total=total)
 
 
@@ -209,9 +213,24 @@ def cylinder_density(sys: BranchFamily, y: float, n: int, r: float, subset,
     count.  The nodes visited are those a depth-first walk with the same
     pruning visits: the root and every child of a level above depth n.
     Each level's children are charged to the budget before they are built.
-    The leaf widths (hi - lo of the composed ends) are fed block by block
-    to one math.fsum, so the total is their correctly rounded sum, whatever
+    The leaf widths (hi - lo of the composed ends) go, block by block, to
+    one math.fsum, so the total is their correctly rounded sum, whatever
     the walk order.
+
+    A composer that gives ``boundaries`` (Gauss) is not asked for every
+    leaf.  The subset splits into runs u..v of consecutive symbols, and for
+    each block of depth-(n-1) parents the walk reads the outer ends a <= b
+    of each run's children, the boundaries at u and v + 1.  A run with
+    ball_lo < a, b < ball_hi and b <= 2a feeds b and -a to the fsum in
+    place of its leaf widths, and the result is the same double:
+    (1) rounding is monotone, so every leaf end is a boundary in [a, b];
+    (2) so each leaf has hi <= b <= 2a <= 2 lo, and hi - lo is exact
+    (Sterbenz); (3) neighbouring leaves share one boundary, the same
+    quotient of the same integers, so the exact widths telescope to b - a;
+    (4) fsum rounds the exact sum of its terms once, and that sum is
+    unchanged.  A run with b <= ball_lo or a >= ball_hi has no leaf inside.
+    A parent with any other run (one that straddles a ball edge, or lies so
+    near 0 that b > 2a) has its leaves composed and summed as above.
     """
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -224,6 +243,10 @@ def cylinder_density(sys: BranchFamily, y: float, n: int, r: float, subset,
     for i in symbols:
         sys._check_symbol(i)
     column = np.array(symbols)[:, None]
+    # each run's first symbol, then the symbol past each run's last
+    chosen = set(symbols)
+    cuts = np.array([s for s in symbols if s - 1 not in chosen]
+                    + [s + 1 for s in symbols if s + 1 not in chosen])[:, None]
     rows = max(1, _BLOCK // len(symbols))
     ball_lo = y - r
     ball_hi = y + r
@@ -234,20 +257,42 @@ def cylinder_density(sys: BranchFamily, y: float, n: int, r: float, subset,
         visited += len(level[0]) * len(symbols)
         if visited > budget:
             raise BudgetExceededError("density", visited, budget, completed_level=depth - 1)
-        children = (root.level_children(tuple(c[start:start + rows] for c in level), column)
-                    for start in range(0, len(level[0]), rows))
+        blocks = (tuple(c[start:start + rows] for c in level)
+                  for start in range(0, len(level[0]), rows))
         if depth == n:
             break
         kept = []
-        for lo, hi, child in children:
+        for lo, hi, child in (root.level_children(block, column) for block in blocks):
             # closed cylinder vs open ball: disjoint when it only touches
             meets = (hi > ball_lo) & (lo < ball_hi)
             kept.append(tuple(c[meets] for c in child))
         level = tuple(map(np.concatenate, zip(*kept)))
         if not len(level[0]):
             return 0.0
-    leaves = ((hi - lo)[(ball_lo < lo) & (hi < ball_hi)].tolist() for lo, hi, _ in children)
-    return math.fsum(chain.from_iterable(leaves)) / r
+    terms = (_leaf_terms(root, block, column, cuts, ball_lo, ball_hi) for block in blocks)
+    return math.fsum(chain.from_iterable(terms)) / r
+
+
+def _leaf_terms(root, block, column, cuts, ball_lo: float, ball_hi: float) -> list[float]:
+    """Terms whose exact sum is the total width of the block's leaves
+    strictly inside the ball (see ``cylinder_density``): b and -a of each
+    run inside the ball with b <= 2a, and the leaf widths of every parent
+    with a run that is neither that nor outside the ball."""
+    terms: list[float] = []
+    if root.boundaries is not None:
+        ends = root.boundaries(block, cuts)
+        runs = len(cuts) // 2
+        a = np.minimum(ends[:runs], ends[runs:])
+        b = np.maximum(ends[:runs], ends[runs:])
+        exact = (ball_lo < a) & (b < ball_hi) & (b <= 2.0 * a)
+        settled = (exact | (b <= ball_lo) | (a >= ball_hi)).all(axis=0)
+        exact &= settled
+        terms = b[exact].tolist() + (-a[exact]).tolist()
+        block = tuple(c[~settled] for c in block)
+        if not len(block[0]):
+            return terms
+    lo, hi, _ = root.level_children(block, column)
+    return terms + (hi - lo)[(ball_lo < lo) & (hi < ball_hi)].tolist()
 
 
 # bounds of the window precision hit_times asks for

@@ -4,6 +4,7 @@ import re
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyst
@@ -182,6 +183,56 @@ def test_cover_levels_match_scalar_oracle(sys, target, s, subset, n_max):
         assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+def _cover_level_mpmath(sys, target, s, n, subset):
+    """The level-n dominating sum at 40 digits, or 0 where the ball misses
+    the subset's branch images: on affine systems (sum_i r_i^(c s))^n,
+    with c the psi coefficient of psi + phi; on Gauss, the sum over words
+    of the product of the per-symbol sups the level kernel bounds,
+    (w_k + lo_k)^(-2 c s) with lo_k the exact lower end of the cylinder of
+    the word after w_k.  Both carry the factor exp(-s n const)."""
+    pot = Sum(LogDerivative(), target.rate)
+    symbols = sorted(set(subset))
+    with mpmath.workdps(40):
+        y = mpmath.mpf(target.y)
+        dist = min(max(mpmath.mpf(0), mpmath.mpf(iv.lo) - y, y - mpmath.mpf(iv.hi))
+                   for iv in map(sys.branch_interval, symbols))
+        if dist >= mpmath.exp(-n * mpmath.mpf(target.rate.const)):
+            return mpmath.mpf(0)
+        e = mpmath.mpf(pot.psi_coef) * s
+        if sys.is_affine:
+            level = mpmath.fsum(mpmath.mpf(sys.ratios[i - 1]) ** e for i in symbols) ** n
+        else:
+            level = mpmath.mpf(0)
+            for word in itertools.product(symbols, repeat=n):
+                lo, hi, sup = Fraction(0), Fraction(1), Fraction(1)
+                for a in reversed(word):
+                    sup /= (a + lo) ** 2
+                    lo, hi = 1 / (a + hi), 1 / (a + lo)
+                level += (mpmath.mpf(sup.numerator) / sup.denominator) ** e
+        return level * mpmath.exp(-s * n * mpmath.mpf(pot.const))
+
+
+@pytest.mark.parametrize("sys, target, s, subset, n_max", [
+    # the affine case of the float-oracle test above: rounded to nearest,
+    # its level 1 once read an ulp below that oracle's sum
+    (affine_system([0.3] * 3), TargetSpec(0.95, _PSI_CONST_RATE), 0.8, {1, 2, 3}, 6),
+    (affine_system([0.2, 0.3, 0.4]), TargetSpec(0.35, Constant(0.7)), 0.9, {1, 2, 3}, 8),
+    (doubling_map(), ORIGIN_TARGET, 0.9, {1, 2}, 10),
+    (gauss_system(), TargetSpec(0.05, _PSI_CONST_RATE), 0.8, range(1, 5), 4),
+    (gauss_system(), TargetSpec(0.3, Constant(1.0)), 0.7, {1, 2, 3}, 5),
+], ids=["affine-per-symbol", "affine-3", "doubling", "gauss-per-symbol", "gauss-3"])
+def test_cover_levels_bound_their_exact_sums(sys, target, s, subset, n_max):
+    rep = cover_sum(sys, target, s, 1, n_max, subset)
+    exact = [_cover_level_mpmath(sys, target, s, n, subset) for n in range(1, n_max + 1)]
+    assert any(exact)
+    for (_, value), level in zip(rep.per_level, exact):
+        assert (value == 0.0) == (level == 0)
+        assert value >= level
+        assert value == pytest.approx(float(level), rel=1e-9)
+    with mpmath.workdps(40):
+        assert rep.total >= mpmath.fsum(exact)
+
+
 def test_cover_rate_keeps_its_psi_part_on_affine_systems():
     # on the doubling map psi is log 2 everywhere, so the potential rate psi
     # and the constant rate log 2 bound the same cover sets
@@ -329,9 +380,10 @@ def test_density_floor_at_projected_points(kind, seed):
         assert density >= 0.5 - 1e-9
 
 
-def _reference_density_walk(sys, y, n, r, subset):
+def _reference_density_walk(sys, y, n, r, subset, parents=None):
     """The depth-first composer walk that cylinder_density replaced, with the
-    same pruning: (leaf widths, visited nodes)."""
+    same pruning: (leaf widths, visited nodes).  The composers of the
+    depth-(n-1) cylinders that meet the ball go to ``parents`` if given."""
     symbols = sorted(set(subset))
     ball_lo, ball_hi = y - r, y + r
     widths, visited = [], 0
@@ -342,6 +394,8 @@ def _reference_density_walk(sys, y, n, r, subset):
         lo, hi = comp.interval()
         if hi <= ball_lo or lo >= ball_hi:
             continue
+        if depth == n - 1 and parents is not None:
+            parents.append(comp)
         if depth == n:
             if ball_lo < lo and hi < ball_hi:
                 widths.append(hi - lo)
@@ -357,6 +411,8 @@ _DENSITY_CASES = {
     "gapped": (affine_system([0.25, 0.25], placements=[0.0, 0.75]), {1, 2}, 10, (-4.0, -0.5)),
     "geometric": (geometric_system(0.3, 0.6), set(range(1, 33)), 4, (-4.0, -2.0)),
     "gauss": (gauss_system(), set(range(1, 17)), 6, (-5.0, -3.0)),
+    # three runs of consecutive symbols, 1..2, 5..7 and 16
+    "gauss-gapped": (gauss_system(), {1, 2, 5, 6, 7, 16}, 6, (-4.0, -1.5)),
 }
 
 
@@ -402,26 +458,97 @@ def test_density_level_charged_before_it_is_built():
         cylinder_density(gauss_system(), 0.5, 6, 0.5, range(1, 17), budget=10**6)
 
 
-def test_density_steps_each_level_in_blocks(monkeypatch):
-    # a Gauss K=16 ball whose depth-5 and depth-6 children span 2 and 25
-    # blocks of _BLOCK: the blocked walk equals the depth-first one bit for
-    # bit, with one composer child step per block
-    sys, subset, y, r, n = gauss_system(), range(1, 17), 0.0907, 0.0004, 6
-    widths, visited = _reference_density_walk(sys, y, n, r, subset)
+def _spy_density_steps(monkeypatch, sys):
+    """The composer's density steps in call order: ("children", rows,
+    symbols) for each ``level_children`` block and ("boundaries", rows,
+    cuts) for each block of run ends."""
     composer = type(forward_composer(sys))
-    level_children, child = composer.level_children, composer.child
-    blocks, steps = [], []
+    level_children, boundaries = composer.level_children, composer.boundaries
+    steps = []
 
     def spied_level_children(level, column):
-        blocks.append(len(level[0]) * len(column))
+        steps.append(("children", len(level[0]), len(column)))
         return level_children(level, column)
 
+    def spied_boundaries(level, column):
+        steps.append(("boundaries", len(level[0]), len(column)))
+        return boundaries(level, column)
+
     monkeypatch.setattr(composer, "level_children", staticmethod(spied_level_children))
-    monkeypatch.setattr(composer, "child", lambda comp, s: steps.append(s) or child(comp, s))
+    monkeypatch.setattr(composer, "boundaries", staticmethod(spied_boundaries))
+    return steps
+
+
+def _leaf_parents_composed(steps):
+    """Rows of the ``level_children`` blocks after the first block of run
+    ends: the parents whose leaves were composed."""
+    kinds = [kind for kind, _, _ in steps]
+    first = kinds.index("boundaries") if "boundaries" in kinds else len(steps)
+    return sum(rows for kind, rows, _ in steps[first:] if kind == "children")
+
+
+def test_density_steps_each_level_in_blocks(monkeypatch):
+    # a Gauss K=16 ball whose depth-5 children span 2 blocks of _BLOCK and
+    # whose 12,641 depth-5 parents span 25 blocks of run ends: the blocked
+    # walk equals the depth-first one bit for bit, with one composer child
+    # step per block of children
+    sys, subset, y, r, n = gauss_system(), range(1, 17), 0.0907, 0.0004, 6
+    widths, visited = _reference_density_walk(sys, y, n, r, subset)
+    steps = _spy_density_steps(monkeypatch, sys)
+    composer = type(forward_composer(sys))
+    child, children = composer.child, []
+    monkeypatch.setattr(composer, "child", lambda comp, s: children.append(s) or child(comp, s))
     assert cylinder_density(sys, y, n, r, subset, budget=visited) == math.fsum(widths) / r
-    assert len(steps) == len(blocks) > n
+    blocks = [rows * k for kind, rows, k in steps if kind == "children"]
+    ends = [rows for kind, rows, _ in steps if kind == "boundaries"]
+    assert len(children) == len(blocks) > n
     assert max(blocks) == targets._BLOCK
-    assert sum(blocks) == visited - 1
+    assert len(ends) == 25 and max(ends) == targets._BLOCK // 16
+    # the nodes visited: the children of every level above depth n, and
+    # the 16 leaves of each depth-5 parent, whether composed or not
+    leaves = 16 * _leaf_parents_composed(steps)
+    assert sum(blocks) - leaves + 16 * sum(ends) == visited - 1
+
+
+def test_density_composes_leaves_only_for_straddling_parents(monkeypatch):
+    # the ball of the CI density row: of the 12,641 depth-5 cylinders that
+    # meet it, one has a child that meets the ball without lying inside
+    # it, and only that one has its leaves composed
+    sys, subset, y, r, n = gauss_system(), range(1, 17), 0.0907, 0.0004, 6
+    parents = []
+    widths, visited = _reference_density_walk(sys, y, n, r, subset, parents)
+
+    def straddles(comp):
+        ends = (comp.child(s).interval() for s in subset)
+        return any(hi > y - r and lo < y + r and not (y - r < lo and hi < y + r)
+                   for lo, hi in ends)
+
+    assert len(parents) == 12_641
+    assert sum(map(straddles, parents)) == 1
+    steps = _spy_density_steps(monkeypatch, sys)
+    assert cylinder_density(sys, y, n, r, subset, budget=visited) == math.fsum(widths) / r
+    assert _leaf_parents_composed(steps) == 1
+
+
+@pytest.mark.parametrize("subset, y, r, composed", [
+    # the run 1..16 lies inside the ball, but 1 > 2/17: Sterbenz fails
+    (range(1, 17), 0.5, 0.6, 1),
+    ({1, 2}, 0.5, 0.6, 1),
+    # b = 2a exactly: [1/4, 1/2] and [1/2, 1]
+    ({2, 3}, 0.4, 0.2, 0),
+    ({1}, 0.5, 0.6, 0),
+    # runs 5..7 ([1/8, 1/5]) and 16 ([1/17, 1/16]) inside a ball that reaches below 1/17
+    ({5, 6, 7, 16}, 0.13, 0.1, 0),
+    # the run 1..2 ([1/3, 1]) straddles the ball's upper edge
+    ({1, 2, 5, 6, 7, 16}, 0.3, 0.35, 1),
+], ids=["all-16", "one-two", "two-three", "one", "gapped-inside", "gapped-straddling"])
+def test_density_at_depth_one_falls_back_where_a_run_is_not_exact(monkeypatch, subset, y,
+                                                                     r, composed):
+    sys = gauss_system()
+    widths, visited = _reference_density_walk(sys, y, 1, r, subset)
+    steps = _spy_density_steps(monkeypatch, sys)
+    assert cylinder_density(sys, y, 1, r, subset, budget=visited) == math.fsum(widths) / r
+    assert widths and _leaf_parents_composed(steps) == composed
 
 
 def test_gauss_level_continuants_stay_exact_past_2_53():
